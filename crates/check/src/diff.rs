@@ -588,11 +588,14 @@ fn describe_posh_case(case: &PoshCase) -> String {
     )
 }
 
+/// Samples the scenario of a [`PoshCase`].
+fn posh_scenario(case: &PoshCase) -> xr_datasets::Scenario {
+    Dataset::generate(DatasetKind::Hubs, case.dataset_seed).sample_scenario(&case.scenario)
+}
+
 /// Materializes the episode context of a [`PoshCase`].
 fn posh_context(case: &PoshCase) -> poshgnn::TargetContext {
-    let dataset = Dataset::generate(DatasetKind::Hubs, case.dataset_seed);
-    let scenario = dataset.sample_scenario(&case.scenario);
-    poshgnn::TargetContext::new(&scenario, case.target, 0.5)
+    poshgnn::TargetContext::new(&posh_scenario(case), case.target, 0.5)
 }
 
 impl DiffSubject for SparseVsDensePoshGnn {
@@ -879,23 +882,24 @@ impl DiffSubject for PooledVsFreshTape {
 }
 
 // ---------------------------------------------------------------------------
-// Session pair: streaming scene engine vs. legacy precompute (bit-identical).
+// Session pair: scene-engine contexts vs. brute-force precompute (bit-identical).
 // ---------------------------------------------------------------------------
 
-/// The same episode context built twice: once through the streaming
-/// [`xr_session::SceneEngine`] (`AFTER_STREAMING=1`, the default — shared
+/// The same episode context built twice: once through the
+/// [`xr_session::SceneEngine`] ([`poshgnn::TargetContext::new`] — shared
 /// per-tick scene state, sweep-built occlusion graphs) and once through the
-/// legacy per-target precompute (`AFTER_STREAMING=0`). Every stored field —
-/// occlusion graphs including adjacency order, distance rows, candidate
-/// masks — must match bit for bit, and so must the decision stream of an
-/// identically seeded untrained POSHGNN driven over both contexts.
-pub struct StreamingVsPrecomputed;
+/// brute-force per-target reference [`poshgnn::TargetContext::brute_force`].
+/// Every stored field — occlusion graphs including adjacency order, distance
+/// rows, candidate masks — must match bit for bit, and so must the decision
+/// stream of an identically seeded untrained POSHGNN driven over both
+/// contexts.
+pub struct EngineVsBruteForce;
 
-impl DiffSubject for StreamingVsPrecomputed {
+impl DiffSubject for EngineVsBruteForce {
     type Case = PoshCase;
 
     fn pair(&self) -> String {
-        "session: streaming engine vs precomputed contexts".to_string()
+        "session: scene-engine contexts vs brute-force precompute".to_string()
     }
 
     fn generate(&self, rng: &mut StdRng) -> PoshCase {
@@ -905,34 +909,35 @@ impl DiffSubject for StreamingVsPrecomputed {
     fn compare(&self, case: &PoshCase) -> Option<StepDivergence> {
         use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView};
 
-        let streaming = crate::golden::with_streaming(true, || posh_context(case));
-        let legacy = crate::golden::with_streaming(false, || posh_context(case));
+        let scenario = posh_scenario(case);
+        let engine = poshgnn::TargetContext::new(&scenario, case.target, 0.5);
+        let brute = poshgnn::TargetContext::brute_force(&scenario, case.target, 0.5, &[]);
 
-        for t in 0..=legacy.t_max() {
-            if streaming.occlusion[t] != legacy.occlusion[t] {
+        for t in 0..=brute.t_max() {
+            if engine.occlusion[t] != brute.occlusion[t] {
                 return Some(StepDivergence {
                     step: t,
                     detail: format!(
-                        "occlusion graph at t={t}: streaming {:?} vs legacy {:?}",
-                        streaming.occlusion[t], legacy.occlusion[t]
+                        "occlusion graph at t={t}: engine {:?} vs brute {:?}",
+                        engine.occlusion[t], brute.occlusion[t]
                     ),
                 });
             }
-            for w in 0..legacy.n {
-                let (s, l) = (streaming.distances[t][w], legacy.distances[t][w]);
-                if s.to_bits() != l.to_bits() {
+            for w in 0..brute.n {
+                let (e, b) = (engine.distances[t][w], brute.distances[t][w]);
+                if e.to_bits() != b.to_bits() {
                     return Some(StepDivergence {
                         step: t,
-                        detail: format!("distance[{w}] at t={t}: streaming {s:?} vs legacy {l:?}"),
+                        detail: format!("distance[{w}] at t={t}: engine {e:?} vs brute {b:?}"),
                     });
                 }
             }
-            if streaming.candidate_mask[t] != legacy.candidate_mask[t] {
+            if engine.candidate_mask[t] != brute.candidate_mask[t] {
                 return Some(StepDivergence {
                     step: t,
                     detail: format!(
-                        "candidate mask at t={t}: streaming {:?} vs legacy {:?}",
-                        streaming.candidate_mask[t], legacy.candidate_mask[t]
+                        "candidate mask at t={t}: engine {:?} vs brute {:?}",
+                        engine.candidate_mask[t], brute.candidate_mask[t]
                     ),
                 });
             }
@@ -940,18 +945,18 @@ impl DiffSubject for StreamingVsPrecomputed {
 
         // end-to-end: an identically seeded model must emit the same soft
         // stream over both contexts
-        let mut ms = PoshGnn::new(PoshGnnConfig::default());
-        let mut ml = PoshGnn::new(PoshGnnConfig::default());
-        ms.begin_episode(&StepView::new(&streaming, 0));
-        ml.begin_episode(&StepView::new(&legacy, 0));
-        for t in 0..=legacy.t_max() {
-            let rs = ms.soft_recommend(&streaming, t);
-            let rl = ml.soft_recommend(&legacy, t);
-            for (w, (s, l)) in rs.iter().zip(&rl).enumerate() {
-                if s.to_bits() != l.to_bits() {
+        let mut me = PoshGnn::new(PoshGnnConfig::default());
+        let mut mb = PoshGnn::new(PoshGnnConfig::default());
+        me.begin_episode(&StepView::new(&engine, 0));
+        mb.begin_episode(&StepView::new(&brute, 0));
+        for t in 0..=brute.t_max() {
+            let re = me.soft_recommend(&engine, t);
+            let rb = mb.soft_recommend(&brute, t);
+            for (w, (e, b)) in re.iter().zip(&rb).enumerate() {
+                if e.to_bits() != b.to_bits() {
                     return Some(StepDivergence {
                         step: t,
-                        detail: format!("r_{t}[{w}]: streaming {s:?} vs legacy {l:?}"),
+                        detail: format!("r_{t}[{w}]: engine {e:?} vs brute {b:?}"),
                     });
                 }
             }
@@ -981,6 +986,8 @@ pub struct RoomScenario {
     pub viewers: Vec<usize>,
     /// Recommendation size.
     pub top_k: usize,
+    /// Scene payload: `None` dense, `Some(k)` K-candidate shortlists.
+    pub prune_k: Option<usize>,
     /// MR participation mask.
     pub mr_mask: Vec<bool>,
     /// Positions per tick, `frames[t]` of length `n`.
@@ -998,9 +1005,8 @@ pub struct MultiRoomCase {
 }
 
 /// The sequential-reference decision rule, payload-agnostic: dense views
-/// decide with [`xr_serve::decide_topk_f64`]; pruned views (env
-/// `AFTER_PRUNE_K` legs) decide on their shortlist — exactly the branch the
-/// room scheduler takes.
+/// decide with [`xr_serve::decide_topk_f64`]; pruned views decide on their
+/// shortlist — exactly the branch the room scheduler takes.
 fn decide_for_view(view: &xr_session::TargetView, n: usize, k: usize) -> Vec<bool> {
     if let Some(cs) = view.candidates() {
         let mut out = vec![false; n];
@@ -1016,10 +1022,11 @@ fn decide_for_view(view: &xr_session::TargetView, n: usize, k: usize) -> Vec<boo
 /// The multi-room scheduler ([`xr_serve::RoomServer`], no SLO budget so the
 /// degradation ladder and shedding stay inert) vs. the obvious sequential
 /// reference: one bare [`xr_session::SceneEngine`] per room fed the same
-/// frames in order, decided with the same [`xr_serve::decide_topk_f64`]
-/// rule. Every room's decision stream, distance rows (bitwise), occlusion
-/// graphs, and candidate masks must be identical regardless of how the
-/// worker pool interleaved the rooms.
+/// frames in order, decided with the same rule. Each room draws its scene
+/// payload — dense, complete shortlists (`K = n−1`) or real pruning
+/// (`K < n−1`). Every room's decision stream, distance rows (bitwise),
+/// occlusion graphs, and candidate masks — or shortlists, when pruned — must
+/// be identical regardless of how the worker pool interleaved the rooms.
 pub struct MultiRoomVsSequential;
 
 impl DiffSubject for MultiRoomVsSequential {
@@ -1039,6 +1046,11 @@ impl DiffSubject for MultiRoomVsSequential {
                 viewers.sort_unstable();
                 viewers.dedup();
                 let top_k = (1usize..5).generate(rng);
+                let prune_k = match (0u32..3).generate(rng) {
+                    0 => None,
+                    1 => Some(n - 1),
+                    _ => Some((1usize..n - 1).generate(rng)),
+                };
                 let mr_mask: Vec<bool> = (0..n).map(|_| (0u32..2).generate(rng) == 1).collect();
                 let frames = (0..ticks)
                     .map(|_| {
@@ -1050,7 +1062,7 @@ impl DiffSubject for MultiRoomVsSequential {
                             .collect()
                     })
                     .collect();
-                RoomScenario { n, viewers, top_k, mr_mask, frames }
+                RoomScenario { n, viewers, top_k, prune_k, mr_mask, frames }
             })
             .collect();
         MultiRoomCase { rooms, workers }
@@ -1080,6 +1092,7 @@ impl DiffSubject for MultiRoomVsSequential {
             .map(|room| {
                 let mut cfg = RoomConfig::new(room.n, scene_of(room), room.viewers.clone());
                 cfg.top_k = room.top_k;
+                cfg.prune_k = room.prune_k;
                 cfg.retain_states = None; // keep history for the bitwise sweep
                 server.admit(cfg).expect("admission of a generated room")
             })
@@ -1099,6 +1112,7 @@ impl DiffSubject for MultiRoomVsSequential {
         // sequential reference: bare engines, same frames, same decision rule
         for (slot, room) in case.rooms.iter().enumerate() {
             let mut engine = SceneEngine::new(room.n, scene_of(room), &room.viewers);
+            engine.set_prune_k(room.prune_k.unwrap_or(0));
             for frame in &room.frames {
                 engine.push(Frame::new(frame.clone()));
             }
@@ -1138,8 +1152,8 @@ impl DiffSubject for MultiRoomVsSequential {
                     // the retained engine state itself must be bit-identical
                     let diverged = server.with_room(ids[slot], |served| {
                         let sv = served.engine().view(viewer, t);
-                        // pruned engines (env AFTER_PRUNE_K legs) retain
-                        // shortlists instead of dense rows — compare those
+                        // pruned engines retain shortlists instead of
+                        // dense rows — compare those
                         if let (Some(a), Some(b)) = (sv.candidates(), view.candidates()) {
                             if a != b {
                                 return Some(format!(
@@ -1207,9 +1221,10 @@ impl DiffSubject for MultiRoomVsSequential {
 
     fn describe(&self, case: &MultiRoomCase) -> String {
         format!(
-            "{} rooms (n={:?}), {} ticks, {} workers",
+            "{} rooms (n={:?}, prune_k={:?}), {} ticks, {} workers",
             case.rooms.len(),
             case.rooms.iter().map(|r| r.n).collect::<Vec<_>>(),
+            case.rooms.iter().map(|r| r.prune_k).collect::<Vec<_>>(),
             case.rooms.first().map_or(0, |r| r.frames.len()),
             case.workers
         )

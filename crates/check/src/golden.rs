@@ -20,10 +20,11 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
 use poshgnn::recommender::{threshold_decision, AfterRecommender};
-use poshgnn::{evaluate_sequence, PoshGnn, PoshGnnConfig, StepView, UtilityBreakdown};
+use poshgnn::{evaluate_sequence, PoshGnn, PoshGnnConfig, StepView, TargetContext, UtilityBreakdown};
 use xr_baselines::{NearestRecommender, RandomRecommender};
 use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
-use xr_eval::{build_contexts, par_map_indexed, RenderAllRecommender};
+use xr_eval::{par_map_indexed, RenderAllRecommender};
+use xr_session::SceneEngine;
 
 use crate::fmt_f64;
 
@@ -82,13 +83,26 @@ fn push_breakdown(out: &mut String, b: &UtilityBreakdown) {
     out.push_str(&format!("mean_recommended: {}\n", fmt_f64(b.mean_recommended)));
 }
 
-/// Runs the seeded end-to-end pipeline and serializes it. See the module
-/// docs for the determinism contract.
+/// Runs the seeded end-to-end pipeline on a default scene engine and
+/// serializes it. See the module docs for the determinism contract.
 pub fn replay(cfg: &ReplayConfig) -> String {
+    replay_with(cfg, |_| {})
+}
+
+/// [`replay`] with the scene engine configured explicitly before any frame
+/// is pushed — how the golden test drives the engine's reference paths
+/// (`set_incremental(false)`, `set_prune_k(n − 1)`) through the same
+/// pipeline. Every such configuration must reproduce the default snapshot
+/// byte for byte.
+pub fn replay_with(cfg: &ReplayConfig, configure: impl FnOnce(&mut SceneEngine)) -> String {
     let _span = xr_obs::span!("xr_check.golden.replay");
     let dataset = Dataset::generate(cfg.dataset, cfg.dataset_seed);
     let scenario = dataset.sample_scenario(&cfg.scenario);
-    let contexts = build_contexts(&scenario, &cfg.targets, cfg.beta);
+    let mut engine = SceneEngine::for_scenario(&scenario, &cfg.targets);
+    configure(&mut engine);
+    engine.push_scenario(&scenario);
+    let requests: Vec<(usize, f64)> = cfg.targets.iter().map(|&t| (t, cfg.beta)).collect();
+    let contexts = TargetContext::with_engine(&scenario, engine, &requests);
 
     let mut model = PoshGnn::new(cfg.model);
     let losses = model.train(&contexts, cfg.train_epochs);
@@ -239,16 +253,20 @@ fn env_lock() -> &'static Mutex<()> {
     ENV_LOCK.get_or_init(|| Mutex::new(()))
 }
 
-/// Runs `f` with the env var `key` forced to `value`, restoring the previous
+/// Runs `f` with every `(key, value)` env var forced, restoring the previous
 /// state afterwards, under the process-wide env lock.
-fn with_env_var<R>(key: &str, value: &str, f: impl FnOnce() -> R) -> R {
+pub fn with_env_vars<R>(vars: &[(&str, &str)], f: impl FnOnce() -> R) -> R {
     let _guard = env_lock().lock().expect("env lock poisoned");
-    let previous = std::env::var(key).ok();
-    std::env::set_var(key, value);
+    let previous: Vec<Option<String>> = vars.iter().map(|(key, _)| std::env::var(key).ok()).collect();
+    for (key, value) in vars {
+        std::env::set_var(key, value);
+    }
     let result = f();
-    match previous {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
+    for ((key, _), previous) in vars.iter().zip(previous) {
+        match previous {
+            Some(v) => std::env::set_var(key, v),
+            None => std::env::remove_var(key),
+        }
     }
     result
 }
@@ -257,22 +275,7 @@ fn with_env_var<R>(key: &str, value: &str, f: impl FnOnce() -> R) -> R {
 /// afterwards. Serialized process-wide so concurrent tests cannot interleave
 /// env mutations.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    with_env_var("AFTER_THREADS", &n.to_string(), f)
-}
-
-/// Runs `f` with `AFTER_STREAMING` forced on (`1`, scene-engine path) or off
-/// (`0`, legacy per-target precompute), restoring the previous value
-/// afterwards. Shares the env lock with [`with_threads`].
-pub fn with_streaming<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    with_env_var("AFTER_STREAMING", if on { "1" } else { "0" }, f)
-}
-
-/// Runs `f` with `AFTER_INCREMENTAL` forced on (`1`, O(Δ) scene maintenance
-/// and MIA edge-deltas, the default) or off (`0`, the from-scratch oracle),
-/// restoring the previous value afterwards. Shares the env lock with
-/// [`with_threads`].
-pub fn with_incremental<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    with_env_var("AFTER_INCREMENTAL", if on { "1" } else { "0" }, f)
+    with_env_vars(&[("AFTER_THREADS", &n.to_string())], f)
 }
 
 #[cfg(test)]

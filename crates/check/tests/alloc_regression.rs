@@ -8,9 +8,14 @@
 //! this file): per-epoch allocations after epoch 1 on the cached path must
 //! be at least 10× lower than on the pre-cache baseline path
 //! (`fresh_mia + fresh_tape`, the code path prior to this overhaul).
+//!
+//! The counter is process-wide, so every test here holds [`SERIAL`]: a test
+//! training concurrently on another thread would otherwise leak its
+//! allocations into the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use poshgnn::{PoshGnn, PoshGnnConfig, TargetContext};
 use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
@@ -37,6 +42,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Serializes the tests of this binary around the global counter.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -76,6 +84,7 @@ fn per_epoch_after_first(config: PoshGnnConfig, ctx: &TargetContext) -> u64 {
 
 #[test]
 fn cached_training_epochs_allocate_10x_less_than_baseline() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let ctx = episode_ctx();
     let baseline_cfg = PoshGnnConfig { fresh_mia: true, fresh_tape: true, ..Default::default() };
     let cached_cfg = PoshGnnConfig { fresh_mia: false, fresh_tape: false, ..Default::default() };
@@ -96,6 +105,7 @@ fn cached_training_epochs_allocate_10x_less_than_baseline() {
 fn losses_match_between_baseline_and_cached_paths() {
     // The two configurations must descend the same trajectory: the cache and
     // arena are pure performance changes (bit-identical per DESIGN.md §7).
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let ctx = episode_ctx();
     let contexts = std::slice::from_ref(&ctx);
     let mut baseline =

@@ -3,9 +3,9 @@
 //! POSHGNN recommender pair on full generated episodes.
 
 use xr_check::diff::{
-    assert_no_divergence, CachedVsFreshMia, IncrementalVsFromScratch, MatmulNaiveVsBlocked,
-    MultiRoomVsSequential, OrcaGridVsBrute, PooledVsFreshTape, PrunedVsFull, SerialVsParallelRunner,
-    ServeF32VsF64, SparseVsDensePoshGnn, SpmmVsDense, StreamingVsPrecomputed,
+    assert_no_divergence, CachedVsFreshMia, EngineVsBruteForce, IncrementalVsFromScratch,
+    MatmulNaiveVsBlocked, MultiRoomVsSequential, OrcaGridVsBrute, PooledVsFreshTape, PrunedVsFull,
+    SerialVsParallelRunner, ServeF32VsF64, SparseVsDensePoshGnn, SpmmVsDense,
 };
 
 /// ≥ 256 cases per kernel pair (the acceptance bar for this harness).
@@ -42,8 +42,8 @@ fn pooled_tape_gradients_match_fresh_bitwise() {
 }
 
 #[test]
-fn streaming_scene_engine_matches_precomputed_contexts_bitwise() {
-    assert_no_divergence(&StreamingVsPrecomputed, KERNEL_CASES);
+fn scene_engine_contexts_match_brute_force_bitwise() {
+    assert_no_divergence(&EngineVsBruteForce, KERNEL_CASES);
 }
 
 #[test]
@@ -56,7 +56,8 @@ fn poshgnn_sparse_and_dense_kernels_agree_on_whole_episodes() {
 #[test]
 fn multi_room_scheduler_matches_sequential_engines_bitwise() {
     // no SLO budget in the generated configs, so the ladder and shedding are
-    // inert and the scheduler must be a pure reordering of sequential work
+    // inert and the scheduler must be a pure reordering of sequential work —
+    // on dense, complete-shortlist and truly pruned rooms alike
     assert_no_divergence(&MultiRoomVsSequential, KERNEL_CASES);
 }
 

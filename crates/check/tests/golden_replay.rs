@@ -2,9 +2,11 @@
 //! recommend → evaluate) snapshotted byte-for-byte against a checked-in
 //! golden file. Regenerate with `UPDATE_GOLDEN=1 cargo test -p xr_check`.
 
+use poshgnn::PoshGnnConfig;
 use xr_check::golden::{
-    assert_matches_golden, replay, with_incremental, with_streaming, with_threads, ReplayConfig,
+    assert_matches_golden, replay, replay_with, with_env_vars, with_threads, ReplayConfig,
 };
+use xr_session::{SceneConfig, SceneEngine};
 
 #[test]
 fn small_replay_matches_the_checked_in_golden_file() {
@@ -20,23 +22,53 @@ fn replay_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn replay_is_byte_identical_across_streaming_modes() {
-    // The golden file is recorded under the default (streaming) context
-    // builder; the legacy per-target precompute must reproduce it exactly.
-    let streaming = with_streaming(true, || replay(&ReplayConfig::small()));
-    let legacy = with_streaming(false, || replay(&ReplayConfig::small()));
-    assert_eq!(streaming, legacy, "replay diverges between AFTER_STREAMING=1 and AFTER_STREAMING=0");
+fn every_explicit_reference_path_reproduces_the_golden_file() {
+    // The golden file predates every optimization layer and must stay
+    // untouched: the episode MIA cache and pooled tape (vs. fresh per-step
+    // MIA and per-episode tapes), incremental O(Δ) scene maintenance (vs.
+    // the from-scratch rebuild), and the dense payload (vs. complete K = n−1
+    // shortlists) each have to replay it byte for byte.
+    let small = ReplayConfig::small();
+    let n = small.scenario.n_participants;
+    let fresh = ReplayConfig {
+        model: PoshGnnConfig { fresh_mia: true, fresh_tape: true, ..small.model },
+        ..small.clone()
+    };
+    let (default, references) = with_threads(1, || {
+        let references = [
+            ("fresh_mia + fresh_tape", replay(&fresh)),
+            ("set_incremental(false)", replay_with(&small, |e| e.set_incremental(false))),
+            ("set_prune_k(n - 1)", replay_with(&small, |e| e.set_prune_k(n - 1))),
+        ];
+        (replay(&small), references)
+    });
+    for (label, snapshot) in &references {
+        assert_eq!(snapshot, &default, "replay under {label} diverges from the default replay");
+    }
+    assert_matches_golden("replay_small.txt", &default);
 }
 
 #[test]
-fn replay_is_byte_identical_across_incremental_modes() {
-    // The golden file was recorded before incremental maintenance existed
-    // and must stay untouched: the O(Δ) path (delta distance rows, warm
-    // sweep candidates, MIA edge-deltas — the default) and the from-scratch
-    // oracle must reproduce it byte for byte.
-    let incremental = with_incremental(true, || replay(&ReplayConfig::small()));
-    let scratch = with_incremental(false, || replay(&ReplayConfig::small()));
-    assert_eq!(incremental, scratch, "replay diverges between AFTER_INCREMENTAL=1 and AFTER_INCREMENTAL=0");
-    assert_matches_golden("replay_small.txt", &incremental);
-    assert_matches_golden("replay_small.txt", &scratch);
+fn oracle_environment_variables_no_longer_select_a_path() {
+    // Retired switches: the production paths read none of these, so setting
+    // every one to its former oracle value must change nothing.
+    let oracle_env = [
+        ("AFTER_THREADS", "1"),
+        ("AFTER_STREAMING", "0"),
+        ("AFTER_INCREMENTAL", "0"),
+        ("AFTER_PRUNE_K", "7"),
+        ("AFTER_FRESH_MIA", "1"),
+        ("AFTER_FRESH_TAPE", "1"),
+    ];
+    let snapshot = with_env_vars(&oracle_env, || {
+        let scene = SceneConfig { body_radius: 0.2, mr_mask: vec![false; 4], room_diagonal: 1.0 };
+        let engine = SceneEngine::new(4, scene, &[0]);
+        assert!(engine.incremental(), "AFTER_INCREMENTAL selected the from-scratch path");
+        assert_eq!(engine.prune_k(), 0, "AFTER_PRUNE_K selected the pruned payload");
+        let cfg = PoshGnnConfig::default();
+        assert!(!cfg.fresh_mia, "AFTER_FRESH_MIA selected per-step MIA");
+        assert!(!cfg.fresh_tape, "AFTER_FRESH_TAPE selected fresh tapes");
+        replay(&ReplayConfig::small())
+    });
+    assert_matches_golden("replay_small.txt", &snapshot);
 }

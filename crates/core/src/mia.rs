@@ -12,7 +12,7 @@
 //!   occluded by co-located MR participants;
 //! * the dense adjacency `A_t` of the static occlusion graph.
 //!
-//! Under a crowd-scale pruned engine (`AFTER_PRUNE_K > 0`), the contexts MIA
+//! Under a crowd-scale pruned engine (`prune_k > 0`), the contexts MIA
 //! consumes carry occlusion graphs restricted to each viewer's K-candidate
 //! shortlist. Nothing here changes: the structural-difference embedding's
 //! edge-deltas `A_t − A_{t−1}` then involve only shortlist pairs by
@@ -212,32 +212,16 @@ impl Mia {
     /// matrices flow into tapes via [`xr_tensor::Tape::constant_rc`] without
     /// cloning.
     ///
-    /// By default ([`xr_session::incremental_enabled`]) the adjacency
-    /// operators are maintained across steps from occlusion edge-deltas (the
-    /// A_t − A_{t−1} MIA literally consumes) instead of rebuilt per step;
-    /// `AFTER_INCREMENTAL=0` restores the per-step rebuild as the oracle.
-    /// Both paths produce bit-identical slabs — pinned by a unit test here
-    /// and by the `CachedVsFreshMia` differential subject across the CI env
-    /// matrix.
+    /// The adjacency operators are maintained across steps from occlusion
+    /// edge-deltas (the A_t − A_{t−1} MIA literally consumes) instead of
+    /// rebuilt per step: one [`xr_gnn::AdjDeltaCache`] steps the
+    /// adjacency/normalized/degree operators, and each step's `A·(A·1)`
+    /// mat-vec is threaded forward as the next step's `A'·(A'·1)` instead of
+    /// being re-derived from the previous operators. The slabs are
+    /// bit-identical to [`Mia::compute_episode_fresh`] — pinned by a unit
+    /// test here and by the `CachedVsFreshMia` differential subject.
     pub fn compute_episode(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
         let _span = xr_obs::span!("poshgnn.mia.compute_episode", steps = ctx.t_max() + 1);
-        if xr_session::incremental_enabled() {
-            self.compute_episode_delta(ctx)
-        } else {
-            self.compute_episode_fresh(ctx)
-        }
-    }
-
-    /// The per-step-rebuild episode path (the differential oracle).
-    pub fn compute_episode_fresh(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
-        (0..=ctx.t_max()).map(|t| Rc::new(self.compute(ctx, t))).collect()
-    }
-
-    /// The delta-maintained episode path: one [`xr_gnn::AdjDeltaCache`]
-    /// steps the adjacency/normalized/degree operators from edge-deltas, and
-    /// each step's `A·(A·1)` mat-vec is threaded forward as the next step's
-    /// `A'·(A'·1)` instead of being re-derived from the previous operators.
-    pub fn compute_episode_delta(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
         let n = ctx.n;
         let mut cache = xr_gnn::AdjDeltaCache::fresh(&ctx.occlusion[0]);
         // at t = 0 the predecessor is the empty graph: zero degrees, zero
@@ -257,6 +241,12 @@ impl Mia {
             outs.push(Rc::new(out));
         }
         outs
+    }
+
+    /// The per-step-rebuild episode path: MIA recomputed independently at
+    /// every step. The reference [`Mia::compute_episode`] is pinned against.
+    pub fn compute_episode_fresh(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
+        (0..=ctx.t_max()).map(|t| Rc::new(self.compute(ctx, t))).collect()
     }
 
     /// Runs MIA at a step view's tick. MIA's `Δ_t` difference embeddings
@@ -490,7 +480,7 @@ mod tests {
         // delta path is an optimization layer, not an approximation
         let c = ctx();
         let fresh = Mia.compute_episode_fresh(&c);
-        let delta = Mia.compute_episode_delta(&c);
+        let delta = Mia.compute_episode(&c);
         assert_eq!(fresh.len(), delta.len());
         for (t, (f, d)) in fresh.iter().zip(delta.iter()).enumerate() {
             let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u64>>();

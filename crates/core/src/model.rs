@@ -78,12 +78,11 @@ pub struct PoshGnnConfig {
     /// Recompute MIA at every (episode, step) instead of precomputing one
     /// shared slab per episode. MIA is parameter-free, so the cached path
     /// (default) is bit-identical; this escape hatch exists for the
-    /// differential oracle and A/B benchmarks. Defaults to the
-    /// `AFTER_FRESH_MIA=1` environment variable.
+    /// differential oracle and A/B benchmarks. Defaults to `false`.
     pub fresh_mia: bool,
     /// Build a fresh `Tape` per episode instead of resetting one pooled
     /// arena tape. Same bit-identical contract and purpose as `fresh_mia`.
-    /// Defaults to the `AFTER_FRESH_TAPE=1` environment variable.
+    /// Defaults to `false`.
     pub fresh_tape: bool,
     /// Serve inference on the f32 SIMD path ([`crate::serve`]): weights are
     /// down-converted once, and each recommend step derives the scene, MIA,
@@ -113,8 +112,8 @@ impl Default for PoshGnnConfig {
             variant: PoshVariant::Full,
             symmetric_penalty: false,
             dense_kernels: false,
-            fresh_mia: std::env::var("AFTER_FRESH_MIA").map(|v| v == "1").unwrap_or(false),
-            fresh_tape: std::env::var("AFTER_FRESH_TAPE").map(|v| v == "1").unwrap_or(false),
+            fresh_mia: false,
+            fresh_tape: false,
             serve_f32: std::env::var("AFTER_SERVE_F32").map(|v| v == "1").unwrap_or(false),
             drift_sample: std::env::var("AFTER_DRIFT_SAMPLE")
                 .ok()

@@ -5,13 +5,15 @@
 //! participant, the hybrid-participation candidate mask `m_t`, and the
 //! target's utility rows `p(v,·)` / `s(v,·)`.
 //!
-//! Since the streaming refactor, `TargetContext` is a thin *compat wrapper*
-//! over the [`xr_session::SceneEngine`]: by default construction pumps the
-//! scenario's frames through the engine once and copies out this target's
-//! slice of the shared per-tick state. The field layout and every numeric
-//! value are byte-identical to the legacy per-target precompute, which is
-//! still available behind `AFTER_STREAMING=0` and pinned against the engine
-//! path by an `xr_check` differential subject.
+//! `TargetContext` is a thin *compat wrapper* over the
+//! [`xr_session::SceneEngine`]: construction pumps the scenario's frames
+//! through the engine once and copies out this target's slice of the shared
+//! per-tick state. Callers that need a non-default engine (the from-scratch
+//! or pruned reference paths) configure one themselves and hand it to
+//! [`TargetContext::with_engine`]. The field layout and every numeric value
+//! are byte-identical to the brute-force per-target precompute
+//! [`TargetContext::brute_force`], the reference an `xr_check` differential
+//! subject pins the engine path against.
 
 use xr_datasets::{Interface, Scenario};
 use xr_graph::geom::Point2;
@@ -41,8 +43,8 @@ pub struct TargetContext {
     pub candidate_mask: Vec<Vec<bool>>,
     /// Per-tick candidate shortlists (`shortlists[t]` = the target's
     /// K-nearest member ids, ascending) when the backing engine ran in
-    /// crowd-scale pruned mode (`AFTER_PRUNE_K > 0`); `None` on the full-N
-    /// and legacy paths. When present, `occlusion[t]` / `candidate_mask[t]`
+    /// crowd-scale pruned mode (`prune_k > 0`); `None` on the full-N
+    /// and brute-force paths. When present, `occlusion[t]` / `candidate_mask[t]`
     /// are the densified restriction to these members — users outside the
     /// shortlist are not candidates, per the candidate-set contract.
     pub shortlists: Option<Vec<Vec<usize>>>,
@@ -85,14 +87,10 @@ impl TargetContext {
         let n = scenario.n();
         assert!(blocked.iter().all(|&b| b < n), "blocklist entry out of range");
 
-        if xr_session::streaming_enabled() {
-            let mut engine = SceneEngine::for_scenario(scenario, &[target]);
-            engine.push_scenario(scenario);
-            let mut built = Self::from_engine(scenario, engine, &[(target, beta)], blocked);
-            built.pop().expect("one request yields one context")
-        } else {
-            Self::precomputed(scenario, target, beta, blocked)
-        }
+        let mut engine = SceneEngine::for_scenario(scenario, &[target]);
+        engine.push_scenario(scenario);
+        let mut built = Self::from_engine(scenario, engine, &[(target, beta)], blocked);
+        built.pop().expect("one request yields one context")
     }
 
     /// Builds the contexts of several `(target, beta)` requests over one
@@ -101,7 +99,7 @@ impl TargetContext {
     /// once per tick for the whole scene, instead of once per target.
     ///
     /// Numerically identical to mapping [`TargetContext::new`] over the
-    /// requests; under `AFTER_STREAMING=0` it literally is that map.
+    /// requests.
     ///
     /// # Panics
     ///
@@ -110,12 +108,6 @@ impl TargetContext {
         for &(target, beta) in requests {
             assert!(target < scenario.n(), "target {target} out of range");
             assert!((0.0..=1.0).contains(&beta), "beta must be in [0,1]");
-        }
-        if !xr_session::streaming_enabled() {
-            return requests
-                .iter()
-                .map(|&(target, beta)| Self::precomputed(scenario, target, beta, &[]))
-                .collect();
         }
         let viewers: Vec<usize> = requests.iter().map(|&(target, _)| target).collect();
         let mut engine = SceneEngine::for_scenario(scenario, &viewers);
@@ -234,11 +226,21 @@ impl TargetContext {
         contexts
     }
 
-    /// The legacy per-target precompute path (`AFTER_STREAMING=0`): redoes
-    /// the full O(N²) pairwise visibility work for this one target at every
-    /// tick. Kept as the differential oracle for the engine path.
-    fn precomputed(scenario: &Scenario, target: usize, beta: f64, blocked: &[usize]) -> Self {
+    /// The brute-force reference: redoes the full O(N²) pairwise visibility
+    /// work for this one target at every tick, with no shared scene engine.
+    /// Not a serving path — it is the oracle the engine-built contexts are
+    /// pinned against bit for bit (the `xr_check` `EngineVsBruteForce`
+    /// subject), and the baseline of the `scene_build` benchmark.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `target` is out of range, `beta ∉ [0,1]`, or a blocked
+    /// id is out of range.
+    pub fn brute_force(scenario: &Scenario, target: usize, beta: f64, blocked: &[usize]) -> Self {
         let n = scenario.n();
+        assert!(target < n, "target {target} out of range");
+        assert!((0.0..=1.0).contains(&beta), "beta must be in [0,1]");
+        assert!(blocked.iter().all(|&b| b < n), "blocklist entry out of range");
         let converter = OcclusionConverter::new(scenario.body_radius);
         let mr_mask = scenario.mr_mask();
         let target_is_mr = scenario.interfaces[target] == Interface::Mr;
@@ -468,6 +470,26 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn engine_contexts_match_the_brute_force_reference_bitwise() {
+        // blocklist included: both constructors must drop blocked users
+        // from the mask at every tick, and agree on everything else
+        for target_mr in [true, false] {
+            let scenario = scenario(target_mr);
+            for target in 0..scenario.n() {
+                let engine = TargetContext::with_blocklist(&scenario, target, 0.5, &[3]);
+                let brute = TargetContext::brute_force(&scenario, target, 0.5, &[3]);
+                assert_eq!(engine.occlusion, brute.occlusion);
+                assert_eq!(engine.candidate_mask, brute.candidate_mask);
+                assert_eq!(engine.mr_mask, brute.mr_mask);
+                assert_eq!(engine.room_diagonal.to_bits(), brute.room_diagonal.to_bits());
+                for (a, b) in engine.distances.iter().flatten().zip(brute.distances.iter().flatten()) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn batch_of_nothing_is_empty() {
         assert!(TargetContext::batch(&scenario(false), &[]).is_empty());
     }
@@ -476,7 +498,7 @@ pub(crate) mod tests {
     fn pruned_engine_context_at_full_k_matches_the_default_bitwise() {
         // a pruned engine with a complete shortlist (K ≥ n−1) must densify
         // into exactly the context the default path builds — the
-        // AFTER_PRUNE_K oracle seen from the recommend stack
+        // pruned-vs-full oracle seen from the recommend stack
         let scenario = scenario(true);
         let requests = [(0usize, 0.5f64), (1, 0.3)];
         let viewers: Vec<usize> = requests.iter().map(|&(t, _)| t).collect();

@@ -91,7 +91,7 @@ impl<'a> StepView<'a> {
 
     /// The target's candidate shortlist at the current tick (ascending user
     /// ids), when the context came from a crowd-scale pruned engine
-    /// (`AFTER_PRUNE_K > 0`); `None` on the full-N and legacy paths. When
+    /// (`prune_k > 0`); `None` on the full-N and reference paths. When
     /// present, every mask-true candidate is a member — recommenders can
     /// iterate the K members instead of all N users.
     pub fn candidates(&self) -> Option<&'a [usize]> {
@@ -158,7 +158,7 @@ mod tests {
     fn candidates_are_absent_on_the_dense_path() {
         let ctx = TargetContext::new(&scenario(true), 0, 0.5);
         let view = StepView::new(&ctx, 1);
-        assert!(view.candidates().is_none(), "legacy contexts carry no shortlists");
+        assert!(view.candidates().is_none(), "dense contexts carry no shortlists");
     }
 
     #[test]

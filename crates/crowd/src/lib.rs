@@ -11,10 +11,8 @@
 
 pub mod obstacles;
 pub mod orca;
-pub mod orca32;
 pub mod simulator;
 
 pub use obstacles::{segments_intersect, SegmentObstacle};
 pub use orca::{orca_line, solve_velocity, AgentState, OrcaLine};
-pub use orca32::{orca_line_f32, solve_velocity_f32, AgentStateF32, OrcaLineF32, Point2F32};
 pub use simulator::{Agent, CrowdSimulator, Room, SimConfig};

@@ -335,8 +335,8 @@ fn bench_matmul_dispatch() -> Json {
 fn bench_scene_build() -> Json {
     // Context construction for every participant in the room: the shared
     // scene engine builds distances / occlusion / masks once per tick and
-    // serves all targets from that state (O(N²·T)), while the legacy path
-    // recomputes them per target (O(N³·T)).
+    // serves all targets from that state (O(N²·T)), while the brute-force
+    // reference recomputes them per target (O(N³·T)).
     let dataset = Dataset::generate(DatasetKind::Timik, 6);
     let sizes = [100usize, 200];
     let rows: Vec<Json> = sizes
@@ -346,16 +346,19 @@ fn bench_scene_build() -> Json {
                 ScenarioConfig { n_participants: n, time_steps: 20, seed: 21, ..ScenarioConfig::default() };
             let scenario = dataset.sample_scenario(&scenario_cfg);
             let requests: Vec<(usize, f64)> = (0..n).map(|v| (v, 0.5)).collect();
-            let run = |streaming: bool| {
-                std::env::set_var("AFTER_STREAMING", if streaming { "1" } else { "0" });
-                let ms = time_ms(3, || {
-                    std::hint::black_box(poshgnn::TargetContext::batch(&scenario, &requests));
-                });
-                std::env::remove_var("AFTER_STREAMING");
-                ms
-            };
-            let precompute = run(false);
-            let engine = run(true);
+            let precompute = time_ms(3, || {
+                std::hint::black_box(
+                    requests
+                        .iter()
+                        .map(|&(target, beta)| {
+                            poshgnn::TargetContext::brute_force(&scenario, target, beta, &[])
+                        })
+                        .collect::<Vec<_>>(),
+                );
+            });
+            let engine = time_ms(3, || {
+                std::hint::black_box(poshgnn::TargetContext::batch(&scenario, &requests));
+            });
             Json::obj()
                 .set("n", n)
                 .set("time_steps", 20u64)
@@ -675,7 +678,7 @@ fn bench_incremental_scene() -> Json {
 }
 
 /// Crowd-scale serving: the K-candidate pruned scene path (hierarchical
-/// spatial index + per-viewer shortlists, `AFTER_PRUNE_K`-equivalent) vs.
+/// spatial index + per-viewer shortlists, `set_prune_k(K)`) vs.
 /// the dense full-N build, on stadium frames from the venue generator.
 /// The full arm is skipped at N = 50k — a dense N×N distance matrix alone
 /// is 20 GB there, which is the point of the pruned path — and runs with

@@ -97,9 +97,10 @@ pub struct RoomConfig {
     /// Crowd-scale shortlist size handed to [`SceneEngine::set_prune_k`]:
     /// `Some(k)` makes the room's engine build per-viewer K-candidate
     /// shortlists instead of dense full-scene state (and the f32 rung serve
-    /// from the same shortlists), `None` inherits the process-wide
-    /// `AFTER_PRUNE_K` default. Stadium-scale rooms must set this — the
-    /// dense path allocates an N×N distance matrix per retained tick.
+    /// from the same shortlists); `None` (like `Some(0)`) keeps the dense
+    /// full-N payload, the engine's default. Stadium-scale rooms must set
+    /// this — the dense path allocates an N×N distance matrix per retained
+    /// tick.
     pub prune_k: Option<usize>,
 }
 

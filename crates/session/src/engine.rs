@@ -13,7 +13,7 @@
 //! * Distances: `d(i,j)` is measured once per unordered pair with
 //!   [`Point2::distance`] and mirrored. `(p_i − p_j)` and `(p_j − p_i)` are
 //!   exact IEEE negations, so squares, sum, and square root agree bit for
-//!   bit with the legacy per-target row `positions[v].distance(positions[w])`.
+//!   bit with the brute-force per-target row `positions[v].distance(positions[w])`.
 //! * Occlusion: per-viewer arcs come from the same
 //!   [`OcclusionConverter::arcs`] call as the brute-force build; the angular
 //!   sweep only *prunes pairs that cannot intersect* (forward gap beyond
@@ -22,7 +22,7 @@
 //!   are inserted in sorted `(min, max)` order — the same order the `i < j`
 //!   brute-force loop produces — so the resulting [`UGraph`]s compare equal
 //!   including adjacency-list order.
-//! * Candidate masks re-derive the legacy `physical_candidate_mask`
+//! * Candidate masks re-derive the brute-force `physical_candidate_mask`
 //!   semantics from the shared state: a candidate `w` of an MR viewer is
 //!   pruned iff it has no arc (coincident, `d < 1e-9`) or some co-located MR
 //!   participant's arc overlaps `w`'s while standing strictly nearer — and
@@ -32,9 +32,9 @@
 //! ## Incremental O(Δ) maintenance
 //!
 //! By default the engine maintains the shared state *incrementally* across
-//! ticks (`AFTER_INCREMENTAL=0` restores the from-scratch build as the
-//! differential oracle; both paths are pinned bitwise-identical by the
-//! `xr_check` `IncrementalVsFromScratch` subject):
+//! ticks ([`SceneEngine::set_incremental`]`(false)` selects the from-scratch
+//! build as the differential oracle; both paths are pinned
+//! bitwise-identical by the `xr_check` `IncrementalVsFromScratch` subject):
 //!
 //! * Frames are first *snapped*: a user whose raw position moved at most
 //!   [`SceneEngine::snap_epsilon`] from the previous effective position
@@ -73,9 +73,9 @@
 //!   everything anyway. The crossover is a pure cost heuristic — both
 //!   builds are bit-identical, so it is invisible to readers and oracles.
 //!
-//! ## Crowd-scale pruned mode (`AFTER_PRUNE_K`)
+//! ## Crowd-scale pruned mode ([`SceneEngine::set_prune_k`])
 //!
-//! With `AFTER_PRUNE_K=K > 0` (or [`SceneEngine::set_prune_k`]) the engine
+//! With [`SceneEngine::set_prune_k`]`(K > 0)` the engine
 //! stops materializing dense per-tick structure entirely — no `n×n`
 //! distance matrix, no `n`-node occlusion graphs, no `n`-length masks — and
 //! instead builds one [`CandidateSet`] shortlist per registered viewer from
@@ -89,8 +89,8 @@
 //! same exact predicate, mask bits by the nearer-occluder closure of the
 //! `(distance, id)` selection order — so `K ≥ N−1` reproduces the full path
 //! bit for bit (pinned by the `xr_check` `PrunedVsFull` subject), and
-//! `AFTER_PRUNE_K=0` (the default) preserves the exact full-N behavior as
-//! the differential oracle. Pruned states compose with the incremental
+//! `K = 0` (every new engine's setting) preserves the exact full-N behavior
+//! as the differential oracle. Pruned states compose with the incremental
 //! path: on a coherent tick a stationary viewer whose shortlist membership
 //! and members all stood still carries its previous `Arc<CandidateSet>`
 //! forward by pointer; [`SceneState::into_parts`] densifies a pruned state
@@ -166,7 +166,7 @@ enum StatePayload {
         /// Hybrid-participation candidate mask per registered viewer.
         candidate_mask: Vec<Vec<bool>>,
     },
-    /// The crowd-scale path (`AFTER_PRUNE_K > 0`): one shortlist per
+    /// The crowd-scale path (`prune_k > 0`): one shortlist per
     /// registered viewer, nothing dense. `Arc`-shared so the incremental
     /// path can carry an unchanged shortlist forward by pointer.
     Pruned {
@@ -216,14 +216,14 @@ impl SceneState {
     ///
     /// # Panics
     ///
-    /// Panics in pruned mode (`AFTER_PRUNE_K > 0`): dense rows are never
+    /// Panics in pruned mode (`prune_k > 0`): dense rows are never
     /// materialized there — read [`SceneState::candidates`] (member
     /// distances) or [`SceneState::distance`] (a single exact pair).
     pub fn distance_row(&self, v: usize) -> &[f64] {
         match &self.payload {
             StatePayload::Full { distances, .. } => &distances[v * self.n..(v + 1) * self.n],
             StatePayload::Pruned { .. } => {
-                panic!("dense distance rows are not materialized in pruned mode (AFTER_PRUNE_K > 0)")
+                panic!("dense distance rows are not materialized in pruned mode (prune_k > 0)")
             }
         }
     }
@@ -338,7 +338,7 @@ impl<'a> TargetView<'a> {
         match &self.state.payload {
             StatePayload::Full { occlusion, .. } => &occlusion[self.slot],
             StatePayload::Pruned { .. } => {
-                panic!("dense occlusion graphs are not materialized in pruned mode (AFTER_PRUNE_K > 0)")
+                panic!("dense occlusion graphs are not materialized in pruned mode (prune_k > 0)")
             }
         }
     }
@@ -352,7 +352,7 @@ impl<'a> TargetView<'a> {
         match &self.state.payload {
             StatePayload::Full { candidate_mask, .. } => &candidate_mask[self.slot],
             StatePayload::Pruned { .. } => {
-                panic!("dense candidate masks are not materialized in pruned mode (AFTER_PRUNE_K > 0)")
+                panic!("dense candidate masks are not materialized in pruned mode (prune_k > 0)")
             }
         }
     }
@@ -466,12 +466,12 @@ pub struct SceneEngine {
     /// Per-tick deadline tracking, when `AFTER_SLO_BUDGET_MS` (or
     /// [`SceneEngine::set_slo`]) configured a budget.
     slo: Option<xr_obs::SloTracker>,
-    /// `false` pins the from-scratch oracle path (`AFTER_INCREMENTAL=0`).
+    /// `false` pins the from-scratch oracle path.
     incremental: bool,
     /// Snap radius for the shared ingest semantics (`AFTER_SNAP_EPS`).
     snap_epsilon: f64,
-    /// Shortlist size for the crowd-scale pruned mode; 0 (the default /
-    /// `AFTER_PRUNE_K=0`) keeps the exact full-N path.
+    /// Shortlist size for the crowd-scale pruned mode; 0 (the default)
+    /// keeps the exact full-N path.
     prune_k: usize,
     /// K-nearest query scratch for the pruned path.
     nearest_buf: Vec<(f64, u32)>,
@@ -514,9 +514,9 @@ impl SceneEngine {
             base: 0,
             retain: None,
             slo: xr_obs::SloTracker::from_env("session.tick"),
-            incremental: crate::incremental_enabled(),
+            incremental: true,
             snap_epsilon: snap_epsilon_from_env(),
-            prune_k: crate::prune_k_from_env(),
+            prune_k: 0,
             nearest_buf: Vec::new(),
             warm,
             warm_tick: None,
@@ -599,9 +599,9 @@ impl SceneEngine {
         self.slo.as_ref()
     }
 
-    /// Forces the maintenance path, overriding the `AFTER_INCREMENTAL`
-    /// default: `true` maintains state incrementally across ticks, `false`
-    /// rebuilds every tick from scratch (the differential oracle). Safe to
+    /// Selects the maintenance path: `true` (every new engine's setting)
+    /// maintains state incrementally across ticks, `false` rebuilds every
+    /// tick from scratch (the differential oracle). Safe to
     /// toggle mid-session — switching invalidates the warm caches, so the
     /// next push rebuilds (and, when incremental, re-warms) from scratch.
     pub fn set_incremental(&mut self, on: bool) {
@@ -635,10 +635,10 @@ impl SceneEngine {
         self.snap_epsilon
     }
 
-    /// Sets the crowd-scale shortlist size, overriding the `AFTER_PRUNE_K`
-    /// default: `k > 0` makes every subsequent tick build per-viewer
-    /// K-candidate shortlists instead of dense full-scene state, `0`
-    /// restores the exact full-N path (the differential oracle). Safe to
+    /// Sets the crowd-scale shortlist size: `k > 0` makes every subsequent
+    /// tick build per-viewer K-candidate shortlists instead of dense
+    /// full-scene state, `0` (every new engine's setting) keeps the exact
+    /// full-N path (the differential oracle). Safe to
     /// switch mid-session — changing the value invalidates the warm caches,
     /// so the next push rebuilds from scratch in the new mode.
     pub fn set_prune_k(&mut self, k: usize) {
@@ -1932,7 +1932,7 @@ mod tests {
     fn pruned_at_full_k_densifies_bitwise_identical_to_the_full_path() {
         // K ≥ n−1 makes every shortlist complete, so into_parts of the
         // pruned state must reproduce the full path's parts bit for bit —
-        // the heart of the AFTER_PRUNE_K=0 oracle contract
+        // the heart of the full-N oracle contract
         for seed in 0..6u64 {
             let n = 8 + (seed as usize % 10);
             let frames = coherent_frames(n, 6, 5.0, 0.4, 0.1, 500 + seed);

@@ -22,6 +22,13 @@
 //! intersection predicate and edges are inserted in the same lexicographic
 //! order as the brute-force build, so the resulting graphs — and everything
 //! derived from them — are structurally identical, not just equivalent.
+//!
+//! Every engine starts on the production path: incremental O(Δ)
+//! maintenance over dense full-N state. The reference paths are reached
+//! only through explicit calls on an engine the caller owns —
+//! [`SceneEngine::set_incremental`]`(false)` for the from-scratch rebuild,
+//! [`SceneEngine::set_prune_k`]`(k)` for crowd-scale K-candidate shortlists —
+//! never through the environment.
 
 pub mod engine;
 pub mod prune;
@@ -33,35 +40,3 @@ pub use serve32::{
     arc_f32, candidate_mask_f32, candidate_mask_f32_shortlist, distance_row_f32, occlusion_graph_f32,
     shortlist_f32, ViewArcF32,
 };
-
-/// Whether context construction should be backed by the streaming
-/// [`SceneEngine`] (the default) or the legacy per-target precompute path.
-/// Controlled by `AFTER_STREAMING` (`0` selects the legacy path); both paths
-/// are pinned bit-identical by the `xr_check` differential subject and the
-/// golden-replay CI matrix.
-pub fn streaming_enabled() -> bool {
-    std::env::var("AFTER_STREAMING").map(|v| v != "0").unwrap_or(true)
-}
-
-/// Whether scene state is maintained *incrementally* across ticks (the
-/// default): delta distance rows for moved users, warm center-sorted sweep
-/// candidates per viewer, and MIA edge-deltas downstream. Controlled by
-/// `AFTER_INCREMENTAL` (`0` selects the from-scratch rebuild, kept as the
-/// differential oracle); both paths are pinned bit-identical by the
-/// `xr_check` `IncrementalVsFromScratch` subject and the golden-replay CI
-/// matrix. [`SceneEngine::set_incremental`] overrides per engine.
-pub fn incremental_enabled() -> bool {
-    std::env::var("AFTER_INCREMENTAL").map(|v| v != "0").unwrap_or(true)
-}
-
-/// The crowd-scale shortlist size from `AFTER_PRUNE_K`: `K > 0` makes every
-/// [`SceneEngine`] build per-viewer K-candidate shortlists (see
-/// [`prune::CandidateSet`]) instead of dense full-scene state; `0` — the
-/// default, and the differential oracle — keeps the exact full-N path.
-/// Member-level quantities are bitwise equal to the full path's, so any
-/// `K ≥ N−1` reproduces it bit for bit (pinned by the `xr_check`
-/// `PrunedVsFull` subject). Unset or unparsable values fall back to `0`.
-/// [`SceneEngine::set_prune_k`] overrides per engine.
-pub fn prune_k_from_env() -> usize {
-    std::env::var("AFTER_PRUNE_K").ok().and_then(|s| s.trim().parse::<usize>().ok()).unwrap_or(0)
-}

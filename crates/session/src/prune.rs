@@ -30,7 +30,7 @@
 //!   with `shortlist × shortlist` — no re-derived quantity is approximate,
 //!   only the candidate universe shrinks.
 //!
-//! Consequently `AFTER_PRUNE_K = K ≥ N−1` reproduces the full path bit for
+//! Consequently `prune_k = K ≥ N−1` reproduces the full path bit for
 //! bit (the shortlist is complete), which is what the `xr_check`
 //! `PrunedVsFull` subject pins; at serving K the only divergence is
 //! candidates falling outside the K nearest, bounded by a top-k agreement

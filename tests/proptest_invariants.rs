@@ -161,13 +161,9 @@ proptest! {
         let mut inc = SceneEngine::new(n, scene.clone(), &viewers);
         inc.set_incremental(true);
         inc.set_snap_epsilon(snap);
-        // this invariant sweeps dense rows, so it pins the full-N path
-        // regardless of any ambient AFTER_PRUNE_K
-        inc.set_prune_k(0);
         let mut oracle = SceneEngine::new(n, scene, &viewers);
         oracle.set_incremental(false);
         oracle.set_snap_epsilon(snap);
-        oracle.set_prune_k(0);
         for frame in &frames {
             inc.push(Frame::new(frame.clone()));
             oracle.push(Frame::new(frame.clone()));

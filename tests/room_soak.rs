@@ -6,7 +6,9 @@
 //! left — the registry gauges drain back to zero. The determinism test runs
 //! the same workload at `workers = 1` and `workers = 8` and requires
 //! byte-identical per-room decision streams plus an identical
-//! metrics-snapshot structure.
+//! metrics-snapshot structure. Both fleets alternate their rooms between the
+//! dense scene payload and complete `K = n−1` shortlists, so the pruned
+//! payload is served under churn too.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,8 +29,14 @@ fn soak_scene() -> SceneConfig {
     }
 }
 
-fn soak_room() -> RoomConfig {
-    RoomConfig::new(ROOM_N, soak_scene(), vec![0, 3])
+/// A soak room; every odd-numbered admission (`index`) serves the pruned
+/// payload with complete shortlists, the rest stay dense.
+fn soak_room(index: usize) -> RoomConfig {
+    let mut config = RoomConfig::new(ROOM_N, soak_scene(), vec![0, 3]);
+    if index % 2 == 1 {
+        config.prune_k = Some(ROOM_N - 1);
+    }
+    config
 }
 
 /// A deterministic per-room random-walk frame: positions are a pure function
@@ -63,7 +71,8 @@ fn soak_1k_rooms_with_churn_holds_slo_and_drains_cleanly() {
     // seed the fleet; each room's walk stream is keyed by its (never reused)
     // room id, so churn replacements get fresh trajectories
     let mut active: Vec<RoomId> =
-        (0..ROOMS).map(|_| server.admit(soak_room()).expect("seed admission under the cap")).collect();
+        (0..ROOMS).map(|i| server.admit(soak_room(i)).expect("seed admission under the cap")).collect();
+    let mut admitted = ROOMS;
 
     let mut rng = StdRng::seed_from_u64(0x50AC_2026);
     let mut frames_sent: u64 = 0;
@@ -76,7 +85,8 @@ fn soak_1k_rooms_with_churn_holds_slo_and_drains_cleanly() {
                 assert!(server.leave(id), "active room {id:?} must be removable");
             }
             for _ in 0..CHURN_ROOMS {
-                active.push(server.admit(soak_room()).expect("churn admission under the cap"));
+                active.push(server.admit(soak_room(admitted)).expect("churn admission under the cap"));
+                admitted += 1;
             }
         }
 
@@ -130,7 +140,7 @@ fn run_fixed_workload(workers: usize) -> (Vec<(u64, Vec<Decision>)>, xr_obs::Met
         ..ServerConfig::default()
     });
     let ids: Vec<RoomId> =
-        (0..ROOMS).map(|_| server.admit(soak_room()).expect("admission under the cap")).collect();
+        (0..ROOMS).map(|i| server.admit(soak_room(i)).expect("admission under the cap")).collect();
 
     let mut streams: Vec<(u64, Vec<Decision>)> = ids.iter().map(|id| (id.0, Vec::new())).collect();
     for round in 0..ROUNDS {
