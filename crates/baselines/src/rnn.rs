@@ -8,7 +8,7 @@
 //! structural-difference signal, and they have no LWP preservation gate.
 
 use poshgnn::loss::{poshgnn_loss, LossParams};
-use poshgnn::mia::Mia;
+use poshgnn::mia::{dense_adjacency, Mia};
 use poshgnn::recommender::{threshold_decision, AfterRecommender};
 use poshgnn::{StepView, TargetContext};
 use rand::rngs::StdRng;
@@ -131,10 +131,10 @@ impl RnnRecommender {
                     let (r, h) = self.step_on_tape(
                         &tape,
                         self.mia.raw_features(ctx, t),
-                        self.graph_operator(&mia_out.adjacency),
+                        self.graph_operator(&dense_adjacency(&ctx.occlusion[t])),
                         h_prev,
                     );
-                    let blocking = tape.constant_rc(mia_out.blocking.clone());
+                    let blocking = tape.constant(mia_out.blocking_csr.to_dense());
                     let l = poshgnn_loss(
                         &tape,
                         r,
@@ -177,13 +177,12 @@ impl AfterRecommender for RnnRecommender {
 
     fn recommend_step(&mut self, view: &StepView<'_>) -> Vec<bool> {
         let h_prev_m = self.state.take().unwrap_or_else(|| Matrix::zeros(view.n(), self.config.hidden));
-        let mia_out = self.mia.compute_view(view);
         let tape = Tape::new();
         let h_prev = tape.constant(h_prev_m);
         let (r, h) = self.step_on_tape(
             &tape,
             self.mia.raw_features_view(view),
-            self.graph_operator(&mia_out.adjacency),
+            self.graph_operator(&dense_adjacency(view.occlusion())),
             h_prev,
         );
         self.state = Some(h.value());

@@ -737,6 +737,12 @@ impl DiffSubject for ServeF32VsF64 {
 /// `Mia::compute_episode` slab) vs. [`poshgnn::PoshGnn::episode_loss`]
 /// (MIA recomputed at every step). MIA is parameter-free, so the loss scalar
 /// and every parameter gradient must match bit for bit.
+///
+/// The inference arm serves the episode through `soft_recommend` on a
+/// default model (MIA carried from tick to tick) and a `fresh_mia` model:
+/// once in order, where every step after the first advances the carry,
+/// then in reverse, where every step falls back to a fresh compute. Soft
+/// outputs must match bit for bit.
 pub struct CachedVsFreshMia;
 
 impl DiffSubject for CachedVsFreshMia {
@@ -786,7 +792,7 @@ impl DiffSubject for CachedVsFreshMia {
                 return Some(d);
             }
         }
-        None
+        carried_vs_fresh_inference(&ctx)
     }
 
     fn shrink(&self, case: &PoshCase) -> Vec<PoshCase> {
@@ -796,6 +802,31 @@ impl DiffSubject for CachedVsFreshMia {
     fn describe(&self, case: &PoshCase) -> String {
         describe_posh_case(case)
     }
+}
+
+/// The inference arm of [`CachedVsFreshMia`]: the first step whose soft
+/// output differs between carried and fresh MIA, if any.
+fn carried_vs_fresh_inference(ctx: &poshgnn::TargetContext) -> Option<StepDivergence> {
+    use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView};
+
+    let mut carried = PoshGnn::new(PoshGnnConfig::default());
+    let mut fresh = PoshGnn::new(PoshGnnConfig { fresh_mia: true, ..Default::default() });
+    carried.begin_episode(&StepView::new(ctx, 0));
+    fresh.begin_episode(&StepView::new(ctx, 0));
+    let ticks = (0..=ctx.t_max()).chain((0..=ctx.t_max()).rev());
+    for (call, t) in ticks.enumerate() {
+        let rc = carried.soft_recommend(ctx, t);
+        let rf = fresh.soft_recommend(ctx, t);
+        if let Some((w, (c, f))) =
+            rc.iter().zip(&rf).enumerate().find(|(_, (c, f))| c.to_bits() != f.to_bits())
+        {
+            return Some(StepDivergence {
+                step: t,
+                detail: format!("inference call {call}: r_{t}[{w}]: carried {c:?} vs fresh {f:?}"),
+            });
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------

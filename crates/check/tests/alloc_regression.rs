@@ -1,13 +1,17 @@
-//! Allocation-regression guard for the training hot path.
+//! Allocation-regression guards for the training and serving hot paths.
 //!
 //! The episode MIA cache plus the arena tape are supposed to take the global
 //! allocator out of the inner training loop: after the first epoch warms the
 //! slab and the buffer pool, later epochs should run almost allocation-free.
-//! This test pins that property with a counting `#[global_allocator]`
-//! (integration tests are separate binaries, so the counter is scoped to
-//! this file): per-epoch allocations after epoch 1 on the cached path must
-//! be at least 10× lower than on the pre-cache baseline path
-//! (`fresh_mia + fresh_tape`, the code path prior to this overhaul).
+//! A counting `#[global_allocator]` (integration tests are separate
+//! binaries, so the counters are scoped to this file) pins that property:
+//! per-epoch allocations after epoch 1 on the cached path must be at least
+//! 10× lower than on the pre-cache baseline path (`fresh_mia + fresh_tape`).
+//!
+//! The same allocator counts bytes, which guards the f64 serving step
+//! against N×N work: MIA's per-step output is O(N + m), so a steady-state
+//! recommend step at N = 200 must allocate less than one dense N×N f64
+//! matrix.
 //!
 //! The counter is process-wide, so every test here holds [`SERIAL`]: a test
 //! training concurrently on another thread would otherwise leak its
@@ -17,16 +21,18 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use poshgnn::{PoshGnn, PoshGnnConfig, TargetContext};
+use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView, TargetContext};
 use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -36,6 +42,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // a realloc may move the block: count the whole new size
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,6 +58,13 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Bytes allocated while `f` runs.
+fn bytes_during(f: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::Relaxed);
+    f();
+    BYTES.load(Ordering::Relaxed) - before
 }
 
 fn episode_ctx() -> TargetContext {
@@ -117,4 +132,38 @@ fn losses_match_between_baseline_and_cached_paths() {
     for (epoch, (b, c)) in hb.iter().zip(&hc).enumerate() {
         assert_eq!(b.to_bits(), c.to_bits(), "epoch {epoch} loss: baseline {b:?} vs cached {c:?}");
     }
+}
+
+#[test]
+fn f64_serving_step_allocates_less_than_one_dense_matrix_at_n200() {
+    // the paper's room: N = 200, 50% VR, 10 m — the scale where a dense
+    // N×N f64 matrix is 320 000 B and occlusion degrees reach the dozens
+    const N: usize = 200;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dataset = Dataset::generate(DatasetKind::Timik, 2);
+    let cfg = ScenarioConfig { n_participants: N, time_steps: 12, seed: 11, ..ScenarioConfig::default() };
+    let ctx = TargetContext::new(&dataset.sample_scenario(&cfg), 3, 0.5);
+    let mut model = PoshGnn::new(PoshGnnConfig { serve_f32: false, ..Default::default() });
+    model.begin_episode(&StepView::new(&ctx, 0));
+    // the first steps warm the inference tape's buffer pool
+    const WARM: usize = 4;
+    for t in 0..WARM {
+        model.recommend_step(&StepView::new(&ctx, t));
+    }
+    let steps = (ctx.t_max() + 1 - WARM) as u64;
+    let bytes = bytes_during(|| {
+        for t in WARM..=ctx.t_max() {
+            std::hint::black_box(model.recommend_step(&StepView::new(&ctx, t)));
+        }
+    });
+    let per_step = bytes / steps;
+    let dense = (N * N * std::mem::size_of::<f64>()) as u64;
+    let edges = ctx.occlusion.iter().map(|g| g.edge_count()).sum::<usize>() / ctx.occlusion.len();
+    eprintln!("f64 recommend step at N={N} (mean m={edges}): {per_step} B/step, dense N×N = {dense} B");
+    assert!(edges > N, "the scene must be occlusion-dense enough to mean something (m={edges})");
+    assert!(
+        per_step < dense,
+        "a steady-state f64 recommend step allocates {per_step} B at N={N}, at least one dense N×N \
+         matrix ({dense} B) — something on the serving path went O(N²)"
+    );
 }

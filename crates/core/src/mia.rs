@@ -10,7 +10,14 @@
 //!   `e¹ = (A_t − A_{t−1})·1` and `e² = (A_t² − A_{t−1}²)·1`;
 //! * hybrid-participation mask `m_t (N × 1)` pruning candidates physically
 //!   occluded by co-located MR participants;
-//! * the dense adjacency `A_t` of the static occlusion graph.
+//! * the aggregation operator `D⁻¹A_t` over the static occlusion graph.
+//!
+//! Every per-step output is O(N + m) for m occlusion edges: the adjacency
+//! operators are CSR, and no N×N matrix is formed. The step from `t−1` to
+//! `t` is a recurrence (`MiaCarry` carries `A_{t−1}`'s operators and
+//! propagation terms), which serves both the training slab
+//! ([`Mia::compute_episode`]) and the model's inference step;
+//! [`Mia::compute`] is the from-scratch reference it is pinned against.
 //!
 //! Under a crowd-scale pruned engine (`prune_k > 0`), the contexts MIA
 //! consumes carry occlusion graphs restricted to each viewer's K-candidate
@@ -20,8 +27,10 @@
 //! mask and empty adjacency rows, and at `K ≥ N−1` the restricted graphs are
 //! the full graphs, so every output is bitwise identical to the dense path.
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
+use xr_graph::UGraph;
 use xr_tensor::{CsrAdj, Matrix};
 
 use crate::problem::TargetContext;
@@ -37,44 +46,106 @@ pub struct MiaOutput {
     pub delta: Rc<Matrix>,
     /// Candidate mask `m_t` as an `N × 1` 0/1 column.
     pub mask: Rc<Matrix>,
-    /// Dense occlusion adjacency `A_t`, shape `N × N`.
-    pub adjacency: Rc<Matrix>,
-    /// Row-normalized adjacency `D⁻¹A_t` used as the GNN aggregation
-    /// operator: mean aggregation keeps activations bounded on dense
-    /// occlusion graphs (sum aggregation saturates sigmoids at N = 200,
-    /// where occlusion degrees reach the hundreds). The raw `adjacency`
-    /// still feeds the loss's occlusion penalty.
-    pub adjacency_norm: Rc<Matrix>,
-    /// Depth-weighted blocking matrix `B_t` feeding the loss's occlusion
-    /// penalty `α·r_tᵀB_t r_t`: `B[w][u] = p̂_w` when `u` stands nearer than
-    /// `w` and their arcs overlap (recommending `u` hides `w`, forfeiting
-    /// `w`'s preference). This refines Def. 7's symmetric `A_t` — the
-    /// quadratic form is unchanged, but the penalty now estimates the
-    /// *utility actually lost* to occlusion instead of counting edges.
-    pub blocking: Rc<Matrix>,
     /// Preference utilities `p̂_t` (`N × 1`), target zeroed and masked by
     /// `m_t` — these feed the POSHGNN loss.
     pub p_hat: Rc<Matrix>,
     /// Distance-squared-normalized social-presence utilities `ŝ_t` (`N × 1`),
     /// masked by `m_t`.
     pub s_hat: Rc<Matrix>,
-    /// Sparse CSR view of `adjacency`. The dense fields above are derived
-    /// from these CSR forms (built directly from the occlusion graph's edge
-    /// list in O(N + m)) and are kept for the dense-kernel ablation path and
-    /// the RNN baselines; POSHGNN's hot path consumes only the CSR fields.
+    /// Occlusion adjacency `A_t` in CSR form, built from the occlusion
+    /// graph's edge list in O(N + m). It feeds the loss's symmetric
+    /// occlusion penalty; consumers that want a dense `N × N` matrix (the
+    /// `dense_kernels` ablation) derive it with [`CsrAdj::to_dense`].
     pub adjacency_csr: Rc<CsrAdj>,
-    /// Sparse CSR view of `adjacency_norm` (mean-aggregation operator).
+    /// Row-normalized adjacency `D⁻¹A_t` used as the GNN aggregation
+    /// operator: mean aggregation keeps activations bounded on dense
+    /// occlusion graphs (sum aggregation saturates sigmoids at N = 200,
+    /// where occlusion degrees reach the hundreds).
     pub adjacency_norm_csr: Rc<CsrAdj>,
-    /// Sparse CSR view of `blocking` (loss occlusion penalty).
+    /// Depth-weighted blocking matrix `B_t` feeding the loss's occlusion
+    /// penalty `α·r_tᵀB_t r_t`: `B[w][u] = p̂_w` when `u` stands nearer than
+    /// `w` and their arcs overlap (recommending `u` hides `w`, forfeiting
+    /// `w`'s preference). This refines Def. 7's symmetric `A_t` — the
+    /// quadratic form is unchanged, but the penalty now estimates the
+    /// *utility actually lost* to occlusion instead of counting edges. Each
+    /// occlusion edge contributes one directed entry, so nnz ≤ m.
     pub blocking_csr: Rc<CsrAdj>,
-    /// Transpose of `adjacency_csr`, precomputed for the backward pass so
-    /// BPTT tapes allocate no per-episode transposes (they are shared via
-    /// [`xr_tensor::Tape::sparse_with_transpose`]).
-    pub adjacency_csr_t: Rc<CsrAdj>,
-    /// Transpose of `adjacency_norm_csr` (see `adjacency_csr_t`).
-    pub adjacency_norm_csr_t: Rc<CsrAdj>,
-    /// Transpose of `blocking_csr` (see `adjacency_csr_t`).
-    pub blocking_csr_t: Rc<CsrAdj>,
+    /// Lazily built transposes of the three CSR operators, in field order.
+    /// Only a backward pass reads them, so inference never builds them; a
+    /// training slab fills them on its first epoch and shares them with
+    /// every later one via [`xr_tensor::Tape::sparse_with_transpose`].
+    transposes: [OnceCell<Rc<CsrAdj>>; 3],
+    /// Lazily densified copies of the three CSR operators, in field order,
+    /// for the `dense_kernels` ablation only; a training slab fills them once
+    /// and shares them with every later epoch via
+    /// [`xr_tensor::Tape::constant_rc`].
+    dense: [OnceCell<Rc<Matrix>>; 3],
+}
+
+impl MiaOutput {
+    fn operator(&self, slot: usize) -> &CsrAdj {
+        match slot {
+            0 => &self.adjacency_csr,
+            1 => &self.adjacency_norm_csr,
+            _ => &self.blocking_csr,
+        }
+    }
+
+    fn transpose_of(&self, slot: usize) -> Rc<CsrAdj> {
+        Rc::clone(self.transposes[slot].get_or_init(|| Rc::new(self.operator(slot).transpose())))
+    }
+
+    fn dense_of(&self, slot: usize) -> Rc<Matrix> {
+        Rc::clone(self.dense[slot].get_or_init(|| Rc::new(self.operator(slot).to_dense())))
+    }
+
+    /// Transpose of `adjacency_csr`, built on first use and then shared.
+    pub(crate) fn adjacency_csr_t(&self) -> Rc<CsrAdj> {
+        self.transpose_of(0)
+    }
+
+    /// Transpose of `adjacency_norm_csr`, built on first use and then shared.
+    pub(crate) fn adjacency_norm_csr_t(&self) -> Rc<CsrAdj> {
+        self.transpose_of(1)
+    }
+
+    /// Transpose of `blocking_csr`, built on first use and then shared.
+    pub(crate) fn blocking_csr_t(&self) -> Rc<CsrAdj> {
+        self.transpose_of(2)
+    }
+
+    /// Dense `adjacency_csr`, built on first use and then shared.
+    pub(crate) fn adjacency_dense(&self) -> Rc<Matrix> {
+        self.dense_of(0)
+    }
+
+    /// Dense `adjacency_norm_csr`, built on first use and then shared.
+    pub(crate) fn adjacency_norm_dense(&self) -> Rc<Matrix> {
+        self.dense_of(1)
+    }
+
+    /// Dense `blocking_csr`, built on first use and then shared.
+    pub(crate) fn blocking_dense(&self) -> Rc<Matrix> {
+        self.dense_of(2)
+    }
+}
+
+/// The state MIA carries from step `t` to step `t + 1`: `A_t`'s degrees
+/// `A_t·1` and two-hop propagation `A_t·(A_t·1)` — exactly the predecessor
+/// terms of step `t + 1`'s `Δ`. Everything here is a function of `A_t`
+/// alone.
+#[derive(Debug, Clone)]
+pub(crate) struct MiaCarry {
+    t: usize,
+    deg: Vec<f64>,
+    a2_1: Vec<f64>,
+}
+
+impl MiaCarry {
+    /// The step whose occlusion graph the carry describes.
+    pub(crate) fn t(&self) -> usize {
+        self.t
+    }
 }
 
 /// The Multi-modal Information Aggregator. Stateless and parameter-free; it
@@ -83,50 +154,72 @@ pub struct MiaOutput {
 pub struct Mia;
 
 impl Mia {
-    /// Runs MIA for time step `t`.
+    /// Runs MIA for time step `t` from scratch.
     ///
     /// `A_{t-1}` is taken from `ctx.occlusion[t-1]`; at `t = 0` the previous
     /// adjacency is the empty graph (the conference has not started).
     pub fn compute(&self, ctx: &TargetContext, t: usize) -> MiaOutput {
-        let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
-        let n = ctx.n;
-        let adjacency_csr = Rc::new(ctx.occlusion[t].adjacency_csr());
-        let adjacency_norm_csr = Rc::new(adjacency_csr.row_normalized());
-        let prev_csr = if t == 0 { CsrAdj::empty(n, n) } else { ctx.occlusion[t - 1].adjacency_csr() };
-        let deg: Vec<f64> = (0..n).map(|v| ctx.occlusion[t].degree(v) as f64).collect();
-        let prev_deg: Vec<f64> = if t == 0 {
-            vec![0.0; n]
-        } else {
-            (0..n).map(|v| ctx.occlusion[t - 1].degree(v) as f64).collect()
-        };
-        let p2_1 = prev_csr.matvec(&prev_deg);
-        self.compute_with_ops(ctx, t, adjacency_csr, adjacency_norm_csr, &deg, &prev_deg, &p2_1).0
+        self.start(ctx, t).0
     }
 
-    /// MIA body over pre-built adjacency operators: the shared tail of the
-    /// from-scratch [`Mia::compute`] and the delta-maintained episode path.
-    /// `p2_1` is the predecessor's `A'·(A'·1)` (its own `a2_1`); the step's
-    /// `a2_1` is returned alongside the output so an episode loop can thread
-    /// it forward instead of re-deriving it from the previous operators.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_with_ops(
+    /// [`Mia::compute`], also returning the carry that lets
+    /// [`Mia::advance`] produce step `t + 1`.
+    pub(crate) fn start(&self, ctx: &TargetContext, t: usize) -> (MiaOutput, MiaCarry) {
+        let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
+        let n = ctx.n;
+        let (prev_deg, p2_1) = if t == 0 {
+            // the predecessor is the empty graph: zero degrees, zero
+            // propagation
+            (vec![0.0; n], vec![0.0; n])
+        } else {
+            let prev = &ctx.occlusion[t - 1];
+            let prev_deg = degrees(prev);
+            let p2_1 = prev.adjacency_csr().matvec(&prev_deg);
+            (prev_deg, p2_1)
+        };
+        let (out, deg, a2_1) = self.compute_with_prev(ctx, t, &prev_deg, &p2_1);
+        (out, MiaCarry { t, deg, a2_1 })
+    }
+
+    /// Steps `carry` from `t − 1` to `t = carry.t() + 1` and returns MIA at
+    /// `t`. `Δ_t`'s predecessor terms — `A_{t−1}`'s degrees and
+    /// `A_{t−1}·(A_{t−1}·1)` — come from the carry instead of a rebuild of
+    /// `A_{t−1}`'s CSR, so the step is O(N + m).
+    ///
+    /// The caller must pass the context whose step `carry.t()` produced the
+    /// carry; the output is then bit-identical to [`Mia::compute`] at `t`.
+    pub(crate) fn advance(&self, ctx: &TargetContext, carry: &mut MiaCarry) -> MiaOutput {
+        let t = carry.t + 1;
+        let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
+        xr_obs::counter_add("poshgnn.mia.carried", &[], 1);
+        let (out, deg, a2_1) = self.compute_with_prev(ctx, t, &carry.deg, &carry.a2_1);
+        *carry = MiaCarry { t, deg, a2_1 };
+        out
+    }
+
+    /// MIA body given the predecessor's terms: the shared tail of
+    /// [`Mia::start`] and [`Mia::advance`]. `prev_deg` and `p2_1` are the
+    /// predecessor's `A'·1` and `A'·(A'·1)`; the step's own `A·1` and
+    /// `A·(A·1)` are returned alongside the output for the carry.
+    fn compute_with_prev(
         &self,
         ctx: &TargetContext,
         t: usize,
-        adjacency_csr: Rc<CsrAdj>,
-        adjacency_norm_csr: Rc<CsrAdj>,
-        deg: &[f64],
         prev_deg: &[f64],
         p2_1: &[f64],
-    ) -> (MiaOutput, Vec<f64>) {
+    ) -> (MiaOutput, Vec<f64>, Vec<f64>) {
         let n = ctx.n;
+        let g = &ctx.occlusion[t];
+        let adjacency_csr = Rc::new(g.adjacency_csr());
+        let adjacency_norm_csr = Rc::new(adjacency_csr.row_normalized());
+        let deg = degrees(g);
         // Δ_t = [e⁰ ‖ e¹ ‖ e²]; the propagation differences are scaled by
         // 1/N so Δ stays O(1) regardless of crowd size (training stability;
         // the paper leaves the scale unspecified). All structural terms are
         // O(m): `(A − A')·1` is the degree difference, and
         // `(A² − A'²)·1 = A·(A·1) − A'·(A'·1)` is two sparse mat-vecs —
         // no N×N matrix is ever formed here.
-        let a2_1 = adjacency_csr.matvec(deg);
+        let a2_1 = adjacency_csr.matvec(&deg);
         let inv_n = 1.0 / n as f64;
         let delta = Matrix::from_fn(n, 3, |r, c| match c {
             0 => 1.0,
@@ -166,79 +259,63 @@ impl Mia {
             }
         });
 
-        // depth-weighted blocking matrix for the loss; each occlusion edge
-        // contributes one directed entry, so nnz ≤ m
-        let blocking_entries: Vec<(usize, usize, f64)> = ctx.occlusion[t]
-            .edges()
-            .map(|(u, v)| {
-                let (near, far) = if dist[u] < dist[v] { (u, v) } else { (v, u) };
-                (far, near, p_hat[(far, 0)])
-            })
-            .collect();
-        let blocking_csr = Rc::new(CsrAdj::from_entries(n, n, &blocking_entries));
-
-        let adjacency = Rc::new(adjacency_csr.to_dense());
-        let adjacency_norm = Rc::new(adjacency_norm_csr.to_dense());
-        let blocking = Rc::new(blocking_csr.to_dense());
-
-        let adjacency_csr_t = Rc::new(adjacency_csr.transpose());
-        let adjacency_norm_csr_t = Rc::new(adjacency_norm_csr.transpose());
-        let blocking_csr_t = Rc::new(blocking_csr.transpose());
+        // depth-weighted blocking matrix for the loss: each occlusion edge
+        // contributes one directed entry (row: the farther user, column: the
+        // nearer one), so nnz ≤ m. Filtering A's sorted rows keeps every
+        // row's columns ascending, so no sort pass is needed.
+        let (a_ptr, a_cols) = (adjacency_csr.row_ptr(), adjacency_csr.col_idx());
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(a_cols.len() / 2);
+        let mut vals = Vec::with_capacity(a_cols.len() / 2);
+        for far in 0..n {
+            for &c in &a_cols[a_ptr[far]..a_ptr[far + 1]] {
+                let (u, v) = (far.min(c), far.max(c));
+                let near = if dist[u] < dist[v] { u } else { v };
+                if near == c {
+                    col_idx.push(c);
+                    vals.push(p_hat[(far, 0)]);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let blocking_csr = Rc::new(CsrAdj::from_parts(n, n, row_ptr, col_idx, vals));
 
         let out = MiaOutput {
             features: Rc::new(features),
             delta: Rc::new(delta),
             mask: Rc::new(mask),
-            adjacency,
-            adjacency_norm,
-            blocking,
             p_hat: Rc::new(p_hat),
             s_hat: Rc::new(s_hat),
             adjacency_csr,
             adjacency_norm_csr,
             blocking_csr,
-            adjacency_csr_t,
-            adjacency_norm_csr_t,
-            blocking_csr_t,
+            transposes: Default::default(),
+            dense: Default::default(),
         };
-        (out, a2_1)
+        (out, deg, a2_1)
     }
 
     /// Precomputes MIA for every step of an episode as shareable slabs.
     ///
     /// MIA is parameter-free: its output depends only on the context, never
-    /// on the model, so one slab serves every training epoch (and every
-    /// inference pass) over the same episode. The `Rc` wrapper lets cached
-    /// matrices flow into tapes via [`xr_tensor::Tape::constant_rc`] without
-    /// cloning.
+    /// on the model, so one slab serves every training epoch over the same
+    /// episode. The `Rc` wrapper lets cached matrices flow into tapes via
+    /// [`xr_tensor::Tape::constant_rc`] without cloning, and each slab entry
+    /// keeps the CSR transposes its first backward pass builds.
     ///
-    /// The adjacency operators are maintained across steps from occlusion
-    /// edge-deltas (the A_t − A_{t−1} MIA literally consumes) instead of
-    /// rebuilt per step: one [`xr_gnn::AdjDeltaCache`] steps the
-    /// adjacency/normalized/degree operators, and each step's `A·(A·1)`
-    /// mat-vec is threaded forward as the next step's `A'·(A'·1)` instead of
-    /// being re-derived from the previous operators. The slabs are
-    /// bit-identical to [`Mia::compute_episode_fresh`] — pinned by a unit
-    /// test here and by the `CachedVsFreshMia` differential subject.
+    /// The slab is the `Mia::start` / `Mia::advance` recurrence run over
+    /// the episode — the same step function the model's inference path
+    /// carries from tick to tick — and is bit-identical to
+    /// [`Mia::compute_episode_fresh`], pinned by a unit test here and by the
+    /// `CachedVsFreshMia` differential subject.
     pub fn compute_episode(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
         let _span = xr_obs::span!("poshgnn.mia.compute_episode", steps = ctx.t_max() + 1);
-        let n = ctx.n;
-        let mut cache = xr_gnn::AdjDeltaCache::fresh(&ctx.occlusion[0]);
-        // at t = 0 the predecessor is the empty graph: zero degrees, zero
-        // propagation — matching the fresh path's `CsrAdj::empty` matvec
-        let mut prev_deg = vec![0.0; n];
-        let mut p2_1 = vec![0.0; n];
+        let (first, mut carry) = self.start(ctx, 0);
         let mut outs = Vec::with_capacity(ctx.t_max() + 1);
-        for t in 0..=ctx.t_max() {
-            if t > 0 {
-                cache.step(&ctx.occlusion[t - 1], &ctx.occlusion[t]);
-            }
-            let deg = cache.deg().to_vec();
-            let (out, a2_1) =
-                self.compute_with_ops(ctx, t, cache.csr(), cache.norm(), &deg, &prev_deg, &p2_1);
-            prev_deg = deg;
-            p2_1 = a2_1;
-            outs.push(Rc::new(out));
+        outs.push(Rc::new(first));
+        while carry.t() < ctx.t_max() {
+            outs.push(Rc::new(self.advance(ctx, &mut carry)));
         }
         outs
     }
@@ -247,14 +324,6 @@ impl Mia {
     /// every step. The reference [`Mia::compute_episode`] is pinned against.
     pub fn compute_episode_fresh(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
         (0..=ctx.t_max()).map(|t| Rc::new(self.compute(ctx, t))).collect()
-    }
-
-    /// Runs MIA at a step view's tick. MIA's `Δ_t` difference embeddings
-    /// only consult ticks `t` and `t-1`, so the causal window is all it
-    /// needs — this is the entry point for stepwise (no-lookahead)
-    /// recommenders.
-    pub fn compute_view(&self, view: &crate::view::StepView<'_>) -> MiaOutput {
-        self.compute(view.ctx(), view.t())
     }
 
     /// [`Mia::raw_features`] at a step view's tick — the stepwise entry
@@ -294,27 +363,18 @@ impl Mia {
     }
 }
 
-/// Row-normalizes a square matrix (zero rows stay zero).
-pub fn row_normalize(a: &Matrix) -> Matrix {
-    let (n, m) = a.shape();
-    assert_eq!(n, m, "row_normalize expects a square matrix");
-    let mut out = Matrix::zeros(n, n);
-    for r in 0..n {
-        let deg: f64 = a.row(r).iter().sum();
-        if deg > 0.0 {
-            for c in 0..n {
-                out[(r, c)] = a[(r, c)] / deg;
-            }
-        }
-    }
-    out
+/// Degrees `A·1` of an occlusion graph (exact integers in f64).
+fn degrees(graph: &UGraph) -> Vec<f64> {
+    (0..graph.node_count()).map(|v| graph.degree(v) as f64).collect()
 }
 
-/// Dense 0/1 adjacency of the static occlusion graph at `t`.
-pub fn dense_adjacency(ctx: &TargetContext, t: usize) -> Matrix {
-    let n = ctx.n;
+/// Dense 0/1 adjacency of an occlusion graph, for consumers that want `A_t`
+/// as an `N × N` matrix (the RNN baselines); MIA itself only builds the CSR
+/// form.
+pub fn dense_adjacency(graph: &UGraph) -> Matrix {
+    let n = graph.node_count();
     let mut a = Matrix::zeros(n, n);
-    for (u, v) in ctx.occlusion[t].edges() {
+    for (u, v) in graph.edges() {
         a[(u, v)] = 1.0;
         a[(v, u)] = 1.0;
     }
@@ -358,7 +418,7 @@ mod tests {
         assert_eq!(out.features.shape(), (4, 4));
         assert_eq!(out.delta.shape(), (4, 3));
         assert_eq!(out.mask.shape(), (4, 1));
-        assert_eq!(out.adjacency.shape(), (4, 4));
+        assert_eq!(out.adjacency_csr.shape(), (4, 4));
         assert_eq!(out.p_hat.shape(), (4, 1));
         assert_eq!(out.s_hat.shape(), (4, 1));
     }
@@ -366,11 +426,11 @@ mod tests {
     #[test]
     fn adjacency_matches_occlusion_graph() {
         let c = ctx();
-        let out = Mia.compute(&c, 0);
-        assert_eq!(out.adjacency[(1, 2)], 1.0, "in-line users are adjacent");
-        assert_eq!(out.adjacency[(2, 1)], 1.0, "symmetric");
-        assert_eq!(out.adjacency[(1, 3)], 0.0);
-        assert_eq!(out.adjacency[(0, 1)], 0.0, "target is isolated");
+        let adjacency = Mia.compute(&c, 0).adjacency_csr.to_dense();
+        assert_eq!(adjacency[(1, 2)], 1.0, "in-line users are adjacent");
+        assert_eq!(adjacency[(2, 1)], 1.0, "symmetric");
+        assert_eq!(adjacency[(1, 3)], 0.0);
+        assert_eq!(adjacency[(0, 1)], 0.0, "target is isolated");
     }
 
     #[test]
@@ -434,22 +494,74 @@ mod tests {
         let mut s = scenario();
         s.interfaces[0] = Interface::Vr;
         let c = TargetContext::new(&s, 0, 0.5);
-        let out = Mia.compute(&c, 0);
+        let blocking = Mia.compute(&c, 0).blocking_csr.to_dense();
         // recommending 1 hides 2 → B[2][1] = p̂(2) = 0.9, not the reverse
-        assert!((out.blocking[(2, 1)] - 0.9).abs() < 1e-12);
-        assert_eq!(out.blocking[(1, 2)], 0.0);
+        assert!((blocking[(2, 1)] - 0.9).abs() < 1e-12);
+        assert_eq!(blocking[(1, 2)], 0.0);
         // non-overlapping pair carries no penalty
-        assert_eq!(out.blocking[(3, 1)], 0.0);
+        assert_eq!(blocking[(3, 1)], 0.0);
     }
 
     #[test]
-    fn csr_fields_match_dense_fields() {
+    fn csr_operators_match_the_dense_reference() {
+        let c = ctx();
         for t in 0..2 {
-            let out = Mia.compute(&ctx(), t);
-            assert!(out.adjacency_csr.to_dense().approx_eq(&out.adjacency, 0.0));
-            assert!(out.adjacency_norm_csr.to_dense().approx_eq(&out.adjacency_norm, 1e-15));
-            assert!(out.blocking_csr.to_dense().approx_eq(&out.blocking, 0.0));
+            let out = Mia.compute(&c, t);
+            let adj = dense_adjacency(&c.occlusion[t]);
+            assert!(out.adjacency_csr.to_dense().approx_eq(&adj, 0.0));
+            let norm = out.adjacency_norm_csr.to_dense();
+            for r in 0..c.n {
+                let deg: f64 = adj.row(r).iter().sum();
+                for col in 0..c.n {
+                    let want = if deg > 0.0 { adj[(r, col)] / deg } else { 0.0 };
+                    assert_eq!(norm[(r, col)], want, "t={t} D⁻¹A[{r}][{col}]");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn blocking_csr_is_one_far_to_near_entry_per_edge() {
+        // the row-filter build must equal the plain per-edge triplet build
+        let dataset = xr_datasets::Dataset::generate(xr_datasets::DatasetKind::Hubs, 3);
+        let cfg = xr_datasets::ScenarioConfig {
+            n_participants: 30,
+            time_steps: 3,
+            room_side: 5.0,
+            seed: 9,
+            ..Default::default()
+        };
+        let c = TargetContext::new(&dataset.sample_scenario(&cfg), 4, 0.5);
+        for t in 0..=c.t_max() {
+            let out = Mia.compute(&c, t);
+            let dist = &c.distances[t];
+            let entries: Vec<(usize, usize, f64)> = c.occlusion[t]
+                .edges()
+                .map(|(u, v)| {
+                    let (near, far) = if dist[u] < dist[v] { (u, v) } else { (v, u) };
+                    (far, near, out.p_hat[(far, 0)])
+                })
+                .collect();
+            assert!(!entries.is_empty(), "t={t}: scenario has occlusion edges");
+            assert_eq!(*out.blocking_csr, CsrAdj::from_entries(c.n, c.n, &entries), "t={t}");
+        }
+    }
+
+    #[test]
+    fn transposes_and_dense_forms_are_built_lazily_once_and_exact() {
+        let out = Mia.compute(&ctx(), 0);
+        assert!(out.transposes.iter().all(|slot| slot.get().is_none()), "forward-only output");
+        assert!(out.dense.iter().all(|slot| slot.get().is_none()), "no N×N matrix unless asked");
+        let first = out.blocking_csr_t();
+        assert_eq!(*first, out.blocking_csr.transpose());
+        assert!(Rc::ptr_eq(&first, &out.blocking_csr_t()), "built once, then shared");
+        assert_eq!(*out.adjacency_norm_csr_t(), out.adjacency_norm_csr.transpose());
+        assert_eq!(*out.adjacency_csr_t(), out.adjacency_csr.transpose());
+        let dense = out.blocking_dense();
+        assert_eq!(*dense, out.blocking_csr.to_dense());
+        assert!(Rc::ptr_eq(&dense, &out.blocking_dense()), "built once, then shared");
+        assert_eq!(*out.adjacency_norm_dense(), out.adjacency_norm_csr.to_dense());
+        assert_eq!(*out.adjacency_dense(), out.adjacency_csr.to_dense());
     }
 
     #[test]
@@ -460,8 +572,8 @@ mod tests {
         for t in 0..2 {
             let out = Mia.compute(&c, t);
             let n = c.n;
-            let adj = dense_adjacency(&c, t);
-            let prev = if t == 0 { Matrix::zeros(n, n) } else { dense_adjacency(&c, t - 1) };
+            let adj = dense_adjacency(&c.occlusion[t]);
+            let prev = if t == 0 { Matrix::zeros(n, n) } else { dense_adjacency(&c.occlusion[t - 1]) };
             let ones = Matrix::ones(n, 1);
             let e1 = adj.sub(&prev).matmul(&ones).scale(1.0 / n as f64);
             let a2 = adj.matmul(&adj.matmul(&ones));
@@ -486,12 +598,12 @@ mod tests {
             let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&f.features), bits(&d.features), "t={t}: features");
             assert_eq!(bits(&f.delta), bits(&d.delta), "t={t}: delta embedding");
-            assert_eq!(bits(&f.adjacency), bits(&d.adjacency), "t={t}: adjacency");
-            assert_eq!(bits(&f.adjacency_norm), bits(&d.adjacency_norm), "t={t}: adjacency_norm");
-            assert_eq!(bits(&f.blocking), bits(&d.blocking), "t={t}: blocking");
+            assert_eq!(bits(&f.mask), bits(&d.mask), "t={t}: mask");
+            assert_eq!(bits(&f.p_hat), bits(&d.p_hat), "t={t}: p_hat");
+            assert_eq!(bits(&f.s_hat), bits(&d.s_hat), "t={t}: s_hat");
             assert_eq!(f.adjacency_csr, d.adjacency_csr, "t={t}: csr");
             assert_eq!(f.adjacency_norm_csr, d.adjacency_norm_csr, "t={t}: norm csr");
-            assert_eq!(f.adjacency_csr_t, d.adjacency_csr_t, "t={t}: csr transpose");
+            assert_eq!(f.blocking_csr, d.blocking_csr, "t={t}: blocking csr");
         }
     }
 

@@ -22,7 +22,7 @@ use xr_gnn::{Activation, GcnLayer};
 use xr_tensor::{Adam, Matrix, Optimizer, ParamStore, Tape, TapeLinOp, Var};
 
 use crate::loss::{poshgnn_loss, LossParams};
-use crate::mia::{Mia, MiaOutput};
+use crate::mia::{Mia, MiaCarry, MiaOutput};
 use crate::problem::TargetContext;
 use crate::recommender::{threshold_decision, AfterRecommender};
 use crate::view::StepView;
@@ -75,10 +75,13 @@ pub struct PoshGnnConfig {
     /// mathematically identical — this flag exists for cross-checking and
     /// for measuring the sparse speedup in benchmarks.
     pub dense_kernels: bool,
-    /// Recompute MIA at every (episode, step) instead of precomputing one
-    /// shared slab per episode. MIA is parameter-free, so the cached path
-    /// (default) is bit-identical; this escape hatch exists for the
-    /// differential oracle and A/B benchmarks. Defaults to `false`.
+    /// Recompute MIA from scratch ([`Mia::compute`]) at every step instead
+    /// of reusing earlier work. In training, that replaces the one slab per
+    /// episode shared by every epoch; at inference, it replaces the carry
+    /// that steps MIA on from the previous tick. MIA is
+    /// parameter-free, so the default path is bit-identical on both; this
+    /// reference exists for the differential oracle and A/B benchmarks.
+    /// Defaults to `false`.
     pub fresh_mia: bool,
     /// Build a fresh `Tape` per episode instead of resetting one pooled
     /// arena tape. Same bit-identical contract and purpose as `fresh_mia`.
@@ -142,10 +145,12 @@ pub struct PoshGnn {
     /// Inference state: (`h_{t-1}`, `r_{t-1}`), shared into each step's tape
     /// via `constant_rc` instead of cloned.
     episode_state: Option<(Rc<Matrix>, Rc<Matrix>)>,
-    /// Per-episode MIA cache for inference, armed (empty) by
-    /// `begin_episode` and grown lazily as steps are served — never ahead
-    /// of the tick being recommended, so inference stays causal.
-    episode_mia: Option<Vec<Option<Rc<MiaOutput>>>>,
+    /// MIA's one-step inference carry, tagged with the address of the
+    /// context it was computed on: the next step of that context advances
+    /// it; any other step recomputes from scratch. `None` outside an
+    /// episode (every step recomputes); `begin_episode` arms it with an
+    /// empty carry.
+    mia_carry: Option<Option<(*const TargetContext, MiaCarry)>>,
     /// Arena tape reset (not reallocated) at every inference step.
     infer_tape: Tape,
     /// Down-converted f32 weights for the serving path; built lazily on the
@@ -193,7 +198,7 @@ impl PoshGnn {
             lwp2,
             lwp3,
             episode_state: None,
-            episode_mia: None,
+            mia_carry: None,
             infer_tape: Tape::new(),
             serve_net: None,
             serve_episode: None,
@@ -213,9 +218,9 @@ impl PoshGnn {
     }
 
     /// One forward step on `tape`. Returns `(r_t, h_t)`. `agg` is the
-    /// mean-aggregation operator (`D⁻¹A_t`) — a sparse [`SparseVar`] on the
-    /// default path, or a dense constant [`Var`] under
-    /// [`PoshGnnConfig::dense_kernels`].
+    /// mean-aggregation operator (`D⁻¹A_t`) — a sparse
+    /// [`xr_tensor::SparseVar`] on the default path, or a dense constant
+    /// [`Var`] under [`PoshGnnConfig::dense_kernels`].
     #[allow(clippy::too_many_arguments)] // internal: one arg per module input
     fn step_on_tape<'t, A: TapeLinOp<'t> + Copy>(
         &self,
@@ -260,7 +265,10 @@ impl PoshGnn {
         (r_t, h_t)
     }
 
-    /// Dispatches one step to the sparse or dense aggregation kernel.
+    /// Dispatches one step to the sparse or dense aggregation kernel. Only a
+    /// tape that will run `backward` needs the sparse operator's transpose;
+    /// inference passes `backward = false` and never builds it.
+    #[allow(clippy::too_many_arguments)] // internal: one arg per module input
     fn step_dispatch<'t>(
         &self,
         tape: &'t Tape,
@@ -269,15 +277,18 @@ impl PoshGnn {
         mia_out: &MiaOutput,
         h_prev: Var<'t>,
         r_prev: Var<'t>,
+        backward: bool,
     ) -> (Var<'t>, Var<'t>) {
         if self.config.dense_kernels {
-            let agg = tape.constant_rc(mia_out.adjacency_norm.clone());
+            let agg = tape.constant_rc(mia_out.adjacency_norm_dense());
             self.step_on_tape(tape, ctx, t, mia_out, agg, h_prev, r_prev)
         } else {
-            let agg = tape.sparse_with_transpose(
-                mia_out.adjacency_norm_csr.clone(),
-                mia_out.adjacency_norm_csr_t.clone(),
-            );
+            let csr = mia_out.adjacency_norm_csr.clone();
+            let agg = if backward {
+                tape.sparse_with_transpose(csr, mia_out.adjacency_norm_csr_t())
+            } else {
+                tape.sparse(csr)
+            };
             self.step_on_tape(tape, ctx, t, mia_out, agg, h_prev, r_prev)
         }
     }
@@ -320,19 +331,19 @@ impl PoshGnn {
         for t in 0..=ctx.t_max() {
             let step_timer = xr_obs::start_timer();
             let mia_out = mia_at(t);
-            let (r_t, h_t) = self.step_dispatch(tape, ctx, t, &mia_out, h_prev, r_prev);
+            let (r_t, h_t) = self.step_dispatch(tape, ctx, t, &mia_out, h_prev, r_prev, true);
             let l = if self.config.dense_kernels {
                 let penalty = if self.config.symmetric_penalty {
-                    tape.constant_rc(mia_out.adjacency.clone())
+                    tape.constant_rc(mia_out.adjacency_dense())
                 } else {
-                    tape.constant_rc(mia_out.blocking.clone())
+                    tape.constant_rc(mia_out.blocking_dense())
                 };
                 poshgnn_loss(tape, r_t, r_prev, &mia_out.p_hat, &mia_out.s_hat, penalty, self.config.loss)
             } else {
                 let penalty = if self.config.symmetric_penalty {
-                    tape.sparse_with_transpose(mia_out.adjacency_csr.clone(), mia_out.adjacency_csr_t.clone())
+                    tape.sparse_with_transpose(mia_out.adjacency_csr.clone(), mia_out.adjacency_csr_t())
                 } else {
-                    tape.sparse_with_transpose(mia_out.blocking_csr.clone(), mia_out.blocking_csr_t.clone())
+                    tape.sparse_with_transpose(mia_out.blocking_csr.clone(), mia_out.blocking_csr_t())
                 };
                 poshgnn_loss(tape, r_t, r_prev, &mia_out.p_hat, &mia_out.s_hat, penalty, self.config.loss)
             };
@@ -418,28 +429,41 @@ impl PoshGnn {
             Some((h, r)) => (tape.constant_rc(h), tape.constant_rc(r)),
             None => (tape.constant_zeros(ctx.n, self.config.hidden), tape.constant_zeros(ctx.n, 1)),
         };
-        // Serve `t` from the episode cache, computing the entry on first
-        // use (the cache is armed empty by `begin_episode` — growing it
-        // lazily keeps inference causal). Fresh-MIA mode and direct calls
-        // outside an episode compute without caching.
-        let mia_out: Rc<MiaOutput> = match &mut self.episode_mia {
-            Some(cache) => {
-                if cache.len() <= t {
-                    cache.resize(t + 1, None);
-                }
-                if cache[t].is_none() {
-                    cache[t] = Some(Rc::new(self.mia.compute(ctx, t)));
-                }
-                Rc::clone(cache[t].as_ref().unwrap())
-            }
-            None => Rc::new(self.mia.compute(ctx, t)),
-        };
-        let (r_t, h_t) = self.step_dispatch(&tape, ctx, t, &mia_out, h_prev, r_prev);
+        let mia_out = self.infer_mia(ctx, t);
+        let (r_t, h_t) = self.step_dispatch(&tape, ctx, t, &mia_out, h_prev, r_prev, false);
         let r = Rc::new(r_t.value());
         let out = r.as_slice().to_vec();
         self.episode_state = Some((Rc::new(h_t.value()), r));
         self.infer_tape = tape;
         out
+    }
+
+    /// MIA at `t` for the f64 inference step. Inside an episode (after
+    /// `begin_episode`), the step right after the carried one on the same
+    /// context advances the carry (reading only ticks `t − 1` and `t`, so
+    /// inference stays causal); anything else — the first step, a repeated,
+    /// skipped or out-of-order `t`, another context — recomputes from
+    /// scratch and restarts the carry there. Outside an episode every step
+    /// recomputes. All branches are bit-identical to [`Mia::compute`],
+    /// which [`PoshGnnConfig::fresh_mia`] runs at every step instead.
+    ///
+    /// A context is recognized by its address, which is unique among live
+    /// contexts; a context dropped mid-episode and replaced by another at
+    /// the same address is not told apart, which is why a new context
+    /// starts with `begin_episode` (which empties the carry).
+    fn infer_mia(&mut self, ctx: &TargetContext, t: usize) -> MiaOutput {
+        let Some(armed) = self.mia_carry.as_mut().filter(|_| !self.config.fresh_mia) else {
+            return self.mia.compute(ctx, t);
+        };
+        let key: *const TargetContext = ctx;
+        match armed {
+            Some((on, carry)) if std::ptr::eq(*on, key) && carry.t() + 1 == t => self.mia.advance(ctx, carry),
+            slot => {
+                let (out, carry) = self.mia.start(ctx, t);
+                *slot = Some((key, carry));
+                out
+            }
+        }
     }
 
     /// The f32 serving step: lazily down-converts the weights, lazily
@@ -541,9 +565,7 @@ impl AfterRecommender for PoshGnn {
     fn begin_episode(&mut self, _view: &StepView<'_>) {
         self.episode_state = None;
         self.serve_episode = None;
-        // arm the cache empty: entries appear as ticks are served, so the
-        // model never computes MIA ahead of the step it is recommending
-        self.episode_mia = (!self.config.fresh_mia).then(Vec::new);
+        self.mia_carry = Some(None);
         // decide drift sampling per episode: a mid-episode toggle would
         // desynchronize the f64 shadow's recurrent state
         self.drift_shadow = self.config.serve_f32
@@ -786,6 +808,93 @@ mod tests {
         assert_eq!(snap.counter("poshgnn.serve.net_invalidated{cause=import}"), Some(1));
         assert_eq!(snap.counter("poshgnn.serve.net_build"), Some(3));
         assert!(snap.histogram("poshgnn.serve.net_build.ms").map(|h| h.count) == Some(3));
+    }
+
+    /// One inference call in a scripted serving sequence.
+    #[derive(Clone, Copy)]
+    enum Call<'a> {
+        Begin(&'a TargetContext),
+        Step(&'a TargetContext, usize),
+    }
+
+    /// The soft outputs of every `Step` in `calls`, as raw bits.
+    fn soft_bits(model: &mut PoshGnn, calls: &[Call<'_>]) -> Vec<Vec<u64>> {
+        calls
+            .iter()
+            .filter_map(|call| match *call {
+                Call::Begin(ctx) => {
+                    model.begin_episode(&StepView::new(ctx, 0));
+                    None
+                }
+                Call::Step(ctx, t) => {
+                    Some(model.soft_recommend(ctx, t).iter().map(|x| x.to_bits()).collect())
+                }
+            })
+            .collect()
+    }
+
+    /// `calls` served by the default (carried MIA) and the `fresh_mia`
+    /// models must agree bit for bit; returns the carried model's count of
+    /// carry advances.
+    fn assert_carry_matches_fresh(calls: &[Call<'_>]) -> u64 {
+        let obs = xr_obs::ObsCtx::new(true, false);
+        let carried = {
+            let _g = obs.install();
+            soft_bits(&mut PoshGnn::new(PoshGnnConfig::default()), calls)
+        };
+        let fresh =
+            soft_bits(&mut PoshGnn::new(PoshGnnConfig { fresh_mia: true, ..Default::default() }), calls);
+        assert_eq!(carried.len(), fresh.len());
+        for (i, (c, f)) in carried.iter().zip(&fresh).enumerate() {
+            assert_eq!(c, f, "step call {i}: carried MIA diverged from fresh MIA");
+        }
+        obs.registry.snapshot().counter("poshgnn.mia.carried").unwrap_or(0)
+    }
+
+    #[test]
+    fn serving_carry_is_bitwise_the_fresh_mia_path() {
+        let (a, b) = (small_ctx(16), small_ctx(17));
+        // direct calls before any episode never carry, consecutive or not
+        let mut calls: Vec<Call<'_>> = (0..=a.t_max()).map(|t| Call::Step(&a, t)).collect();
+        calls.push(Call::Begin(&a));
+        // a whole episode: every step after the first advances the carry
+        calls.extend((0..=a.t_max()).map(|t| Call::Step(&a, t)));
+        // repeated, skipped and out-of-order ticks; only 5→6 and 0→1 are
+        // consecutive, everything else recomputes from scratch
+        calls.extend([8, 8, 3, 5, 6, 2, 0, 1, 7].map(|t| Call::Step(&a, t)));
+        // a second episode on another context
+        calls.push(Call::Begin(&b));
+        calls.extend((0..=b.t_max()).map(|t| Call::Step(&b, t)));
+        let advances = assert_carry_matches_fresh(&calls);
+        assert_eq!(advances as usize, a.t_max() + 2 + b.t_max(), "the carry served every consecutive step");
+    }
+
+    #[test]
+    fn two_live_contexts_never_share_a_carry() {
+        // two targets in one room: same n, same ticks, different views
+        let dataset = Dataset::generate(DatasetKind::Hubs, 1);
+        let scenario = dataset.sample_scenario(&ScenarioConfig {
+            n_participants: 12,
+            vr_fraction: 0.5,
+            time_steps: 8,
+            room_side: 6.0,
+            body_radius: 0.15,
+            seed: 18,
+        });
+        let a = TargetContext::new(&scenario, 0, 0.5);
+        let b = TargetContext::new(&scenario, 5, 0.5);
+        assert_ne!(Mia.compute(&a, 1).features, Mia.compute(&b, 1).features, "the views differ at t=1");
+        // the same tick on the other context, the next tick there, then back
+        let calls = [
+            Call::Begin(&a),
+            Call::Step(&a, 0),
+            Call::Step(&a, 1),
+            Call::Step(&b, 1),
+            Call::Step(&b, 2),
+            Call::Step(&a, 3),
+            Call::Step(&a, 4),
+        ];
+        assert_eq!(assert_carry_matches_fresh(&calls), 3, "a 0→1, b 1→2, a 3→4");
     }
 
     #[test]

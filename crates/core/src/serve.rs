@@ -5,8 +5,9 @@
 //! when [`crate::PoshGnnConfig::serve_f32`] is on. The trained weights are
 //! down-converted once at activation ([`ServeNet::from_layers`]), and the
 //! context's precomputed scene (occlusion graph, distance row, candidate
-//! mask) is down-converted once per tick ([`ServeEpisode`]) — the same
-//! amortization the f64 path gets from its episode MIA cache. A step then
+//! mask) is down-converted once per tick ([`ServeEpisode`]), and tick
+//! `t − 1`'s degree propagation is reused for `Δ_t` as the f64 path's MIA
+//! carry does. A step then
 //! runs the f32 MIA feature recipe and the PDR/LWP forward pass entirely on
 //! the `xr_tensor::serve32` kernels; only the returned soft scores are
 //! upcast to `f64` at the API boundary. (Clients that stream raw positions
@@ -46,18 +47,20 @@ impl ServeLayer {
         }
     }
 
-    /// Forward pass `act(H·W₁ + (agg·H)·W₂ + b)` on the f32 kernels.
+    /// Forward pass `act(H·W₁ + (agg·H)·W₂ + b)` on the f32 kernels,
+    /// aggregating after the projection — `agg·(H·W₂)` — so the SpMM walks
+    /// the occlusion edges at the layer's output width (the hidden width,
+    /// or one mat-vec column) whatever its input width.
     pub fn forward(&self, h: &MatrixF32, agg: &CsrF32) -> MatrixF32 {
         let _span = xr_obs::span!("poshgnn.serve.layer");
         let mut own = h.matmul(&self.w_self);
-        let neigh = agg.matmul_dense(h).matmul(&self.w_neigh);
-        let (rows, cols) = own.shape();
-        let o = own.as_mut_slice();
-        let ne = neigh.as_slice();
-        for r in 0..rows {
-            for c in 0..cols {
-                let i = r * cols + c;
-                o[i] = self.activation.apply_f32(o[i] + ne[i] + self.bias[c]);
+        let neigh = agg.matmul_dense(&h.matmul(&self.w_neigh));
+        let cols = own.cols();
+        let act = self.activation;
+        for (orow, nrow) in own.as_mut_slice().chunks_exact_mut(cols).zip(neigh.as_slice().chunks_exact(cols))
+        {
+            for ((o, &ne), &b) in orow.iter_mut().zip(nrow).zip(&self.bias) {
+                *o = act.apply_f32(*o + ne + b);
             }
         }
         own
@@ -119,13 +122,13 @@ impl SceneTick {
         let n = ctx.n;
         let g = &ctx.occlusion[t];
         let deg: Vec<f32> = (0..n).map(|v| g.degree(v) as f32).collect();
-        let a_deg: Vec<f32> = (0..n).map(|v| g.neighbors(v).iter().map(|&u| deg[u]).sum()).collect();
+        let (agg, a_deg) = aggregation_f32(g, &deg);
         SceneTick {
             distances: ctx.distances[t].iter().map(|&d| d as f32).collect(),
             mask_f: ctx.candidate_mask[t].iter().map(|&m| if m { 1.0 } else { 0.0 }).collect(),
             deg,
             a_deg,
-            agg: norm_csr_f32(g),
+            agg,
         }
     }
 }
@@ -268,26 +271,24 @@ impl ServeEpisode {
 }
 
 /// Row-normalized f32 CSR (`D⁻¹A`) of an occlusion graph — the GNN mean
-/// aggregation operator. Neighbor lists are ascending, so the CSR is valid
-/// by construction.
-fn norm_csr_f32(g: &UGraph) -> CsrF32 {
+/// aggregation operator — and the degree propagation `A·deg`, filled in one
+/// pass over the neighbor lists. Neighbor lists are ascending, so the CSR is
+/// valid by construction.
+fn aggregation_f32(g: &UGraph, deg: &[f32]) -> (CsrF32, Vec<f32>) {
     let n = g.node_count();
+    let mut a_deg = Vec::with_capacity(n);
     let mut row_ptr = Vec::with_capacity(n + 1);
     row_ptr.push(0usize);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
+    let mut col_idx = Vec::with_capacity(2 * g.edge_count());
+    let mut vals = Vec::with_capacity(2 * g.edge_count());
     for v in 0..n {
         let neigh = g.neighbors(v);
-        if !neigh.is_empty() {
-            let w = 1.0f32 / neigh.len() as f32;
-            for &u in neigh {
-                col_idx.push(u);
-                vals.push(w);
-            }
-        }
+        a_deg.push(neigh.iter().map(|&u| deg[u]).sum());
+        col_idx.extend_from_slice(neigh);
+        vals.resize(col_idx.len(), 1.0 / neigh.len() as f32);
         row_ptr.push(col_idx.len());
     }
-    CsrF32::from_parts(n, n, row_ptr, col_idx, vals)
+    (CsrF32::from_parts(n, n, row_ptr, col_idx, vals), a_deg)
 }
 
 /// Column-wise concatenation of f32 matrices with equal row counts.
@@ -334,12 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn norm_csr_rows_sum_to_one_or_zero() {
+    fn aggregation_rows_sum_to_one_or_zero() {
         let mut g = UGraph::new(4);
         g.add_edge(0, 1);
         g.add_edge(0, 2);
         g.add_edge(1, 2);
-        let csr = norm_csr_f32(&g);
+        let (csr, a_deg) = aggregation_f32(&g, &[2.0, 2.0, 2.0, 0.0]);
+        // every non-isolated node's neighbors all have degree 2
+        assert_eq!(a_deg, [4.0, 4.0, 4.0, 0.0]);
         // row 0 has two neighbors at weight 0.5 each; row 3 is empty
         let ones = MatrixF32::from_vec(4, 1, vec![1.0; 4]);
         let sums = csr.matmul_dense(&ones);

@@ -31,6 +31,7 @@ impl Activation {
     /// scalar the serve kernels (`poshgnn::serve`, degraded room serving)
     /// apply elementwise. Kept next to the tape [`Activation::apply`] so the
     /// train and serve nonlinearities can never drift apart silently.
+    #[inline]
     pub fn apply_f32(&self, v: f32) -> f32 {
         match self {
             Activation::None => v,

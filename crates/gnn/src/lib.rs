@@ -7,13 +7,9 @@
 //!   layer (Eq. 1) used by both PDR and LWP.
 //! * [`recurrent`] — GRU, T-GCN [73], and diffusion-convolutional GRU
 //!   (DCRNN [72]) cells for the recurrent baselines.
-//! * [`delta`] — delta-maintained CSR aggregation operators for slowly
-//!   changing graph sequences (per-tick occlusion snapshots).
 
-pub mod delta;
 pub mod layers;
 pub mod recurrent;
 
-pub use delta::AdjDeltaCache;
 pub use layers::{Activation, Dense, GcnLayer, Mlp};
 pub use recurrent::{transition_matrix, DcGruCell, DiffusionConv, GruCell, TgcnCell};

@@ -125,95 +125,30 @@ impl UGraph {
     /// O(n²) materialization, which is what makes per-step graph rebuilds
     /// cheap at N=500.
     pub fn adjacency_csr(&self) -> CsrAdj {
-        let mut entries = Vec::with_capacity(2 * self.edges.len());
-        for &(u, v) in &self.edges {
-            entries.push((u, v, 1.0));
-            entries.push((v, u, 1.0));
+        // One walk of the sorted edge set fills every row already sorted:
+        // row r receives its lower neighbours u (from edges (u, r)) in
+        // ascending u before its upper neighbours v (from (r, v)) in
+        // ascending v, so no per-row sort or merge is needed.
+        let mut row_ptr = Vec::with_capacity(self.n + 1);
+        row_ptr.push(0);
+        for nb in &self.adj {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + nb.len());
         }
-        CsrAdj::from_entries(self.n, self.n, &entries)
+        let mut cursor = row_ptr[..self.n].to_vec();
+        let mut col_idx = vec![0; 2 * self.edges.len()];
+        for &(u, v) in &self.edges {
+            col_idx[cursor[u]] = v;
+            cursor[u] += 1;
+            col_idx[cursor[v]] = u;
+            cursor[v] += 1;
+        }
+        let vals = vec![1.0; col_idx.len()];
+        CsrAdj::from_parts(self.n, self.n, row_ptr, col_idx, vals)
     }
 
     /// Row-normalized sparse adjacency `D⁻¹A` (mean aggregation).
     pub fn adjacency_norm_csr(&self) -> CsrAdj {
         self.adjacency_csr().row_normalized()
-    }
-
-    /// The edge delta from `self` to `next`: edges gained and lost, each as
-    /// sorted `(min, max)` lists. A single merge walk over the two sorted
-    /// edge sets — O(m + m') regardless of how different the graphs are.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the node counts differ.
-    pub fn edge_delta(&self, next: &UGraph) -> EdgeDelta {
-        assert_eq!(self.n, next.n, "edge_delta requires equal node counts");
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        let mut old = self.edges().peekable();
-        let mut new = next.edges().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(&eo), Some(&en)) => match eo.cmp(&en) {
-                    std::cmp::Ordering::Less => {
-                        removed.push(eo);
-                        old.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        added.push(en);
-                        new.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        old.next();
-                        new.next();
-                    }
-                },
-                (Some(&eo), None) => {
-                    removed.push(eo);
-                    old.next();
-                }
-                (None, Some(&en)) => {
-                    added.push(en);
-                    new.next();
-                }
-                (None, None) => break,
-            }
-        }
-        EdgeDelta { added, removed }
-    }
-
-    /// Delta-updates a CSR adjacency: `prev` must be this graph's
-    /// predecessor's [`UGraph::adjacency_csr`] (or an equal delta-maintained
-    /// copy) and `delta` the [`UGraph::edge_delta`] from it to `self`. Only
-    /// rows touched by the delta are rebuilt — bit-identical to a fresh
-    /// `self.adjacency_csr()` because untouched rows are copied verbatim and
-    /// rebuilt rows are the same sorted unit-valued neighbor lists a fresh
-    /// build produces.
-    pub fn adjacency_csr_from(&self, prev: &CsrAdj, delta: &EdgeDelta) -> CsrAdj {
-        let rows = delta.touched_nodes();
-        let mut nb: Vec<usize> = Vec::new();
-        prev.with_rows_replaced(&rows, |r, out| {
-            nb.clear();
-            nb.extend_from_slice(self.neighbors(r));
-            nb.sort_unstable();
-            out.extend(nb.iter().map(|&c| (c, 1.0)));
-        })
-    }
-
-    /// Delta-updates the row-normalized adjacency `D⁻¹A`; same contract as
-    /// [`UGraph::adjacency_csr_from`] with `prev` the predecessor's
-    /// [`UGraph::adjacency_norm_csr`]. Bit-identical to a fresh build: a
-    /// fresh normalization divides unit values by the exact integer row sum,
-    /// i.e. writes exactly `1.0 / degree`.
-    pub fn adjacency_norm_csr_from(&self, prev: &CsrAdj, delta: &EdgeDelta) -> CsrAdj {
-        let rows = delta.touched_nodes();
-        let mut nb: Vec<usize> = Vec::new();
-        prev.with_rows_replaced(&rows, |r, out| {
-            nb.clear();
-            nb.extend_from_slice(self.neighbors(r));
-            nb.sort_unstable();
-            let inv = 1.0 / nb.len() as f64;
-            out.extend(nb.iter().map(|&c| (c, inv)));
-        })
     }
 
     /// `true` when `set` is an independent set (no two members adjacent).
@@ -273,39 +208,6 @@ impl UGraph {
             }
         }
         dist
-    }
-}
-
-/// Edges gained and lost between two occlusion-graph snapshots — what MIA's
-/// structural embeddings actually consume (A_t − A_{t−1} is exactly
-/// `added − removed`), and the input to the delta-aware CSR update path.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EdgeDelta {
-    /// Edges present in the successor but not the predecessor, sorted
-    /// `(min, max)` pairs.
-    pub added: Vec<(usize, usize)>,
-    /// Edges present in the predecessor but not the successor, sorted
-    /// `(min, max)` pairs.
-    pub removed: Vec<(usize, usize)>,
-}
-
-impl EdgeDelta {
-    /// `true` when the two snapshots have identical edge sets.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-
-    /// Number of changed edges.
-    pub fn len(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
-    /// Every node incident to a changed edge, sorted ascending, deduped —
-    /// the rows a delta-maintained adjacency operator must rebuild.
-    pub fn touched_nodes(&self) -> Vec<usize> {
-        let nodes: BTreeSet<usize> =
-            self.added.iter().chain(self.removed.iter()).flat_map(|&(a, b)| [a, b]).collect();
-        nodes.into_iter().collect()
     }
 }
 
@@ -393,37 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn edge_delta_partitions_the_symmetric_difference() {
-        let a = UGraph::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-        let b = UGraph::from_edges(5, [(1, 2), (2, 3), (0, 4)]);
-        let d = a.edge_delta(&b);
-        assert_eq!(d.added, vec![(0, 4), (2, 3)]);
-        assert_eq!(d.removed, vec![(0, 1), (3, 4)]);
-        assert_eq!(d.touched_nodes(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(d.len(), 4);
-        assert!(a.edge_delta(&a).is_empty());
-    }
-
-    #[test]
-    fn delta_maintained_csr_equals_fresh_builds_bitwise() {
-        // walk a sequence of graphs, maintaining both operators by delta;
-        // every step must equal the fresh build exactly (PartialEq compares
-        // the full CSR layout, not just the math)
-        let snapshots = [
-            UGraph::from_edges(6, [(0, 1), (2, 3)]),
-            UGraph::from_edges(6, [(0, 1), (2, 3), (1, 4), (4, 5)]),
-            UGraph::from_edges(6, [(2, 3), (4, 5), (0, 5)]),
-            UGraph::new(6),
-            UGraph::from_edges(6, [(0, 2)]),
-        ];
-        let mut csr = snapshots[0].adjacency_csr();
-        let mut norm = snapshots[0].adjacency_norm_csr();
-        for w in snapshots.windows(2) {
-            let delta = w[0].edge_delta(&w[1]);
-            csr = w[1].adjacency_csr_from(&csr, &delta);
-            norm = w[1].adjacency_norm_csr_from(&norm, &delta);
-            assert_eq!(csr, w[1].adjacency_csr());
-            assert_eq!(norm, w[1].adjacency_norm_csr());
-        }
+    fn adjacency_csr_is_the_sorted_entry_build_in_any_insertion_order() {
+        // adjacency lists follow insertion order; the CSR rows must not
+        let g = UGraph::from_edges(7, [(5, 2), (0, 6), (2, 0), (6, 3), (2, 4), (1, 2), (3, 0)]);
+        let entries: Vec<(usize, usize, f64)> =
+            g.edges().flat_map(|(u, v)| [(u, v, 1.0), (v, u, 1.0)]).collect();
+        assert_eq!(g.adjacency_csr(), CsrAdj::from_entries(7, 7, &entries));
+        assert_eq!(UGraph::new(3).adjacency_csr(), CsrAdj::empty(3, 3));
     }
 }

@@ -454,6 +454,17 @@ pub fn spmm_f32_scalar(
     cols: usize,
 ) {
     let rows = row_ptr.len() - 1;
+    if cols == 1 {
+        // a mat-vec: the same per-row accumulation, held in a register
+        for (r, o) in out.iter_mut().enumerate().take(rows) {
+            let mut acc = 0.0f32;
+            for e in row_ptr[r]..row_ptr[r + 1] {
+                acc += vals[e] * dense[col_idx[e]];
+            }
+            *o = acc;
+        }
+        return;
+    }
     for r in 0..rows {
         let orow = &mut out[r * cols..(r + 1) * cols];
         orow.fill(0.0);

@@ -94,6 +94,36 @@ impl CsrAdj {
         merged
     }
 
+    /// Assembles a CSR matrix from its three arrays, for builders that
+    /// already produce rows in order (no sort or merge pass).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the arrays are inconsistent: `row_ptr` must have
+    /// `rows + 1` non-decreasing offsets from `0` to `col_idx.len()`, and
+    /// `vals` must be as long as `col_idx`. In-range, strictly ascending
+    /// columns within each row are debug-asserted.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        vals: Vec<f64>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), rows + 1, "row_ptr length");
+        assert_eq!(col_idx.len(), vals.len(), "col_idx/vals length mismatch");
+        assert!(row_ptr[0] == 0 && row_ptr[rows] == col_idx.len(), "row_ptr must span every entry");
+        assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]), "row_ptr must be non-decreasing");
+        debug_assert!(
+            (0..rows).all(|r| {
+                let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+                row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&c| c < cols)
+            }),
+            "columns must be in range and strictly ascending within each row"
+        );
+        CsrAdj { rows, cols, row_ptr, col_idx, vals }
+    }
+
     /// Builds from a dense matrix, keeping entries with `|x| > tol`.
     pub fn from_dense(dense: &Matrix, tol: f64) -> Self {
         let (rows, cols) = dense.shape();
@@ -342,59 +372,6 @@ impl CsrAdj {
         CsrAdj { rows: self.cols, cols: self.rows, row_ptr, col_idx, vals }
     }
 
-    /// A copy with the given rows' entries replaced — the CSR row-surgery
-    /// primitive behind delta-maintained adjacency operators. Unlisted rows
-    /// are copied verbatim (bit for bit); for each row in `rows`, `build` is
-    /// called once to push the replacement `(col, value)` entries.
-    ///
-    /// `rows` must be strictly ascending and in range; `build` must push
-    /// entries in strictly ascending column order (debug-asserted), so the
-    /// result satisfies the same invariants [`CsrAdj::from_entries`]
-    /// establishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows` is not strictly ascending in-range, or when `build`
-    /// pushes an out-of-range column.
-    pub fn with_rows_replaced(
-        &self,
-        rows: &[usize],
-        mut build: impl FnMut(usize, &mut Vec<(usize, f64)>),
-    ) -> CsrAdj {
-        assert!(rows.iter().all(|&r| r < self.rows), "replaced row out of bounds");
-        assert!(rows.windows(2).all(|w| w[0] < w[1]), "replaced rows must be strictly ascending");
-        let timer = xr_obs::start_timer();
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
-        let mut next = rows.iter().copied().peekable();
-        for r in 0..self.rows {
-            if next.peek() == Some(&r) {
-                next.next();
-                scratch.clear();
-                build(r, &mut scratch);
-                debug_assert!(
-                    scratch.windows(2).all(|w| w[0].0 < w[1].0),
-                    "replacement entries must have strictly ascending columns"
-                );
-                for &(c, v) in &scratch {
-                    assert!(c < self.cols, "replacement entry ({r},{c}) out of bounds");
-                    col_idx.push(c);
-                    vals.push(v);
-                }
-            } else {
-                let span = self.row_ptr[r]..self.row_ptr[r + 1];
-                col_idx.extend_from_slice(&self.col_idx[span.clone()]);
-                vals.extend_from_slice(&self.vals[span]);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        xr_obs::observe_since("xr_tensor.csr.row_surgery.ms", &[], timer);
-        CsrAdj { rows: self.rows, cols: self.cols, row_ptr, col_idx, vals }
-    }
-
     /// Row-normalized copy: each non-empty row scaled to sum to 1
     /// (mean aggregation, `D⁻¹A`).
     pub fn row_normalized(&self) -> CsrAdj {
@@ -536,29 +513,15 @@ mod tests {
     }
 
     #[test]
-    fn with_rows_replaced_matches_a_fresh_build() {
-        let before = CsrAdj::from_entries(4, 4, &[(0, 1, 1.0), (0, 3, 2.0), (1, 0, 1.0), (3, 2, 5.0)]);
-        // replace rows 0 and 3; rows 1 and 2 must be copied bit for bit
-        let after = before.with_rows_replaced(&[0, 3], |r, out| {
-            if r == 0 {
-                out.push((2, 7.0));
-            } else {
-                out.push((0, 1.0));
-                out.push((1, 1.0));
-            }
-        });
-        let fresh = CsrAdj::from_entries(4, 4, &[(0, 2, 7.0), (1, 0, 1.0), (3, 0, 1.0), (3, 1, 1.0)]);
-        assert_eq!(after, fresh, "row surgery must reproduce the from-scratch CSR exactly");
-        // replacing with an empty set clears the row
-        let cleared = before.with_rows_replaced(&[1], |_, _| {});
-        assert_eq!(cleared.row_entries(1).count(), 0);
-        assert_eq!(cleared.nnz(), before.nnz() - 1);
+    fn from_parts_assembles_the_same_matrix_as_from_entries() {
+        let parts = CsrAdj::from_parts(3, 4, vec![0, 2, 2, 3], vec![1, 3, 0], vec![1.0, 2.0, 5.0]);
+        assert_eq!(parts, CsrAdj::from_entries(3, 4, &[(2, 0, 5.0), (0, 3, 2.0), (0, 1, 1.0)]));
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn with_rows_replaced_rejects_unsorted_rows() {
-        CsrAdj::empty(3, 3).with_rows_replaced(&[2, 1], |_, _| {});
+    #[should_panic(expected = "row_ptr must span every entry")]
+    fn from_parts_rejects_a_short_row_ptr() {
+        CsrAdj::from_parts(2, 2, vec![0, 1, 1], vec![0, 1], vec![1.0, 1.0]);
     }
 
     #[test]
