@@ -13,6 +13,12 @@
 //! recommend step at N = 200 must allocate less than one dense N×N f64
 //! matrix.
 //!
+//! The dense scene tick is guarded the same way: with every user moving,
+//! `SceneEngine::push` rebuilds each viewer's occlusion graph from its
+//! angular sweep, and that build (counting-sort edge assembly into a flat
+//! CSR graph) must stay at a small constant number of allocations per
+//! viewer, not one per node or per edge-set block.
+//!
 //! The counter is process-wide, so every test here holds [`SERIAL`]: a test
 //! training concurrently on another thread would otherwise leak its
 //! allocations into the measured window.
@@ -23,6 +29,8 @@ use std::sync::Mutex;
 
 use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView, TargetContext};
 use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
+use xr_graph::Point2;
+use xr_session::{Frame, SceneConfig, SceneEngine};
 
 struct CountingAllocator;
 
@@ -165,5 +173,60 @@ fn f64_serving_step_allocates_less_than_one_dense_matrix_at_n200() {
         per_step < dense,
         "a steady-state f64 recommend step allocates {per_step} B at N={N}, at least one dense N×N \
          matrix ({dense} B) — something on the serving path went O(N²)"
+    );
+}
+
+#[test]
+fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
+    // the paper's room (N = 200, Timik-like) served for 8 viewers with
+    // bounded retention; a tick-dependent shift moves every user on every
+    // tick, so each push rebuilds all 8 occlusion graphs from their sweeps
+    const N: usize = 200;
+    const VIEWERS: usize = 8;
+    const WARM: usize = 4;
+    const MEASURED: usize = 16;
+    const BUDGET_PER_VIEWER: u64 = 32;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dataset = Dataset::generate(DatasetKind::Timik, 2);
+    let cfg =
+        ScenarioConfig { n_participants: N, time_steps: WARM + MEASURED, seed: 11, ..Default::default() };
+    let scenario = dataset.sample_scenario(&cfg);
+    let viewers: Vec<usize> = (0..VIEWERS).map(|i| i * (N / VIEWERS)).collect();
+    let mut engine = SceneEngine::new(N, SceneConfig::from_scenario(&scenario), &viewers);
+    engine.set_slo(None);
+    engine.set_snap_epsilon(0.0);
+    engine.set_state_retention(Some(2));
+    // frames are built up front so only the engine's own work is counted
+    let mut frames: Vec<Frame> = scenario
+        .trajectories
+        .iter()
+        .enumerate()
+        .map(|(t, row)| {
+            let shift = Point2::new(1e-4 * (t + 1) as f64, 0.0);
+            Frame::new(row.iter().map(|&p| p + shift).collect())
+        })
+        .collect();
+    let measured = frames.split_off(WARM);
+    for frame in frames {
+        engine.push(frame);
+    }
+    let allocations = allocations_during(|| {
+        for frame in measured {
+            engine.push(frame);
+        }
+    });
+    let per_viewer = allocations / (MEASURED * VIEWERS) as u64;
+    let edges: usize =
+        viewers.iter().map(|&v| engine.view(v, engine.ticks() - 1).occlusion().edge_count()).sum();
+    eprintln!(
+        "dense push at N={N}: {allocations} allocations over {MEASURED} ticks × {VIEWERS} viewers \
+         = {per_viewer} per viewer per tick (mean m={})",
+        edges / VIEWERS
+    );
+    assert!(edges / VIEWERS > N, "the scene must be occlusion-dense enough to mean something");
+    assert!(
+        per_viewer <= BUDGET_PER_VIEWER,
+        "a steady-state dense push makes {per_viewer} allocations per viewer per tick (budget \
+         {BUDGET_PER_VIEWER}) — the occlusion-graph build went back to per-node or per-edge allocation"
     );
 }

@@ -52,8 +52,8 @@ pub struct MiaOutput {
     /// Distance-squared-normalized social-presence utilities `ŝ_t` (`N × 1`),
     /// masked by `m_t`.
     pub s_hat: Rc<Matrix>,
-    /// Occlusion adjacency `A_t` in CSR form, built from the occlusion
-    /// graph's edge list in O(N + m). It feeds the loss's symmetric
+    /// Occlusion adjacency `A_t` in CSR form, an O(N + m) copy of the
+    /// occlusion graph's own CSR arrays. It feeds the loss's symmetric
     /// occlusion penalty; consumers that want a dense `N × N` matrix (the
     /// `dense_kernels` ablation) derive it with [`CsrAdj::to_dense`].
     pub adjacency_csr: Rc<CsrAdj>,

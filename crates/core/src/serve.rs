@@ -336,10 +336,7 @@ mod tests {
 
     #[test]
     fn aggregation_rows_sum_to_one_or_zero() {
-        let mut g = UGraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(1, 2);
+        let g = UGraph::from_edges(4, [(0, 1), (0, 2), (1, 2)]);
         let (csr, a_deg) = aggregation_f32(&g, &[2.0, 2.0, 2.0, 0.0]);
         // every non-isolated node's neighbors all have degree 2
         assert_eq!(a_deg, [4.0, 4.0, 4.0, 0.0]);

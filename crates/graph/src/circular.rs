@@ -255,14 +255,12 @@ mod tests {
             let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..2.0)).collect();
 
             // reference: build the intersection graph and run branch-and-bound
-            let mut g = UGraph::new(n);
-            for i in 0..n {
-                for j in i + 1..n {
-                    if arcs[i].unwrap().intersects(&arcs[j].unwrap()) {
-                        g.add_edge(i, j);
-                    }
-                }
-            }
+            let g = UGraph::from_edges(
+                n,
+                (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .filter(|&(i, j)| arcs[i].unwrap().intersects(&arcs[j].unwrap())),
+            );
             let reference = mwis_exact(&g, &weights);
             let fast = mwis_circular_arcs(&arcs, &weights);
             assert!(

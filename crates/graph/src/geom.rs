@@ -131,8 +131,16 @@ impl Neg for Point2 {
 }
 
 /// Normalizes an angle into `[0, 2π)`.
+///
+/// `%` is exact, so an angle already in `[0, τ)` — every arc center, which
+/// comes from [`Point2::angle`] — is returned as is, bit for bit (`-0.0`
+/// included), without the libm `fmod` call; NaN and out-of-range angles
+/// take the `%` path.
 pub fn wrap_angle(a: f64) -> f64 {
     let tau = std::f64::consts::TAU;
+    if (0.0..tau).contains(&a) {
+        return a;
+    }
     let mut r = a % tau;
     if r < 0.0 {
         r += tau;
@@ -204,6 +212,41 @@ mod tests {
         assert!((wrap_angle(TAU + 0.5) - 0.5).abs() < 1e-12);
         assert!((angle_diff(0.1, TAU - 0.1) - 0.2).abs() < 1e-12);
         assert!((angle_diff(0.0, PI) - PI).abs() < 1e-12);
+    }
+
+    #[test]
+    fn wrap_fast_path_is_the_rem_path_bit_for_bit() {
+        fn wrap_rem(a: f64) -> f64 {
+            let mut r = a % TAU;
+            if r < 0.0 {
+                r += TAU;
+            }
+            r
+        }
+        let below_tau = f64::from_bits(TAU.to_bits() - 1);
+        for a in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            PI,
+            below_tau,
+            TAU,
+            -1e-300,
+            -FRAC_PI_2,
+            -TAU,
+            -7.5,
+            TAU + 0.5,
+            100.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(wrap_angle(a).to_bits(), wrap_rem(a).to_bits(), "wrap_angle({a:e})");
+        }
+        assert!(wrap_angle(-0.0).is_sign_negative());
+        assert_eq!(wrap_angle(below_tau), below_tau);
     }
 
     #[test]

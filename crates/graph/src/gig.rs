@@ -31,15 +31,17 @@ impl DiskGig {
         assert_eq!(centers.len(), radii.len(), "centers/radii length mismatch");
         assert!(radii.iter().all(|&r| r > 0.0), "radii must be positive");
         let n = centers.len();
-        let mut graph = UGraph::new(n);
+        // the i < j scan lists edges in sorted (min, max) order
+        let mut edges = Vec::new();
         for i in 0..n {
             for j in i + 1..n {
                 let touch = radii[i] + radii[j];
                 if centers[i].distance_sq(centers[j]) <= touch * touch {
-                    graph.add_edge(i, j);
+                    edges.push((i, j));
                 }
             }
         }
+        let graph = UGraph::from_sorted_unique_edges(n, &edges);
         DiskGig { centers, radii, graph }
     }
 
@@ -70,10 +72,8 @@ impl DiskGig {
 /// Returns the DOG and the index of the inserted target user.
 pub fn gig_to_dog(gig: &UGraph) -> (DynamicOcclusionGraph, usize) {
     let n = gig.node_count();
-    let mut g = UGraph::new(n + 1);
-    for (a, b) in gig.edges() {
-        g.add_edge(a, b);
-    }
+    let edges: Vec<(usize, usize)> = gig.edges().collect();
+    let g = UGraph::from_sorted_unique_edges(n + 1, &edges);
     // node `n` (the target) stays isolated by construction
     (DynamicOcclusionGraph::from_static_graphs(vec![g]), n)
 }

@@ -254,14 +254,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for trial in 0..20 {
             let n = 12;
-            let mut g = UGraph::new(n);
-            for a in 0..n {
-                for b in a + 1..n {
-                    if rng.gen::<f64>() < 0.3 {
-                        g.add_edge(a, b);
-                    }
-                }
-            }
+            let g = UGraph::from_edges(
+                n,
+                (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).filter(|_| rng.gen::<f64>() < 0.3),
+            );
             let w: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
             let exact = mwis_exact(&g, &w);
             let greedy = mwis_greedy(&g, &w);

@@ -82,17 +82,18 @@ impl OcclusionConverter {
     pub fn static_graph(&self, target: usize, positions: &[Point2]) -> UGraph {
         let arcs = self.arcs(target, positions);
         let n = positions.len();
-        let mut g = UGraph::new(n);
+        // the i < j scan lists edges in sorted (min, max) order
+        let mut edges = Vec::new();
         for i in 0..n {
             let Some(ai) = arcs[i] else { continue };
             for (j, aj) in arcs.iter().enumerate().skip(i + 1) {
                 let Some(aj) = aj else { continue };
                 if ai.intersects(aj) {
-                    g.add_edge(i, j);
+                    edges.push((i, j));
                 }
             }
         }
-        g
+        UGraph::from_sorted_unique_edges(n, &edges)
     }
 
     /// Visibility of each user given a display decision.

@@ -18,10 +18,11 @@
 //!   [`OcclusionConverter::arcs`] call as the brute-force build; the angular
 //!   sweep only *prunes pairs that cannot intersect* (forward gap beyond
 //!   `half_width + max_half_width` plus a safety margin) and every surviving
-//!   pair is decided by the exact [`ViewArc::intersects`] predicate. Edges
-//!   are inserted in sorted `(min, max)` order — the same order the `i < j`
-//!   brute-force loop produces — so the resulting [`UGraph`]s compare equal
-//!   including adjacency-list order.
+//!   pair is decided by the exact [`ViewArc::intersects`] predicate, so the
+//!   edge set is the brute-force one. [`UGraph`] stores a canonical CSR
+//!   (every row strictly ascending) whatever order its edges were listed
+//!   in, so equal edge sets make graphs that compare equal in every stored
+//!   value.
 //! * Candidate masks re-derive the brute-force `physical_candidate_mask`
 //!   semantics from the shared state: a candidate `w` of an MR viewer is
 //!   pruned iff it has no arc (coincident, `d < 1e-9`) or some co-located MR
@@ -61,8 +62,8 @@
 //!   holds `Arc<UGraph>` per viewer, so a tick with *zero* movers clones the
 //!   whole previous state in O(viewers + n²-memcpy), and a stationary
 //!   viewer whose merged edge list equals the previous tick's reuses the
-//!   previous graph outright (an equal sorted-unique edge list constructs
-//!   an `Eq` graph, adjacency order included, so reuse is bitwise-invisible).
+//!   previous graph outright (an equal edge set constructs an identical
+//!   CSR, so reuse is bitwise-invisible).
 //! * Candidate masks are *patched*, not recomputed: a stationary viewer
 //!   re-derives bits only for `affected` users (movers plus endpoints of
 //!   every added or dropped edge); everyone else's bit inputs — own
@@ -103,7 +104,7 @@ use crate::prune::{CandidateSet, PruneIndex};
 
 use xr_datasets::Scenario;
 use xr_graph::geom::Point2;
-use xr_graph::{OcclusionConverter, UGraph, ViewArc};
+use xr_graph::{sort_unique_pairs, OcclusionConverter, UGraph, ViewArc};
 
 /// Safety margin on the sweep's pruning bound: the forward gap and
 /// `angle_diff` compute the same circular distance with different rounding,
@@ -286,7 +287,7 @@ impl SceneState {
                 for cs in &shortlists {
                     let edges: Vec<(usize, usize)> =
                         cs.edges().iter().map(|&(a, b)| (a as usize, b as usize)).collect();
-                    occlusion.push(UGraph::from_sorted_unique_edges(n, edges));
+                    occlusion.push(UGraph::from_sorted_unique_edges(n, &edges));
                     let mut dense = vec![false; n];
                     for (idx, &id) in cs.ids().iter().enumerate() {
                         dense[id as usize] = cs.mask()[idx];
@@ -1039,8 +1040,8 @@ fn pairwise_distances(positions: &[Point2]) -> Vec<f64> {
 /// Builds one viewer's static occlusion graph from its arcs with an angular
 /// sweep: arcs sorted by center, each compared only against arcs within
 /// `half_width + max_half_width` forward gap. Candidate pairs are decided by
-/// the exact [`ViewArc::intersects`] predicate and inserted in sorted order,
-/// reproducing the brute-force graph structurally.
+/// the exact [`ViewArc::intersects`] predicate, so the graph has the
+/// brute-force edge set and therefore compares `Eq` to it.
 fn sweep_occlusion_graph(arcs: &[Option<ViewArc>], pair_tests: &mut u64) -> UGraph {
     let mut order = Vec::new();
     let mut sorted = Vec::new();
@@ -1062,14 +1063,19 @@ fn sorted_arc_order(arcs: &[Option<ViewArc>], order: &mut Vec<usize>, sorted: &m
 /// The sweep proper, over a pre-sorted arc array (see
 /// [`sweep_occlusion_graph`] for the semantics and pruning argument).
 fn sweep_edges_from_sorted(n: usize, order: &[usize], sorted: &[ViewArc], pair_tests: &mut u64) -> UGraph {
-    UGraph::from_sorted_unique_edges(n, sweep_edge_list(order, sorted, pair_tests))
+    UGraph::from_sorted_unique_edges(n, &sweep_edge_list(n, order, sorted, pair_tests))
 }
 
-/// The sweep's edge enumeration, shared by the graph builder above and the
-/// pruned path's restricted sweep (which runs it over shortlist-local
-/// indices): sorted unique `(min, max)` pairs, every one decided by the
-/// exact predicate.
-fn sweep_edge_list(order: &[usize], sorted: &[ViewArc], pair_tests: &mut u64) -> Vec<(usize, usize)> {
+/// The sweep's edge enumeration over ids `< n`, shared by the graph builder
+/// above and the pruned path's restricted sweep (which runs it over
+/// shortlist-local indices): sorted unique `(min, max)` pairs, every one
+/// decided by the exact predicate.
+fn sweep_edge_list(
+    n: usize,
+    order: &[usize],
+    sorted: &[ViewArc],
+    pair_tests: &mut u64,
+) -> Vec<(usize, usize)> {
     let m = order.len();
     if m < 2 {
         return Vec::new();
@@ -1114,9 +1120,9 @@ fn sweep_edge_list(order: &[usize], sorted: &[ViewArc], pair_tests: &mut u64) ->
         }
     }
     // each intersecting pair can be reached from both endpoints' forward
-    // scans; sorted dedup reproduces the brute-force i<j insertion order
-    edges.sort_unstable();
-    edges.dedup();
+    // scans; the O(n + m) counting sort + dedup yields the brute-force i<j
+    // order
+    sort_unique_pairs(n, &mut edges);
     edges
 }
 
@@ -1150,7 +1156,7 @@ fn build_candidate_set(
     let mut order = Vec::new();
     let mut sorted = Vec::new();
     sorted_arc_order(&arcs, &mut order, &mut sorted);
-    let local_edges = sweep_edge_list(&order, &sorted, pair_tests);
+    let local_edges = sweep_edge_list(len, &order, &sorted, pair_tests);
 
     let mut mask = vec![true; len];
     if mr_mask[viewer] {
@@ -1211,9 +1217,9 @@ fn warm_full_build(arcs: &[Option<ViewArc>], warm: &mut WarmViewer, pair_tests: 
 /// Returns `None` when the merged edge list is identical to `prev_graph`'s —
 /// under bounded motion the common case — so the caller can carry the
 /// previous graph forward by `Arc` pointer instead of paying the O(n + m)
-/// allocation-heavy [`UGraph`] construction. `from_sorted_unique_edges` of
-/// an equal edge list yields a graph that compares `Eq` (adjacency order
-/// included), so pointer reuse is bitwise-invisible to every reader.
+/// [`UGraph`] construction. A graph's CSR layout is a function of its edge
+/// set alone, so an equal edge list would rebuild an identical graph and
+/// pointer reuse is bitwise-invisible to every reader.
 #[allow(clippy::too_many_arguments)]
 fn warm_delta_update(
     viewer: usize,
@@ -1409,7 +1415,7 @@ fn warm_delta_update(
     if merged.len() == prev_graph.edge_count() && merged.iter().copied().eq(prev_graph.edges()) {
         return None;
     }
-    Some(UGraph::from_sorted_unique_edges(n, merged.clone()))
+    Some(UGraph::from_sorted_unique_edges(n, merged))
 }
 
 /// Snap epsilon from `AFTER_SNAP_EPS` (meters); unset, unparsable, negative,

@@ -89,16 +89,23 @@ impl ViewArcF32 {
 /// Circular distance between two angles, in `[0, π]`.
 pub fn angle_diff_f32(a: f32, b: f32) -> f32 {
     let tau = std::f32::consts::TAU;
-    let mut wa = a % tau;
-    if wa < 0.0 {
-        wa += tau;
-    }
-    let mut wb = b % tau;
-    if wb < 0.0 {
-        wb += tau;
-    }
-    let d = (wa - wb).abs();
+    let d = (wrap_angle_f32(a) - wrap_angle_f32(b)).abs();
     d.min(tau - d)
+}
+
+/// Normalizes an angle into `[0, 2π)`; like the f64
+/// [`xr_graph::geom::wrap_angle`], an angle already in range (every arc
+/// center) is returned bit for bit without the `%` call.
+fn wrap_angle_f32(a: f32) -> f32 {
+    let tau = std::f32::consts::TAU;
+    if (0.0..tau).contains(&a) {
+        return a;
+    }
+    let mut r = a % tau;
+    if r < 0.0 {
+        r += tau;
+    }
+    r
 }
 
 /// The view arc of the user at `(wx, wy)` as seen from `(tx, ty)`, or `None`
@@ -129,17 +136,18 @@ pub fn occlusion_graph_f32(target: usize, xs: &[f32], ys: &[f32], body_radius: f
     let arcs: Vec<Option<ViewArcF32>> = (0..n)
         .map(|w| if w == target { None } else { arc_f32(xs[target], ys[target], xs[w], ys[w], body_radius) })
         .collect();
-    let mut g = UGraph::new(n);
+    // the i < j scan lists edges in sorted (min, max) order
+    let mut edges = Vec::new();
     for i in 0..n {
         let Some(ai) = arcs[i] else { continue };
         for (j, aj) in arcs.iter().enumerate().skip(i + 1) {
             let Some(aj) = aj else { continue };
             if ai.intersects(aj) {
-                g.add_edge(i, j);
+                edges.push((i, j));
             }
         }
     }
-    g
+    UGraph::from_sorted_unique_edges(n, &edges)
 }
 
 /// f32 candidate mask `m_t` for one viewer — same semantics as the engine's
@@ -292,6 +300,42 @@ mod tests {
         // inside body radius → π half-width in both
         let b32 = arc_f32(0.0, 0.0, 0.1, 0.0, 0.25).unwrap();
         assert_eq!(b32.half_width, std::f32::consts::PI);
+    }
+
+    #[test]
+    fn wrap_fast_path_is_the_rem_path_bit_for_bit() {
+        use std::f32::consts::{PI, TAU};
+        fn wrap_rem(a: f32) -> f32 {
+            let mut r = a % TAU;
+            if r < 0.0 {
+                r += TAU;
+            }
+            r
+        }
+        let below_tau = f32::from_bits(TAU.to_bits() - 1);
+        for a in [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            PI,
+            below_tau,
+            TAU,
+            -1e-30,
+            -PI / 2.0,
+            -TAU,
+            -7.5,
+            TAU + 0.5,
+            100.0,
+            1e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ] {
+            assert_eq!(wrap_angle_f32(a).to_bits(), wrap_rem(a).to_bits(), "wrap_angle_f32({a:e})");
+        }
+        assert!(wrap_angle_f32(-0.0).is_sign_negative());
+        assert_eq!(wrap_angle_f32(below_tau), below_tau);
     }
 
     #[test]

@@ -5,10 +5,11 @@ use after_xr::poshgnn::{evaluate_sequence, TargetContext};
 use after_xr::xr_crowd::Room;
 use after_xr::xr_datasets::{generate_trajectories_with_motion, Interface, MotionProfile, Scenario};
 use after_xr::xr_graph::geom::Point2;
-use after_xr::xr_graph::{gig_to_dog, mwis_exact, mwis_greedy, DiskGig, OcclusionConverter};
+use after_xr::xr_graph::{gig_to_dog, mwis_exact, mwis_greedy, DiskGig, OcclusionConverter, UGraph};
 use after_xr::xr_session::{Frame, SceneConfig, SceneEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Random positions inside a 10×10 room, none coincident with index 0.
@@ -42,16 +43,29 @@ fn scenario_from(positions: Vec<Point2>, beta: f64) -> (Scenario, TargetContext)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Occlusion graphs are symmetric and the target is always isolated.
+    /// Occlusion graphs are symmetric, the target is always isolated, and
+    /// the CSR layout is canonical: rows and `edges()` strictly ascending,
+    /// and any listing order of the same edges builds an `Eq` graph.
     #[test]
-    fn occlusion_graph_invariants(positions in positions_strategy(12)) {
+    fn occlusion_graph_invariants(positions in positions_strategy(12), seed in 0u64..1_000_000) {
         let conv = OcclusionConverter::new(0.25);
         let g = conv.static_graph(0, &positions);
         prop_assert_eq!(g.degree(0), 0);
-        for (a, b) in g.edges() {
-            prop_assert!(g.has_edge(b, a));
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        prop_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges() not strictly ascending: {:?}", edges);
+        for &(a, b) in &edges {
+            prop_assert!(g.has_edge(a, b) && g.has_edge(b, a));
             prop_assert!(a != 0 && b != 0);
         }
+        for v in 0..g.node_count() {
+            let row = g.neighbors(v);
+            prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} not strictly ascending", v);
+            prop_assert!(row.iter().all(|&u| g.has_edge(u, v)));
+        }
+        let mut listed: Vec<(usize, usize)> =
+            edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+        listed.shuffle(&mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(UGraph::from_edges(g.node_count(), listed), g);
     }
 
     /// A displayed user occluded under mask M stays occluded under any
