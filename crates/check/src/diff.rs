@@ -1035,21 +1035,6 @@ pub struct MultiRoomCase {
     pub workers: usize,
 }
 
-/// The sequential-reference decision rule, payload-agnostic: dense views
-/// decide with [`xr_serve::decide_topk_f64`]; pruned views decide on their
-/// shortlist — exactly the branch the room scheduler takes.
-fn decide_for_view(view: &xr_session::TargetView, n: usize, k: usize) -> Vec<bool> {
-    if let Some(cs) = view.candidates() {
-        let mut out = vec![false; n];
-        for w in cs.decide_topk(k) {
-            out[w as usize] = true;
-        }
-        out
-    } else {
-        xr_serve::decide_topk_f64(view.candidate_mask(), view.distances(), k)
-    }
-}
-
 /// The multi-room scheduler ([`xr_serve::RoomServer`], no SLO budget so the
 /// degradation ladder and shedding stay inert) vs. the obvious sequential
 /// reference: one bare [`xr_session::SceneEngine`] per room fed the same
@@ -1170,7 +1155,7 @@ impl DiffSubject for MultiRoomVsSequential {
                 }
                 for (vi, &viewer) in viewers.iter().enumerate() {
                     let view = engine.view(viewer, t);
-                    let expect = decide_for_view(&view, room.n, room.top_k);
+                    let expect = xr_serve::decide_view(&view, room.top_k);
                     if decision.per_viewer[vi] != expect {
                         return Some(StepDivergence {
                             step: t,
@@ -1661,7 +1646,7 @@ impl DiffSubject for PrunedVsFull {
                 }
                 // …and the decision stream is identical
                 let df = xr_serve::decide_topk_f64(vf.candidate_mask(), vf.distances(), case.top_k);
-                let dp = decide_for_view(&vp, case.n, case.top_k);
+                let dp = xr_serve::decide_view(&vp, case.top_k);
                 if df != dp {
                     return Some(StepDivergence {
                         step: t,

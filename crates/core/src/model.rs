@@ -157,9 +157,10 @@ pub struct PoshGnn {
     /// first f32 recommend step and invalidated whenever parameters change
     /// (training, import, mutable access).
     serve_net: Option<Rc<crate::serve::ServeNet>>,
-    /// Per-episode f32 serving state (recurrent `(h, r)`, previous occlusion
-    /// graph, episode-constant inputs); reset by `begin_episode`.
-    serve_episode: Option<crate::serve::ServeEpisode>,
+    /// Per-episode f32 serving state (recurrent `(h, r)`, plus the inputs
+    /// and per-tick scene of the context last stepped), tagged with that
+    /// context's address; reset by `begin_episode`.
+    serve_episode: Option<(*const TargetContext, crate::serve::ServeEpisode)>,
     /// Episodes started so far — the clock for drift-monitor sampling.
     episodes_seen: u64,
     /// Whether the current episode runs the f64 shadow path alongside f32
@@ -489,11 +490,23 @@ impl PoshGnn {
                 net
             }
         };
-        // direct calls outside an episode (or a context switch) start fresh
-        if self.serve_episode.as_ref().is_none_or(|e| e.n() != ctx.n) {
-            self.serve_episode = Some(crate::serve::ServeEpisode::new(ctx, self.config.hidden));
-        }
-        self.serve_episode.as_mut().expect("just ensured").step(&net, ctx, t)
+        // the episode's inputs are its context's, recognized by address as
+        // in `infer_mia`; a switch to another context of the same size
+        // re-derives them and carries the recurrent state, as the f64 path's
+        // `episode_state` does
+        let key: *const TargetContext = ctx;
+        let episode = match self.serve_episode.take() {
+            Some((on, episode)) if std::ptr::eq(on, key) => episode,
+            prev => {
+                let mut episode = crate::serve::ServeEpisode::new(ctx, self.config.hidden);
+                if let Some((_, prev)) = prev.filter(|(_, e)| e.n() == ctx.n) {
+                    episode.carry_state_from(prev);
+                }
+                episode
+            }
+        };
+        let (_, episode) = self.serve_episode.insert((key, episode));
+        episode.step(&net, ctx, t)
     }
 
     /// Exports drift metrics for one sampled step: top-5 ranking overlap and
@@ -895,6 +908,45 @@ mod tests {
             Call::Step(&a, 4),
         ];
         assert_eq!(assert_carry_matches_fresh(&calls), 3, "a 0→1, b 1→2, a 3→4");
+    }
+
+    #[test]
+    fn f32_serving_tracks_f64_across_two_live_contexts() {
+        let dataset = Dataset::generate(DatasetKind::Hubs, 1);
+        let scenario = dataset.sample_scenario(&ScenarioConfig {
+            n_participants: 12,
+            vr_fraction: 0.5,
+            time_steps: 8,
+            room_side: 6.0,
+            body_radius: 0.15,
+            seed: 18,
+        });
+        let a = TargetContext::new(&scenario, 0, 0.5);
+        let b = TargetContext::new(&scenario, 5, 0.5);
+        let mut m64 = PoshGnn::new(PoshGnnConfig::default());
+        m64.train(&[a.clone(), b.clone()], 10);
+        let snapshot = m64.export_params();
+        let mut m32 = PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
+        assert!(m32.import_params(&snapshot));
+        // the interleaving of `two_live_contexts_never_share_a_carry`
+        let calls = [
+            Call::Begin(&a),
+            Call::Step(&a, 0),
+            Call::Step(&a, 1),
+            Call::Step(&b, 1),
+            Call::Step(&b, 2),
+            Call::Step(&a, 3),
+            Call::Step(&a, 4),
+        ];
+        let s64 = soft_bits(&mut m64, &calls);
+        let s32 = soft_bits(&mut m32, &calls);
+        for (i, (x, y)) in s64.iter().zip(&s32).enumerate() {
+            for (w, (&p, &q)) in x.iter().zip(y).enumerate() {
+                let (p, q) = (f64::from_bits(p), f64::from_bits(q));
+                // the `ServeF32VsF64` tolerance
+                assert!((p - q).abs() < 1e-3, "step call {i} user {w}: f64 {p} vs f32 {q}");
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //! carry does. A step then
 //! runs the f32 MIA feature recipe and the PDR/LWP forward pass entirely on
 //! the `xr_tensor::serve32` kernels; only the returned soft scores are
-//! upcast to `f64` at the API boundary. (Clients that stream raw positions
-//! instead of prebuilt contexts use the `xr_session::serve32` SIMD scene
-//! kernels — distance row, occlusion graph, candidate mask — which are
-//! pinned to the f64 scene path by their own lane-equality tests.)
+//! upcast to `f64` at the API boundary.
 //!
 //! The f32 stream is pinned against the f64 stream by the `ServeF32VsF64`
 //! differential subject in `xr_check` (tolerance + top-k-overlap oracle, per
@@ -171,6 +168,14 @@ impl ServeEpisode {
     /// Number of users this episode state was built for.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Takes over `prev`'s recurrent `(h, r)` state: a context switch
+    /// inside an episode re-derives the inputs but carries the recurrence.
+    pub(crate) fn carry_state_from(&mut self, prev: ServeEpisode) {
+        assert_eq!(prev.n, self.n, "recurrent state of another size");
+        self.h_prev = prev.h_prev;
+        self.r_prev = prev.r_prev;
     }
 
     fn ensure_scene(&mut self, ctx: &TargetContext, t: usize) {

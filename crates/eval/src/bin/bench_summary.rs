@@ -573,7 +573,7 @@ fn bench_incremental_scene() -> Json {
 
     // `jitter_snap` is the designed serving workload: anchors hold (heavy
     // dwell), emitted positions carry sub-epsilon head-tracking noise, and
-    // the engine's ingest snap (AFTER_SNAP_EPS-style, set on BOTH arms —
+    // the engine's ingest snap (`set_snap_epsilon`, set on BOTH arms —
     // snapping is shared semantics, not an incremental-only shortcut)
     // absorbs the noise so the incremental path sees true deltas only.
     let levels: [(&str, MotionProfile, f64); 5] = [
@@ -720,17 +720,7 @@ fn bench_crowd_scale() -> Json {
                     let start = Instant::now();
                     let t = engine.push(frame);
                     for &v in engine.viewers() {
-                        let view = engine.view(v, t);
-                        let decision = if let Some(cs) = view.candidates() {
-                            let mut out = vec![false; n];
-                            for w in cs.decide_topk(5) {
-                                out[w as usize] = true;
-                            }
-                            out
-                        } else {
-                            xr_serve::decide_topk_f64(view.candidate_mask(), view.distances(), 5)
-                        };
-                        std::hint::black_box(decision);
+                        std::hint::black_box(xr_serve::decide_view(&engine.view(v, t), 5));
                     }
                     samples.push(start.elapsed().as_secs_f64() * 1e3);
                 }

@@ -28,9 +28,9 @@ impl Activation {
     }
 
     /// The f32 serving-path evaluation of this activation — the tapeless
-    /// scalar the serve kernels (`poshgnn::serve`, degraded room serving)
-    /// apply elementwise. Kept next to the tape [`Activation::apply`] so the
-    /// train and serve nonlinearities can never drift apart silently.
+    /// scalar the serve kernels (`poshgnn::serve`) apply elementwise. Kept
+    /// next to the tape [`Activation::apply`] so the train and serve
+    /// nonlinearities can never drift apart silently.
     #[inline]
     pub fn apply_f32(&self, v: f32) -> f32 {
         match self {

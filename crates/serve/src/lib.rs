@@ -11,8 +11,8 @@
 //! * [`mailbox`] — the bounded SPSC-style frame ring with oldest-frame
 //!   coalescing and strictly increasing delivery sequence numbers.
 //! * [`room`] — one served room: engine + mailbox + the
-//!   Full → ServeF32 → MaskOnly degradation ladder and the shared
-//!   top-k-nearest decision rule.
+//!   Full → MaskOnly degradation ladder and the shared top-k-nearest
+//!   decision rule.
 //! * [`server`] — the [`RoomServer`] front end: admission control, pump
 //!   rounds, load shedding, and the `serve.*` metric namespace (windowed
 //!   through `xr_obs` timeseries and exported by the Prometheus renderer).
@@ -35,5 +35,5 @@ pub mod server;
 
 pub use mailbox::{EnqueueOutcome, FrameMailbox, SeqFrame};
 pub use par::{par_map_indexed, par_map_indexed_with, thread_count};
-pub use room::{decide_topk_f32, decide_topk_f64, Decision, Room, RoomConfig, ServeLevel};
+pub use room::{decide_topk_f64, decide_view, Decision, Room, RoomConfig, ServeLevel};
 pub use server::{AdmitError, PumpReport, RoomDrain, RoomId, RoomServer, ServerConfig, ServerStats};

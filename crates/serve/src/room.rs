@@ -3,19 +3,16 @@
 //!
 //! ## Degradation ladder
 //!
-//! A room serves at one of three levels, ordered by cost:
+//! A room serves at one of two levels, ordered by cost:
 //!
 //! 1. [`ServeLevel::Full`] — the f64 [`SceneEngine`] ingests the frame
 //!    (bit-exact shared scene state) and each registered viewer gets a
 //!    top-k-nearest recommendation over their candidate mask.
-//! 2. [`ServeLevel::ServeF32`] — the engine is bypassed; the per-viewer
-//!    scene quantities are re-derived in f32 (`xr_session::serve32` SIMD
-//!    kernels: distance row, occlusion graph, candidate mask) and the same
-//!    top-k decision runs on f32 distances.
-//! 3. [`ServeLevel::MaskOnly`] — cheapest: an O(N) f32 distance row and the
-//!    coarse candidate set (everyone but the viewer and coincident users),
-//!    with no occlusion pruning and no scoring. An over-approximation served
-//!    only under pressure.
+//! 2. [`ServeLevel::MaskOnly`] — the engine is bypassed: each viewer gets
+//!    the coarse candidate set (everyone but the viewer and users
+//!    coincident with them, from one O(N) f64 squared-distance scan), with no
+//!    occlusion pruning and no scoring. An over-approximation served only
+//!    under pressure.
 //!
 //! Past the last rung the scheduler sheds whole frames: a room that is
 //! *still* persistently over budget at [`ServeLevel::MaskOnly`] has its
@@ -24,17 +21,15 @@
 //! Escalation is driven by the measured per-frame latency against the
 //! `AFTER_SLO_BUDGET_MS` budget (via [`xr_obs::SloTracker`], so every miss
 //! also lands in the `slo.serve.room.tick.*` metrics): `escalate_after`
-//! consecutive misses move the room one rung down, `recover_after`
-//! consecutive in-budget frames move it one rung back up. Without a
-//! configured budget the policy is inert and every room stays at
-//! [`ServeLevel::Full`] — which is also what the determinism and
-//! differential suites pin, since degradation decisions depend on wall
-//! clock.
+//! consecutive misses move the room down to [`ServeLevel::MaskOnly`],
+//! `recover_after` consecutive in-budget frames move it back to
+//! [`ServeLevel::Full`]. Without a configured budget the policy is inert
+//! and every room stays at [`ServeLevel::Full`] — which is also what the
+//! determinism and differential suites pin, since degradation decisions
+//! depend on wall clock.
 
-use xr_session::serve32::{
-    candidate_mask_f32, candidate_mask_f32_shortlist, distance_row_f32, occlusion_graph_f32, shortlist_f32,
-};
-use xr_session::{Frame, SceneConfig, SceneEngine};
+use xr_graph::geom::Point2;
+use xr_session::{Frame, SceneConfig, SceneEngine, TargetView};
 
 use crate::mailbox::FrameMailbox;
 
@@ -43,9 +38,8 @@ use crate::mailbox::FrameMailbox;
 pub enum ServeLevel {
     /// f64 engine ingest + top-k-nearest over the exact candidate mask.
     Full,
-    /// f32 serve kernels + top-k-nearest; the engine is bypassed.
-    ServeF32,
-    /// f32 distance row + coarse candidate set; no occlusion, no scoring.
+    /// Coarse candidate set from an f64 squared-distance scan; the engine
+    /// is bypassed, with no occlusion and no scoring.
     MaskOnly,
 }
 
@@ -54,25 +48,18 @@ impl ServeLevel {
     pub fn name(self) -> &'static str {
         match self {
             ServeLevel::Full => "full",
-            ServeLevel::ServeF32 => "serve_f32",
             ServeLevel::MaskOnly => "mask_only",
         }
     }
 
     /// One rung cheaper, saturating at [`ServeLevel::MaskOnly`].
     pub fn degraded(self) -> ServeLevel {
-        match self {
-            ServeLevel::Full => ServeLevel::ServeF32,
-            _ => ServeLevel::MaskOnly,
-        }
+        ServeLevel::MaskOnly
     }
 
     /// One rung richer, saturating at [`ServeLevel::Full`].
     pub fn recovered(self) -> ServeLevel {
-        match self {
-            ServeLevel::MaskOnly => ServeLevel::ServeF32,
-            _ => ServeLevel::Full,
-        }
+        ServeLevel::Full
     }
 }
 
@@ -96,11 +83,10 @@ pub struct RoomConfig {
     pub retain_states: Option<usize>,
     /// Crowd-scale shortlist size handed to [`SceneEngine::set_prune_k`]:
     /// `Some(k)` makes the room's engine build per-viewer K-candidate
-    /// shortlists instead of dense full-scene state (and the f32 rung serve
-    /// from the same shortlists); `None` (like `Some(0)`) keeps the dense
-    /// full-N payload, the engine's default. Stadium-scale rooms must set
-    /// this — the dense path allocates an N×N distance matrix per retained
-    /// tick.
+    /// shortlists instead of dense full-scene state; `None` (like `Some(0)`)
+    /// keeps the dense full-N payload, the engine's default. Stadium-scale
+    /// rooms must set this — the dense path allocates an N×N distance matrix
+    /// per retained tick.
     pub prune_k: Option<usize>,
 }
 
@@ -139,16 +125,38 @@ pub fn decide_topk_f64(mask: &[bool], distances: &[f64], k: usize) -> Vec<bool> 
     out
 }
 
-/// [`decide_topk_f64`] on the f32 serve-path distance row.
-pub fn decide_topk_f32(mask: &[bool], distances: &[f32], k: usize) -> Vec<bool> {
-    let mut candidates: Vec<usize> = (0..mask.len()).filter(|&w| mask[w]).collect();
-    candidates.sort_by(|&a, &b| distances[a].total_cmp(&distances[b]).then(a.cmp(&b)));
-    candidates.truncate(k);
-    let mut out = vec![false; mask.len()];
-    for w in candidates {
-        out[w] = true;
+/// The top-k-nearest decision for one engine view, whatever its payload: a
+/// pruned view decides on its shortlist (which already carries the mask and
+/// distances of its K members), a dense view with [`decide_topk_f64`].
+pub fn decide_view(view: &TargetView<'_>, k: usize) -> Vec<bool> {
+    match view.candidates() {
+        Some(cs) => {
+            let mut out = vec![false; view.positions().len()];
+            for w in cs.decide_topk(k) {
+                out[w as usize] = true;
+            }
+            out
+        }
+        None => decide_topk_f64(view.candidate_mask(), view.distances(), k),
     }
-    out
+}
+
+/// The [`ServeLevel::MaskOnly`] candidate set for viewer `v`: everyone
+/// except the viewer and users coincident with them. No occlusion pruning,
+/// no ranking.
+fn coarse_mask(positions: &[Point2], v: usize) -> Vec<bool> {
+    let pv = positions[v];
+    let mut mask: Vec<bool> = positions.iter().map(|&q| !coincident(pv, q)).collect();
+    mask[v] = false;
+    mask
+}
+
+/// The engine's coincidence cutoff, `distance < 1e-9`, without the square
+/// root: `sqrt` is correctly rounded, hence monotone, and 1e-18 is the
+/// smallest `d²` whose root reaches 1e-9, so the two tests agree on every
+/// `d²` (NaN included).
+fn coincident(p: Point2, q: Point2) -> bool {
+    p.distance_sq(q) < 1e-18
 }
 
 /// A room slot owned by the server: engine + mailbox + ladder state.
@@ -171,9 +179,6 @@ pub struct Room {
     frames_shed: u64,
     /// Ladder transitions (either direction).
     transitions: u64,
-    /// f32 scratch (structure-of-arrays positions for the serve kernels).
-    xs: Vec<f32>,
-    ys: Vec<f32>,
 }
 
 impl Room {
@@ -199,8 +204,6 @@ impl Room {
             frames_processed: 0,
             frames_shed: 0,
             transitions: 0,
-            xs: vec![0.0; config.n],
-            ys: vec![0.0; config.n],
             config,
         }
     }
@@ -264,101 +267,16 @@ impl Room {
         let per_viewer = match level {
             ServeLevel::Full => {
                 let t = self.engine.push(frame);
-                let (engine, viewers, k) = (&self.engine, &self.viewers, self.config.top_k);
-                viewers
-                    .iter()
-                    .map(|&v| {
-                        let view = engine.view(v, t);
-                        if let Some(cs) = view.candidates() {
-                            // pruned engine: the shortlist already carries the
-                            // mask and distances of its K members
-                            let mut out = vec![false; engine.n()];
-                            for w in cs.decide_topk(k) {
-                                out[w as usize] = true;
-                            }
-                            out
-                        } else {
-                            decide_topk_f64(view.candidate_mask(), view.distances(), k)
-                        }
-                    })
-                    .collect()
-            }
-            ServeLevel::ServeF32 => {
-                self.load_f32(&frame);
-                let prune_k = self.engine.prune_k();
-                let mut row = vec![0.0f32; self.config.n];
                 self.viewers
                     .iter()
-                    .map(|&v| {
-                        distance_row_f32(self.xs[v], self.ys[v], &self.xs, &self.ys, &mut row);
-                        if prune_k > 0 {
-                            // pruned f32 rung: shortlist the K nearest, then
-                            // run the occlusion mask on members only — O(N + K²)
-                            let ids = shortlist_f32(v, &row, prune_k);
-                            let mask = candidate_mask_f32_shortlist(
-                                v,
-                                self.config.scene.mr_mask[v],
-                                &ids,
-                                &row,
-                                &self.xs,
-                                &self.ys,
-                                self.config.scene.body_radius as f32,
-                                &self.config.scene.mr_mask,
-                            );
-                            let mut members: Vec<u32> =
-                                ids.iter().zip(&mask).filter(|&(_, &m)| m).map(|(&w, _)| w).collect();
-                            members.sort_by(|&a, &b| {
-                                row[a as usize].total_cmp(&row[b as usize]).then(a.cmp(&b))
-                            });
-                            members.truncate(self.config.top_k);
-                            let mut out = vec![false; self.config.n];
-                            for w in members {
-                                out[w as usize] = true;
-                            }
-                            out
-                        } else {
-                            let graph = occlusion_graph_f32(
-                                v,
-                                &self.xs,
-                                &self.ys,
-                                self.config.scene.body_radius as f32,
-                            );
-                            let mask = candidate_mask_f32(
-                                v,
-                                self.config.scene.mr_mask[v],
-                                &row,
-                                &graph,
-                                &self.config.scene.mr_mask,
-                            );
-                            decide_topk_f32(&mask, &row, self.config.top_k)
-                        }
-                    })
+                    .map(|&v| decide_view(&self.engine.view(v, t), self.config.top_k))
                     .collect()
             }
-            ServeLevel::MaskOnly => {
-                self.load_f32(&frame);
-                let mut row = vec![0.0f32; self.config.n];
-                self.viewers
-                    .iter()
-                    .map(|&v| {
-                        distance_row_f32(self.xs[v], self.ys[v], &self.xs, &self.ys, &mut row);
-                        // coarse candidate set: everyone except the viewer
-                        // and coincident users; no occlusion, no ranking
-                        (0..self.config.n).map(|w| w != v && row[w] >= 1e-9).collect()
-                    })
-                    .collect()
-            }
+            ServeLevel::MaskOnly => self.viewers.iter().map(|&v| coarse_mask(&frame.positions, v)).collect(),
         };
         let seq_decision = Decision { seq, level, per_viewer };
         self.frames_processed += 1;
         seq_decision
-    }
-
-    fn load_f32(&mut self, frame: &Frame) {
-        for (i, p) in frame.positions.iter().enumerate() {
-            self.xs[i] = p.x as f32;
-            self.ys[i] = p.y as f32;
-        }
     }
 
     /// Feeds one measured frame latency into the SLO tracker and the ladder
@@ -407,18 +325,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use xr_graph::geom::Point2;
+
+    fn scene(n: usize) -> SceneConfig {
+        SceneConfig { body_radius: 0.25, mr_mask: (0..n).map(|i| i % 2 == 0).collect(), room_diagonal: 10.0 }
+    }
+
+    fn slo(budget_ms: f64) -> Option<xr_obs::SloTracker> {
+        Some(xr_obs::SloTracker::new("serve.room.tick", xr_obs::SloConfig::new(budget_ms), &[]))
+    }
 
     fn room(n: usize, budget_ms: Option<f64>) -> Room {
-        let scene = SceneConfig {
-            body_radius: 0.25,
-            mr_mask: (0..n).map(|i| i % 2 == 0).collect(),
-            room_diagonal: 10.0,
-        };
-        let config = RoomConfig::new(n, scene, vec![0, 1]);
-        let slo =
-            budget_ms.map(|b| xr_obs::SloTracker::new("serve.room.tick", xr_obs::SloConfig::new(b), &[]));
-        Room::new(config, slo)
+        Room::new(RoomConfig::new(n, scene(n), vec![0, 1]), budget_ms.and_then(slo))
     }
 
     fn frame(n: usize, seed: u64) -> Frame {
@@ -432,10 +349,20 @@ mod tests {
         let d = vec![0.0, 3.0, 1.0, 2.0, 4.0];
         let out = decide_topk_f64(&mask, &d, 2);
         assert_eq!(out, vec![false, false, true, true, false]);
-        let d32: Vec<f32> = d.iter().map(|&x| x as f32).collect();
-        assert_eq!(decide_topk_f32(&mask, &d32, 2), out);
         // k larger than the candidate set recommends everyone eligible
         assert_eq!(decide_topk_f64(&mask, &d, 10).iter().filter(|&&b| b).count(), 4);
+    }
+
+    #[test]
+    fn coincidence_cutoff_is_the_engine_distance_cutoff() {
+        let cut = 1e-18f64;
+        assert!(cut.sqrt() >= 1e-9);
+        assert!(f64::from_bits(cut.to_bits() - 1).sqrt() < 1e-9);
+        let p = Point2::new(3.0, -2.0);
+        for dx in [0.0, 1e-10, 7e-10, 1e-9, 1.5e-9, 0.1] {
+            let q = Point2::new(3.0 + dx, -2.0);
+            assert_eq!(coincident(p, q), p.distance(q) < 1e-9, "dx = {dx}");
+        }
     }
 
     #[test]
@@ -481,12 +408,7 @@ mod tests {
     #[test]
     fn pruned_room_serves_from_the_shortlist_at_small_k() {
         let n = 16;
-        let scene = SceneConfig {
-            body_radius: 0.25,
-            mr_mask: (0..n).map(|i| i % 2 == 0).collect(),
-            room_diagonal: 10.0,
-        };
-        let mut config = RoomConfig::new(n, scene, vec![0]);
+        let mut config = RoomConfig::new(n, scene(n), vec![0]);
         config.prune_k = Some(4);
         config.top_k = 3;
         let mut r = Room::new(config, None);
@@ -503,68 +425,38 @@ mod tests {
     }
 
     #[test]
-    fn pruned_f32_rung_matches_the_dense_f32_rung_at_full_k() {
-        let n = 10;
-        let scene = SceneConfig {
-            body_radius: 0.25,
-            mr_mask: (0..n).map(|i| i % 2 == 0).collect(),
-            room_diagonal: 10.0,
-        };
-        let mut dense = Room::new(RoomConfig::new(n, scene.clone(), vec![0, 1]), None);
-        let mut config = RoomConfig::new(n, scene, vec![0, 1]);
-        config.prune_k = Some(n - 1);
-        let mut pruned = Room::new(config, None);
-        // force both rooms onto the f32 rung without the wall-clock policy
-        dense.level = ServeLevel::ServeF32;
-        pruned.level = ServeLevel::ServeF32;
-        for i in 0..4 {
-            let f = frame(n, 40 + i);
-            let d_dense = dense.process(i, f.clone());
-            let d_pruned = pruned.process(i, f);
-            assert_eq!(d_dense.level, ServeLevel::ServeF32);
-            assert_eq!(d_pruned.per_viewer, d_dense.per_viewer, "frame {i}");
-        }
-    }
-
-    #[test]
     fn ladder_escalates_on_misses_and_recovers_on_calm() {
         let mut r = room(8, Some(10.0));
-        // 4 consecutive injected misses → one rung down
+        // 4 consecutive injected misses → the cheap rung
         for i in 0..4 {
             r.process(i, frame(8, i));
             let change = r.observe_tick(50.0, 4, 8);
             if i < 3 {
                 assert_eq!(change, None);
             } else {
-                assert_eq!(change, Some((ServeLevel::Full, ServeLevel::ServeF32)));
+                assert_eq!(change, Some((ServeLevel::Full, ServeLevel::MaskOnly)));
             }
-        }
-        assert_eq!(r.level(), ServeLevel::ServeF32);
-        // 4 more misses → the last rung
-        for i in 4..8 {
-            r.process(i, frame(8, i));
-            r.observe_tick(50.0, 4, 8);
         }
         assert_eq!(r.level(), ServeLevel::MaskOnly);
         // still missing at the last rung → shedding
-        for i in 8..12 {
+        for i in 4..8 {
             r.process(i, frame(8, i));
-            r.observe_tick(50.0, 4, 8);
+            assert_eq!(r.observe_tick(50.0, 4, 8), None);
         }
         assert!(r.is_shedding(4));
-        // calm frames walk the room back up, one rung per recovery window
-        for i in 12..20 {
+        // one recovery window of calm frames walks the room back to full
+        for i in 8..16 {
             r.process(i, frame(8, i));
-            r.observe_tick(1.0, 4, 8);
-        }
-        assert_eq!(r.level(), ServeLevel::ServeF32);
-        assert!(!r.is_shedding(4));
-        for i in 20..28 {
-            r.process(i, frame(8, i));
-            r.observe_tick(1.0, 4, 8);
+            let change = r.observe_tick(1.0, 4, 8);
+            if i < 15 {
+                assert_eq!(change, None);
+            } else {
+                assert_eq!(change, Some((ServeLevel::MaskOnly, ServeLevel::Full)));
+            }
         }
         assert_eq!(r.level(), ServeLevel::Full);
-        assert_eq!(r.transitions(), 4);
+        assert!(!r.is_shedding(4));
+        assert_eq!(r.transitions(), 2);
     }
 
     #[test]
@@ -585,9 +477,62 @@ mod tests {
             r.observe_tick(50.0, 4, 8);
         }
         let ticks_before = r.engine().ticks();
-        let d = r.process(4, frame(8, 4));
-        assert_eq!(d.level, ServeLevel::ServeF32);
-        assert_eq!(r.engine().ticks(), ticks_before, "f32 path must not touch the f64 engine");
-        assert_eq!(d.per_viewer[0].len(), 8);
+        let f = frame(8, 4);
+        let d = r.process(4, f.clone());
+        assert_eq!(d.level, ServeLevel::MaskOnly);
+        assert_eq!(r.engine().ticks(), ticks_before, "the cheap rung must not touch the engine");
+        // the coarse set: everyone but the viewer (no one is coincident here)
+        for (slot, &v) in [0usize, 1].iter().enumerate() {
+            let expect: Vec<bool> = (0..8).map(|w| w != v).collect();
+            assert_eq!(d.per_viewer[slot], expect);
+        }
+        // a user standing on the viewer is dropped, as the engine's mask drops them
+        let mut stacked = f;
+        stacked.positions[5] = stacked.positions[0];
+        let d = r.process(5, stacked);
+        assert!(!d.per_viewer[0][5]);
+        assert!(d.per_viewer[1][5]);
+    }
+
+    /// A fresh engine's top-k decision for every viewer of `config`, fed
+    /// only `frame`.
+    fn fresh_engine_decisions(config: &RoomConfig, frame: Frame) -> Vec<Vec<bool>> {
+        let mut engine = SceneEngine::new(config.n, config.scene.clone(), &config.viewers);
+        engine.set_prune_k(config.prune_k.unwrap_or(0));
+        let t = engine.push(frame);
+        config.viewers.iter().map(|&v| decide_view(&engine.view(v, t), config.top_k)).collect()
+    }
+
+    #[test]
+    fn recovery_from_mask_only_resumes_on_a_consistent_engine() {
+        let n = 16;
+        for prune_k in [None, Some(4)] {
+            let mut config = RoomConfig::new(n, scene(n), vec![0, 1, 6]);
+            config.prune_k = prune_k;
+            let mut r = Room::new(config.clone(), slo(10.0));
+            // two full frames warm the engine, then one miss escalates
+            let base = frame(n, 70);
+            r.process(0, frame(n, 69));
+            r.observe_tick(1.0, 1, 1);
+            r.process(1, base.clone());
+            assert_eq!(r.observe_tick(50.0, 1, 1), Some((ServeLevel::Full, ServeLevel::MaskOnly)));
+            // several bypassed frames: the engine never sees them
+            let ticks = r.engine().ticks();
+            for i in 2..6 {
+                assert_eq!(r.process(i, frame(n, 70 + i)).level, ServeLevel::MaskOnly);
+                r.observe_tick(50.0, 1, 1);
+            }
+            assert_eq!(r.engine().ticks(), ticks);
+            assert_eq!(r.observe_tick(1.0, 1, 1), Some((ServeLevel::MaskOnly, ServeLevel::Full)));
+            // recover on the last full frame with two movers: the engine
+            // patches its pre-bypass state and must land where a fresh
+            // engine fed only this frame does
+            let mut next = base;
+            next.positions[2] = Point2::new(4.0, 4.0);
+            next.positions[7] = Point2::new(1.0, 7.5);
+            let d = r.process(6, next.clone());
+            assert_eq!(d.level, ServeLevel::Full);
+            assert_eq!(d.per_viewer, fresh_engine_decisions(&config, next), "prune_k {prune_k:?}");
+        }
     }
 }

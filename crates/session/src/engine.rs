@@ -469,7 +469,8 @@ pub struct SceneEngine {
     slo: Option<xr_obs::SloTracker>,
     /// `false` pins the from-scratch oracle path.
     incremental: bool,
-    /// Snap radius for the shared ingest semantics (`AFTER_SNAP_EPS`).
+    /// Snap radius for the shared ingest semantics; `0.0` (no snapping)
+    /// unless [`SceneEngine::set_snap_epsilon`] sets it.
     snap_epsilon: f64,
     /// Shortlist size for the crowd-scale pruned mode; 0 (the default)
     /// keeps the exact full-N path.
@@ -516,7 +517,7 @@ impl SceneEngine {
             retain: None,
             slo: xr_obs::SloTracker::from_env("session.tick"),
             incremental: true,
-            snap_epsilon: snap_epsilon_from_env(),
+            snap_epsilon: 0.0,
             prune_k: 0,
             nearest_buf: Vec::new(),
             warm,
@@ -1416,18 +1417,6 @@ fn warm_delta_update(
         return None;
     }
     Some(UGraph::from_sorted_unique_edges(n, merged))
-}
-
-/// Snap epsilon from `AFTER_SNAP_EPS` (meters); unset, unparsable, negative,
-/// or non-finite values fall back to `0.0` (snapping as a numeric no-op).
-fn snap_epsilon_from_env() -> f64 {
-    match std::env::var("AFTER_SNAP_EPS") {
-        Ok(s) => match s.trim().parse::<f64>() {
-            Ok(v) if v.is_finite() && v >= 0.0 => v,
-            _ => 0.0,
-        },
-        Err(_) => 0.0,
-    }
 }
 
 /// Candidate mask `m_t` for one viewer, derived from the shared state: the

@@ -32,11 +32,6 @@
 
 pub mod engine;
 pub mod prune;
-pub mod serve32;
 
 pub use engine::{Frame, SceneConfig, SceneEngine, SceneState, TargetView};
 pub use prune::{CandidateSet, PruneIndex};
-pub use serve32::{
-    arc_f32, candidate_mask_f32, candidate_mask_f32_shortlist, distance_row_f32, occlusion_graph_f32,
-    shortlist_f32, ViewArcF32,
-};
