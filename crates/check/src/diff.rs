@@ -652,83 +652,6 @@ impl DiffSubject for SparseVsDensePoshGnn {
 }
 
 // ---------------------------------------------------------------------------
-// Serving pair: f64 tape inference vs. the f32 SIMD serving path.
-// ---------------------------------------------------------------------------
-
-/// Two identically seeded [`poshgnn::PoshGnn`] models — the f64 tape path vs.
-/// the f32 SIMD serving path (`serve_f32`, set explicitly so the subject is
-/// meaningful under any `AFTER_SERVE_F32` environment) — run over the same
-/// generated episode.
-///
-/// Unlike the bit-identical kernel pairs, precision genuinely differs here,
-/// so the oracle is behavioral (DESIGN.md §9): per step, soft scores must
-/// agree elementwise within `tol` AND the top-k rankings must overlap by at
-/// least `min_top_k_overlap` (via [`crate::metrics::top_k_overlap`]).
-pub struct ServeF32VsF64 {
-    /// Elementwise tolerance on the soft scores `r_t`.
-    pub tol: f64,
-    /// Minimum top-k overlap per step, with `k = min(5, n − 1)`.
-    pub min_top_k_overlap: f64,
-}
-
-impl Default for ServeF32VsF64 {
-    fn default() -> Self {
-        ServeF32VsF64 { tol: 1e-3, min_top_k_overlap: 0.6 }
-    }
-}
-
-impl DiffSubject for ServeF32VsF64 {
-    type Case = PoshCase;
-
-    fn pair(&self) -> String {
-        "poshgnn: f64 inference vs f32 SIMD serving".to_string()
-    }
-
-    fn generate(&self, rng: &mut StdRng) -> PoshCase {
-        generate_posh_case(rng)
-    }
-
-    fn compare(&self, case: &PoshCase) -> Option<StepDivergence> {
-        use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView};
-
-        let ctx = posh_context(case);
-        let mut m64 = PoshGnn::new(PoshGnnConfig { serve_f32: false, ..Default::default() });
-        let mut m32 = PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
-        m64.begin_episode(&StepView::new(&ctx, 0));
-        m32.begin_episode(&StepView::new(&ctx, 0));
-        let k = 5.min(ctx.n.saturating_sub(1));
-        for t in 0..=ctx.t_max() {
-            let s64 = m64.soft_recommend(&ctx, t);
-            let s32 = m32.soft_recommend(&ctx, t);
-            for (w, (a, b)) in s64.iter().zip(&s32).enumerate() {
-                if (a - b).abs() > self.tol {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!("r_{t}[{w}]: f64 {a:?} vs f32 {b:?}"),
-                    });
-                }
-            }
-            let overlap = crate::metrics::top_k_overlap(&s64, &s32, k);
-            if overlap < self.min_top_k_overlap {
-                return Some(StepDivergence {
-                    step: t,
-                    detail: format!("top-{k} overlap at t={t}: {overlap:.2} < {:.2}", self.min_top_k_overlap),
-                });
-            }
-        }
-        None
-    }
-
-    fn shrink(&self, case: &PoshCase) -> Vec<PoshCase> {
-        shrink_posh_case(case)
-    }
-
-    fn describe(&self, case: &PoshCase) -> String {
-        describe_posh_case(case)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Hot-path pair 1: cached-MIA vs. fresh-MIA episode loss (bit-identical).
 // ---------------------------------------------------------------------------
 

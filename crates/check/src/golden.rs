@@ -66,11 +66,7 @@ impl ReplayConfig {
             beta: 0.5,
             targets: vec![0, 3],
             train_epochs: 6,
-            // the golden pins the f64 train/infer path byte-identically, so
-            // the serving precision is fixed regardless of AFTER_SERVE_F32
-            // (the f32 path is covered by the ServeF32VsF64 tolerance
-            // subject instead)
-            model: PoshGnnConfig { serve_f32: false, ..Default::default() },
+            model: PoshGnnConfig::default(),
         }
     }
 }

@@ -1,14 +1,38 @@
 //! Reusable comparison metrics for differential subjects.
 //!
-//! Cross-implementation oracles that cannot demand bit equality (e.g. the
-//! f32-vs-f64 serving split, or pruned-vs-full candidate sets) compare
-//! recommendation *behavior* instead: do both streams surface the same top
-//! candidates? [`top_k_overlap`] is that metric. The definition lives in
-//! `poshgnn::metrics` so the in-process serve-path drift monitor and these
-//! offline subjects share one implementation; this module re-exports it
-//! under its historical path and keeps the behavioral test suite.
+//! Cross-implementation oracles that cannot demand bit equality (e.g.
+//! pruned-vs-full candidate sets) compare recommendation *behavior*
+//! instead: do both streams surface the same top candidates?
+//! [`top_k_overlap`] is that metric.
 
-pub use poshgnn::metrics::top_k_overlap;
+/// Fraction of shared indices between the top-`k` rankings of two score
+/// vectors, in `[0, 1]`.
+///
+/// Ranking is descending by score with ascending-index tiebreak — the same
+/// order as [`poshgnn::top_k_indices`], and NaN-safe via `total_cmp`. `k` is
+/// clamped to the vector length; `k = 0` (or empty inputs) returns 1.0
+/// (two empty rankings agree vacuously).
+///
+/// # Panics
+///
+/// Panics when the two vectors have different lengths.
+pub fn top_k_overlap(a: &[f64], b: &[f64], k: usize) -> f64 {
+    assert_eq!(a.len(), b.len(), "score vectors must have equal length");
+    let k = k.min(a.len());
+    if k == 0 {
+        return 1.0;
+    }
+    let top = |scores: &[f64]| -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..scores.len()).collect();
+        idx.sort_by(|&x, &y| scores[y].total_cmp(&scores[x]).then(x.cmp(&y)));
+        idx.truncate(k);
+        idx
+    };
+    let ta = top(a);
+    let tb: std::collections::BTreeSet<usize> = top(b).into_iter().collect();
+    let shared = ta.iter().filter(|i| tb.contains(i)).count();
+    shared as f64 / k as f64
+}
 
 #[cfg(test)]
 mod tests {

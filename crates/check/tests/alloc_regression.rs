@@ -151,7 +151,7 @@ fn f64_serving_step_allocates_less_than_one_dense_matrix_at_n200() {
     let dataset = Dataset::generate(DatasetKind::Timik, 2);
     let cfg = ScenarioConfig { n_participants: N, time_steps: 12, seed: 11, ..ScenarioConfig::default() };
     let ctx = TargetContext::new(&dataset.sample_scenario(&cfg), 3, 0.5);
-    let mut model = PoshGnn::new(PoshGnnConfig { serve_f32: false, ..Default::default() });
+    let mut model = PoshGnn::new(PoshGnnConfig::default());
     model.begin_episode(&StepView::new(&ctx, 0));
     // the first steps warm the inference tape's buffer pool
     const WARM: usize = 4;

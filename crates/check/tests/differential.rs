@@ -5,7 +5,7 @@
 use xr_check::diff::{
     assert_no_divergence, CachedVsFreshMia, EngineVsBruteForce, IncrementalVsFromScratch,
     MatmulNaiveVsBlocked, MultiRoomVsSequential, OrcaGridVsBrute, PooledVsFreshTape, PrunedVsFull,
-    SerialVsParallelRunner, ServeF32VsF64, SparseVsDensePoshGnn, SpmmVsDense,
+    SerialVsParallelRunner, SparseVsDensePoshGnn, SpmmVsDense,
 };
 
 /// ≥ 256 cases per kernel pair (the acceptance bar for this harness).
@@ -74,11 +74,4 @@ fn pruned_scene_matches_full_n_bitwise_at_sufficient_k() {
     // K = N−1 pins bitwise identity (membership, distances, masks, edges,
     // decisions); the small serving-K leg pins the top-5 agreement floor
     assert_no_divergence(&PrunedVsFull::default(), KERNEL_CASES);
-}
-
-#[test]
-fn f32_serving_path_tracks_f64_inference_behaviorally() {
-    // the serving split is a precision change, not a refactor: tolerance +
-    // top-k-overlap oracle at the full kernel-pair case count
-    assert_no_divergence(&ServeF32VsF64::default(), KERNEL_CASES);
 }

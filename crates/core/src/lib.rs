@@ -22,11 +22,10 @@ pub mod mia;
 pub mod model;
 pub mod problem;
 pub mod recommender;
-pub mod serve;
 pub mod view;
 
 pub use loss::{poshgnn_loss, LossParams};
-pub use metrics::{evaluate_sequence, top_k_overlap, UtilityBreakdown};
+pub use metrics::{evaluate_sequence, UtilityBreakdown};
 pub use mia::{dense_adjacency, Mia, MiaOutput};
 pub use model::{PoshGnn, PoshGnnConfig, PoshVariant};
 pub use problem::TargetContext;

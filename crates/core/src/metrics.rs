@@ -94,39 +94,6 @@ impl UtilityBreakdown {
     }
 }
 
-/// Fraction of shared indices between the top-`k` rankings of two score
-/// vectors, in `[0, 1]`.
-///
-/// Ranking is descending by score with ascending-index tiebreak — the same
-/// order as [`crate::top_k_indices`], and NaN-safe via `total_cmp`. `k` is
-/// clamped to the vector length; `k = 0` (or empty inputs) returns 1.0
-/// (two empty rankings agree vacuously).
-///
-/// This is the behavioral-agreement metric shared by the `xr_check`
-/// f32-vs-f64 differential subject (which re-exports it) and the online
-/// serve-path drift monitor in [`crate::PoshGnn`].
-///
-/// # Panics
-///
-/// Panics when the two vectors have different lengths.
-pub fn top_k_overlap(a: &[f64], b: &[f64], k: usize) -> f64 {
-    assert_eq!(a.len(), b.len(), "score vectors must have equal length");
-    let k = k.min(a.len());
-    if k == 0 {
-        return 1.0;
-    }
-    let top = |scores: &[f64]| -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..scores.len()).collect();
-        idx.sort_by(|&x, &y| scores[y].total_cmp(&scores[x]).then(x.cmp(&y)));
-        idx.truncate(k);
-        idx
-    };
-    let ta = top(a);
-    let tb: std::collections::BTreeSet<usize> = top(b).into_iter().collect();
-    let shared = ta.iter().filter(|i| tb.contains(i)).count();
-    shared as f64 / k as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

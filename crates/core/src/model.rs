@@ -87,19 +87,11 @@ pub struct PoshGnnConfig {
     /// arena tape. Same bit-identical contract and purpose as `fresh_mia`.
     /// Defaults to `false`.
     pub fresh_tape: bool,
-    /// Serve inference on the f32 SIMD path ([`crate::serve`]): weights are
-    /// down-converted once, and each recommend step derives the scene, MIA,
-    /// and forward pass entirely in f32. Training is unaffected — it always
-    /// runs the f64 tape. The f32 stream is pinned against the f64 stream by
-    /// a tolerance + top-k-overlap differential subject in `xr_check`.
-    /// Defaults to the `AFTER_SERVE_F32=1` environment variable.
+    /// Retired: the f32 serving twin was removed and inference serves in
+    /// f64 only. Must stay `false`; [`PoshGnn::new`] panics otherwise.
     pub serve_f32: bool,
-    /// Online serve-path drift monitoring: when `serve_f32` is on and this
-    /// is `k > 0`, every `k`-th episode also runs the f64 reference path and
-    /// exports top-k-overlap / elementwise-error drift metrics through
-    /// `xr_obs` (sampling is per-episode so both recurrent states stay
-    /// coherent). `0` disables the shadow comparison. Defaults to the
-    /// `AFTER_DRIFT_SAMPLE` environment variable.
+    /// Retired with `serve_f32` (it sampled the f32-vs-f64 drift monitor).
+    /// Must stay `0`; [`PoshGnn::new`] panics otherwise.
     pub drift_sample: usize,
 }
 
@@ -117,11 +109,8 @@ impl Default for PoshGnnConfig {
             dense_kernels: false,
             fresh_mia: false,
             fresh_tape: false,
-            serve_f32: std::env::var("AFTER_SERVE_F32").map(|v| v == "1").unwrap_or(false),
-            drift_sample: std::env::var("AFTER_DRIFT_SAMPLE")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0),
+            serve_f32: false,
+            drift_sample: 0,
         }
     }
 }
@@ -143,7 +132,8 @@ pub struct PoshGnn {
     lwp2: GcnLayer,
     lwp3: GcnLayer,
     /// Inference state: (`h_{t-1}`, `r_{t-1}`), shared into each step's tape
-    /// via `constant_rc` instead of cloned.
+    /// via `constant_rc` instead of cloned. A step on a context of another
+    /// size ignores it and starts from zeros.
     episode_state: Option<(Rc<Matrix>, Rc<Matrix>)>,
     /// MIA's one-step inference carry, tagged with the address of the
     /// context it was computed on: the next step of that context advances
@@ -153,25 +143,22 @@ pub struct PoshGnn {
     mia_carry: Option<Option<(*const TargetContext, MiaCarry)>>,
     /// Arena tape reset (not reallocated) at every inference step.
     infer_tape: Tape,
-    /// Down-converted f32 weights for the serving path; built lazily on the
-    /// first f32 recommend step and invalidated whenever parameters change
-    /// (training, import, mutable access).
-    serve_net: Option<Rc<crate::serve::ServeNet>>,
-    /// Per-episode f32 serving state (recurrent `(h, r)`, plus the inputs
-    /// and per-tick scene of the context last stepped), tagged with that
-    /// context's address; reset by `begin_episode`.
-    serve_episode: Option<(*const TargetContext, crate::serve::ServeEpisode)>,
-    /// Episodes started so far — the clock for drift-monitor sampling.
-    episodes_seen: u64,
-    /// Whether the current episode runs the f64 shadow path alongside f32
-    /// for drift metrics. Decided once per episode at `begin_episode`, so
-    /// both recurrent states advance together for the whole episode.
-    drift_shadow: bool,
 }
 
 impl PoshGnn {
     /// Builds a fresh (untrained) POSHGNN.
+    ///
+    /// # Panics
+    ///
+    /// If a retired field is set: `serve_f32: true` or `drift_sample > 0`.
+    /// The f32 serving path they selected was removed, and ignoring them
+    /// would serve f64 to a caller who asked for something else.
     pub fn new(config: PoshGnnConfig) -> Self {
+        assert!(!config.serve_f32, "PoshGnnConfig::serve_f32 is retired: the f32 serving path was removed");
+        assert!(
+            config.drift_sample == 0,
+            "PoshGnnConfig::drift_sample is retired: the f32 drift monitor was removed"
+        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut store = ParamStore::new();
         let h = config.hidden;
@@ -201,10 +188,6 @@ impl PoshGnn {
             episode_state: None,
             mia_carry: None,
             infer_tape: Tape::new(),
-            serve_net: None,
-            serve_episode: None,
-            episodes_seen: 0,
-            drift_shadow: false,
         }
     }
 
@@ -401,32 +384,16 @@ impl PoshGnn {
             xr_obs::gauge_set("poshgnn.train.loss", &[], mean_loss);
             history.push(mean_loss);
         }
-        self.invalidate_serve_net("train"); // weights changed
         history
     }
 
     /// The soft recommendation `r_t` for one step during inference,
-    /// advancing the episode state. Routes to the f32 serving path when
-    /// [`PoshGnnConfig::serve_f32`] is on; the f64 tape path otherwise.
+    /// advancing the episode state.
     pub fn soft_recommend(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
         let _span = xr_obs::span!("poshgnn.recommend.step", t = t, n = ctx.n);
-        if self.config.serve_f32 {
-            let out = self.soft_recommend_f32(ctx, t);
-            if self.drift_shadow {
-                let reference = self.soft_recommend_f64(ctx, t);
-                self.record_serve_drift(ctx, t, &out, &reference);
-            }
-            return out;
-        }
-        self.soft_recommend_f64(ctx, t)
-    }
-
-    /// The f64 tape inference step — the reference path, also run as the
-    /// drift monitor's shadow when sampled.
-    fn soft_recommend_f64(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
         let tape = std::mem::take(&mut self.infer_tape);
         tape.reset();
-        let (h_prev, r_prev) = match self.episode_state.take() {
+        let (h_prev, r_prev) = match self.episode_state.take().filter(|(_, r)| r.rows() == ctx.n) {
             Some((h, r)) => (tape.constant_rc(h), tape.constant_rc(r)),
             None => (tape.constant_zeros(ctx.n, self.config.hidden), tape.constant_zeros(ctx.n, 1)),
         };
@@ -439,7 +406,7 @@ impl PoshGnn {
         out
     }
 
-    /// MIA at `t` for the f64 inference step. Inside an episode (after
+    /// MIA at `t` for the inference step. Inside an episode (after
     /// `begin_episode`), the step right after the carried one on the same
     /// context advances the carry (reading only ticks `t − 1` and `t`, so
     /// inference stays causal); anything else — the first step, a repeated,
@@ -467,80 +434,6 @@ impl PoshGnn {
         }
     }
 
-    /// The f32 serving step: lazily down-converts the weights, lazily
-    /// (re-)creates the per-episode f32 state, and runs the tape-free
-    /// [`crate::serve`] forward pass.
-    fn soft_recommend_f32(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
-        let net = match &self.serve_net {
-            Some(net) => Rc::clone(net),
-            None => {
-                let build_timer = xr_obs::start_timer();
-                let net = Rc::new(crate::serve::ServeNet::from_layers(
-                    &self.store,
-                    &self.pdr1,
-                    &self.pdr2,
-                    &self.lwp1,
-                    &self.lwp2,
-                    &self.lwp3,
-                    self.config.variant,
-                ));
-                xr_obs::observe_since("poshgnn.serve.net_build.ms", &[], build_timer);
-                xr_obs::counter_add("poshgnn.serve.net_build", &[], 1);
-                self.serve_net = Some(Rc::clone(&net));
-                net
-            }
-        };
-        // the episode's inputs are its context's, recognized by address as
-        // in `infer_mia`; a switch to another context of the same size
-        // re-derives them and carries the recurrent state, as the f64 path's
-        // `episode_state` does
-        let key: *const TargetContext = ctx;
-        let episode = match self.serve_episode.take() {
-            Some((on, episode)) if std::ptr::eq(on, key) => episode,
-            prev => {
-                let mut episode = crate::serve::ServeEpisode::new(ctx, self.config.hidden);
-                if let Some((_, prev)) = prev.filter(|(_, e)| e.n() == ctx.n) {
-                    episode.carry_state_from(prev);
-                }
-                episode
-            }
-        };
-        let (_, episode) = self.serve_episode.insert((key, episode));
-        episode.step(&net, ctx, t)
-    }
-
-    /// Exports drift metrics for one sampled step: top-5 ranking overlap and
-    /// max elementwise error between the f32 decision scores and the f64
-    /// reference, with a warning when agreement falls below the same 0.6
-    /// floor the `xr_check` differential subject enforces offline.
-    fn record_serve_drift(&self, ctx: &TargetContext, t: usize, served: &[f64], reference: &[f64]) {
-        const DRIFT_TOP_K: usize = 5;
-        const OVERLAP_FLOOR: f64 = 0.6;
-        let overlap = crate::metrics::top_k_overlap(served, reference, DRIFT_TOP_K);
-        let max_abs_err = served.iter().zip(reference).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-        xr_obs::counter_add("poshgnn.serve.drift.samples", &[], 1);
-        xr_obs::observe("poshgnn.serve.drift.topk_overlap", &[], overlap);
-        xr_obs::observe("poshgnn.serve.drift.max_abs_err", &[], max_abs_err);
-        if overlap < OVERLAP_FLOOR {
-            xr_obs::warn_event!(
-                "poshgnn.serve.drift.low_overlap",
-                t = t,
-                n = ctx.n,
-                overlap = format!("{overlap:.3}"),
-                max_abs_err = format!("{max_abs_err:.2e}")
-            );
-        }
-    }
-
-    /// Drops the stale f32 weight down-conversion (if one was built),
-    /// counting the invalidation by cause so serving telemetry shows how
-    /// often rebuilds happen and why.
-    fn invalidate_serve_net(&mut self, cause: &'static str) {
-        if self.serve_net.take().is_some() {
-            xr_obs::counter_add("poshgnn.serve.net_invalidated", &[("cause", cause)], 1);
-        }
-    }
-
     /// Read-only view of the parameter store: block names, values, and the
     /// gradients of the most recent backward pass.
     pub fn params(&self) -> &ParamStore {
@@ -551,7 +444,6 @@ impl PoshGnn {
     /// tooling (finite-difference perturbation in `xr_check`); training code
     /// should go through [`PoshGnn::train`].
     pub fn params_mut(&mut self) -> &mut ParamStore {
-        self.invalidate_serve_net("params_mut"); // caller may mutate weights
         &mut self.store
     }
 
@@ -562,7 +454,6 @@ impl PoshGnn {
 
     /// Restores a snapshot from [`PoshGnn::export_params`].
     pub fn import_params(&mut self, flat: &[f64]) -> bool {
-        self.invalidate_serve_net("import"); // weights changed
         self.store.import_flat(flat)
     }
 }
@@ -577,15 +468,7 @@ impl AfterRecommender for PoshGnn {
 
     fn begin_episode(&mut self, _view: &StepView<'_>) {
         self.episode_state = None;
-        self.serve_episode = None;
         self.mia_carry = Some(None);
-        // decide drift sampling per episode: a mid-episode toggle would
-        // desynchronize the f64 shadow's recurrent state
-        self.drift_shadow = self.config.serve_f32
-            && self.config.drift_sample > 0
-            && self.episodes_seen.is_multiple_of(self.config.drift_sample as u64)
-            && xr_obs::is_active();
-        self.episodes_seen += 1;
     }
 
     fn recommend_step(&mut self, view: &StepView<'_>) -> Vec<bool> {
@@ -722,105 +605,15 @@ mod tests {
     }
 
     #[test]
-    fn f32_serving_tracks_f64_within_tolerance() {
-        let train_ctx = small_ctx(13);
-        let eval_ctx = small_ctx(14);
-        let mut m64 = PoshGnn::new(PoshGnnConfig::default());
-        m64.train(std::slice::from_ref(&train_ctx), 10);
-        let snapshot = m64.export_params();
-        let mut m32 = PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
-        assert!(m32.import_params(&snapshot));
-        m64.begin_episode(&StepView::new(&eval_ctx, 0));
-        m32.begin_episode(&StepView::new(&eval_ctx, 0));
-        for t in 0..=eval_ctx.t_max() {
-            let s64 = m64.soft_recommend(&eval_ctx, t);
-            let s32 = m32.soft_recommend(&eval_ctx, t);
-            assert_eq!(s64.len(), s32.len());
-            for (w, (a, b)) in s64.iter().zip(&s32).enumerate() {
-                assert!((a - b).abs() < 1e-3, "t={t} user {w}: f64 {a} vs f32 {b}");
-            }
-        }
+    #[should_panic(expected = "serve_f32 is retired")]
+    fn retired_serve_f32_is_rejected() {
+        PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
     }
 
     #[test]
-    fn f32_serving_masked_candidates_stay_zero() {
-        let ctx = small_ctx(9);
-        let mut model = PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
-        model.begin_episode(&StepView::new(&ctx, 0));
-        let soft = model.soft_recommend(&ctx, 0);
-        #[allow(clippy::needless_range_loop)] // w is a user id, not a position
-        for w in 0..ctx.n {
-            if !ctx.candidate_mask[0][w] {
-                assert_eq!(soft[w], 0.0, "masked candidate leaked through the f32 path");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_serving_invalidates_on_weight_changes() {
-        let ctx = small_ctx(15);
-        let mut model = PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
-        model.begin_episode(&StepView::new(&ctx, 0));
-        let before = model.soft_recommend(&ctx, 0);
-        model.train(std::slice::from_ref(&ctx), 15);
-        model.begin_episode(&StepView::new(&ctx, 0));
-        let after = model.soft_recommend(&ctx, 0);
-        assert_ne!(before, after, "serve net must be rebuilt from retrained weights");
-    }
-
-    #[test]
-    fn drift_monitor_exports_high_overlap_on_seeded_serve_run() {
-        let train_ctx = small_ctx(13);
-        let eval_ctx = small_ctx(14);
-        let mut m64 = PoshGnn::new(PoshGnnConfig::default());
-        m64.train(std::slice::from_ref(&train_ctx), 10);
-        let snapshot = m64.export_params();
-        let mut model =
-            PoshGnn::new(PoshGnnConfig { serve_f32: true, drift_sample: 1, ..Default::default() });
-        assert!(model.import_params(&snapshot));
-        let ctx_obs = xr_obs::ObsCtx::new(true, false);
-        let _g = ctx_obs.install();
-        model.begin_episode(&StepView::new(&eval_ctx, 0));
-        for t in 0..=eval_ctx.t_max() {
-            model.soft_recommend(&eval_ctx, t);
-        }
-        let snap = ctx_obs.registry.snapshot();
-        let steps = (eval_ctx.t_max() + 1) as u64;
-        assert_eq!(snap.counter("poshgnn.serve.drift.samples"), Some(steps));
-        let overlap = snap.histogram("poshgnn.serve.drift.topk_overlap").expect("overlap exported");
-        assert_eq!(overlap.count, steps);
-        // the acceptance bar: f32 decisions agree with f64 on ≥60% of the
-        // top-5 at every sampled step (same floor as the xr_check subject)
-        assert!(overlap.min >= 0.6, "top-5 overlap floor violated: {}", overlap.min);
-        let err = snap.histogram("poshgnn.serve.drift.max_abs_err").expect("error exported");
-        assert!(err.max < 1e-3, "elementwise drift too large: {}", err.max);
-        // import_params happened before the obs ctx was installed, so the
-        // invalidation counter only counts in-window causes
-        assert_eq!(snap.counter("poshgnn.serve.net_invalidated{cause=import}"), None);
-    }
-
-    #[test]
-    fn serve_net_invalidations_are_counted_by_cause() {
-        let ctx = small_ctx(15);
-        let ctx_obs = xr_obs::ObsCtx::new(true, false);
-        let _g = ctx_obs.install();
-        let mut model = PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
-        // nothing built yet: invalidation of an absent net must not count
-        model.params_mut();
-        model.begin_episode(&StepView::new(&ctx, 0));
-        model.soft_recommend(&ctx, 0); // builds the net
-        model.train(std::slice::from_ref(&ctx), 1); // invalidates: train
-        model.soft_recommend(&ctx, 1); // rebuilds
-        model.params_mut(); // invalidates: params_mut
-        let snapshot = model.export_params();
-        model.soft_recommend(&ctx, 2); // rebuilds
-        assert!(model.import_params(&snapshot)); // invalidates: import
-        let snap = ctx_obs.registry.snapshot();
-        assert_eq!(snap.counter("poshgnn.serve.net_invalidated{cause=train}"), Some(1));
-        assert_eq!(snap.counter("poshgnn.serve.net_invalidated{cause=params_mut}"), Some(1));
-        assert_eq!(snap.counter("poshgnn.serve.net_invalidated{cause=import}"), Some(1));
-        assert_eq!(snap.counter("poshgnn.serve.net_build"), Some(3));
-        assert!(snap.histogram("poshgnn.serve.net_build.ms").map(|h| h.count) == Some(3));
+    #[should_panic(expected = "drift_sample is retired")]
+    fn retired_drift_sample_is_rejected() {
+        PoshGnn::new(PoshGnnConfig { drift_sample: 1, ..Default::default() });
     }
 
     /// One inference call in a scripted serving sequence.
@@ -911,42 +704,28 @@ mod tests {
     }
 
     #[test]
-    fn f32_serving_tracks_f64_across_two_live_contexts() {
-        let dataset = Dataset::generate(DatasetKind::Hubs, 1);
-        let scenario = dataset.sample_scenario(&ScenarioConfig {
-            n_participants: 12,
-            vr_fraction: 0.5,
-            time_steps: 8,
-            room_side: 6.0,
-            body_radius: 0.15,
-            seed: 18,
-        });
-        let a = TargetContext::new(&scenario, 0, 0.5);
-        let b = TargetContext::new(&scenario, 5, 0.5);
-        let mut m64 = PoshGnn::new(PoshGnnConfig::default());
-        m64.train(&[a.clone(), b.clone()], 10);
-        let snapshot = m64.export_params();
-        let mut m32 = PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
-        assert!(m32.import_params(&snapshot));
-        // the interleaving of `two_live_contexts_never_share_a_carry`
-        let calls = [
-            Call::Begin(&a),
-            Call::Step(&a, 0),
-            Call::Step(&a, 1),
-            Call::Step(&b, 1),
-            Call::Step(&b, 2),
-            Call::Step(&a, 3),
-            Call::Step(&a, 4),
-        ];
-        let s64 = soft_bits(&mut m64, &calls);
-        let s32 = soft_bits(&mut m32, &calls);
-        for (i, (x, y)) in s64.iter().zip(&s32).enumerate() {
-            for (w, (&p, &q)) in x.iter().zip(y).enumerate() {
-                let (p, q) = (f64::from_bits(p), f64::from_bits(q));
-                // the `ServeF32VsF64` tolerance
-                assert!((p - q).abs() < 1e-3, "step call {i} user {w}: f64 {p} vs f32 {q}");
-            }
-        }
+    fn a_context_of_another_size_restarts_the_recurrent_state() {
+        let a = small_ctx(19);
+        let b = {
+            let dataset = Dataset::generate(DatasetKind::Hubs, 1);
+            let scenario = dataset.sample_scenario(&ScenarioConfig {
+                n_participants: 16,
+                vr_fraction: 0.5,
+                time_steps: 8,
+                room_side: 6.0,
+                body_radius: 0.15,
+                seed: 20,
+            });
+            TargetContext::new(&scenario, 0, 0.5)
+        };
+        assert_ne!(a.n, b.n);
+        let switched = soft_bits(
+            &mut PoshGnn::new(PoshGnnConfig::default()),
+            &[Call::Begin(&a), Call::Step(&a, 0), Call::Step(&b, 1)],
+        );
+        let fresh =
+            soft_bits(&mut PoshGnn::new(PoshGnnConfig::default()), &[Call::Begin(&b), Call::Step(&b, 1)]);
+        assert_eq!(switched[1], fresh[0], "the step on b must start from zero state");
     }
 
     #[test]

@@ -2,19 +2,18 @@
 //! vs. naive matmul, sparse vs. dense GNN kernels, grid vs. brute-force
 //! crowd neighbor queries, serial vs. parallel experiment cells, cached vs.
 //! uncached training epochs, the matmul dispatch crossover table, shared
-//! scene-engine context builds, the f64-train / f32-serve recommend split,
-//! incremental O(Δ) scene maintenance vs. from-scratch across coherence
-//! levels, crowd-scale K-candidate pruned serving vs. dense full-N on
-//! stadium frames, and the cost of running with observability installed vs.
-//! without.
+//! scene-engine context builds, incremental O(Δ) scene maintenance vs.
+//! from-scratch across coherence levels, crowd-scale K-candidate pruned
+//! serving vs. dense full-N on stadium frames, and the cost of running with
+//! observability installed vs. without.
 //!
 //! Writes one JSON summary (default `BENCH_pr10.json` at the workspace root,
 //! next to `Cargo.toml`; override with `--out=PATH`) via the `xr_obs` JSON
 //! exporter and prints it to stdout. All "before" numbers are the
 //! pre-overhaul code paths, which are kept callable behind flags
 //! (`matmul_naive`, `dense_kernels`, `use_spatial_grid: false`,
-//! `AFTER_THREADS=1`, `fresh_mia`/`fresh_tape`, `serve_f32: false`), so the
-//! comparison runs both sides in one build. Historical `BENCH_pr*.json`
+//! `AFTER_THREADS=1`, `fresh_mia`/`fresh_tape`), so the comparison runs
+//! both sides in one build. Historical `BENCH_pr*.json`
 //! files stay committed as published; this binary only writes the current
 //! summary. Compare two summaries with the `bench_compare` binary.
 //!
@@ -166,40 +165,6 @@ fn bench_poshgnn_step() -> Json {
         })
         .collect();
     Json::from(rows)
-}
-
-fn bench_recommend_serve() -> Json {
-    // Full recommend step on a trained snapshot: the f64 inference path vs.
-    // the f32 serving path (SIMD kernels behind runtime dispatch). Both
-    // models import the same trained weights, so only the serving precision
-    // and kernels differ — the train path itself stays f64 in both arms.
-    let dataset = Dataset::generate(DatasetKind::Timik, 2);
-    let sizes = [100usize, 200];
-    let rows: Vec<Json> = sizes
-        .iter()
-        .map(|&n| {
-            let scenario_cfg =
-                ScenarioConfig { n_participants: n, time_steps: 30, seed: 11, ..ScenarioConfig::default() };
-            let scenario = dataset.sample_scenario(&scenario_cfg);
-            let ctxs = build_contexts(&scenario, &pick_targets(&scenario, 2, 7), 0.5);
-            let mut trained = PoshGnn::new(PoshGnnConfig { serve_f32: false, ..Default::default() });
-            trained.train(&ctxs, 2);
-            let snapshot = trained.export_params();
-            let mut ms = [0.0f64; 2];
-            for (slot, serve_f32) in [(0usize, false), (1, true)] {
-                let mut model = PoshGnn::new(PoshGnnConfig { serve_f32, ..Default::default() });
-                assert!(model.import_params(&snapshot), "snapshot shape mismatch");
-                ms[slot] = run_method(&mut model, &ctxs).ms_per_step;
-            }
-            Json::obj()
-                .set("n", n)
-                .set("time_steps", 30u64)
-                .set("f64_ms_per_step", num3(ms[0]))
-                .set("f32_ms_per_step", num3(ms[1]))
-                .set("speedup", num3(ms[0] / ms[1]))
-        })
-        .collect();
-    Json::obj().set("simd", xr_tensor::simd_enabled()).set("sizes", Json::from(rows))
 }
 
 /// Steady-state per-epoch training wall time for two configurations: train
@@ -787,37 +752,32 @@ fn out_path() -> std::path::PathBuf {
 fn main() {
     let mut obs = xr_obs::init_cli_env();
     let path = out_path();
-    eprintln!("[1/14] blocked vs naive matmul");
+    eprintln!("[1/13] blocked vs naive matmul");
     let matmul = bench_matmul();
-    eprintln!("[2/14] sparse vs dense aggregation (SpMM)");
+    eprintln!("[2/13] sparse vs dense aggregation (SpMM)");
     let spmm = bench_spmm();
-    eprintln!("[3/14] grid vs brute-force crowd neighbors");
+    eprintln!("[3/13] grid vs brute-force crowd neighbors");
     let crowd = bench_crowd();
-    eprintln!("[4/14] POSHGNN recommend step, sparse vs dense kernels");
+    eprintln!("[4/13] POSHGNN recommend step, sparse vs dense kernels");
     let posh = bench_poshgnn_step();
-    eprintln!("[5/14] comparison runner, 1 thread vs all cores");
+    eprintln!("[5/13] comparison runner, 1 thread vs all cores");
     let runner = bench_parallel_runner();
-    eprintln!("[6/14] train epoch, MIA cache + tape arena vs uncached");
+    eprintln!("[6/13] train epoch, MIA cache + tape arena vs uncached");
     let train_epoch = bench_train_epoch();
-    eprintln!("[7/14] tape arena reuse vs fresh tape per episode");
+    eprintln!("[7/13] tape arena reuse vs fresh tape per episode");
     let tape_reuse = bench_tape_reuse();
-    eprintln!("[8/14] adaptive matmul dispatch crossover");
+    eprintln!("[8/13] adaptive matmul dispatch crossover");
     let dispatch = bench_matmul_dispatch();
-    eprintln!("[9/14] scene build, shared engine vs per-target precompute");
+    eprintln!("[9/13] scene build, shared engine vs per-target precompute");
     let scene_build = bench_scene_build();
-    eprintln!("[10/14] recommend step, f64 inference vs f32 serving");
-    let recommend_serve = bench_recommend_serve();
-    eprintln!("[11/14] observability overhead, installed ctx vs none");
+    eprintln!("[10/13] observability overhead, installed ctx vs none");
     let obs_overhead = bench_obs_overhead();
-    eprintln!("[12/14] multi-room serving: 1k rooms on the worker pool");
+    eprintln!("[11/13] multi-room serving: 1k rooms on the worker pool");
     let multi_room = bench_multi_room();
-    eprintln!("[13/14] incremental scene maintenance vs from-scratch, coherence sweep");
+    eprintln!("[12/13] incremental scene maintenance vs from-scratch, coherence sweep");
     let incremental_scene = bench_incremental_scene();
-    eprintln!("[14/14] crowd-scale serving: K-candidate pruned vs dense full-N");
+    eprintln!("[13/13] crowd-scale serving: K-candidate pruned vs dense full-N");
     let crowd_scale = bench_crowd_scale();
-
-    // force SIMD detection so the fact lands in the run metadata
-    let _ = xr_tensor::simd_enabled();
     let summary = Json::obj()
         .set("matmul", matmul)
         .set("spmm", spmm)
@@ -828,7 +788,6 @@ fn main() {
         .set("tape_reuse", tape_reuse)
         .set("matmul_dispatch", dispatch)
         .set("scene_build", scene_build)
-        .set("recommend_serve", recommend_serve)
         .set("obs_overhead", obs_overhead)
         .set("multi_room", multi_room)
         .set("incremental_scene", incremental_scene)

@@ -27,20 +27,6 @@ impl Activation {
         }
     }
 
-    /// The f32 serving-path evaluation of this activation — the tapeless
-    /// scalar the serve kernels (`poshgnn::serve`) apply elementwise. Kept
-    /// next to the tape [`Activation::apply`] so the train and serve
-    /// nonlinearities can never drift apart silently.
-    #[inline]
-    pub fn apply_f32(&self, v: f32) -> f32 {
-        match self {
-            Activation::None => v,
-            Activation::Relu => v.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-            Activation::Tanh => v.tanh(),
-        }
-    }
-
     /// The equivalent [`xr_tensor::Nonlinearity`] for fused epilogues.
     pub fn nonlinearity(&self) -> xr_tensor::Nonlinearity {
         match self {
@@ -181,18 +167,6 @@ impl GcnLayer {
     /// accumulates.
     pub fn set_bias(&self, store: &mut ParamStore, value: f64) {
         store.value_mut(self.bias).fill(value);
-    }
-
-    /// Parameter ids `(w_self, w_neigh, bias)` — lets serving code read the
-    /// trained weights out of the store (e.g. for down-conversion) without
-    /// going through the tape.
-    pub fn param_ids(&self) -> (ParamId, ParamId, ParamId) {
-        (self.w_self, self.w_neigh, self.bias)
-    }
-
-    /// The layer's activation.
-    pub fn activation(&self) -> Activation {
-        self.activation
     }
 
     /// Forward pass: `h (N × in_dim)`, `adj` the `N × N` adjacency constant.

@@ -2,9 +2,8 @@
 //!
 //! Perf artifacts (metrics JSON, `BENCH_*.json`) are only comparable across
 //! runs when they say *how* they were produced. [`run_metadata`] captures
-//! wall-clock and monotonic timestamps, the effective thread count, every
-//! active `AFTER_*` env knob, and any facts subsystems have registered via
-//! [`record_fact`] (e.g. `xr_tensor` reports whether SIMD dispatch is live).
+//! wall-clock and monotonic timestamps, the effective thread count and every
+//! active `AFTER_*` env knob.
 //!
 //! [`write_atomic`] is the temp-file-plus-rename export primitive all
 //! exporters go through: a panic (or a second process reading mid-export)
@@ -12,7 +11,7 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
@@ -24,20 +23,6 @@ static PROCESS_START: OnceLock<Instant> = OnceLock::new();
 /// measure from session setup.
 pub fn process_start() -> Instant {
     *PROCESS_START.get_or_init(Instant::now)
-}
-
-static FACTS: Mutex<Vec<(&'static str, Json)>> = Mutex::new(Vec::new());
-
-/// Registers (or replaces) a process-wide fact exported under
-/// `meta.facts.<key>` — e.g. `record_fact("simd_enabled", true)`.
-pub fn record_fact(key: &'static str, value: impl Into<Json>) {
-    let value = value.into();
-    let mut facts = FACTS.lock().expect("facts poisoned");
-    if let Some(slot) = facts.iter_mut().find(|(k, _)| *k == key) {
-        slot.1 = value;
-    } else {
-        facts.push((key, value));
-    }
 }
 
 /// `YYYY-MM-DDThh:mm:ssZ` for a unix timestamp (civil-from-days, no
@@ -79,17 +64,12 @@ pub fn run_metadata() -> Json {
     for (k, v) in &env {
         env_json = env_json.set(k, v.as_str());
     }
-    let mut facts_json = Json::obj();
-    for (k, v) in FACTS.lock().expect("facts poisoned").iter() {
-        facts_json = facts_json.set(k, v.clone());
-    }
     Json::obj()
         .set("unix_time_s", unix_s)
         .set("wall_clock_utc", iso8601_utc(unix_s))
         .set("monotonic_ms", process_start().elapsed().as_secs_f64() * 1e3)
         .set("threads", effective_threads())
         .set("env", env_json)
-        .set("facts", facts_json)
 }
 
 /// Writes `contents` to `path` atomically: the bytes land in a sibling temp
@@ -126,18 +106,12 @@ mod tests {
 
     #[test]
     fn metadata_has_the_self_describing_fields() {
-        record_fact("meta_test_fact", 42u64);
-        record_fact("meta_test_fact", 43u64); // replaces, not duplicates
         let meta = run_metadata();
         assert!(meta.get("unix_time_s").and_then(Json::as_f64).unwrap() > 1.7e9);
         assert!(meta.get("wall_clock_utc").and_then(Json::as_str).unwrap().ends_with('Z'));
         assert!(meta.get("monotonic_ms").and_then(Json::as_f64).unwrap() >= 0.0);
         assert!(meta.get("threads").and_then(Json::as_f64).unwrap() >= 1.0);
         assert!(meta.get("env").is_some());
-        assert_eq!(
-            meta.get("facts").and_then(|f| f.get("meta_test_fact")).and_then(Json::as_f64),
-            Some(43.0)
-        );
         assert!(Json::parse(&meta.pretty()).is_ok());
     }
 

@@ -46,12 +46,10 @@ pub mod checkpoint;
 pub mod init;
 pub mod matrix;
 pub mod optim;
-pub mod serve32;
 pub mod sparse;
 pub mod tape;
 
 pub use matrix::{Matrix, ShapeError};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use serve32::{simd_enabled, CsrF32, MatrixF32};
 pub use sparse::{CsrAdj, LinOp};
 pub use tape::{Nonlinearity, ParamId, ParamStore, SparseVar, Tape, TapeLinOp, Var};
