@@ -1,4 +1,4 @@
-//! COMURNet-like baseline [37]: reinforcement-learning user recommendation
+//! COMURNet-like baseline \[37\]: reinforcement-learning user recommendation
 //! with view occlusion as a *hard* constraint.
 //!
 //! Chen et al. 2022 train an actor-critic network that assembles, for each

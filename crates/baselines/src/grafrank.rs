@@ -1,4 +1,4 @@
-//! GraFrank-like personalized-ranking baseline [31].
+//! GraFrank-like personalized-ranking baseline \[31\].
 //!
 //! GraFrank learns user embeddings from multi-faceted features with GNN
 //! aggregation and a cross-facet attention module, trained pairwise so that

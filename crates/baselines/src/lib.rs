@@ -7,11 +7,11 @@
 //! |--------|------|--------|
 //! | Random | trivial | [`simple`] |
 //! | Nearest | trivial, spatial | [`simple`] |
-//! | MvAGC [66] | static grouping | [`mvagc`] |
-//! | GraFrank [31] | static personalized ranking | [`grafrank`] |
-//! | TGCN [73] | recurrent GNN, POSHGNN loss | [`rnn`] |
-//! | DCRNN [72] | recurrent GNN, POSHGNN loss | [`rnn`] |
-//! | COMURNet [37] | per-step RL, hard no-occlusion | [`comurnet`] |
+//! | MvAGC \[66\] | static grouping | [`mvagc`] |
+//! | GraFrank \[31\] | static personalized ranking | [`grafrank`] |
+//! | TGCN \[73\] | recurrent GNN, POSHGNN loss | [`rnn`] |
+//! | DCRNN \[72\] | recurrent GNN, POSHGNN loss | [`rnn`] |
+//! | COMURNet \[37\] | per-step RL, hard no-occlusion | [`comurnet`] |
 //!
 //! Plus [`oracle`] — a per-step weighted-MWIS reference (not in the paper)
 //! used to report optimality gaps of the learned methods.

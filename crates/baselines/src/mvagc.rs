@@ -1,4 +1,4 @@
-//! MvAGC-like grouping baseline [66]: graph-filter-based attributed graph
+//! MvAGC-like grouping baseline \[66\]: graph-filter-based attributed graph
 //! clustering, followed by same-group recommendations.
 //!
 //! The original MvAGC smooths node attributes with a low-pass graph filter

@@ -1,4 +1,4 @@
-//! Recurrent GNN baselines: T-GCN [73] and DCRNN [72] kernels.
+//! Recurrent GNN baselines: T-GCN \[73\] and DCRNN \[72\] kernels.
 //!
 //! Following §V-A.2, both share POSHGNN's scale (hidden dimension 8) and are
 //! trained with the POSHGNN loss over full episodes, so any performance gap

@@ -1171,7 +1171,7 @@ impl DiffSubject for MultiRoomVsSequential {
 }
 
 // ---------------------------------------------------------------------------
-// Session pair: incremental O(Δ) maintenance vs. from-scratch (bit-identical).
+// Session pair: pruned shortlist reuse vs. per-tick rebuild (bit-identical).
 // ---------------------------------------------------------------------------
 
 /// A churn-heavy scene-maintenance workload: bounded random walks spiked
@@ -1187,21 +1187,26 @@ pub struct IncrementalSceneCase {
     pub viewers: Vec<usize>,
     /// Recommendation size for the decision stream.
     pub top_k: usize,
+    /// Shortlist size handed to both engines (`1..=n − 1`).
+    pub prune_k: usize,
     /// MR participation mask.
     pub mr_mask: Vec<bool>,
     /// State retention handed to both engines (`None` = unbounded).
     pub retention: Option<usize>,
+    /// Ingest snap radius handed to both engines.
+    pub snap_epsilon: f64,
     /// Positions per tick, `frames[t]` of length `n`.
     pub frames: Vec<Vec<Point2>>,
 }
 
-/// The incremental scene engine (`set_incremental(true)`: delta distance
-/// rows, warm sweep candidates, retained-edge reuse) vs. the from-scratch
-/// oracle (`set_incremental(false)`) on the same frame stream. Incremental
-/// maintenance is an optimization layer, not an approximation: every tick's
-/// distance matrix (bitwise), per-viewer occlusion graph (`Eq`, including
-/// adjacency order), candidate mask, and [`xr_serve::decide_topk_f64`]
-/// decision stream must be identical across teleports, lobby churn, and
+/// The pruned scene engine with shortlist reuse (`set_incremental(true)`: a
+/// stationary viewer whose shortlist membership and members all stood still
+/// keeps its previous shortlist by pointer) vs. the same engine rebuilding
+/// every shortlist (`set_incremental(false)`) on the same frame stream.
+/// Reuse is an optimization, not an approximation: every tick's snapped
+/// positions, each viewer's shortlist ids, member distances (bitwise),
+/// restricted edges and mask bits, and its [`xr_session::CandidateSet::decide_topk`]
+/// decision must be identical across teleports, lobby churn, snapping, and
 /// tight retention windows.
 pub struct IncrementalVsFromScratch;
 
@@ -1209,7 +1214,7 @@ impl DiffSubject for IncrementalVsFromScratch {
     type Case = IncrementalSceneCase;
 
     fn pair(&self) -> String {
-        "session: incremental maintenance vs from-scratch".to_string()
+        "session: pruned shortlist reuse vs per-tick rebuild".to_string()
     }
 
     fn generate(&self, rng: &mut StdRng) -> IncrementalSceneCase {
@@ -1219,15 +1224,18 @@ impl DiffSubject for IncrementalVsFromScratch {
         viewers.sort_unstable();
         viewers.dedup();
         let top_k = (1usize..5).generate(rng);
+        let prune_k = (1usize..n).generate(rng);
         let mr_mask: Vec<bool> = (0..n).map(|_| (0u32..2).generate(rng) == 1).collect();
         let retention = match (0u32..3).generate(rng) {
             0 => None,
             1 => Some(1),
             _ => Some(2),
         };
+        // half the cases snap nothing; the rest absorb part of the walk
+        let snap_epsilon = if (0u32..2).generate(rng) == 0 { 0.0 } else { (0.0f64..0.1).generate(rng) };
         // motion regime per case: mostly-coherent walks with occasional
         // teleports and lobby churn, biased so some cases are near-static
-        // (max warm reuse) and some are storms (constant rebuilds)
+        // (most shortlists reused) and some are storms (constant rebuilds)
         let (teleport_prob, churn_prob) = (0.0f64..0.35, 0.0f64..0.35).generate(rng);
         let step = (0.02f64..0.8).generate(rng);
         let lobby = Point2::new(20.0, 20.0);
@@ -1258,7 +1266,7 @@ impl DiffSubject for IncrementalVsFromScratch {
             }
             frames.push(current.clone());
         }
-        IncrementalSceneCase { n, viewers, top_k, mr_mask, retention, frames }
+        IncrementalSceneCase { n, viewers, top_k, prune_k, mr_mask, retention, snap_epsilon, frames }
     }
 
     fn compare(&self, case: &IncrementalSceneCase) -> Option<StepDivergence> {
@@ -1273,10 +1281,8 @@ impl DiffSubject for IncrementalVsFromScratch {
             let mut engine = SceneEngine::new(case.n, scene.clone(), &case.viewers);
             engine.set_incremental(incremental);
             engine.set_state_retention(case.retention);
-            // this subject pins the *dense* incremental path and sweeps dense
-            // distance rows, so it opts out of env-driven pruning; the pruned
-            // path has its own subject (PrunedVsFull)
-            engine.set_prune_k(0);
+            engine.set_snap_epsilon(case.snap_epsilon);
+            engine.set_prune_k(case.prune_k);
             engine
         };
         let mut inc = build(true);
@@ -1286,58 +1292,46 @@ impl DiffSubject for IncrementalVsFromScratch {
             inc.push(Frame::new(frame.clone()));
             oracle.push(Frame::new(frame.clone()));
             // compare the freshly pushed tick — always retained, even at
-            // retention=1 (the satellite regression this subject pins)
+            // retention=1 (the regression this subject pins)
             let (si, so) = (inc.state(t), oracle.state(t));
             for (i, (p, q)) in si.positions().iter().zip(so.positions()).enumerate() {
                 if p.x.to_bits() != q.x.to_bits() || p.y.to_bits() != q.y.to_bits() {
                     return Some(StepDivergence {
                         step: t,
-                        detail: format!("position[{i}] at t={t}: incremental {p:?} vs scratch {q:?}"),
+                        detail: format!("position[{i}] at t={t}: reuse {p:?} vs rebuild {q:?}"),
                     });
-                }
-            }
-            for i in 0..case.n {
-                for (j, (a, b)) in si.distance_row(i).iter().zip(so.distance_row(i)).enumerate() {
-                    if a.to_bits() != b.to_bits() {
-                        return Some(StepDivergence {
-                            step: t,
-                            detail: format!(
-                                "distance[{i}][{j}] at t={t}: incremental {a:?} vs scratch {b:?}"
-                            ),
-                        });
-                    }
                 }
             }
             for &viewer in &case.viewers {
-                let (vi, vo) = (inc.view(viewer, t), oracle.view(viewer, t));
-                if vi.occlusion() != vo.occlusion() {
+                let ci = inc.view(viewer, t).candidates().expect("prune_k > 0 builds shortlists");
+                let co = oracle.view(viewer, t).candidates().expect("prune_k > 0 builds shortlists");
+                let bits = |cs: &xr_session::CandidateSet| -> Vec<u64> {
+                    cs.distances().iter().map(|d| d.to_bits()).collect()
+                };
+                let field = if ci.ids() != co.ids() {
+                    Some(("ids", format!("{:?} vs {:?}", ci.ids(), co.ids())))
+                } else if bits(ci) != bits(co) {
+                    Some(("distances", format!("{:?} vs {:?}", ci.distances(), co.distances())))
+                } else if ci.edges() != co.edges() {
+                    Some(("edges", format!("{:?} vs {:?}", ci.edges(), co.edges())))
+                } else if ci.mask() != co.mask() {
+                    Some(("mask", format!("{:?} vs {:?}", ci.mask(), co.mask())))
+                } else {
+                    None
+                };
+                if let Some((name, values)) = field {
                     return Some(StepDivergence {
                         step: t,
                         detail: format!(
-                            "viewer {viewer} occlusion at t={t}: incremental {:?} vs scratch {:?}",
-                            vi.occlusion(),
-                            vo.occlusion()
+                            "viewer {viewer} shortlist {name} at t={t}: reuse vs rebuild {values}"
                         ),
                     });
                 }
-                if vi.candidate_mask() != vo.candidate_mask() {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!(
-                            "viewer {viewer} candidate mask at t={t}: incremental {:?} vs scratch {:?}",
-                            vi.candidate_mask(),
-                            vo.candidate_mask()
-                        ),
-                    });
-                }
-                let di = xr_serve::decide_topk_f64(vi.candidate_mask(), vi.distances(), case.top_k);
-                let ds = xr_serve::decide_topk_f64(vo.candidate_mask(), vo.distances(), case.top_k);
+                let (di, ds) = (ci.decide_topk(case.top_k), co.decide_topk(case.top_k));
                 if di != ds {
                     return Some(StepDivergence {
                         step: t,
-                        detail: format!(
-                            "viewer {viewer} decision at t={t}: incremental {di:?} vs scratch {ds:?}"
-                        ),
+                        detail: format!("viewer {viewer} decision at t={t}: reuse {di:?} vs rebuild {ds:?}"),
                     });
                 }
             }
@@ -1354,7 +1348,7 @@ impl DiffSubject for IncrementalVsFromScratch {
             });
             out.push(IncrementalSceneCase { frames: case.frames[1..].to_vec(), ..case.clone() });
         }
-        if case.n > 2 {
+        if case.n > 3 {
             let n = case.n / 2;
             let mut viewers: Vec<usize> = case.viewers.iter().copied().filter(|&v| v < n).collect();
             if viewers.is_empty() {
@@ -1363,26 +1357,31 @@ impl DiffSubject for IncrementalVsFromScratch {
             out.push(IncrementalSceneCase {
                 n,
                 viewers,
-                top_k: case.top_k,
+                prune_k: case.prune_k.min(n - 1),
                 mr_mask: case.mr_mask[..n].to_vec(),
-                retention: case.retention,
                 frames: case.frames.iter().map(|f| f[..n].to_vec()).collect(),
+                ..case.clone()
             });
         }
         if case.retention.is_some() {
             out.push(IncrementalSceneCase { retention: None, ..case.clone() });
+        }
+        if case.snap_epsilon > 0.0 {
+            out.push(IncrementalSceneCase { snap_epsilon: 0.0, ..case.clone() });
         }
         out
     }
 
     fn describe(&self, case: &IncrementalSceneCase) -> String {
         format!(
-            "n={} users, {} ticks, viewers {:?}, top_k={}, retention {:?}",
+            "n={} users, {} ticks, viewers {:?}, top_k={}, prune_k={}, retention {:?}, snap_epsilon={}",
             case.n,
             case.frames.len(),
             case.viewers,
             case.top_k,
-            case.retention
+            case.prune_k,
+            case.retention,
+            case.snap_epsilon
         )
     }
 }

@@ -87,7 +87,7 @@ pub fn replay(cfg: &ReplayConfig) -> String {
 
 /// [`replay`] with the scene engine configured explicitly before any frame
 /// is pushed — how the golden test drives the engine's reference paths
-/// (`set_incremental(false)`, `set_prune_k(n − 1)`) through the same
+/// (`set_prune_k(n − 1)`, with and without shortlist reuse) through the same
 /// pipeline. Every such configuration must reproduce the default snapshot
 /// byte for byte.
 pub fn replay_with(cfg: &ReplayConfig, configure: impl FnOnce(&mut SceneEngine)) -> String {

@@ -63,9 +63,9 @@ fn multi_room_scheduler_matches_sequential_engines_bitwise() {
 
 #[test]
 fn incremental_scene_maintenance_matches_from_scratch_bitwise() {
-    // delta distance rows, warm sweep candidates, and retained-edge reuse
-    // vs. the from-scratch oracle: bitwise-clean across teleports, lobby
-    // churn, and retention windows down to a single state
+    // pruned shortlist reuse by pointer vs. rebuilding every shortlist:
+    // bitwise-clean across K in 1..=n−1, teleports, lobby churn, snapping,
+    // and retention windows down to a single state
     assert_no_divergence(&IncrementalVsFromScratch, KERNEL_CASES);
 }
 

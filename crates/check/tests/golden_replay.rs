@@ -6,6 +6,7 @@ use poshgnn::PoshGnnConfig;
 use xr_check::golden::{
     assert_matches_golden, replay, replay_with, with_env_vars, with_threads, ReplayConfig,
 };
+use xr_serve::ServerConfig;
 use xr_session::{SceneConfig, SceneEngine};
 
 #[test]
@@ -25,9 +26,9 @@ fn replay_is_byte_identical_across_thread_counts() {
 fn every_explicit_reference_path_reproduces_the_golden_file() {
     // The golden file predates every optimization layer and must stay
     // untouched: the episode MIA cache and pooled tape (vs. fresh per-step
-    // MIA and per-episode tapes), incremental O(Δ) scene maintenance (vs.
-    // the from-scratch rebuild), and the dense payload (vs. complete K = n−1
-    // shortlists) each have to replay it byte for byte.
+    // MIA and per-episode tapes) and the dense payload (vs. complete K = n−1
+    // shortlists, with and without shortlist reuse) each have to replay it
+    // byte for byte.
     let small = ReplayConfig::small();
     let n = small.scenario.n_participants;
     let fresh = ReplayConfig {
@@ -37,8 +38,14 @@ fn every_explicit_reference_path_reproduces_the_golden_file() {
     let (default, references) = with_threads(1, || {
         let references = [
             ("fresh_mia + fresh_tape", replay(&fresh)),
-            ("set_incremental(false)", replay_with(&small, |e| e.set_incremental(false))),
             ("set_prune_k(n - 1)", replay_with(&small, |e| e.set_prune_k(n - 1))),
+            (
+                "set_prune_k(n - 1) + set_incremental(false)",
+                replay_with(&small, |e| {
+                    e.set_prune_k(n - 1);
+                    e.set_incremental(false);
+                }),
+            ),
         ];
         (replay(&small), references)
     });
@@ -59,12 +66,15 @@ fn oracle_environment_variables_no_longer_select_a_path() {
         ("AFTER_PRUNE_K", "7"),
         ("AFTER_FRESH_MIA", "1"),
         ("AFTER_FRESH_TAPE", "1"),
+        ("AFTER_SLO_BUDGET_MS", "0.001"),
     ];
     let snapshot = with_env_vars(&oracle_env, || {
         let scene = SceneConfig { body_radius: 0.2, mr_mask: vec![false; 4], room_diagonal: 1.0 };
         let engine = SceneEngine::new(4, scene, &[0]);
         assert!(engine.incremental(), "AFTER_INCREMENTAL selected the from-scratch path");
         assert_eq!(engine.prune_k(), 0, "AFTER_PRUNE_K selected the pruned payload");
+        assert!(engine.slo().is_none(), "AFTER_SLO_BUDGET_MS installed a scene deadline tracker");
+        assert!(ServerConfig::default().slo.is_none(), "AFTER_SLO_BUDGET_MS set the server budget");
         let cfg = PoshGnnConfig::default();
         assert!(!cfg.fresh_mia, "AFTER_FRESH_MIA selected per-step MIA");
         assert!(!cfg.fresh_tape, "AFTER_FRESH_TAPE selected fresh tapes");

@@ -29,7 +29,7 @@ pub trait AfterRecommender {
 
     /// Delivery delay in time steps. Real-time methods return 0. Methods
     /// whose per-step computation exceeds the time-step budget (COMURNet
-    /// [37] needs ~22 s per step at N = 200 — see the paper's Fig. 2b, where
+    /// \[37\] needs ~22 s per step at N = 200 — see the paper's Fig. 2b, where
     /// its `t = 0` result arrives after `t = 2`) deliver stale decisions:
     /// the evaluator applies the decision computed for step `t` at step
     /// `t + latency_steps()`.

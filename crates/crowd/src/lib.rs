@@ -1,7 +1,7 @@
 //! # xr-crowd
 //!
 //! ORCA-style reciprocal collision avoidance, reimplementing the crowd
-//! simulation role the paper delegates to the RVO2 library [71]: generating
+//! simulation role the paper delegates to the RVO2 library \[71\]: generating
 //! smooth, non-colliding trajectories for conferencing-room participants.
 //!
 //! * [`orca`] — the per-pair velocity-obstacle half-plane construction and

@@ -1,7 +1,7 @@
 //! Optimal Reciprocal Collision Avoidance (ORCA) velocity computation.
 //!
 //! This reimplements the velocity-obstacle construction and the incremental
-//! 2-D linear program of the RVO2 library [71] that the paper uses to
+//! 2-D linear program of the RVO2 library \[71\] that the paper uses to
 //! simulate crowd trajectories for the Timik and SMM datasets. Each
 //! neighboring agent induces a half-plane constraint on the new velocity;
 //! the LP returns the feasible velocity closest to the preferred one, with a

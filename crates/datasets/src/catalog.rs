@@ -2,9 +2,9 @@
 //!
 //! | Paper dataset | Structure | Our analogue |
 //! |---------------|-----------|--------------|
-//! | Timik [68] — 850k-user social metaverse crawl | scale-free, celebrity hubs | Barabási–Albert universe |
-//! | SMM [69] — 880k Super Mario players with nationalities | community-clustered | stochastic block model with community attributes |
-//! | Hubs [70] — 17k trajectory points from a small VR workshop | small, dense, highly clustered | Watts–Strogatz small world |
+//! | Timik \[68\] — 850k-user social metaverse crawl | scale-free, celebrity hubs | Barabási–Albert universe |
+//! | SMM \[69\] — 880k Super Mario players with nationalities | community-clustered | stochastic block model with community attributes |
+//! | Hubs \[70\] — 17k trajectory points from a small VR workshop | small, dense, highly clustered | Watts–Strogatz small world |
 //!
 //! Universe sizes are scaled to what the experiments actually consume
 //! (scenarios sample at most 500 participants); the *structural* properties

@@ -194,7 +194,7 @@ pub struct MotionProfile {
     /// uniform point in the room.
     pub teleport_prob: f64,
     /// Per-user, per-tick probability of holding the previous position
-    /// *exactly* (bitwise dwell — what incremental maintenance feeds on).
+    /// *exactly* (bitwise dwell — what pruned shortlist reuse feeds on).
     pub dwell_prob: f64,
     /// Sensor-noise amplitude, meters: every emitted position is the shaped
     /// *anchor* plus a fresh uniform offset in `[-jitter, jitter]²`. Unlike

@@ -5,8 +5,8 @@
 //! Venue-scale serving benchmarks need *frames*, not collision-accurate
 //! trajectories: tens of thousands of users with realistic density structure
 //! (zoned annuli — a mosh pit is 10× denser than the fringe), temporal
-//! coherence (bounded per-tick steps, so incremental maintenance has
-//! something to feed on), and the churn patterns that stress a serving
+//! coherence (bounded per-tick steps, so shortlist reuse has something to
+//! feed on), and the churn patterns that stress a serving
 //! layer: mid-session join/leave, teleporting users, and portal hops
 //! between rooms.
 //!

@@ -2,9 +2,8 @@
 //! vs. naive matmul, sparse vs. dense GNN kernels, grid vs. brute-force
 //! crowd neighbor queries, serial vs. parallel experiment cells, cached vs.
 //! uncached training epochs, the matmul dispatch crossover table, shared
-//! scene-engine context builds, incremental O(Δ) scene maintenance vs.
-//! from-scratch across coherence levels, crowd-scale K-candidate pruned
-//! serving vs. dense full-N on stadium frames, and the cost of running with
+//! scene-engine context builds, crowd-scale K-candidate pruned serving vs.
+//! dense full-N on stadium frames, and the cost of running with
 //! observability installed vs. without.
 //!
 //! Writes one JSON summary (default `BENCH_pr10.json` at the workspace root,
@@ -524,124 +523,6 @@ fn bench_multi_room() -> Json {
         .set("degrade_transitions", stats.transitions)
 }
 
-/// Incremental O(Δ) scene maintenance vs. the from-scratch oracle: the same
-/// coherence-swept workload (bounded ORCA walks shaped by a
-/// [`xr_datasets::MotionProfile`]) pushed through two engines differing only
-/// in `set_incremental`. Tick 0 — a full build on both sides — is pushed
-/// outside the timed span, so the numbers are steady-state maintenance cost
-/// per tick. Coherence is the lever: the dwell-heavy end moves few users per
-/// tick (maximal warm-cache reuse), the teleport storm moves everyone
-/// (delta path degenerates to full rebuilds plus bookkeeping).
-fn bench_incremental_scene() -> Json {
-    use xr_datasets::{generate_trajectories_with_motion, MotionProfile};
-    use xr_session::{Frame, SceneConfig, SceneEngine};
-
-    // `jitter_snap` is the designed serving workload: anchors hold (heavy
-    // dwell), emitted positions carry sub-epsilon head-tracking noise, and
-    // the engine's ingest snap (`set_snap_epsilon`, set on BOTH arms —
-    // snapping is shared semantics, not an incremental-only shortcut)
-    // absorbs the noise so the incremental path sees true deltas only.
-    let levels: [(&str, MotionProfile, f64); 5] = [
-        (
-            "jitter_snap",
-            MotionProfile { max_step: Some(0.3), teleport_prob: 0.0, dwell_prob: 0.995, jitter: 0.01 },
-            0.05,
-        ),
-        (
-            "dwell_heavy",
-            MotionProfile { max_step: Some(0.05), teleport_prob: 0.0, dwell_prob: 0.9, jitter: 0.0 },
-            0.0,
-        ),
-        (
-            "bounded_walk",
-            MotionProfile { max_step: Some(0.05), teleport_prob: 0.0, dwell_prob: 0.0, jitter: 0.0 },
-            0.0,
-        ),
-        (
-            "mixed",
-            MotionProfile { max_step: Some(0.25), teleport_prob: 0.05, dwell_prob: 0.3, jitter: 0.0 },
-            0.0,
-        ),
-        (
-            "teleport_storm",
-            MotionProfile { max_step: None, teleport_prob: 1.0, dwell_prob: 0.0, jitter: 0.0 },
-            0.0,
-        ),
-    ];
-    // (n, room side, ticks, reps): the serving-scale row runs once — at
-    // N=1000 a single sweep is already seconds of scratch work per level
-    let configs = [(200usize, 12.0f64, 30usize, 3usize), (1000, 40.0, 8, 1)];
-    let viewer_count = 8usize;
-
-    let rows: Vec<Json> = configs
-        .iter()
-        .map(|&(n, side, ticks, reps)| {
-            let level_rows: Vec<Json> = levels
-                .iter()
-                .map(|(name, profile, snap_eps)| {
-                    let mut rng = StdRng::seed_from_u64(31);
-                    let frames = generate_trajectories_with_motion(
-                        n,
-                        ticks,
-                        Room::new(side, side),
-                        0.2,
-                        profile,
-                        &mut rng,
-                    );
-                    let scene = SceneConfig {
-                        body_radius: 0.2,
-                        mr_mask: (0..n).map(|i| i % 2 == 0).collect(),
-                        room_diagonal: side * std::f64::consts::SQRT_2,
-                    };
-                    let viewers: Vec<usize> = (0..viewer_count).map(|i| i * (n / viewer_count)).collect();
-                    let run = |incremental: bool| {
-                        let mut engine = SceneEngine::new(n, scene.clone(), &viewers);
-                        engine.set_incremental(incremental);
-                        engine.set_snap_epsilon(*snap_eps); // both arms: shared ingest semantics
-                        engine.set_state_retention(Some(2)); // the serving posture
-                        engine.push(Frame::new(frames[0].clone()));
-                        let start = Instant::now();
-                        for f in &frames[1..] {
-                            engine.push(Frame::new(f.clone()));
-                        }
-                        let total = start.elapsed().as_secs_f64() * 1e3;
-                        std::hint::black_box(engine.ticks());
-                        total / (frames.len() - 1) as f64
-                    };
-                    run(false); // warmup both arms
-                    run(true);
-                    let mut scratch_samples = Vec::new();
-                    let mut incremental_samples = Vec::new();
-                    for _ in 0..reps {
-                        // interleaved arms: load drift hits both sides equally
-                        scratch_samples.push(run(false));
-                        incremental_samples.push(run(true));
-                    }
-                    let median = |mut v: Vec<f64>| {
-                        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                        v[v.len() / 2]
-                    };
-                    let scratch_ms = median(scratch_samples);
-                    let incremental_ms = median(incremental_samples);
-                    Json::obj()
-                        .set("coherence", *name)
-                        .set("snap_epsilon", num3(*snap_eps))
-                        .set("scratch_ms_per_tick", num3(scratch_ms))
-                        .set("incremental_ms_per_tick", num3(incremental_ms))
-                        .set("speedup", num3(scratch_ms / incremental_ms))
-                })
-                .collect();
-            Json::obj()
-                .set("n", n)
-                .set("ticks", ticks as u64)
-                .set("viewers", viewer_count as u64)
-                .set("room_side", num3(side))
-                .set("levels", Json::from(level_rows))
-        })
-        .collect();
-    Json::from(rows)
-}
-
 /// Crowd-scale serving: the K-candidate pruned scene path (hierarchical
 /// spatial index + per-viewer shortlists, `set_prune_k(K)`) vs.
 /// the dense full-N build, on stadium frames from the venue generator.
@@ -752,31 +633,29 @@ fn out_path() -> std::path::PathBuf {
 fn main() {
     let mut obs = xr_obs::init_cli_env();
     let path = out_path();
-    eprintln!("[1/13] blocked vs naive matmul");
+    eprintln!("[1/12] blocked vs naive matmul");
     let matmul = bench_matmul();
-    eprintln!("[2/13] sparse vs dense aggregation (SpMM)");
+    eprintln!("[2/12] sparse vs dense aggregation (SpMM)");
     let spmm = bench_spmm();
-    eprintln!("[3/13] grid vs brute-force crowd neighbors");
+    eprintln!("[3/12] grid vs brute-force crowd neighbors");
     let crowd = bench_crowd();
-    eprintln!("[4/13] POSHGNN recommend step, sparse vs dense kernels");
+    eprintln!("[4/12] POSHGNN recommend step, sparse vs dense kernels");
     let posh = bench_poshgnn_step();
-    eprintln!("[5/13] comparison runner, 1 thread vs all cores");
+    eprintln!("[5/12] comparison runner, 1 thread vs all cores");
     let runner = bench_parallel_runner();
-    eprintln!("[6/13] train epoch, MIA cache + tape arena vs uncached");
+    eprintln!("[6/12] train epoch, MIA cache + tape arena vs uncached");
     let train_epoch = bench_train_epoch();
-    eprintln!("[7/13] tape arena reuse vs fresh tape per episode");
+    eprintln!("[7/12] tape arena reuse vs fresh tape per episode");
     let tape_reuse = bench_tape_reuse();
-    eprintln!("[8/13] adaptive matmul dispatch crossover");
+    eprintln!("[8/12] adaptive matmul dispatch crossover");
     let dispatch = bench_matmul_dispatch();
-    eprintln!("[9/13] scene build, shared engine vs per-target precompute");
+    eprintln!("[9/12] scene build, shared engine vs per-target precompute");
     let scene_build = bench_scene_build();
-    eprintln!("[10/13] observability overhead, installed ctx vs none");
+    eprintln!("[10/12] observability overhead, installed ctx vs none");
     let obs_overhead = bench_obs_overhead();
-    eprintln!("[11/13] multi-room serving: 1k rooms on the worker pool");
+    eprintln!("[11/12] multi-room serving: 1k rooms on the worker pool");
     let multi_room = bench_multi_room();
-    eprintln!("[12/13] incremental scene maintenance vs from-scratch, coherence sweep");
-    let incremental_scene = bench_incremental_scene();
-    eprintln!("[13/13] crowd-scale serving: K-candidate pruned vs dense full-N");
+    eprintln!("[12/12] crowd-scale serving: K-candidate pruned vs dense full-N");
     let crowd_scale = bench_crowd_scale();
     let summary = Json::obj()
         .set("matmul", matmul)
@@ -790,7 +669,6 @@ fn main() {
         .set("scene_build", scene_build)
         .set("obs_overhead", obs_overhead)
         .set("multi_room", multi_room)
-        .set("incremental_scene", incremental_scene)
         .set("crowd_scale", crowd_scale)
         .set("meta", xr_obs::meta::run_metadata());
     let text = summary.pretty();

@@ -5,8 +5,8 @@
 //!
 //! * [`layers`] — dense layers, MLPs, and the paper's sum-aggregation GCN
 //!   layer (Eq. 1) used by both PDR and LWP.
-//! * [`recurrent`] — GRU, T-GCN [73], and diffusion-convolutional GRU
-//!   (DCRNN [72]) cells for the recurrent baselines.
+//! * [`recurrent`] — GRU, T-GCN \[73\], and diffusion-convolutional GRU
+//!   (DCRNN \[72\]) cells for the recurrent baselines.
 
 pub mod layers;
 pub mod recurrent;

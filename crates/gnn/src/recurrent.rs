@@ -67,7 +67,7 @@ impl GruCell {
     }
 }
 
-/// T-GCN cell [73]: a GCN extracts spatial features at each step, a GRU
+/// T-GCN cell \[73\]: a GCN extracts spatial features at each step, a GRU
 /// integrates them over time.
 #[derive(Debug, Clone)]
 pub struct TgcnCell {
@@ -110,7 +110,7 @@ impl TgcnCell {
     }
 }
 
-/// K-step diffusion convolution (the spatial operator of DCRNN [72]):
+/// K-step diffusion convolution (the spatial operator of DCRNN \[72\]):
 /// `DC(X) = Σ_{k=0..K} P^k X W_k`, with `P` the row-normalized transition
 /// matrix of the graph. Bidirectionality degenerates to one direction on our
 /// undirected occlusion graphs.
@@ -168,7 +168,7 @@ impl DiffusionConv {
     }
 }
 
-/// Diffusion-convolutional GRU cell — the recurrent kernel of DCRNN [72]:
+/// Diffusion-convolutional GRU cell — the recurrent kernel of DCRNN \[72\]:
 /// every affine map inside the GRU is replaced by a diffusion convolution.
 #[derive(Debug, Clone)]
 pub struct DcGruCell {

@@ -1,7 +1,7 @@
 //! Global-style metrics registry: counters, gauges, and fixed-bucket
 //! histograms addressable by name + label pairs.
 //!
-//! Accumulation is sharded: the key hash picks one of [`SHARDS`] independent
+//! Accumulation is sharded: the key hash picks one of `SHARDS` independent
 //! mutex-protected tables, so the `xr_eval::par` workers rarely contend on
 //! the same lock, and totals merge exactly — a counter incremented from any
 //! number of `std::thread::scope` workers reads the same as the

@@ -11,10 +11,14 @@
 //! installed a tracker still *detects* misses (the returned
 //! [`TickVerdict`]) but records nothing.
 //!
-//! Budgets come from `AFTER_SLO_BUDGET_MS` (or the `--slo-budget-ms` flag,
-//! which [`crate::ObsSession`] writes through to the env). No budget ⇒
-//! [`SloTracker::from_env`] returns `None` and the caller skips tracking
-//! entirely — the unconfigured path stays cost-free.
+//! The scene engine and the room server never read a budget themselves: a
+//! `SceneEngine` tracks ticks only after `set_slo`, and a `RoomServer` only
+//! under an explicit `ServerConfig::slo`. Callers that take the budget from
+//! `AFTER_SLO_BUDGET_MS` (or the `--slo-budget-ms` flag, which
+//! [`crate::ObsSession`] writes through to the env) read it with
+//! [`SloConfig::from_env`] / [`SloTracker::from_env`], as the eval recommend
+//! loop does. No budget ⇒ `None` and the caller skips tracking entirely —
+//! the unconfigured path stays cost-free.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};

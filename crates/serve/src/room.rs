@@ -19,7 +19,7 @@
 //! backlog collapsed to the newest frame on every drain.
 //!
 //! Escalation is driven by the measured per-frame latency against the
-//! `AFTER_SLO_BUDGET_MS` budget (via [`xr_obs::SloTracker`], so every miss
+//! server's configured budget (via [`xr_obs::SloTracker`], so every miss
 //! also lands in the `slo.serve.room.tick.*` metrics): `escalate_after`
 //! consecutive misses move the room down to [`ServeLevel::MaskOnly`],
 //! `recover_after` consecutive in-budget frames move it back to
@@ -524,9 +524,9 @@ mod tests {
             }
             assert_eq!(r.engine().ticks(), ticks);
             assert_eq!(r.observe_tick(1.0, 1, 1), Some((ServeLevel::MaskOnly, ServeLevel::Full)));
-            // recover on the last full frame with two movers: the engine
-            // patches its pre-bypass state and must land where a fresh
-            // engine fed only this frame does
+            // recover on the last full frame with two movers: whatever the
+            // engine carries from its pre-bypass state, it must land where a
+            // fresh engine fed only this frame does
             let mut next = base;
             next.positions[2] = Point2::new(4.0, 4.0);
             next.positions[7] = Point2::new(1.0, 7.5);

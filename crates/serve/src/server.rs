@@ -17,7 +17,7 @@
 //!
 //! [`RoomServer::admit`] rejects rooms beyond `max_rooms` — the server
 //! refuses work it cannot schedule rather than letting every room's latency
-//! collapse. Under a configured `AFTER_SLO_BUDGET_MS` budget, rooms that
+//! collapse. Under a configured [`ServerConfig::slo`] budget, rooms that
 //! persistently miss their per-frame deadline walk down the degradation
 //! ladder (see [`crate::room`]); a room still over budget at the cheapest
 //! rung has its backlog shed to the newest frame on each drain. Every
@@ -41,8 +41,9 @@ pub struct ServerConfig {
     /// Worker count for pump rounds, pinned at construction. Defaults to
     /// [`crate::par::thread_count`] (the `AFTER_THREADS` discipline).
     pub workers: usize,
-    /// Per-frame latency budget; `None` (no `AFTER_SLO_BUDGET_MS`) disables
-    /// the ladder and shedding entirely.
+    /// Per-frame latency budget; `None` (the default) disables the ladder
+    /// and shedding entirely. Binaries that take the budget from
+    /// `AFTER_SLO_BUDGET_MS` pass [`xr_obs::SloConfig::from_env`] here.
     pub slo: Option<xr_obs::SloConfig>,
     /// Consecutive over-budget frames before a room drops one ladder rung.
     pub escalate_after: u32,
@@ -57,7 +58,7 @@ impl Default for ServerConfig {
         ServerConfig {
             max_rooms: 2048,
             workers: par::thread_count(),
-            slo: xr_obs::SloConfig::from_env(),
+            slo: None,
             escalate_after: 4,
             recover_after: 32,
             series_window_rounds: 8,

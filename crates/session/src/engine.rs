@@ -30,49 +30,21 @@
 //!   "overlaps" is exactly occlusion-graph adjacency, so no arc intersection
 //!   is ever re-tested.
 //!
-//! ## Incremental O(Δ) maintenance
+//! ## Dense ticks are built from scratch
 //!
-//! By default the engine maintains the shared state *incrementally* across
-//! ticks ([`SceneEngine::set_incremental`]`(false)` selects the from-scratch
-//! build as the differential oracle; both paths are pinned
-//! bitwise-identical by the `xr_check` `IncrementalVsFromScratch` subject):
+//! The dense payload (`prune_k = 0`, every new engine's setting) is rebuilt
+//! from its frame on every tick: the distance matrix, then for each
+//! registered viewer its arcs, the angular sweep and the candidate mask. The
+//! paper's rooms are crowds in which nearly every user moves at every step,
+//! so no tick-to-tick carry is attempted. The sweep's working buffers (sort
+//! order, sorted arcs, edge list) belong to the engine and are reused across
+//! viewers and ticks, so a push allocates only the structures it hands out.
 //!
-//! * Frames are first *snapped*: a user whose raw position moved at most
-//!   [`SceneEngine::snap_epsilon`] from the previous effective position
-//!   keeps the previous position exactly. Snapping is shared ingest
-//!   semantics — the oracle path applies it too — so equality holds at any
-//!   epsilon, and the default `0.0` makes it a numeric no-op.
-//! * Distance rows are delta-updated: the previous matrix is copied and only
-//!   rows of *moved* users (effective position changed bits) are
-//!   re-measured, each unordered pair in `(min, max)` order so the
-//!   measurement convention — and therefore every bit — matches the
-//!   from-scratch mirrored build.
-//! * Each viewer's center-sorted sweep candidate array stays warm across
-//!   ticks. A stationary viewer re-derives arcs only for moved users, merges
-//!   them into the sorted order, keeps every previous edge whose endpoints
-//!   both stand still (identical arcs ⇒ the exact predicate verdict cannot
-//!   change), and re-decides only pairs involving a moved arc with a
-//!   bidirectional bounded scan (`reach = hw + max_hw + SWEEP_MARGIN`, the
-//!   same conservative slack as the full sweep; when `2·reach ≥ τ` the arc
-//!   is tested against everyone). Every surviving pair still goes through
-//!   [`ViewArc::intersects`]. A viewer that moved at all — walked, was
-//!   snapped onto a new anchor, or teleported — falls back to a full
-//!   rebuild, which also re-warms its cache.
-//! * Unchanged structure is carried forward by pointer: [`SceneState`]
-//!   holds `Arc<UGraph>` per viewer, so a tick with *zero* movers clones the
-//!   whole previous state in O(viewers + n²-memcpy), and a stationary
-//!   viewer whose merged edge list equals the previous tick's reuses the
-//!   previous graph outright (an equal edge set constructs an identical
-//!   CSR, so reuse is bitwise-invisible).
-//! * Candidate masks are *patched*, not recomputed: a stationary viewer
-//!   re-derives bits only for `affected` users (movers plus endpoints of
-//!   every added or dropped edge); everyone else's bit inputs — own
-//!   distance, neighbor set, neighbor distances — are unchanged, so the
-//!   previous bit is carried verbatim.
-//! * A low-coherence tick (more than half the users moved) skips the delta
-//!   machinery and takes the from-scratch build: it would re-decide nearly
-//!   everything anyway. The crossover is a pure cost heuristic — both
-//!   builds are bit-identical, so it is invisible to readers and oracles.
+//! Frames are first *snapped*: a user whose raw position moved at most
+//! [`SceneEngine::snap_epsilon`] from the previous effective position keeps
+//! the previous position exactly. Snapping is ingest semantics shared by
+//! every payload and maintenance setting; the default `0.0` makes it a
+//! numeric no-op.
 //!
 //! ## Crowd-scale pruned mode ([`SceneEngine::set_prune_k`])
 //!
@@ -91,12 +63,17 @@
 //! `(distance, id)` selection order — so `K ≥ N−1` reproduces the full path
 //! bit for bit (pinned by the `xr_check` `PrunedVsFull` subject), and
 //! `K = 0` (every new engine's setting) preserves the exact full-N behavior
-//! as the differential oracle. Pruned states compose with the incremental
-//! path: on a coherent tick a stationary viewer whose shortlist membership
-//! and members all stood still carries its previous `Arc<CandidateSet>`
-//! forward by pointer; [`SceneState::into_parts`] densifies a pruned state
-//! on demand so batch consumers (context assembly, replay) stay
-//! payload-agnostic.
+//! as the differential oracle.
+//!
+//! Pruned ticks reuse unchanged shortlists: while
+//! [`SceneEngine::incremental`] is on (the default), a stationary viewer
+//! whose shortlist membership and members all stood still carries its
+//! previous `Arc<CandidateSet>` forward by pointer. Every stored quantity is
+//! a function of bit-identical positions, so reuse is invisible to readers;
+//! `set_incremental(false)` rebuilds every shortlist and is the oracle the
+//! `xr_check` `IncrementalVsFromScratch` subject compares against.
+//! [`SceneState::into_parts`] densifies a pruned state on demand so batch
+//! consumers (context assembly, replay) stay payload-agnostic.
 
 use std::sync::Arc;
 
@@ -160,16 +137,13 @@ enum StatePayload {
         /// Flat row-major `n×n` symmetric distance matrix.
         distances: Vec<f64>,
         /// Static occlusion graph per *registered viewer* (slot order).
-        /// `Arc`-shared so the incremental path can carry an unchanged
-        /// graph into the next tick's state for a pointer bump instead of
-        /// an O(n + m) rebuild-or-clone; readers only ever see `&UGraph`.
-        occlusion: Vec<Arc<UGraph>>,
+        occlusion: Vec<UGraph>,
         /// Hybrid-participation candidate mask per registered viewer.
         candidate_mask: Vec<Vec<bool>>,
     },
     /// The crowd-scale path (`prune_k > 0`): one shortlist per
-    /// registered viewer, nothing dense. `Arc`-shared so the incremental
-    /// path can carry an unchanged shortlist forward by pointer.
+    /// registered viewer, nothing dense. `Arc`-shared so an unchanged
+    /// shortlist can be carried into the next tick by pointer.
     Pruned {
         /// The effective shortlist size (already clamped to `n − 1`).
         k: usize,
@@ -270,14 +244,6 @@ impl SceneState {
         let n = self.n;
         match self.payload {
             StatePayload::Full { distances, occlusion, candidate_mask } => {
-                let occlusion = occlusion
-                    .into_iter()
-                    // a graph still shared with a retained neighbor tick
-                    // (the incremental path reuses unchanged graphs by
-                    // pointer) has to be cloned out; a uniquely held one is
-                    // moved for free
-                    .map(|g| Arc::try_unwrap(g).unwrap_or_else(|shared| (*shared).clone()))
-                    .collect();
                 (self.positions, distances, occlusion, candidate_mask)
             }
             StatePayload::Pruned { shortlists, .. } => {
@@ -369,78 +335,34 @@ impl<'a> TargetView<'a> {
     }
 }
 
-/// One viewer's warm sweep state, carried across incremental ticks: the
-/// center-sorted candidate array the full sweep would rebuild per tick.
+/// The angular sweep's working buffers, owned by the engine and reused
+/// across viewers and ticks: a sweep leaves its result in `edges`, and the
+/// caller copies out only what it keeps (the graph, a shortlist's edges).
 #[derive(Debug, Clone, Default)]
-struct WarmViewer {
-    /// User ids sorted by the sweep key `(arc center, id)`.
+struct SweepBuffers {
+    /// Ids of users that have an arc, sorted by the sweep key `(center, id)`.
     order: Vec<usize>,
-    /// Arcs parallel to `order`.
-    arcs: Vec<ViewArc>,
-    /// Index of each user in `order`; `u32::MAX` when the user has no arc.
-    pos: Vec<u32>,
+    /// Their arcs, parallel to `order`.
+    sorted: Vec<ViewArc>,
+    /// The last sweep's sorted unique `(min, max)` edges.
+    edges: Vec<(usize, usize)>,
 }
 
-/// An epoch-stamped sparse membership set over user ids, reused across
-/// viewers and ticks without ever being cleared: `begin` bumps the epoch
-/// (O(1) — stale stamps from earlier viewers become non-members for free),
-/// `insert` stamps an id and records it, and consumers iterate the recorded
-/// ids only. Replaces the per-viewer O(N) clear-and-resize bitset the mask
-/// patcher used to rebuild on every churn tick.
-#[derive(Debug, Clone, Default)]
-struct AffectedSet {
-    /// `stamps[i] == epoch` ⇔ user `i` is a member of the current set.
-    stamps: Vec<u32>,
-    epoch: u32,
-    /// Members of the current set, insertion-ordered, duplicate-free.
-    ids: Vec<usize>,
-}
-
-impl AffectedSet {
-    /// Starts a fresh empty set over `n` users without touching old stamps.
-    fn begin(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-        }
-        self.ids.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // epoch wrapped: old stamps could alias the new epoch, so pay
-            // one full clear every 2³² sets
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
+impl SweepBuffers {
+    /// Sweeps `arcs` (indexed by id) and returns its sorted unique edge list;
+    /// every listed pair was decided by the exact [`ViewArc::intersects`]
+    /// predicate.
+    fn edges(&mut self, arcs: &[Option<ViewArc>], pair_tests: &mut u64) -> &[(usize, usize)] {
+        sorted_arc_order(arcs, &mut self.order, &mut self.sorted);
+        sweep_edge_list(arcs.len(), &self.order, &self.sorted, &mut self.edges, pair_tests);
+        &self.edges
     }
 
-    fn insert(&mut self, i: usize) {
-        if self.stamps[i] != self.epoch {
-            self.stamps[i] = self.epoch;
-            self.ids.push(i);
-        }
+    /// One viewer's static occlusion graph, with the brute-force edge set
+    /// and therefore `Eq` to the brute-force build.
+    fn graph(&mut self, arcs: &[Option<ViewArc>], pair_tests: &mut u64) -> UGraph {
+        UGraph::from_sorted_unique_edges(arcs.len(), self.edges(arcs, pair_tests))
     }
-
-    /// Current members, insertion-ordered.
-    fn ids(&self) -> &[usize] {
-        &self.ids
-    }
-}
-
-/// Reusable buffers for the incremental push path, kept on the engine so a
-/// long-running room allocates per-tick structures once.
-#[derive(Debug, Clone, Default)]
-struct IncrScratch {
-    moved_mask: Vec<bool>,
-    moved_ids: Vec<usize>,
-    /// Freshly derived arcs of moved users, sorted by the sweep key.
-    incoming: Vec<(ViewArc, usize)>,
-    order_buf: Vec<usize>,
-    arcs_buf: Vec<ViewArc>,
-    edges_new: Vec<(usize, usize)>,
-    edges_merged: Vec<(usize, usize)>,
-    /// Users whose candidate-mask entry must be re-derived for the current
-    /// viewer: moved users plus endpoints of every changed (added or
-    /// dropped) occlusion edge. Everyone else keeps the previous bit.
-    affected: AffectedSet,
 }
 
 /// The streaming scene engine: feed it one [`Frame`] per tick, read shared
@@ -464,10 +386,10 @@ pub struct SceneEngine {
     /// `Some(k)`: keep only the last `k` states (long-running serving);
     /// `None`: keep everything (episode replay/training).
     retain: Option<usize>,
-    /// Per-tick deadline tracking, when `AFTER_SLO_BUDGET_MS` (or
-    /// [`SceneEngine::set_slo`]) configured a budget.
+    /// Per-tick deadline tracking; `None` until [`SceneEngine::set_slo`]
+    /// installs a tracker.
     slo: Option<xr_obs::SloTracker>,
-    /// `false` pins the from-scratch oracle path.
+    /// `false` rebuilds every pruned shortlist (the reuse oracle).
     incremental: bool,
     /// Snap radius for the shared ingest semantics; `0.0` (no snapping)
     /// unless [`SceneEngine::set_snap_epsilon`] sets it.
@@ -477,12 +399,10 @@ pub struct SceneEngine {
     prune_k: usize,
     /// K-nearest query scratch for the pruned path.
     nearest_buf: Vec<(f64, u32)>,
-    /// Warm sweep state per slot; meaningful only while `warm_tick` is the
-    /// previous tick.
-    warm: Vec<WarmViewer>,
-    /// Tick the warm state describes, if any.
-    warm_tick: Option<usize>,
-    scratch: IncrScratch,
+    /// Per-user "position changed bits since the previous tick", reused
+    /// across ticks; read by the pruned path's shortlist reuse.
+    moved: Vec<bool>,
+    sweep: SweepBuffers,
 }
 
 impl SceneEngine {
@@ -505,7 +425,6 @@ impl SceneEngine {
             }
         }
         let converter = OcclusionConverter::new(config.body_radius);
-        let warm = vec![WarmViewer::default(); unique.len()];
         SceneEngine {
             converter,
             config,
@@ -515,14 +434,13 @@ impl SceneEngine {
             states: Vec::new(),
             base: 0,
             retain: None,
-            slo: xr_obs::SloTracker::from_env("session.tick"),
+            slo: None,
             incremental: true,
             snap_epsilon: 0.0,
             prune_k: 0,
             nearest_buf: Vec::new(),
-            warm,
-            warm_tick: None,
-            scratch: IncrScratch::default(),
+            moved: Vec::new(),
+            sweep: SweepBuffers::default(),
         }
     }
 
@@ -590,8 +508,8 @@ impl SceneEngine {
         }
     }
 
-    /// Installs (or clears) a per-tick deadline tracker, overriding the
-    /// env-configured default.
+    /// Installs (or clears) a per-tick deadline tracker. A new engine has
+    /// none; no budget is ever read from the environment.
     pub fn set_slo(&mut self, slo: Option<xr_obs::SloTracker>) {
         self.slo = slo;
     }
@@ -601,28 +519,28 @@ impl SceneEngine {
         self.slo.as_ref()
     }
 
-    /// Selects the maintenance path: `true` (every new engine's setting)
-    /// maintains state incrementally across ticks, `false` rebuilds every
-    /// tick from scratch (the differential oracle). Safe to
-    /// toggle mid-session — switching invalidates the warm caches, so the
-    /// next push rebuilds (and, when incremental, re-warms) from scratch.
+    /// Selects whether pruned ticks may reuse the previous tick's
+    /// shortlists: `true` (every new engine's setting) carries a stationary
+    /// viewer's shortlist forward by pointer when its membership and members
+    /// all stood still, `false` rebuilds every shortlist (the differential
+    /// oracle for that reuse). Dense ticks are built from scratch either way.
+    /// Safe to toggle mid-session: reuse reads only the previous retained
+    /// state, which both settings build identically.
     pub fn set_incremental(&mut self, on: bool) {
-        if on != self.incremental {
-            self.warm_tick = None;
-        }
         self.incremental = on;
     }
 
-    /// Whether the engine maintains state incrementally.
+    /// Whether pruned ticks reuse unchanged shortlists.
     pub fn incremental(&self) -> bool {
         self.incremental
     }
 
     /// Sets the ingest snap radius: a user whose raw position moved at most
     /// `eps` from the previous tick's effective position keeps the previous
-    /// position exactly. Applied on *both* maintenance paths (shared ingest
-    /// semantics), so any epsilon preserves the bitwise oracle equality; the
-    /// default `0.0` makes snapping a numeric no-op.
+    /// position exactly. Applied under every payload and maintenance
+    /// setting (shared ingest semantics), so any epsilon preserves the
+    /// bitwise oracle equalities; the default `0.0` makes snapping a numeric
+    /// no-op.
     ///
     /// # Panics
     ///
@@ -640,13 +558,10 @@ impl SceneEngine {
     /// Sets the crowd-scale shortlist size: `k > 0` makes every subsequent
     /// tick build per-viewer K-candidate shortlists instead of dense
     /// full-scene state, `0` (every new engine's setting) keeps the exact
-    /// full-N path (the differential oracle). Safe to
-    /// switch mid-session — changing the value invalidates the warm caches,
-    /// so the next push rebuilds from scratch in the new mode.
+    /// full-N path (the differential oracle). Safe to switch mid-session:
+    /// a shortlist is only ever reused from a previous pruned state of the
+    /// same effective K.
     pub fn set_prune_k(&mut self, k: usize) {
-        if k != self.prune_k {
-            self.warm_tick = None;
-        }
         self.prune_k = k;
     }
 
@@ -671,55 +586,25 @@ impl SceneEngine {
 
         // shared ingest semantics: snap each user onto the previous tick's
         // effective position unless the raw position moved beyond
-        // `snap_epsilon`, and record who (still) moved. Both maintenance
-        // paths see the snapped positions, so oracle equality holds for any
-        // epsilon.
-        let mut moved_mask = std::mem::take(&mut self.scratch.moved_mask);
-        let mut moved_ids = std::mem::take(&mut self.scratch.moved_ids);
-        moved_mask.clear();
-        moved_ids.clear();
+        // `snap_epsilon`, and record who (still) moved
+        let mut moved = std::mem::take(&mut self.moved);
+        moved.clear();
         if let Some(prev) = self.states.last() {
-            for (i, p) in positions.iter_mut().enumerate() {
-                let q = prev.positions[i];
+            for (p, &q) in positions.iter_mut().zip(&prev.positions) {
                 if p.distance(q) <= self.snap_epsilon {
                     *p = q;
                 }
-                let moved = p.x.to_bits() != q.x.to_bits() || p.y.to_bits() != q.y.to_bits();
-                moved_mask.push(moved);
-                if moved {
-                    moved_ids.push(i);
-                }
+                moved.push(p.x.to_bits() != q.x.to_bits() || p.y.to_bits() != q.y.to_bits());
             }
-        } else {
-            moved_mask.resize(self.n, true);
-            moved_ids.extend(0..self.n);
         }
 
-        // warm caches describe tick t−1 and the previous state is retained:
-        // the delta path is exact. Anything else (first tick, a mid-session
-        // path toggle) rebuilds from scratch, which also re-warms. A
-        // low-coherence tick (most users moved — a teleport storm, a scene
-        // reset) also takes the scratch build: the delta machinery would
-        // re-decide nearly everything anyway and only add merge overhead.
-        // Purely a cost heuristic — both builds are bit-identical, so the
-        // crossover choice is invisible to every reader and to the oracle.
-        let warm_valid = t > 0 && self.warm_tick == Some(t - 1) && !self.states.is_empty();
-        let low_coherence = moved_ids.len() * 2 > self.n;
         let mut pair_tests = 0u64;
         let state = if self.prune_k > 0 {
-            self.build_state_pruned(positions, &moved_mask, &moved_ids, warm_valid, &mut pair_tests)
-        } else if self.incremental && warm_valid && !low_coherence {
-            xr_obs::counter_add("session.incremental.ticks", &[], 1);
-            xr_obs::counter_add("session.incremental.moved", &[], moved_ids.len() as u64);
-            self.build_state_incremental(positions, &moved_mask, &moved_ids, &mut pair_tests)
+            self.build_state_pruned(positions, &moved, &mut pair_tests)
         } else {
-            self.build_state_scratch(positions, &mut pair_tests)
+            self.build_state_dense(positions, &mut pair_tests)
         };
-        if self.incremental {
-            self.warm_tick = Some(t);
-        }
-        self.scratch.moved_mask = moved_mask;
-        self.scratch.moved_ids = moved_ids;
+        self.moved = moved;
 
         // shared-state reuse telemetry: one tick serves every registered
         // viewer, and the sweep's exact-predicate evaluations replace
@@ -727,7 +612,8 @@ impl SceneEngine {
         xr_obs::counter_add("session.ticks", &[], 1);
         xr_obs::counter_add("session.views_served", &[], self.viewers.len() as u64);
         xr_obs::counter_add("session.sweep.pair_tests", &[], pair_tests);
-        let brute = (self.viewers.len() as u64) * (self.n as u64) * (self.n as u64 - 1) / 2;
+        let n = self.n as u64;
+        let brute = (self.viewers.len() as u64) * n * n.saturating_sub(1) / 2;
         xr_obs::counter_add("session.sweep.pair_tests_saved", &[], brute.saturating_sub(pair_tests));
 
         self.states.push(state);
@@ -745,71 +631,63 @@ impl SceneEngine {
         t
     }
 
-    /// From-scratch tick build (the differential oracle). When the engine is
-    /// in incremental mode this also re-warms every viewer's sweep cache so
-    /// the next tick can take the delta path.
-    fn build_state_scratch(&mut self, positions: Vec<Point2>, pair_tests: &mut u64) -> SceneState {
+    /// Dense tick build (`prune_k = 0`), from scratch: the distance matrix,
+    /// then each registered viewer's arcs, occlusion sweep and candidate
+    /// mask.
+    fn build_state_dense(&mut self, positions: Vec<Point2>, pair_tests: &mut u64) -> SceneState {
+        let n = self.n;
         let distances = pairwise_distances(&positions);
-        let mut warm = std::mem::take(&mut self.warm);
         let mut occlusion = Vec::with_capacity(self.viewers.len());
         let mut candidate_mask = Vec::with_capacity(self.viewers.len());
-        for (slot, &v) in self.viewers.iter().enumerate() {
+        for &v in &self.viewers {
             let arcs = self.converter.arcs(v, &positions);
-            let graph = if self.incremental {
-                warm_full_build(&arcs, &mut warm[slot], pair_tests)
-            } else {
-                sweep_occlusion_graph(&arcs, pair_tests)
-            };
-            let row = &distances[v * self.n..(v + 1) * self.n];
-            let mask =
-                candidate_mask_from_shared(v, self.config.mr_mask[v], row, &graph, &self.config.mr_mask);
-            occlusion.push(Arc::new(graph));
-            candidate_mask.push(mask);
+            let graph = self.sweep.graph(&arcs, pair_tests);
+            let row = &distances[v * n..(v + 1) * n];
+            candidate_mask.push(candidate_mask_from_shared(
+                v,
+                self.config.mr_mask[v],
+                row,
+                &graph,
+                &self.config.mr_mask,
+            ));
+            occlusion.push(graph);
         }
-        self.warm = warm;
-        SceneState {
-            n: self.n,
-            positions,
-            payload: StatePayload::Full { distances, occlusion, candidate_mask },
-        }
+        SceneState { n, positions, payload: StatePayload::Full { distances, occlusion, candidate_mask } }
     }
 
     /// Crowd-scale tick build (`prune_k > 0`): one two-level spatial index
     /// over the frame, then one K-candidate shortlist per registered viewer
     /// — O(N) scene maintenance plus O(K log K + restricted pairs) per
-    /// viewer, with no dense structure anywhere. Composes with the
-    /// incremental path: when the previous tick is a retained pruned state
-    /// of the same K, a stationary viewer whose shortlist membership and
-    /// members all stood still carries its previous `Arc<CandidateSet>`
-    /// forward by pointer (distances, edges, and mask bits are functions of
-    /// bit-identical positions, so reuse is bitwise-invisible).
+    /// viewer, with no dense structure anywhere. While
+    /// [`SceneEngine::incremental`] is on and the previous tick is a
+    /// retained pruned state of the same K, a stationary viewer whose
+    /// shortlist membership and members all stood still carries its previous
+    /// `Arc<CandidateSet>` forward by pointer (distances, edges, and mask
+    /// bits are functions of bit-identical positions, so reuse is
+    /// bitwise-invisible). `moved` is empty on the first tick.
     fn build_state_pruned(
         &mut self,
         positions: Vec<Point2>,
-        moved_mask: &[bool],
-        moved_ids: &[usize],
-        warm_valid: bool,
+        moved: &[bool],
         pair_tests: &mut u64,
     ) -> SceneState {
         let n = self.n;
         let k = self.prune_k.min(n.saturating_sub(1));
         xr_obs::counter_add("session.prune.ticks", &[], 1);
         // Arc handles to the previous tick's shortlists, when they are
-        // reusable (retained pruned state of the same K on the delta path)
+        // reusable (retained pruned state of the same K)
         let prev_pruned: Option<Vec<Arc<CandidateSet>>> =
-            self.states.last().filter(|_| warm_valid && self.incremental).and_then(|s| match &s.payload {
+            self.states.last().filter(|_| self.incremental).and_then(|s| match &s.payload {
                 StatePayload::Pruned { k: pk, shortlists } if *pk == k => Some(shortlists.clone()),
                 _ => None,
             });
 
         // nothing moved: every shortlist is a pure function of bit-identical
         // positions — carry the whole tick forward by pointer
-        if let Some(shortlists) = &prev_pruned {
-            if moved_ids.is_empty() {
-                let shortlists = shortlists.clone();
-                xr_obs::counter_add("session.prune.shortlists_reused", &[], shortlists.len() as u64);
-                return SceneState { n, positions, payload: StatePayload::Pruned { k, shortlists } };
-            }
+        if let Some(shortlists) = prev_pruned.as_ref().filter(|_| !moved.contains(&true)) {
+            let shortlists = shortlists.clone();
+            xr_obs::counter_add("session.prune.shortlists_reused", &[], shortlists.len() as u64);
+            return SceneState { n, positions, payload: StatePayload::Pruned { k, shortlists } };
         }
 
         let index = PruneIndex::build(&positions);
@@ -824,10 +702,10 @@ impl SceneEngine {
             // pointer reuse: viewer still, same membership, members still ⇒
             // every stored quantity is a function of unchanged positions
             let reusable = prev_cs.is_some_and(|cs| {
-                !moved_mask[v]
+                !moved[v]
                     && cs.ids().len() == nearest.len()
                     && cs.ids().iter().zip(nearest.iter()).all(|(&a, &(_, b))| a == b)
-                    && nearest.iter().all(|&(_, w)| !moved_mask[w as usize])
+                    && nearest.iter().all(|&(_, w)| !moved[w as usize])
             });
             if reusable {
                 shortlists.push(Arc::clone(prev_cs.unwrap()));
@@ -841,6 +719,7 @@ impl SceneEngine {
                 &self.converter,
                 &self.config.mr_mask,
                 &nearest,
+                &mut self.sweep,
                 pair_tests,
             );
             shortlists.push(Arc::new(cs));
@@ -849,125 +728,6 @@ impl SceneEngine {
         nearest.clear();
         self.nearest_buf = nearest;
         SceneState { n, positions, payload: StatePayload::Pruned { k, shortlists } }
-    }
-
-    /// Incremental tick build: O(Δ) in the number of moved users. Distances
-    /// are delta-updated row-wise; each stationary viewer's occlusion graph
-    /// is patched through its warm sweep cache; a moved viewer falls back to
-    /// a full (re-warming) rebuild. Bitwise-identical to
-    /// [`SceneEngine::build_state_scratch`] by construction — see the module
-    /// docs for the argument.
-    fn build_state_incremental(
-        &mut self,
-        positions: Vec<Point2>,
-        moved_mask: &[bool],
-        moved_ids: &[usize],
-        pair_tests: &mut u64,
-    ) -> SceneState {
-        let n = self.n;
-        let mut warm = std::mem::take(&mut self.warm);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let prev = self.states.last().expect("incremental push needs a retained previous state");
-        let (prev_distances, prev_occlusion, prev_mask) = match &prev.payload {
-            StatePayload::Full { distances, occlusion, candidate_mask } => {
-                (distances, occlusion, candidate_mask)
-            }
-            // switching out of pruned mode invalidates `warm_tick`, so the
-            // delta path can never land on a pruned predecessor
-            StatePayload::Pruned { .. } => {
-                unreachable!("the incremental full path never follows a pruned state")
-            }
-        };
-
-        // nothing moved (every position snapped or stood still): the whole
-        // previous state is bit-identical, and the warm caches stay valid
-        if moved_ids.is_empty() {
-            let state = SceneState {
-                n,
-                positions,
-                payload: StatePayload::Full {
-                    distances: prev_distances.clone(),
-                    occlusion: prev_occlusion.clone(),
-                    candidate_mask: prev_mask.clone(),
-                },
-            };
-            self.warm = warm;
-            self.scratch = scratch;
-            return state;
-        }
-
-        // stationary pairs keep their previous (bit-identical) distance;
-        // moved rows re-measure each unordered pair in (min, max) endpoint
-        // order — the from-scratch convention — and mirror
-        let mut distances = prev_distances.clone();
-        for &i in moved_ids {
-            for j in 0..n {
-                if j != i {
-                    let (a, b) = (i.min(j), i.max(j));
-                    let v = positions[a].distance(positions[b]);
-                    distances[i * n + j] = v;
-                    distances[j * n + i] = v;
-                }
-            }
-        }
-
-        let mut occlusion = Vec::with_capacity(self.viewers.len());
-        let mut candidate_mask = Vec::with_capacity(self.viewers.len());
-        let mut rebuilt = 0u64;
-        for (slot, &v) in self.viewers.iter().enumerate() {
-            let row_range = v * n..(v + 1) * n;
-            let (graph, mask) = if moved_mask[v] {
-                // the viewer's own anchor moved: every arc it sees changed
-                rebuilt += 1;
-                let arcs = self.converter.arcs(v, &positions);
-                let graph = warm_full_build(&arcs, &mut warm[slot], pair_tests);
-                let mask = candidate_mask_from_shared(
-                    v,
-                    self.config.mr_mask[v],
-                    &distances[row_range],
-                    &graph,
-                    &self.config.mr_mask,
-                );
-                (Arc::new(graph), mask)
-            } else {
-                // `None`: the merged edge set came out identical to the
-                // previous tick's, so the previous graph is carried forward
-                // by pointer (it compares `Eq` by construction)
-                let graph = match warm_delta_update(
-                    v,
-                    &positions,
-                    &self.converter,
-                    &prev_occlusion[slot],
-                    &mut warm[slot],
-                    moved_mask,
-                    moved_ids,
-                    &mut scratch,
-                    pair_tests,
-                ) {
-                    Some(g) => Arc::new(g),
-                    None => Arc::clone(&prev_occlusion[slot]),
-                };
-                // `warm_delta_update` left the viewer's affected set in
-                // `scratch.affected`; everyone outside it keeps the
-                // previous mask bit verbatim
-                let mask = mask_delta_update(
-                    &prev_mask[slot],
-                    v,
-                    self.config.mr_mask[v],
-                    &distances[row_range],
-                    &graph,
-                    &self.config.mr_mask,
-                    &scratch.affected,
-                );
-                (graph, mask)
-            };
-            occlusion.push(graph);
-            candidate_mask.push(mask);
-        }
-        xr_obs::counter_add("session.incremental.viewers_rebuilt", &[], rebuilt);
-        self.warm = warm;
-        self.scratch = scratch;
-        SceneState { n, positions, payload: StatePayload::Full { distances, occlusion, candidate_mask } }
     }
 
     /// Convenience: pushes every tick of a scenario's trajectory.
@@ -1038,18 +798,6 @@ fn pairwise_distances(positions: &[Point2]) -> Vec<f64> {
     d
 }
 
-/// Builds one viewer's static occlusion graph from its arcs with an angular
-/// sweep: arcs sorted by center, each compared only against arcs within
-/// `half_width + max_half_width` forward gap. Candidate pairs are decided by
-/// the exact [`ViewArc::intersects`] predicate, so the graph has the
-/// brute-force edge set and therefore compares `Eq` to it.
-fn sweep_occlusion_graph(arcs: &[Option<ViewArc>], pair_tests: &mut u64) -> UGraph {
-    let mut order = Vec::new();
-    let mut sorted = Vec::new();
-    sorted_arc_order(arcs, &mut order, &mut sorted);
-    sweep_edges_from_sorted(arcs.len(), &order, &sorted, pair_tests)
-}
-
 /// Fills `order` with the ids of users that have an arc, sorted by the sweep
 /// key `(center, id)`, and `sorted` with their arcs in the same order —
 /// compact arrays so the hot loop never touches the Option-boxed arc slice.
@@ -1061,29 +809,27 @@ fn sorted_arc_order(arcs: &[Option<ViewArc>], order: &mut Vec<usize>, sorted: &m
     sorted.extend(order.iter().map(|&w| arcs[w].unwrap()));
 }
 
-/// The sweep proper, over a pre-sorted arc array (see
-/// [`sweep_occlusion_graph`] for the semantics and pruning argument).
-fn sweep_edges_from_sorted(n: usize, order: &[usize], sorted: &[ViewArc], pair_tests: &mut u64) -> UGraph {
-    UGraph::from_sorted_unique_edges(n, &sweep_edge_list(n, order, sorted, pair_tests))
-}
-
-/// The sweep's edge enumeration over ids `< n`, shared by the graph builder
-/// above and the pruned path's restricted sweep (which runs it over
-/// shortlist-local indices): sorted unique `(min, max)` pairs, every one
-/// decided by the exact predicate.
+/// The angular sweep's edge enumeration over ids `< n`, run by the dense
+/// graph build and by the pruned path's restricted sweep (over
+/// shortlist-local indices): arcs sorted by center, each compared only
+/// against arcs within `half_width + max_half_width` forward gap, and every
+/// candidate pair decided by the exact [`ViewArc::intersects`] predicate.
+/// Leaves the sorted unique `(min, max)` pairs — the brute-force edge set —
+/// in `edges`.
 fn sweep_edge_list(
     n: usize,
     order: &[usize],
     sorted: &[ViewArc],
+    edges: &mut Vec<(usize, usize)>,
     pair_tests: &mut u64,
-) -> Vec<(usize, usize)> {
+) {
+    edges.clear();
     let m = order.len();
     if m < 2 {
-        return Vec::new();
+        return;
     }
     let max_half_width = sorted.iter().map(|a| a.half_width).fold(f64::NEG_INFINITY, f64::max);
 
-    let mut edges: Vec<(usize, usize)> = Vec::new();
     for s in 0..m {
         let i = order[s];
         let ai = sorted[s];
@@ -1123,8 +869,7 @@ fn sweep_edge_list(
     // each intersecting pair can be reached from both endpoints' forward
     // scans; the O(n + m) counting sort + dedup yields the brute-force i<j
     // order
-    sort_unique_pairs(n, &mut edges);
-    edges
+    sort_unique_pairs(n, edges);
 }
 
 /// Builds one viewer's [`CandidateSet`] over its K-nearest members
@@ -1135,6 +880,7 @@ fn sweep_edge_list(
 /// those edges. The `(distance, id)` selection order makes every strictly
 /// nearer user of a member also a member (nearer-occluder closure), so the
 /// member bits are bitwise equal to the full-scene mask.
+#[allow(clippy::too_many_arguments)]
 fn build_candidate_set(
     viewer: usize,
     k: usize,
@@ -1142,6 +888,7 @@ fn build_candidate_set(
     converter: &OcclusionConverter,
     mr_mask: &[bool],
     members: &[(f64, u32)],
+    sweep: &mut SweepBuffers,
     pair_tests: &mut u64,
 ) -> CandidateSet {
     let len = members.len();
@@ -1154,10 +901,7 @@ fn build_candidate_set(
     // conservative on any subset (a subset's max_half_width only shrinks)
     let arcs: Vec<Option<ViewArc>> =
         ids.iter().map(|&w| converter.arc(positions[viewer], positions[w as usize])).collect();
-    let mut order = Vec::new();
-    let mut sorted = Vec::new();
-    sorted_arc_order(&arcs, &mut order, &mut sorted);
-    let local_edges = sweep_edge_list(len, &order, &sorted, pair_tests);
+    let local_edges = sweep.edges(&arcs, pair_tests);
 
     let mut mask = vec![true; len];
     if mr_mask[viewer] {
@@ -1170,7 +914,7 @@ fn build_candidate_set(
                 mask[idx] = false;
             }
         }
-        for &(a, b) in &local_edges {
+        for &(a, b) in local_edges {
             if mr_mask[ids[a] as usize] && dists[a] < dists[b] {
                 mask[b] = false;
             }
@@ -1182,241 +926,8 @@ fn build_candidate_set(
 
     // ascending local indices map monotonically to ascending global ids, so
     // the sorted-unique property carries over
-    let edges: Vec<(u32, u32)> = local_edges.into_iter().map(|(a, b)| (ids[a], ids[b])).collect();
+    let edges: Vec<(u32, u32)> = local_edges.iter().map(|&(a, b)| (ids[a], ids[b])).collect();
     CandidateSet::new(viewer, k, ids, dists, mask, edges)
-}
-
-/// Full sweep that also (re)warms one viewer's cache with the sorted arc
-/// arrays it builds anyway.
-fn warm_full_build(arcs: &[Option<ViewArc>], warm: &mut WarmViewer, pair_tests: &mut u64) -> UGraph {
-    let n = arcs.len();
-    sorted_arc_order(arcs, &mut warm.order, &mut warm.arcs);
-    warm.pos.clear();
-    warm.pos.resize(n, u32::MAX);
-    for (s, &w) in warm.order.iter().enumerate() {
-        warm.pos[w] = s as u32;
-    }
-    sweep_edges_from_sorted(n, &warm.order, &warm.arcs, pair_tests)
-}
-
-/// Patches one *stationary* viewer's occlusion graph through its warm sweep
-/// cache, O(moved · log + affected) instead of O(n log n + pairs):
-///
-/// 1. Arcs are re-derived only for moved users and merged into the
-///    center-sorted order (kept entries and incoming entries are each sorted
-///    by the sweep key, so the merge reproduces the full sort exactly).
-/// 2. Previous edges whose endpoints both stand still are kept verbatim —
-///    their arcs are bit-identical, so the exact predicate's verdict cannot
-///    change. Their sorted stream merges with the freshly decided moved-pair
-///    edges (disjoint sets) into the full build's insertion order.
-/// 3. Each moved arc is re-tested against neighbors within the same
-///    conservative `reach` the full sweep uses, scanning outward in both
-///    directions with wrap-around; if the slack covers the whole circle the
-///    arc is tested against everyone. Every surviving pair is decided by the
-///    exact [`ViewArc::intersects`] predicate.
-///
-/// Returns `None` when the merged edge list is identical to `prev_graph`'s —
-/// under bounded motion the common case — so the caller can carry the
-/// previous graph forward by `Arc` pointer instead of paying the O(n + m)
-/// [`UGraph`] construction. A graph's CSR layout is a function of its edge
-/// set alone, so an equal edge list would rebuild an identical graph and
-/// pointer reuse is bitwise-invisible to every reader.
-#[allow(clippy::too_many_arguments)]
-fn warm_delta_update(
-    viewer: usize,
-    positions: &[Point2],
-    converter: &OcclusionConverter,
-    prev_graph: &UGraph,
-    warm: &mut WarmViewer,
-    moved_mask: &[bool],
-    moved_ids: &[usize],
-    scratch: &mut IncrScratch,
-    pair_tests: &mut u64,
-) -> Option<UGraph> {
-    let n = positions.len();
-
-    // who can change a candidate-mask bit for this viewer: moved users, plus
-    // endpoints of every changed (added or dropped) edge — filled as the
-    // delta is decided below and consumed by `mask_delta_update`. The
-    // epoch-stamped set makes this O(|affected|) per viewer, not O(N).
-    let affected = &mut scratch.affected;
-    affected.begin(n);
-    for &w in moved_ids {
-        affected.insert(w);
-    }
-
-    let incoming = &mut scratch.incoming;
-    incoming.clear();
-    for &w in moved_ids {
-        debug_assert_ne!(w, viewer, "a moved viewer takes the full-rebuild path");
-        if let Some(arc) = converter.arc(positions[viewer], positions[w]) {
-            incoming.push((arc, w));
-        }
-    }
-    incoming.sort_by(|x, y| x.0.center.total_cmp(&y.0.center).then(x.1.cmp(&y.1)));
-
-    let (order_buf, arcs_buf) = (&mut scratch.order_buf, &mut scratch.arcs_buf);
-    order_buf.clear();
-    arcs_buf.clear();
-    {
-        let mut old = warm.order.iter().zip(warm.arcs.iter()).filter(|&(&w, _)| !moved_mask[w]).peekable();
-        let mut new = incoming.iter().peekable();
-        loop {
-            let take_old = match (old.peek(), new.peek()) {
-                (Some(&(&wo, ao)), Some(&&(an, wn))) => {
-                    ao.center.total_cmp(&an.center).then(wo.cmp(&wn)).is_lt()
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_old {
-                let (&w, &a) = old.next().unwrap();
-                order_buf.push(w);
-                arcs_buf.push(a);
-            } else {
-                let &(a, w) = new.next().unwrap();
-                order_buf.push(w);
-                arcs_buf.push(a);
-            }
-        }
-    }
-    std::mem::swap(&mut warm.order, order_buf);
-    std::mem::swap(&mut warm.arcs, arcs_buf);
-    warm.pos.clear();
-    warm.pos.resize(n, u32::MAX);
-    for (s, &w) in warm.order.iter().enumerate() {
-        warm.pos[w] = s as u32;
-    }
-
-    let m = warm.order.len();
-    let edges_new = &mut scratch.edges_new;
-    edges_new.clear();
-    if m >= 2 {
-        let max_half_width = warm.arcs.iter().map(|a| a.half_width).fold(f64::NEG_INFINITY, f64::max);
-        for &(aw, w) in incoming.iter() {
-            let reach = aw.half_width + max_half_width + SWEEP_MARGIN;
-            let s = warm.pos[w] as usize;
-            if 2.0 * reach >= std::f64::consts::TAU {
-                // an engulfing arc's slack covers the circle: the two
-                // directional scans would overlap, so test everyone once
-                for (sj, aj) in warm.arcs.iter().enumerate() {
-                    if sj != s {
-                        *pair_tests += 1;
-                        if aw.intersects(aj) {
-                            let u = warm.order[sj];
-                            edges_new.push((w.min(u), w.max(u)));
-                        }
-                    }
-                }
-                continue;
-            }
-            // an intersecting partner sits within `reach` of `aw` on at
-            // least one side (angle_diff is the min circular gap, and
-            // intersection bounds it by hw_w + hw_u ≤ hw_w + max_hw); gaps
-            // are nondecreasing along each directional lap, so scanning
-            // until the first out-of-reach arc visits every candidate.
-            // 2·reach < τ keeps the two laps disjoint (forward + backward
-            // gap of a pair always sums to τ).
-            let mut sj = s + 1;
-            let mut lift = 0.0;
-            loop {
-                if sj == m {
-                    if lift > 0.0 {
-                        break;
-                    }
-                    sj = 0;
-                    lift = std::f64::consts::TAU;
-                    continue;
-                }
-                if lift > 0.0 && sj == s {
-                    break;
-                }
-                if warm.arcs[sj].center - aw.center + lift > reach {
-                    break;
-                }
-                *pair_tests += 1;
-                if aw.intersects(&warm.arcs[sj]) {
-                    let u = warm.order[sj];
-                    edges_new.push((w.min(u), w.max(u)));
-                }
-                sj += 1;
-            }
-            let mut sj = s as isize - 1;
-            let mut lift = 0.0;
-            loop {
-                if sj < 0 {
-                    if lift > 0.0 {
-                        break;
-                    }
-                    sj = m as isize - 1;
-                    lift = std::f64::consts::TAU;
-                    continue;
-                }
-                if lift > 0.0 && sj == s as isize {
-                    break;
-                }
-                let aj = &warm.arcs[sj as usize];
-                if aw.center - aj.center + lift > reach {
-                    break;
-                }
-                *pair_tests += 1;
-                if aw.intersects(aj) {
-                    let u = warm.order[sj as usize];
-                    edges_new.push((w.min(u), w.max(u)));
-                }
-                sj -= 1;
-            }
-        }
-    }
-    // a pair of two moved users is found from both endpoints' scans
-    edges_new.sort_unstable();
-    edges_new.dedup();
-    for &(a, b) in edges_new.iter() {
-        affected.insert(a);
-        affected.insert(b);
-    }
-    // endpoints of dropped previous edges (any edge touching a mover was
-    // discarded and re-decided; if it did not come back it changed)
-    for (a, b) in prev_graph.edges() {
-        if moved_mask[a] || moved_mask[b] {
-            affected.insert(a);
-            affected.insert(b);
-        }
-    }
-
-    // retained (stationary-pair) edges and freshly decided moved-pair edges
-    // are disjoint sorted runs; the merge is the full build's sorted order
-    let merged = &mut scratch.edges_merged;
-    merged.clear();
-    let mut old = prev_graph.edges().filter(|&(a, b)| !moved_mask[a] && !moved_mask[b]).peekable();
-    let mut new = edges_new.iter().copied().peekable();
-    loop {
-        match (old.peek(), new.peek()) {
-            (Some(&eo), Some(&en)) => {
-                if eo < en {
-                    merged.push(eo);
-                    old.next();
-                } else {
-                    merged.push(en);
-                    new.next();
-                }
-            }
-            (Some(&eo), None) => {
-                merged.push(eo);
-                old.next();
-            }
-            (None, Some(&en)) => {
-                merged.push(en);
-                new.next();
-            }
-            (None, None) => break,
-        }
-    }
-    if merged.len() == prev_graph.edge_count() && merged.iter().copied().eq(prev_graph.edges()) {
-        return None;
-    }
-    Some(UGraph::from_sorted_unique_edges(n, merged))
 }
 
 /// Candidate mask `m_t` for one viewer, derived from the shared state: the
@@ -1446,43 +957,13 @@ fn candidate_mask_from_shared(
 }
 
 /// One candidate-mask bit: whether user `w` survives the MR-viewer pruning
-/// rule. The single source of truth shared by the from-scratch mask build
-/// and the incremental patcher.
+/// rule.
 fn mask_entry(viewer: usize, distances: &[f64], occlusion: &UGraph, mr_mask: &[bool], w: usize) -> bool {
     // no arc: coincident with the viewer (same 1e-9 cutoff as `arc()`)
     if distances[w] < 1e-9 {
         return false;
     }
     !occlusion.neighbors(w).iter().any(|&u| u != viewer && mr_mask[u] && distances[u] < distances[w])
-}
-
-/// Patches a stationary viewer's candidate mask in O(|affected|) bit
-/// re-derivations. A user's bit depends only on its own distance to the
-/// viewer, its occlusion neighbors, and those neighbors' distances — all
-/// bit-identical to the previous tick unless the user moved or one of its
-/// incident occlusion edges changed, which is exactly the `affected` set
-/// `warm_delta_update` leaves behind.
-fn mask_delta_update(
-    prev_mask: &[bool],
-    viewer: usize,
-    viewer_is_mr: bool,
-    distances: &[f64],
-    occlusion: &UGraph,
-    mr_mask: &[bool],
-    affected: &AffectedSet,
-) -> Vec<bool> {
-    let mut mask = prev_mask.to_vec();
-    if !viewer_is_mr {
-        // non-MR viewers have a tick-invariant mask (all true bar themselves)
-        return mask;
-    }
-    // iterate the recorded affected ids only — O(|affected|), not O(N)
-    for &w in affected.ids() {
-        if w != viewer {
-            mask[w] = mask_entry(viewer, distances, occlusion, mr_mask, w);
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -1580,7 +1061,7 @@ mod tests {
             for viewer in [0, n / 2, n - 1] {
                 let arcs = conv.arcs(viewer, &positions);
                 let mut tests = 0;
-                let swept = sweep_occlusion_graph(&arcs, &mut tests);
+                let swept = SweepBuffers::default().graph(&arcs, &mut tests);
                 let brute = conv.static_graph(viewer, &positions);
                 assert_eq!(swept, brute, "seed {seed}, viewer {viewer}");
             }
@@ -1601,7 +1082,7 @@ mod tests {
         ];
         let arcs = conv.arcs(0, &positions);
         let mut tests = 0;
-        assert_eq!(sweep_occlusion_graph(&arcs, &mut tests), conv.static_graph(0, &positions));
+        assert_eq!(SweepBuffers::default().graph(&arcs, &mut tests), conv.static_graph(0, &positions));
     }
 
     #[test]
@@ -1639,7 +1120,7 @@ mod tests {
                     }
                 }
                 let mut tests = 0;
-                let graph = sweep_occlusion_graph(&arcs, &mut tests);
+                let graph = SweepBuffers::default().graph(&arcs, &mut tests);
                 let distances: Vec<f64> = (0..n).map(|w| positions[viewer].distance(positions[w])).collect();
                 let mask = candidate_mask_from_shared(viewer, mr_mask[viewer], &distances, &graph, &mr_mask);
                 assert_eq!(mask, expected, "seed {seed}, viewer {viewer}");
@@ -1647,29 +1128,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_pushes_match_from_scratch_rebuild() {
-        // pushing frames one at a time must leave exactly the state a fresh
-        // engine fed the same frames produces — the engine has no hidden
-        // cross-tick coupling to drift on
-        let n = 16;
-        let frames: Vec<Vec<Point2>> = (0..6).map(|t| random_positions(n, 6.0, 40 + t)).collect();
-        let mut incremental = engine_for(n, 3, 0.25);
-        for f in &frames {
-            incremental.push(Frame::new(f.clone()));
-        }
-        for t in 0..frames.len() {
-            let mut fresh = engine_for(n, 3, 0.25);
-            for f in &frames[..=t] {
-                fresh.push(Frame::new(f.clone()));
-            }
-            assert_states_bitwise_equal(incremental.state(t), fresh.state(t), &format!("t={t}"));
-        }
-    }
-
     /// The dense parts of a full-mode state (tests only ever unpack full
     /// states through this; pruned states have their own assertions).
-    fn full_parts(s: &SceneState) -> (&Vec<f64>, &Vec<Arc<UGraph>>, &Vec<Vec<bool>>) {
+    fn full_parts(s: &SceneState) -> (&Vec<f64>, &Vec<UGraph>, &Vec<Vec<bool>>) {
         match &s.payload {
             StatePayload::Full { distances, occlusion, candidate_mask } => {
                 (distances, occlusion, candidate_mask)
@@ -1678,9 +1139,8 @@ mod tests {
         }
     }
 
-    /// Bounded random walk with teleports: the workload the incremental path
-    /// exists for. `mover_frac` of the users take a small step each tick,
-    /// teleports land anywhere in the room.
+    /// Bounded random walk with teleports: `mover_frac` of the users take a
+    /// small step each tick, teleports land anywhere in the room.
     fn coherent_frames(
         n: usize,
         ticks: usize,
@@ -1718,89 +1178,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_path_is_bitwise_identical_to_from_scratch() {
-        for seed in 0..8u64 {
-            let n = 10 + (seed as usize % 15);
-            let frames = coherent_frames(n, 12, 6.0, 0.3, 0.05, 900 + seed);
-            let mut inc = engine_for(n, 3, 0.25);
-            inc.set_incremental(true);
-            let mut scratch = engine_for(n, 3, 0.25);
-            scratch.set_incremental(false);
-            for f in &frames {
-                inc.push(Frame::new(f.clone()));
-                scratch.push(Frame::new(f.clone()));
-            }
-            for t in 0..frames.len() {
-                assert_states_bitwise_equal(inc.state(t), scratch.state(t), &format!("seed {seed}, t={t}"));
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_path_handles_fully_static_and_fully_teleporting_frames() {
-        let n = 14;
-        // frame 1 repeats frame 0 exactly (everyone stationary), frame 2
-        // teleports everyone, frame 3 repeats frame 2
-        let f0 = random_positions(n, 5.0, 77);
-        let f2 = random_positions(n, 5.0, 78);
-        let frames = vec![f0.clone(), f0, f2.clone(), f2];
-        let mut inc = engine_for(n, 2, 0.25);
-        inc.set_incremental(true);
-        let mut scratch = engine_for(n, 2, 0.25);
-        scratch.set_incremental(false);
-        for f in &frames {
-            inc.push(Frame::new(f.clone()));
-            scratch.push(Frame::new(f.clone()));
-        }
-        for t in 0..frames.len() {
-            assert_states_bitwise_equal(inc.state(t), scratch.state(t), &format!("t={t}"));
-        }
-    }
-
-    #[test]
-    fn incremental_with_retention_one_still_matches_the_oracle() {
-        // retention=1 compacts everything but the newest state right after
-        // each push — the previous-state lookup must still see tick t−1
-        let n = 12;
-        let frames = coherent_frames(n, 10, 6.0, 0.4, 0.1, 55);
-        let mut inc = engine_for(n, 2, 0.25);
-        inc.set_incremental(true);
-        inc.set_state_retention(Some(1));
-        let mut scratch = engine_for(n, 2, 0.25);
-        scratch.set_incremental(false);
-        for f in &frames {
-            inc.push(Frame::new(f.clone()));
-            scratch.push(Frame::new(f.clone()));
-        }
-        let last = frames.len() - 1;
-        assert_eq!(inc.first_retained_tick(), last);
-        assert_states_bitwise_equal(inc.state(last), scratch.state(last), "retention=1 final tick");
-    }
-
-    #[test]
-    fn toggling_incremental_mid_session_rebuilds_cleanly() {
-        let n = 12;
-        let frames = coherent_frames(n, 9, 6.0, 0.4, 0.1, 66);
-        let mut toggled = engine_for(n, 2, 0.25);
-        let mut scratch = engine_for(n, 2, 0.25);
-        scratch.set_incremental(false);
-        for (t, f) in frames.iter().enumerate() {
-            // flip the path every third tick: stale warm caches must never
-            // leak across the switch
-            toggled.set_incremental((t / 3) % 2 == 0);
-            toggled.push(Frame::new(f.clone()));
-            scratch.push(Frame::new(f.clone()));
-        }
-        for t in 0..frames.len() {
-            assert_states_bitwise_equal(toggled.state(t), scratch.state(t), &format!("t={t}"));
-        }
-    }
-
-    #[test]
     fn snap_epsilon_is_shared_ingest_semantics_on_both_paths() {
         // with a positive epsilon, sub-epsilon jitter snaps to the previous
-        // effective position on BOTH paths — and the paths agree bitwise
+        // effective position whether or not pruned shortlists are reused —
+        // and the two settings agree bitwise
         let n = 10;
+        let k = 4;
         let mut rng = StdRng::seed_from_u64(99);
         let base = random_positions(n, 5.0, 99);
         let mut frames = vec![base.clone()];
@@ -1813,9 +1196,11 @@ mod tests {
             frames.push(jittered);
         }
         let mut inc = engine_for(n, 2, 0.25);
+        inc.set_prune_k(k);
         inc.set_incremental(true);
         inc.set_snap_epsilon(1e-3);
         let mut scratch = engine_for(n, 2, 0.25);
+        scratch.set_prune_k(k);
         scratch.set_incremental(false);
         scratch.set_snap_epsilon(1e-3);
         for f in &frames {
@@ -1823,12 +1208,17 @@ mod tests {
             scratch.push(Frame::new(f.clone()));
         }
         for t in 0..frames.len() {
-            assert_states_bitwise_equal(inc.state(t), scratch.state(t), &format!("t={t}"));
+            assert_eq!(inc.state(t).positions(), scratch.state(t).positions(), "t={t}: positions");
+            for v in 0..n {
+                let (a, b) = (inc.view(v, t).candidates().unwrap(), scratch.view(v, t).candidates().unwrap());
+                assert_eq!(a, b, "t={t} v={v}: shortlist");
+            }
             // jitter stays under the snap radius: everyone holds position
             assert_eq!(inc.state(t).positions(), inc.state(0).positions(), "t={t}: snapped still");
         }
         // zero epsilon leaves raw positions untouched (numeric no-op)
         let mut raw = engine_for(n, 2, 0.25);
+        raw.set_prune_k(k);
         raw.push(Frame::new(frames[0].clone()));
         raw.push(Frame::new(frames[1].clone()));
         assert_eq!(raw.state(1).positions(), &frames[1][..]);
@@ -2010,8 +1400,8 @@ mod tests {
 
     #[test]
     fn pruned_incremental_reuse_matches_per_tick_rebuild() {
-        // the delta path's Arc reuse must be invisible: an incremental
-        // pruned engine and a fresh-per-prefix pruned engine agree exactly
+        // shortlist reuse by pointer must be invisible: a reusing pruned
+        // engine and one that rebuilds every shortlist agree exactly
         let n = 14;
         let k = 5;
         let frames = coherent_frames(n, 8, 5.0, 0.25, 0.05, 31);
@@ -2086,14 +1476,12 @@ mod tests {
 
     #[test]
     fn toggling_prune_k_mid_session_rebuilds_cleanly() {
-        // pruned → full must not leave stale warm caches behind: the full
-        // ticks after the switch still match a from-scratch oracle
+        // pruned ⇄ full switches leave nothing stale behind: every full tick
+        // after a switch still matches an engine that never pruned
         let n = 12;
         let frames = coherent_frames(n, 9, 5.0, 0.3, 0.1, 77);
         let mut toggled = engine_for(n, 2, 0.25);
-        toggled.set_incremental(true);
         let mut oracle = engine_for(n, 2, 0.25);
-        oracle.set_incremental(false);
         for (t, f) in frames.iter().enumerate() {
             toggled.set_prune_k(if (t / 3) % 2 == 0 { 4 } else { 0 });
             toggled.push(Frame::new(f.clone()));
@@ -2104,6 +1492,47 @@ mod tests {
                 continue;
             }
             assert_states_bitwise_equal(toggled.state(t), oracle.state(t), &format!("t={t}"));
+        }
+    }
+
+    #[test]
+    fn pruned_reuse_survives_toggling_incremental_and_k_mid_session() {
+        // reuse reads only the previous retained state, which every setting
+        // builds identically: flipping reuse and K mid-session must still
+        // match an engine that rebuilds every shortlist at the same K
+        let n = 12;
+        let frames = coherent_frames(n, 12, 5.0, 0.2, 0.05, 88);
+        let mut toggled = engine_for(n, 2, 0.25);
+        let mut oracle = engine_for(n, 2, 0.25);
+        oracle.set_incremental(false);
+        for (t, f) in frames.iter().enumerate() {
+            let k = if (t / 4) % 2 == 0 { 5 } else { 3 };
+            toggled.set_incremental(t % 3 != 1);
+            toggled.set_prune_k(k);
+            oracle.set_prune_k(k);
+            toggled.push(Frame::new(f.clone()));
+            oracle.push(Frame::new(f.clone()));
+            for v in 0..n {
+                assert_eq!(
+                    toggled.view(v, t).candidates().unwrap(),
+                    oracle.view(v, t).candidates().unwrap(),
+                    "t={t} v={v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_scene_pushes_without_panicking() {
+        // n = 0 with no viewers: the brute-force pair count must not
+        // underflow, and snapping an empty frame is a no-op
+        for prune_k in [0, 3] {
+            let config = SceneConfig { body_radius: 0.2, mr_mask: Vec::new(), room_diagonal: 1.0 };
+            let mut engine = SceneEngine::new(0, config, &[]);
+            engine.set_prune_k(prune_k);
+            assert_eq!(engine.push(Frame::new(vec![])), 0);
+            assert_eq!(engine.push(Frame::new(vec![])), 1);
+            assert!(engine.latest_state().unwrap().positions().is_empty());
         }
     }
 }

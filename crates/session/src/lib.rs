@@ -7,7 +7,7 @@
 //! target a cheap view borrowing that shared state:
 //!
 //! * [`SceneEngine`] ingests one [`Frame`] (all positions at tick `t`) at a
-//!   time and incrementally appends a [`SceneState`]: the symmetric pairwise
+//!   time and appends that tick's [`SceneState`]: the symmetric pairwise
 //!   distance matrix (each unordered pair measured once and mirrored —
 //!   bit-exact, since IEEE negation is exact), the per-viewer occlusion
 //!   structure, and the MR co-location candidate masks derived from it.
@@ -23,12 +23,12 @@
 //! order as the brute-force build, so the resulting graphs — and everything
 //! derived from them — are structurally identical, not just equivalent.
 //!
-//! Every engine starts on the production path: incremental O(Δ)
-//! maintenance over dense full-N state. The reference paths are reached
-//! only through explicit calls on an engine the caller owns —
-//! [`SceneEngine::set_incremental`]`(false)` for the from-scratch rebuild,
-//! [`SceneEngine::set_prune_k`]`(k)` for crowd-scale K-candidate shortlists —
-//! never through the environment.
+//! Every engine starts on dense full-N state, built from scratch on every
+//! tick. The other paths are reached only through explicit calls on an
+//! engine the caller owns — [`SceneEngine::set_prune_k`]`(k)` for
+//! crowd-scale K-candidate shortlists (which reuse unchanged shortlists by
+//! pointer), [`SceneEngine::set_incremental`]`(false)` to rebuild every
+//! shortlist as the oracle for that reuse — never through the environment.
 
 pub mod engine;
 pub mod prune;

@@ -170,10 +170,10 @@ impl Matrix {
     /// Matrix product `self · rhs` via the size-adaptive dispatcher.
     ///
     /// Products below [`Self::MATMUL_DISPATCH_THRESHOLD`] flops run the
-    /// unpacked register-tiled kernel of [`Self::matmul_chunked_into`] — at
+    /// unpacked register-tiled kernel `matmul_chunked_into` — at
     /// those sizes B is cache-resident, so repacking it into panels is pure
-    /// overhead. Larger products run the packed-B register-tiled kernel of
-    /// [`Self::matmul_packed_into`]. Per output entry every kernel
+    /// overhead. Larger products run the packed-B register-tiled kernel
+    /// `matmul_packed_into`. Per output entry every kernel
     /// accumulates over `k` in ascending order with identical arithmetic
     /// (including the `a == 0.0` skip), so results match bit-for-bit with
     /// the reference [`Self::matmul_naive`] — the kernel-equivalence
@@ -404,7 +404,7 @@ impl Matrix {
     /// Bit-for-bit identical to `self.transpose().matmul(rhs)`: per output
     /// entry the contraction index (rows of both operands) runs in
     /// ascending order with the same `a == 0.0` skip, in the same
-    /// register-tiled chunks as [`Self::matmul_chunked_into`]. This is the
+    /// register-tiled chunks as the private `matmul_chunked_into`. This is the
     /// backward-pass kernel for `∂(A·B)/∂B = Aᵀ·G` — the transpose of a
     /// tall activation matrix is pure strided traffic, so fusing it away
     /// removes an allocation and a copy per matmul per backward step.

@@ -17,7 +17,7 @@
 //! | [`xr_baselines`] | Random, Nearest, MvAGC, GraFrank, DCRNN, TGCN, COMURNet |
 //! | [`xr_eval`] | metrics, statistics, experiment runners, user-study simulator |
 //! | [`xr_obs`] | tracing spans, metrics registry, SLO tracking, flight recorder |
-//! | [`xr_session`] | frame-driven `SceneEngine`: incremental and K-candidate pruned scene maintenance |
+//! | [`xr_session`] | frame-driven `SceneEngine`: dense from-scratch ticks and K-candidate pruned shortlists |
 //! | [`xr_serve`] | multi-room scheduler: mailboxes, admission control, degradation |
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour and

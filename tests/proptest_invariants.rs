@@ -124,11 +124,12 @@ proptest! {
         }
     }
 
-    /// Incremental O(Δ) scene maintenance is an optimization, not an
-    /// approximation: under coherence-swept ORCA walks (bounded steps,
-    /// teleports, dwells) plus mid-session join/leave churn — modeled as
-    /// teleports to and from a shared lobby point — every tick's state is
-    /// bit-identical to the from-scratch oracle's.
+    /// Pruned shortlist reuse is an optimization, not an approximation:
+    /// under coherence-swept ORCA walks (bounded steps, teleports, dwells)
+    /// plus mid-session join/leave churn — modeled as teleports to and from
+    /// a shared lobby point — an engine that carries unchanged shortlists
+    /// forward by pointer serves every tick bit-identically to one that
+    /// rebuilds every shortlist, at any K, retention and snap epsilon.
     #[test]
     fn incremental_scene_state_is_bitwise_from_scratch(
         seed in 0u64..10_000,
@@ -138,6 +139,8 @@ proptest! {
         churn in 0.0f64..0.3,
         jitter in 0.0f64..0.05,
         snap in 0.0f64..0.1,
+        k in 1usize..10,
+        retention in 0usize..3,
     ) {
         let (n, ticks) = (10usize, 6usize);
         let room = Room::new(8.0, 8.0);
@@ -170,35 +173,42 @@ proptest! {
             room_diagonal: 8.0 * std::f64::consts::SQRT_2,
         };
         let viewers = [0usize, 4, 7];
-        // snapping is shared ingest semantics: set on both engines, equality
-        // must hold for any epsilon (including one absorbing the jitter)
-        let mut inc = SceneEngine::new(n, scene.clone(), &viewers);
-        inc.set_incremental(true);
-        inc.set_snap_epsilon(snap);
-        let mut oracle = SceneEngine::new(n, scene, &viewers);
-        oracle.set_incremental(false);
-        oracle.set_snap_epsilon(snap);
-        for frame in &frames {
+        // retention 0 draws "unbounded"; snapping is shared ingest
+        // semantics, so it is set on both engines (including an epsilon
+        // that absorbs the jitter)
+        let keep = if retention == 0 { None } else { Some(retention) };
+        let build = |incremental: bool| {
+            let mut engine = SceneEngine::new(n, scene.clone(), &viewers);
+            engine.set_prune_k(k);
+            engine.set_incremental(incremental);
+            engine.set_state_retention(keep);
+            engine.set_snap_epsilon(snap);
+            engine
+        };
+        let mut inc = build(true);
+        let mut oracle = build(false);
+        for (t, frame) in frames.iter().enumerate() {
             inc.push(Frame::new(frame.clone()));
             oracle.push(Frame::new(frame.clone()));
-        }
-        for t in 0..frames.len() {
             let (si, so) = (inc.state(t), oracle.state(t));
-            for i in 0..n {
-                for (j, (a, b)) in si.distance_row(i).iter().zip(so.distance_row(i)).enumerate() {
-                    prop_assert!(
-                        a.to_bits() == b.to_bits(),
-                        "distance[{}][{}] at t={}: incremental {:?} vs scratch {:?}", i, j, t, a, b
-                    );
-                }
+            for (i, (p, q)) in si.positions().iter().zip(so.positions()).enumerate() {
+                prop_assert!(
+                    p.x.to_bits() == q.x.to_bits() && p.y.to_bits() == q.y.to_bits(),
+                    "position[{}] at t={}: reuse {:?} vs rebuild {:?}", i, t, p, q
+                );
             }
             for &v in &viewers {
-                let (vi, vo) = (inc.view(v, t), oracle.view(v, t));
-                prop_assert_eq!(vi.occlusion(), vo.occlusion(), "viewer {} occlusion at t={}", v, t);
+                let ci = inc.view(v, t).candidates().expect("prune_k > 0 builds shortlists");
+                let co = oracle.view(v, t).candidates().expect("prune_k > 0 builds shortlists");
+                prop_assert_eq!(ci.ids(), co.ids(), "viewer {} ids at t={}", v, t);
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
                 prop_assert_eq!(
-                    vi.candidate_mask(), vo.candidate_mask(),
-                    "viewer {} candidate mask at t={}", v, t
+                    bits(ci.distances()), bits(co.distances()),
+                    "viewer {} distances at t={}", v, t
                 );
+                prop_assert_eq!(ci.edges(), co.edges(), "viewer {} edges at t={}", v, t);
+                prop_assert_eq!(ci.mask(), co.mask(), "viewer {} mask at t={}", v, t);
+                prop_assert_eq!(ci.decide_topk(3), co.decide_topk(3), "viewer {} decision at t={}", v, t);
             }
         }
     }

@@ -175,9 +175,9 @@ fn decisions_never_depend_on_future_frames() {
 
 #[test]
 fn decisions_never_depend_on_future_frames_under_either_maintenance_mode() {
-    // Incremental O(Δ) scene maintenance carries warm per-viewer caches
-    // across ticks; the no-lookahead contract must survive both the warm
-    // path and the from-scratch oracle.
+    // `set_incremental` selects whether pruned shortlists are reused across
+    // ticks; dense engines build every tick from its frame under either
+    // setting, and the no-lookahead contract must hold under both.
     assert_no_lookahead(true);
     assert_no_lookahead(false);
 }
