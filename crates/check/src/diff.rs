@@ -15,8 +15,6 @@
 //! deterministic — case `i` always draws from the same seed — so failures
 //! reproduce exactly across runs, machines, and thread counts.
 
-use std::rc::Rc;
-
 use proptest::collection::vec as pvec;
 use proptest::Strategy;
 use rand::rngs::StdRng;
@@ -446,7 +444,7 @@ impl DiffSubject for OrcaGridVsBrute {
 // Kernel pair 4: serial vs. parallel runner (identical-tables claim).
 // ---------------------------------------------------------------------------
 
-/// `xr_eval::par_map_indexed_with(1, …)` vs. `(workers, …)` over a workload
+/// `xr_eval::par_map_indexed(1, …)` vs. `(workers, …)` over a workload
 /// of independent seeded cells (each cell: a seeded mini matmul reduced to
 /// one f64), compared bitwise per cell — the same per-cell-seed discipline
 /// the comparison tables rely on.
@@ -489,8 +487,8 @@ impl DiffSubject for SerialVsParallelRunner {
 
     fn compare(&self, case: &ParCase) -> Option<StepDivergence> {
         let n = case.cell_seeds.len();
-        let serial = xr_eval::par_map_indexed_with(1, n, |i| par_cell(case.cell_seeds[i]));
-        let parallel = xr_eval::par_map_indexed_with(self.workers, n, |i| par_cell(case.cell_seeds[i]));
+        let serial = xr_eval::par_map_indexed(1, n, |i| par_cell(case.cell_seeds[i]));
+        let parallel = xr_eval::par_map_indexed(self.workers, n, |i| par_cell(case.cell_seeds[i]));
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             if s.to_bits() != p.to_bits() {
                 return Some(StepDivergence {
@@ -1661,12 +1659,6 @@ impl DiffSubject for PrunedVsFull {
             case.incremental
         )
     }
-}
-
-/// Rebuilds a CSR matrix from raw entries — exposed for tests that want to
-/// cross-check a subject's own comparison logic.
-pub fn csr_of(case: &SpmmCase) -> Rc<CsrAdj> {
-    Rc::new(case.csr())
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! round-trip [`crate::fmt_f64`] formatting. Because every stage derives its
 //! randomness from fixed seeds and every kernel is bit-deterministic, the
 //! snapshot is **byte-identical** across runs, optimization levels, and
-//! `AFTER_THREADS` settings; wall-clock quantities are deliberately
-//! excluded.
+//! worker counts ([`ReplayConfig::workers`]); wall-clock quantities are
+//! deliberately excluded.
 //!
 //! [`assert_matches_golden`] compares a snapshot against
 //! `crates/check/golden/<name>`; run with `UPDATE_GOLDEN=1` to (re)generate
@@ -46,6 +46,8 @@ pub struct ReplayConfig {
     pub train_epochs: usize,
     /// Model hyperparameters.
     pub model: PoshGnnConfig,
+    /// Worker count for the method table's parallel cells.
+    pub workers: usize,
 }
 
 impl ReplayConfig {
@@ -67,6 +69,7 @@ impl ReplayConfig {
             targets: vec![0, 3],
             train_epochs: 6,
             model: PoshGnnConfig::default(),
+            workers: 1,
         }
     }
 }
@@ -148,9 +151,9 @@ pub fn replay_with(cfg: &ReplayConfig, configure: impl FnOnce(&mut SceneEngine))
 
     // method table over all targets; independent (method × target) cells run
     // through the parallel runner exactly like the paper tables — per-cell
-    // constructions are seeded, so the table is identical at any AFTER_THREADS
+    // constructions are seeded, so the table is identical at any worker count
     let methods = ["POSHGNN", "Random", "Nearest", "RenderAll"];
-    let cells = par_map_indexed(methods.len() * contexts.len(), |cell| {
+    let cells = par_map_indexed(cfg.workers, methods.len() * contexts.len(), |cell| {
         let (mi, ti) = (cell / contexts.len(), cell % contexts.len());
         let ctx = &contexts[ti];
         let mut rec: Box<dyn AfterRecommender> = match methods[mi] {
@@ -242,15 +245,17 @@ pub fn assert_matches_golden_at(dir: &std::path::Path, name: &str, snapshot: &st
     }
 }
 
-/// One process-wide lock for every `with_*` env helper: tests mutating
-/// different variables must still serialize against each other.
+/// One process-wide lock for [`with_env_vars`]: tests mutating different
+/// variables must still serialize against each other.
 fn env_lock() -> &'static Mutex<()> {
     static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     ENV_LOCK.get_or_init(|| Mutex::new(()))
 }
 
 /// Runs `f` with every `(key, value)` env var forced, restoring the previous
-/// state afterwards, under the process-wide env lock.
+/// state afterwards, under the process-wide env lock. A panic in `f` skips
+/// the restore (and poisons the lock), so use it only for tests that fail
+/// the run anyway when `f` panics.
 pub fn with_env_vars<R>(vars: &[(&str, &str)], f: impl FnOnce() -> R) -> R {
     let _guard = env_lock().lock().expect("env lock poisoned");
     let previous: Vec<Option<String>> = vars.iter().map(|(key, _)| std::env::var(key).ok()).collect();
@@ -265,13 +270,6 @@ pub fn with_env_vars<R>(vars: &[(&str, &str)], f: impl FnOnce() -> R) -> R {
         }
     }
     result
-}
-
-/// Runs `f` with `AFTER_THREADS` forced to `n`, restoring the previous value
-/// afterwards. Serialized process-wide so concurrent tests cannot interleave
-/// env mutations.
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    with_env_vars(&[("AFTER_THREADS", &n.to_string())], f)
 }
 
 #[cfg(test)]
@@ -319,13 +317,5 @@ mod tests {
         .expect_err("missing golden must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("UPDATE_GOLDEN=1 cargo test -p xr_check"), "message: {msg}");
-    }
-
-    #[test]
-    fn with_threads_restores_the_environment() {
-        let before = std::env::var("AFTER_THREADS").ok();
-        let inside = with_threads(3, || std::env::var("AFTER_THREADS").unwrap());
-        assert_eq!(inside, "3");
-        assert_eq!(std::env::var("AFTER_THREADS").ok(), before);
     }
 }

@@ -20,11 +20,12 @@
 //!   (dataset → ORCA trajectories → training → recommendation → evaluation →
 //!   parallel table) serialized to a deterministic snapshot, compared
 //!   byte-for-byte against checked-in golden files, regenerated with
-//!   `UPDATE_GOLDEN=1`, and asserted identical at `AFTER_THREADS=1` and `8`.
+//!   `UPDATE_GOLDEN=1`, and asserted identical at 1 and 8 workers in one
+//!   process.
 //!
 //! Every future kernel or scheduling change is validated against this crate
-//! (`cargo test -p xr_check`); CI runs it under an `AFTER_THREADS={1,8}`
-//! matrix. Conventions live in DESIGN.md §9.
+//! (`cargo test -p xr_check`); every worker count it compares is an
+//! explicit input, so CI runs it once. Conventions live in DESIGN.md §9.
 
 pub mod diff;
 pub mod golden;

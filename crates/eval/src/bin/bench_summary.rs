@@ -11,7 +11,7 @@
 //! exporter and prints it to stdout. All "before" numbers are the
 //! pre-overhaul code paths, which are kept callable behind flags
 //! (`matmul_naive`, `dense_kernels`, `use_spatial_grid: false`,
-//! `AFTER_THREADS=1`, `fresh_mia`/`fresh_tape`), so the comparison runs
+//! `workers: 1`, `fresh_mia`/`fresh_tape`), so the comparison runs
 //! both sides in one build. Historical `BENCH_pr*.json`
 //! files stay committed as published; this binary only writes the current
 //! summary. Compare two summaries with the `bench_compare` binary.
@@ -344,21 +344,17 @@ fn bench_parallel_runner() -> Json {
         include_comurnet: false,
         ..ComparisonConfig::paper_defaults(ScenarioConfig::default())
     };
-    let wall = |threads: Option<usize>| {
-        match threads {
-            Some(t) => std::env::set_var("AFTER_THREADS", t.to_string()),
-            None => std::env::remove_var("AFTER_THREADS"),
-        }
+    let all_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let wall = |workers: usize| {
         let start = Instant::now();
-        std::hint::black_box(run_comparison(&dataset, &cfg));
+        std::hint::black_box(run_comparison(&dataset, &ComparisonConfig { workers, ..cfg }));
         start.elapsed().as_secs_f64()
     };
-    let serial_s = wall(Some(1));
-    let parallel_s = wall(None);
-    std::env::remove_var("AFTER_THREADS");
+    let serial_s = wall(1);
+    let parallel_s = wall(all_cores);
     Json::obj()
         .set("methods", 7u64)
-        .set("threads", xr_eval::thread_count())
+        .set("threads", all_cores)
         .set("serial_s", num3(serial_s))
         .set("parallel_s", num3(parallel_s))
         .set("speedup", num3(serial_s / parallel_s))
@@ -454,12 +450,12 @@ fn bench_obs_overhead() -> Json {
         .set("recommend_step", arm(min(&step_off), min(&step_on)))
 }
 
-/// Multi-room serving throughput: 1k+ concurrent `SceneEngine` rooms on the
-/// shared worker pool, one frame per room per pump round, with a generous
+/// Multi-room serving throughput: 1k+ concurrent `SceneEngine` rooms on
+/// `workers` pool workers, one frame per room per pump round, with a generous
 /// SLO budget installed so the whole admission/ladder machinery is live.
 /// Reports rooms×rounds throughput and the p50/p99 of the per-frame
 /// `serve.room.tick.ms` histogram against the budget.
-fn bench_multi_room() -> Json {
+fn bench_multi_room(workers: usize) -> Json {
     use xr_serve::{RoomConfig, RoomServer, ServerConfig};
     use xr_session::{Frame, SceneConfig};
 
@@ -487,6 +483,7 @@ fn bench_multi_room() -> Json {
 
     let mut server = RoomServer::new(ServerConfig {
         max_rooms: ROOMS,
+        workers,
         slo: Some(xr_obs::SloConfig::new(BUDGET_MS)),
         ..ServerConfig::default()
     });
@@ -654,7 +651,7 @@ fn main() {
     eprintln!("[10/12] observability overhead, installed ctx vs none");
     let obs_overhead = bench_obs_overhead();
     eprintln!("[11/12] multi-room serving: 1k rooms on the worker pool");
-    let multi_room = bench_multi_room();
+    let multi_room = bench_multi_room(xr_obs::threads_from_env());
     eprintln!("[12/12] crowd-scale serving: K-candidate pruned vs dense full-N");
     let crowd_scale = bench_crowd_scale();
     let summary = Json::obj()

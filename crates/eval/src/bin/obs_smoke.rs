@@ -156,6 +156,7 @@ fn main() {
         n_targets: 2,
         train_epochs: 5,
         include_comurnet: false,
+        workers: xr_obs::threads_from_env(),
         ..ComparisonConfig::paper_defaults(ScenarioConfig::default())
     };
     let cmp = run_comparison(&dataset, &cfg);

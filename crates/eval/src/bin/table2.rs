@@ -10,7 +10,10 @@ use xr_eval::{run_comparison, ComparisonConfig};
 fn main() {
     let _obs = xr_obs::init_cli_env();
     let dataset = Dataset::generate(DatasetKind::Timik, 2);
-    let cfg = ComparisonConfig::paper_defaults(dataset.default_scenario_config(102));
+    let cfg = ComparisonConfig {
+        workers: xr_obs::threads_from_env(),
+        ..ComparisonConfig::paper_defaults(dataset.default_scenario_config(102))
+    };
     let cmp = run_comparison(&dataset, &cfg);
     let mut text = cmp.render_table("Table II: results on the Timik-like dataset");
     text.push_str("\np-values (Welch) of POSHGNN vs baselines on per-target AFTER utility:\n");

@@ -15,7 +15,8 @@ fn main() {
     let ns = [10usize, 20, 50, 100, 200, 500];
     // Each N-cell is independent and deterministically seeded, so the sweep
     // parallelizes across AFTER_THREADS workers with identical output.
-    let rows: Vec<(usize, xr_eval::MethodResult)> = par_map_indexed(ns.len(), |i| {
+    let workers = xr_obs::threads_from_env();
+    let rows: Vec<(usize, xr_eval::MethodResult)> = par_map_indexed(workers, ns.len(), |i| {
         let n = ns[i];
         // T = 50 keeps the N = 500 sweep tractable; the N-trend is unaffected
         let scenario_cfg =

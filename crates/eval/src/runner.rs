@@ -87,6 +87,10 @@ pub struct MethodResult {
 /// decisions: the decision computed for step `t` is *applied* at
 /// `t + latency`, and nothing is displayed before the first delivery — the
 /// paper's practicality penalty (Fig. 2b) made concrete.
+///
+/// When the installed [`xr_obs::ObsCtx`] carries a step budget
+/// ([`xr_obs::ObsCtx::slo_budget_ms`]), every step is judged against it
+/// under the `slo.xr_eval.step.*` metrics.
 pub fn run_method(rec: &mut dyn AfterRecommender, contexts: &[TargetContext]) -> MethodResult {
     let name = rec.name();
     let _span = xr_obs::span!("xr_eval.run_method", method = name, targets = contexts.len());
@@ -95,9 +99,11 @@ pub fn run_method(rec: &mut dyn AfterRecommender, contexts: &[TargetContext]) ->
     let mut total_ms = 0.0;
     let mut total_steps = 0usize;
     let latency = rec.latency_steps();
-    // per-step deadline accounting + windowed latency series, when a budget
-    // is configured (AFTER_SLO_BUDGET_MS / --slo-budget-ms)
-    let mut slo = xr_obs::SloTracker::from_env_labeled("xr_eval.step", &[("method", &name)]);
+    // per-step deadline accounting + windowed latency series, when the
+    // installed context carries a budget
+    let mut slo = xr_obs::current_ctx().and_then(|ctx| ctx.slo_budget_ms).map(|budget_ms| {
+        xr_obs::SloTracker::new("xr_eval.step", xr_obs::SloConfig::new(budget_ms), &[("method", &name)])
+    });
     for ctx in contexts {
         // the driver owns the full context; the method only ever sees the
         // causal per-tick views
@@ -162,10 +168,14 @@ pub struct ComparisonConfig {
     pub top_k: usize,
     /// Whether to include the (slow) COMURNet baseline.
     pub include_comurnet: bool,
+    /// Worker count for the parallel method cells; the tables are identical
+    /// at any value.
+    pub workers: usize,
 }
 
 impl ComparisonConfig {
-    /// Paper-style defaults on top of a dataset's scenario config.
+    /// Paper-style defaults on top of a dataset's scenario config, on
+    /// [`std::thread::available_parallelism`] workers.
     pub fn paper_defaults(scenario: ScenarioConfig) -> Self {
         ComparisonConfig {
             scenario,
@@ -176,6 +186,7 @@ impl ComparisonConfig {
             train_epochs: 60,
             top_k: 10,
             include_comurnet: true,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -269,10 +280,10 @@ fn run_comparison_cell(method: usize, cfg: &ComparisonConfig, inp: &ComparisonIn
 /// Runs the full eight-method comparison on one dataset (the engine behind
 /// Tables II, III, and IV).
 ///
-/// Method cells run in parallel on [`crate::par::thread_count`] scoped
-/// workers (override with `AFTER_THREADS`). Every cell is seeded
-/// independently, so the resulting table is identical at any thread count —
-/// only the wall-clock `ms_per_step` column varies run to run.
+/// Method cells run in parallel on [`ComparisonConfig::workers`] scoped
+/// workers. Every cell is seeded independently, so the resulting table is
+/// identical at any worker count — only the wall-clock `ms_per_step` column
+/// varies run to run.
 pub fn run_comparison(dataset: &Dataset, cfg: &ComparisonConfig) -> Comparison {
     let _span = xr_obs::span!("xr_eval.comparison", dataset = dataset.kind.name());
     let inputs = {
@@ -280,7 +291,7 @@ pub fn run_comparison(dataset: &Dataset, cfg: &ComparisonConfig) -> Comparison {
         ComparisonInputs::build(dataset, cfg)
     };
     let n_methods = if cfg.include_comurnet { 8 } else { 7 };
-    let results = crate::par::par_map_indexed(n_methods, |m| {
+    let results = crate::par::par_map_indexed(cfg.workers, n_methods, |m| {
         let _cell = xr_obs::span!("xr_eval.comparison.cell", method = m);
         run_comparison_cell(m, cfg, &inputs)
     });
@@ -295,7 +306,7 @@ pub fn run_ablation(dataset: &Dataset, cfg: &ComparisonConfig) -> Comparison {
     let _span = xr_obs::span!("xr_eval.ablation", dataset = dataset.kind.name());
     let inputs = ComparisonInputs::build(dataset, cfg);
     let variants = [PoshVariant::Full, PoshVariant::PdrWithMia, PoshVariant::PdrOnly];
-    let results = crate::par::par_map_indexed(variants.len(), |i| {
+    let results = crate::par::par_map_indexed(cfg.workers, variants.len(), |i| {
         let variant = variants[i];
         let _cell = xr_obs::span!("xr_eval.ablation.cell", variant = variant.name());
         let mut model = PoshGnn::new(PoshGnnConfig {
@@ -409,6 +420,7 @@ mod tests {
             train_epochs: 4,
             top_k: 4,
             include_comurnet: false,
+            workers: 1,
         }
     }
 
@@ -449,15 +461,11 @@ mod tests {
     }
 
     #[test]
-    fn comparison_rows_identical_at_any_thread_count() {
+    fn comparison_rows_identical_at_any_worker_count() {
         let dataset = Dataset::generate(DatasetKind::Hubs, 1);
-        let cfg = tiny_cfg(8);
-        // 4 threads regardless of host core count, then strictly sequential
-        std::env::set_var("AFTER_THREADS", "4");
-        let auto = run_comparison(&dataset, &cfg);
-        std::env::set_var("AFTER_THREADS", "1");
-        let single = run_comparison(&dataset, &cfg);
-        std::env::remove_var("AFTER_THREADS");
+        // 4 workers regardless of host core count, then strictly sequential
+        let auto = run_comparison(&dataset, &ComparisonConfig { workers: 4, ..tiny_cfg(8) });
+        let single = run_comparison(&dataset, &ComparisonConfig { workers: 1, ..tiny_cfg(8) });
 
         assert_eq!(auto.results.len(), single.results.len());
         for (a, s) in auto.results.iter().zip(&single.results) {
@@ -481,21 +489,18 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_identical_at_any_thread_count() {
+    fn metrics_snapshot_identical_at_any_worker_count() {
         let dataset = Dataset::generate(DatasetKind::Hubs, 1);
-        let cfg = tiny_cfg(12);
-        let snapshot_with_threads = |threads: &str| {
-            std::env::set_var("AFTER_THREADS", threads);
+        let snapshot_with_workers = |workers: usize| {
             let ctx = xr_obs::ObsCtx::new(true, false);
             {
                 let _guard = ctx.install();
-                run_comparison(&dataset, &cfg);
+                run_comparison(&dataset, &ComparisonConfig { workers, ..tiny_cfg(12) });
             }
-            std::env::remove_var("AFTER_THREADS");
             ctx.registry.snapshot()
         };
-        let single = snapshot_with_threads("1");
-        let multi = snapshot_with_threads("4");
+        let single = snapshot_with_workers(1);
+        let multi = snapshot_with_workers(4);
         // event/work counters merge exactly across workers
         assert_eq!(single.counters, multi.counters);
         // gauges hold deterministic objective values, so they match bit-for-bit
@@ -524,7 +529,7 @@ mod tests {
             let ctx = xr_obs::ObsCtx::new(true, false);
             {
                 let _guard = ctx.install();
-                crate::par::par_map_indexed_with(workers, 96, |i| {
+                crate::par::par_map_indexed(workers, 96, |i| {
                     let window = (i / 8) as u64;
                     xr_obs::series_observe(
                         "det.step.ms",
@@ -541,7 +546,7 @@ mod tests {
         let single = series_with_workers(1);
         let multi = series_with_workers(8);
         assert!(!single.series.is_empty());
-        assert_eq!(single, multi, "windowed merge must not depend on thread count");
+        assert_eq!(single, multi, "windowed merge must not depend on worker count");
         // the counter series saw every cell exactly once across its windows
         let cells = &multi.series("det.cells").expect("counter series present").windows;
         let total: u64 = cells
@@ -555,25 +560,22 @@ mod tests {
     }
 
     #[test]
-    fn windowed_series_from_comparison_identical_at_any_thread_count() {
+    fn windowed_series_from_comparison_identical_at_any_worker_count() {
         // End-to-end flavor of the determinism check: the eval runner's own
         // per-step latency series has wall-clock *values*, but the set of
         // series, their windows, and their observation counts are fixed by the
         // workload alone.
         let dataset = Dataset::generate(DatasetKind::Hubs, 1);
-        let cfg = tiny_cfg(12);
-        let series_with_threads = |threads: &str| {
-            std::env::set_var("AFTER_THREADS", threads);
+        let series_with_workers = |workers: usize| {
             let ctx = xr_obs::ObsCtx::new(true, false);
             {
                 let _guard = ctx.install();
-                run_comparison(&dataset, &cfg);
+                run_comparison(&dataset, &ComparisonConfig { workers, ..tiny_cfg(12) });
             }
-            std::env::remove_var("AFTER_THREADS");
             ctx.series.snapshot()
         };
-        let single = series_with_threads("1");
-        let multi = series_with_threads("8");
+        let single = series_with_workers(1);
+        let multi = series_with_workers(8);
         assert!(
             single.series.iter().any(|s| s.key.name == "xr_eval.step.ms"),
             "runner must export its step-latency series"
@@ -592,6 +594,29 @@ mod tests {
                 assert_eq!(count(ca), count(cb), "{}", a.key.display());
             }
         }
+    }
+
+    #[test]
+    fn step_budget_rides_on_the_installed_context_into_every_worker() {
+        let dataset = Dataset::generate(DatasetKind::Hubs, 1);
+        let step_ticks = |budget_ms: Option<f64>| {
+            let ctx = xr_obs::ObsCtx::with_slo_budget(true, false, budget_ms);
+            {
+                let _guard = ctx.install();
+                run_comparison(&dataset, &ComparisonConfig { workers: 4, ..tiny_cfg(9) });
+            }
+            let snap = ctx.registry.snapshot();
+            snap.counters
+                .iter()
+                .filter(|(k, _)| k.name == "slo.xr_eval.step.ticks")
+                .map(|&(_, n)| n)
+                .collect::<Vec<u64>>()
+        };
+        // one tick counter per method, each counting that method's steps
+        let ticks = step_ticks(Some(1e9));
+        assert_eq!(ticks.len(), 7, "every method cell must track its steps");
+        assert!(ticks.iter().all(|&n| n > 0));
+        assert!(step_ticks(None).is_empty(), "no budget on the context, no step tracking");
     }
 
     #[test]

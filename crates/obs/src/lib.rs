@@ -18,7 +18,8 @@
 //! * [`ObsSession`] / [`init_cli_env`] — activation via the `AFTER_TRACE` /
 //!   `AFTER_METRICS` environment variables or `--trace[=path]` /
 //!   `--metrics[=path]` CLI flags; files are written when the session is
-//!   finished (or dropped).
+//!   finished (or dropped). [`threads_from_env`] is the binaries' one parse
+//!   of `AFTER_THREADS`; library code takes worker counts as values.
 //!
 //! ## Context model
 //!
@@ -46,7 +47,7 @@ use std::sync::Arc;
 pub use json::Json;
 pub use metrics::{HistSnapshot, MetricKey, MetricsSnapshot, Registry};
 pub use recorder::FlightRecorder;
-pub use session::{init_cli_env, init_from_env, ObsOptions, ObsSession};
+pub use session::{init_cli_env, init_from_env, threads_from_env, ObsOptions, ObsSession};
 pub use slo::{SloConfig, SloTracker, TickVerdict};
 pub use timeseries::{TimeSeries, TimeSeriesSnapshot};
 pub use trace::{current_span_path, Span, TraceSink};
@@ -67,18 +68,29 @@ pub struct ObsCtx {
     pub metrics_on: bool,
     /// Trace sink; `None` disables span/event collection.
     pub trace: Option<TraceSink>,
+    /// Per-step latency budget in milliseconds for tick loops that track
+    /// deadlines under this context (the eval runner's recommend steps);
+    /// `None` skips tracking. Travels with the context into pool workers.
+    pub slo_budget_ms: Option<f64>,
 }
 
 impl ObsCtx {
-    /// A context with the requested sinks. `metrics` enables the registry;
-    /// `trace` allocates a trace buffer with epoch "now".
+    /// A context with the requested sinks and no step budget. `metrics`
+    /// enables the registry; `trace` allocates a trace buffer with epoch
+    /// "now".
     pub fn new(metrics: bool, trace: bool) -> Arc<ObsCtx> {
+        ObsCtx::with_slo_budget(metrics, trace, None)
+    }
+
+    /// [`ObsCtx::new`] carrying a per-step latency budget.
+    pub fn with_slo_budget(metrics: bool, trace: bool, slo_budget_ms: Option<f64>) -> Arc<ObsCtx> {
         Arc::new(ObsCtx {
             registry: Registry::new(),
             series: TimeSeries::default(),
             recorder: FlightRecorder::default(),
             metrics_on: metrics,
             trace: if trace { Some(TraceSink::new()) } else { None },
+            slo_budget_ms,
         })
     }
 
@@ -208,13 +220,6 @@ pub fn series_gauge_set(name: &str, labels: &[(&str, &str)], window: u64, v: f64
             }
         }
     });
-}
-
-/// Rolling merged quantiles of the `last_k` most recent windows of one
-/// series on the installed context (`None` without one, or when the series
-/// holds no histogram windows).
-pub fn series_rolling(name: &str, labels: &[(&str, &str)], last_k: usize) -> Option<HistSnapshot> {
-    current_ctx().and_then(|ctx| ctx.series.rolling_quantiles(name, labels, last_k))
 }
 
 /// A deterministic snapshot of the installed context's metrics, for tests

@@ -2,8 +2,9 @@
 //!
 //! Perf artifacts (metrics JSON, `BENCH_*.json`) are only comparable across
 //! runs when they say *how* they were produced. [`run_metadata`] captures
-//! wall-clock and monotonic timestamps, the effective thread count and every
-//! active `AFTER_*` env knob.
+//! wall-clock and monotonic timestamps, the worker count a binary passes on
+//! ([`crate::threads_from_env`]), the installed context's step budget and
+//! every active `AFTER_*` env knob.
 //!
 //! [`write_atomic`] is the temp-file-plus-rename export primitive all
 //! exporters go through: a panic (or a second process reading mid-export)
@@ -44,16 +45,6 @@ fn iso8601_utc(unix_s: u64) -> String {
     format!("{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z", y, m, d, secs / 3600, (secs % 3600) / 60, secs % 60)
 }
 
-/// The effective worker count: `AFTER_THREADS` when set and valid, else the
-/// machine's available parallelism.
-fn effective_threads() -> u64 {
-    std::env::var("AFTER_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1))
-}
-
 /// The self-describing metadata block embedded in metrics JSON and
 /// `BENCH_*.json` artifacts.
 pub fn run_metadata() -> Json {
@@ -68,7 +59,11 @@ pub fn run_metadata() -> Json {
         .set("unix_time_s", unix_s)
         .set("wall_clock_utc", iso8601_utc(unix_s))
         .set("monotonic_ms", process_start().elapsed().as_secs_f64() * 1e3)
-        .set("threads", effective_threads())
+        .set("threads", crate::threads_from_env())
+        .set(
+            "slo_budget_ms",
+            crate::current_ctx().and_then(|ctx| ctx.slo_budget_ms).map_or(Json::Null, Json::from),
+        )
         .set("env", env_json)
 }
 

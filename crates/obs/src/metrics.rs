@@ -131,20 +131,6 @@ impl Hist {
         self.max = self.max.max(v);
     }
 
-    /// Exact merge of another histogram into this one: bucket counts,
-    /// count, and sum are plain additions, so merging is commutative and
-    /// associative — the property the windowed time-series layer relies on
-    /// for cross-worker determinism.
-    pub(crate) fn merge(&mut self, other: &Hist) {
-        for (b, ob) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += ob;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Exported statistics of the current state.
     pub(crate) fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {

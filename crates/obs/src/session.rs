@@ -8,10 +8,13 @@
 //! matching [`ObsCtx`] on the main thread, and writes the requested files
 //! when the session drops (or [`ObsSession::finish`] is called explicitly).
 //!
-//! Flag values are written through to their env vars at [`ObsSession::start`]
-//! so downstream components that self-configure from the environment (the
-//! `SceneEngine`'s SLO tracker, the panic-hook flight dump) see the same
-//! settings regardless of which spelling the user chose.
+//! The step budget is installed on the session's [`ObsCtx`]
+//! ([`ObsCtx::slo_budget_ms`]), where the eval runner reads it. The flight
+//! dump path is written through to its env var at [`ObsSession::start`],
+//! because the panic hook and sustained-breach dumps read it from there.
+//!
+//! [`threads_from_env`] is the one parse of `AFTER_THREADS`, for binaries
+//! that pass a worker count on to the library.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -49,7 +52,7 @@ impl ObsOptions {
             trace_path: path_var("AFTER_TRACE"),
             metrics_path: path_var("AFTER_METRICS"),
             prom_path: path_var("AFTER_PROM"),
-            slo_budget_ms: slo::SloConfig::from_env().map(|c| c.budget_ms),
+            slo_budget_ms: std::env::var(slo::SLO_BUDGET_ENV).ok().and_then(|v| slo::parse_budget_ms(&v)),
             flight_dump_path: recorder::env_dump_path(),
         }
     }
@@ -81,7 +84,7 @@ impl ObsOptions {
             } else if let Some(path) = arg.strip_prefix("--prom=") {
                 opts.prom_path = Some(PathBuf::from(path));
             } else if let Some(ms) = arg.strip_prefix("--slo-budget-ms=") {
-                opts.slo_budget_ms = ms.parse::<f64>().ok().filter(|b| *b > 0.0 && b.is_finite());
+                opts.slo_budget_ms = slo::parse_budget_ms(ms);
             } else if arg == "--flight-dump" {
                 opts.flight_dump_path = Some(PathBuf::from(recorder::DEFAULT_DUMP_PATH));
             } else if let Some(path) = arg.strip_prefix("--flight-dump=") {
@@ -127,18 +130,14 @@ impl ObsSession {
         if options.is_empty() {
             return ObsSession::disabled();
         }
-        // write flag-sourced settings through to the env so components that
-        // self-configure from it (SceneEngine SLO tracker, panic hook, eval
-        // runner) see them; env-sourced values round-trip unchanged
-        if let Some(budget) = options.slo_budget_ms {
-            std::env::set_var(slo::SLO_BUDGET_ENV, format!("{budget}"));
-        }
+        // the panic hook and breach dumps read the dump path from the env, so
+        // a flag-sourced path is written through; env-sourced ones round-trip
         if let Some(path) = &options.flight_dump_path {
             std::env::set_var(recorder::FLIGHT_DUMP_ENV, path.as_os_str());
             recorder::install_panic_hook();
         }
         let metrics = options.metrics_path.is_some() || options.prom_path.is_some();
-        let ctx = ObsCtx::new(metrics, options.trace_path.is_some());
+        let ctx = ObsCtx::with_slo_budget(metrics, options.trace_path.is_some(), options.slo_budget_ms);
         let guard = ctx.install();
         ObsSession { ctx: Some(ctx), options, finished: false, _guard: Some(guard) }
     }
@@ -217,6 +216,23 @@ pub fn init_cli_env() -> ObsSession {
     ObsSession::start(ObsOptions::from_args_and_env(std::env::args().skip(1)))
 }
 
+/// The worker count a binary passes on: `AFTER_THREADS` when it holds a
+/// positive integer, otherwise [`std::thread::available_parallelism`]. An
+/// invalid value warns (`xr_eval.par.invalid_threads`) and falls back.
+pub fn threads_from_env() -> usize {
+    let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    match std::env::var("AFTER_THREADS") {
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                crate::warn_event!("xr_eval.par.invalid_threads", ignored = format!("{v:?}"));
+                available()
+            }
+        },
+        Err(_) => available(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +261,16 @@ mod tests {
         // non-positive budgets are rejected, not propagated
         let opts = ObsOptions::from_args_and_env(["--slo-budget-ms=0"]);
         assert_eq!(opts.slo_budget_ms, None);
+        // the flag shares the env var's parse, whitespace included
+        let opts = ObsOptions::from_args_and_env(["--slo-budget-ms= 4 "]);
+        assert_eq!(opts.slo_budget_ms, Some(4.0));
+    }
+
+    #[test]
+    fn the_session_context_carries_the_step_budget() {
+        let session = ObsSession::start(ObsOptions { slo_budget_ms: Some(2.5), ..ObsOptions::default() });
+        assert_eq!(session.ctx().and_then(|ctx| ctx.slo_budget_ms), Some(2.5));
+        assert_eq!(crate::current_ctx().and_then(|ctx| ctx.slo_budget_ms), Some(2.5));
     }
 
     #[test]

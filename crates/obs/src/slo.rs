@@ -11,14 +11,14 @@
 //! installed a tracker still *detects* misses (the returned
 //! [`TickVerdict`]) but records nothing.
 //!
-//! The scene engine and the room server never read a budget themselves: a
-//! `SceneEngine` tracks ticks only after `set_slo`, and a `RoomServer` only
-//! under an explicit `ServerConfig::slo`. Callers that take the budget from
-//! `AFTER_SLO_BUDGET_MS` (or the `--slo-budget-ms` flag, which
-//! [`crate::ObsSession`] writes through to the env) read it with
-//! [`SloConfig::from_env`] / [`SloTracker::from_env`], as the eval recommend
-//! loop does. No budget ⇒ `None` and the caller skips tracking entirely —
-//! the unconfigured path stays cost-free.
+//! No library type reads a budget from the environment: a `SceneEngine`
+//! tracks ticks only after `set_slo`, a `RoomServer` only under an explicit
+//! `ServerConfig::slo`, and the eval recommend loop only when the installed
+//! [`crate::ObsCtx`] carries [`crate::ObsCtx::slo_budget_ms`]. Binaries
+//! take the budget from `AFTER_SLO_BUDGET_MS` or the `--slo-budget-ms` flag,
+//! both through [`parse_budget_ms`], and [`crate::ObsSession`] installs it
+//! on the context. No budget ⇒ `None` and the caller skips tracking
+//! entirely — the unconfigured path stays cost-free.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,6 +27,14 @@ use crate::{counter_add, gauge_set, recorder, series_observe, warn_event};
 
 /// Env var holding the per-tick latency budget in milliseconds.
 pub const SLO_BUDGET_ENV: &str = "AFTER_SLO_BUDGET_MS";
+
+/// Parses a budget in milliseconds from [`SLO_BUDGET_ENV`] or the
+/// `--slo-budget-ms=` flag: surrounding whitespace is ignored, and
+/// anything but a positive finite number is `None`.
+pub fn parse_budget_ms(raw: &str) -> Option<f64> {
+    let budget: f64 = raw.trim().parse().ok()?;
+    (budget > 0.0 && budget.is_finite()).then_some(budget)
+}
 
 /// Deadline-budget configuration for one tick loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,17 +55,6 @@ impl SloConfig {
     /// given budget.
     pub fn new(budget_ms: f64) -> SloConfig {
         SloConfig { budget_ms, sustain_window: 32, sustain_misses: 8, series_window_ticks: 8 }
-    }
-
-    /// Reads [`SLO_BUDGET_ENV`]; `None` when unset, empty, or non-positive.
-    pub fn from_env() -> Option<SloConfig> {
-        let raw = std::env::var(SLO_BUDGET_ENV).ok()?;
-        let budget: f64 = raw.trim().parse().ok()?;
-        if budget > 0.0 && budget.is_finite() {
-            Some(SloConfig::new(budget))
-        } else {
-            None
-        }
     }
 }
 
@@ -112,16 +109,6 @@ impl SloTracker {
             in_breach: false,
             config,
         }
-    }
-
-    /// A tracker if [`SLO_BUDGET_ENV`] configures a budget, else `None`.
-    pub fn from_env(scope: &'static str) -> Option<SloTracker> {
-        Self::from_env_labeled(scope, &[])
-    }
-
-    /// Like [`Self::from_env`] with extra label pairs.
-    pub fn from_env_labeled(scope: &'static str, labels: &[(&str, &str)]) -> Option<SloTracker> {
-        SloConfig::from_env().map(|config| SloTracker::new(scope, config, labels))
     }
 
     /// The configured budget.
@@ -266,21 +253,14 @@ mod tests {
     }
 
     #[test]
-    fn from_env_requires_a_positive_budget() {
-        assert!(SloConfig::from_env().is_none() || std::env::var(SLO_BUDGET_ENV).is_ok());
-        assert!(SloConfig::new(7.5).budget_ms == 7.5);
-        // parse rules exercised without mutating process env (other tests run
-        // concurrently in this process)
-        let parse = |raw: &str| -> Option<f64> {
-            let budget: f64 = raw.trim().parse().ok()?;
-            (budget > 0.0 && budget.is_finite()).then_some(budget)
-        };
-        assert_eq!(parse("12.5"), Some(12.5));
-        assert_eq!(parse(" 3 "), Some(3.0));
-        assert_eq!(parse("0"), None);
-        assert_eq!(parse("-1"), None);
-        assert_eq!(parse("inf"), None);
-        assert_eq!(parse("nan"), None);
-        assert_eq!(parse(""), None);
+    fn budget_parse_requires_a_positive_budget() {
+        assert_eq!(parse_budget_ms("12.5"), Some(12.5));
+        assert_eq!(parse_budget_ms(" 3 "), Some(3.0));
+        assert_eq!(parse_budget_ms("0"), None);
+        assert_eq!(parse_budget_ms("-1"), None);
+        assert_eq!(parse_budget_ms("inf"), None);
+        assert_eq!(parse_budget_ms("nan"), None);
+        assert_eq!(parse_budget_ms(""), None);
+        assert_eq!(parse_budget_ms("5ms"), None);
     }
 }

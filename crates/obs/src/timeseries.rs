@@ -160,38 +160,6 @@ impl TimeSeries {
         self.record(name, labels, window, Record::Observe(v));
     }
 
-    /// Merged statistics of the `last_k` most recent retained histogram
-    /// windows of one series — the rolling p50/p95/p99 query. `None` when
-    /// the series does not exist or holds no histogram windows.
-    pub fn rolling_quantiles(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        last_k: usize,
-    ) -> Option<HistSnapshot> {
-        let key = MetricKey::new(name, labels);
-        let shard = self.shard(&key).lock().expect("series shard poisoned");
-        let ring = shard.get(&key)?;
-        let mut cells: Vec<(u64, &Hist)> = ring
-            .slots
-            .iter()
-            .filter_map(|slot| match slot {
-                Some(WindowCell { window, value: WindowValue::Hist(h) }) => Some((*window, h)),
-                _ => None,
-            })
-            .collect();
-        if cells.is_empty() || last_k == 0 {
-            return None;
-        }
-        cells.sort_by_key(|&(window, _)| std::cmp::Reverse(window));
-        cells.truncate(last_k);
-        let mut merged = Hist::new();
-        for (_, h) in &cells {
-            merged.merge(h);
-        }
-        Some(merged.snapshot())
-    }
-
     /// A deterministic (sorted) point-in-time copy of every series.
     pub fn snapshot(&self) -> TimeSeriesSnapshot {
         let mut series = Vec::new();
@@ -337,29 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn rolling_quantiles_merge_the_newest_windows() {
-        let ts = TimeSeries::new(16);
-        for w in 0..8u64 {
-            // windows 0..5 hold small values, 6 and 7 hold large ones
-            let v = if w < 6 { 1.0 } else { 100.0 };
-            for _ in 0..4 {
-                ts.observe("s.ms", &[], w, v);
-            }
-        }
-        let last2 = ts.rolling_quantiles("s.ms", &[], 2).unwrap();
-        assert_eq!(last2.count, 8);
-        assert_eq!(last2.min, 100.0, "rolling window must exclude the old cheap ticks");
-        let all = ts.rolling_quantiles("s.ms", &[], 100).unwrap();
-        assert_eq!(all.count, 32);
-        assert_eq!(all.min, 1.0);
-        assert!(ts.rolling_quantiles("absent", &[], 2).is_none());
-        assert!(ts.rolling_quantiles("s.ms", &[], 0).is_none());
-    }
-
-    #[test]
     fn interleaving_order_does_not_change_the_snapshot() {
-        // the merge-exactness property the AFTER_THREADS=1-vs-8 test in
-        // xr_eval exercises with real scoped workers
+        // the merge-exactness property the 1-vs-8-worker test in xr_eval
+        // exercises with real scoped workers
         let build = |order: &[usize]| {
             let ts = TimeSeries::new(32);
             for &i in order {

@@ -6,8 +6,8 @@
 //! SLO-driven degradation ladder.
 //!
 //! * [`par`] — the scoped-thread work-queue pool (moved here from `xr_eval`,
-//!   which re-exports it): dynamic index scheduling, `AFTER_THREADS`
-//!   discipline, `xr_obs` context propagation into workers.
+//!   which re-exports it): dynamic index scheduling over an explicit worker
+//!   count, `xr_obs` context propagation into workers.
 //! * [`mailbox`] — the bounded SPSC-style frame ring with oldest-frame
 //!   coalescing and strictly increasing delivery sequence numbers.
 //! * [`room`] — one served room: engine + mailbox + the
@@ -34,6 +34,6 @@ pub mod room;
 pub mod server;
 
 pub use mailbox::{EnqueueOutcome, FrameMailbox, SeqFrame};
-pub use par::{par_map_indexed, par_map_indexed_with, thread_count};
+pub use par::par_map_indexed;
 pub use room::{decide_topk_f64, decide_view, Decision, Room, RoomConfig, ServeLevel};
 pub use server::{AdmitError, PumpReport, RoomDrain, RoomId, RoomServer, ServerConfig, ServerStats};

@@ -26,49 +26,18 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count: the `AFTER_THREADS` environment variable when set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`].
+/// Maps `f` over `0..n` on `workers` scoped workers, returning the results
+/// in index order (element `i` is `f(i)`).
 ///
-/// `AFTER_THREADS=1` forces the sequential path — useful for timing
-/// baselines and for the determinism tests that compare thread counts.
-pub fn thread_count() -> usize {
-    match std::env::var("AFTER_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                xr_obs::warn_event!("xr_eval.par.invalid_threads", ignored = format!("{v:?}"));
-                default_threads()
-            }
-        },
-        Err(_) => default_threads(),
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Maps `f` over `0..n` on [`thread_count`] scoped workers, returning the
-/// results in index order (element `i` is `f(i)`).
-///
+/// The worker count is always the caller's explicit value: the room
+/// scheduler pins it at server construction, the comparison drivers take it
+/// from their config, and only binaries read it from the environment.
 /// Work is distributed dynamically through an atomic counter, so uneven cell
 /// costs (COMURNet vs. Random, a degraded room vs. an idle one) still
 /// balance. With one worker — or one item — this degrades to a plain
 /// sequential loop on the calling thread. A panic in `f` propagates to the
 /// caller when the scope joins.
-pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_indexed_with(thread_count(), n, f)
-}
-
-/// [`par_map_indexed`] with an explicit worker count — the building block
-/// the default entry point wraps. The room scheduler pins this at server
-/// construction, and the tests use it to exercise the threaded path
-/// regardless of the host's core count.
-pub fn par_map_indexed_with<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+pub fn par_map_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -121,21 +90,21 @@ mod tests {
     #[test]
     fn results_come_back_in_index_order() {
         // forced to 4 workers so the threaded path runs even on 1-core hosts
-        let out = par_map_indexed_with(4, 100, |i| i * i);
+        let out = par_map_indexed(4, 100, |i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert_eq!(par_map_indexed(0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, |i| i + 7), vec![7]);
-        assert_eq!(par_map_indexed_with(8, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(par_map_indexed(4, 0, |i| i), Vec::<usize>::new());
+        assert_eq!(par_map_indexed(4, 1, |i| i + 7), vec![7]);
+        assert_eq!(par_map_indexed(8, 3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn uneven_work_still_covers_every_index() {
         // later indices are much cheaper: dynamic scheduling must not drop any
-        let out = par_map_indexed_with(4, 23, |i| {
+        let out = par_map_indexed(4, 23, |i| {
             let spin = if i < 3 { 200_000 } else { 10 };
             let mut acc = 0u64;
             for k in 0..spin {
@@ -149,15 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_is_positive() {
-        assert!(thread_count() >= 1);
-    }
-
-    #[test]
     fn observability_context_propagates_to_workers() {
         let ctx = xr_obs::ObsCtx::new(true, false);
         let _guard = ctx.install();
-        let out = par_map_indexed_with(4, 10, |i| {
+        let out = par_map_indexed(4, 10, |i| {
             xr_obs::counter_add("par.test.cells", &[], 1);
             i
         });

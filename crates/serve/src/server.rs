@@ -7,11 +7,10 @@
 //! frames into per-room mailboxes at any time ([`RoomServer::enqueue`]), and
 //! each [`RoomServer::pump`] call drains every room with pending frames.
 //! Rooms are collected in room-id order and mapped over
-//! [`crate::par::par_map_indexed_with`] with the worker count **pinned at
-//! server construction** — never re-read from the environment mid-run — so a
-//! full multi-room run produces byte-identical per-room decision streams at
-//! any `AFTER_THREADS` (each room is one independent cell; nothing crosses
-//! rooms mid-round).
+//! [`crate::par::par_map_indexed`] with the worker count **pinned at server
+//! construction** ([`ServerConfig::workers`]), so a full multi-room run
+//! produces byte-identical per-room decision streams at any worker count
+//! (each room is one independent cell; nothing crosses rooms mid-round).
 //!
 //! ## Admission control and load shedding
 //!
@@ -39,11 +38,12 @@ pub struct ServerConfig {
     /// Admission cap: rooms beyond this are rejected.
     pub max_rooms: usize,
     /// Worker count for pump rounds, pinned at construction. Defaults to
-    /// [`crate::par::thread_count`] (the `AFTER_THREADS` discipline).
+    /// [`std::thread::available_parallelism`]; binaries that honour
+    /// `AFTER_THREADS` pass [`xr_obs::threads_from_env`] here.
     pub workers: usize,
     /// Per-frame latency budget; `None` (the default) disables the ladder
-    /// and shedding entirely. Binaries that take the budget from
-    /// `AFTER_SLO_BUDGET_MS` pass [`xr_obs::SloConfig::from_env`] here.
+    /// and shedding entirely. Binaries that honour `AFTER_SLO_BUDGET_MS`
+    /// pass the budget [`xr_obs::ObsOptions`] parsed here.
     pub slo: Option<xr_obs::SloConfig>,
     /// Consecutive over-budget frames before a room drops one ladder rung.
     pub escalate_after: u32,
@@ -57,7 +57,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             max_rooms: 2048,
-            workers: par::thread_count(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             slo: None,
             escalate_after: 4,
             recover_after: 32,
@@ -265,7 +265,7 @@ impl RoomServer {
             .map(|(&id, r)| (id, r))
             .collect();
 
-        let drains = par::par_map_indexed_with(self.config.workers, ready.len(), |i| {
+        let drains = par::par_map_indexed(self.config.workers, ready.len(), |i| {
             let (id, slot) = ready[i];
             let mut room = slot.lock().expect("room poisoned");
             let mut decisions = Vec::with_capacity(room.pending());
@@ -325,11 +325,6 @@ impl RoomServer {
     /// and soak suites use this to compare engines and ladder state.
     pub fn with_room<R>(&self, id: RoomId, f: impl FnOnce(&Room) -> R) -> Option<R> {
         self.rooms.get(&id.0).map(|m| f(&m.lock().expect("room poisoned")))
-    }
-
-    /// Live room ids, ascending.
-    pub fn room_ids(&self) -> Vec<RoomId> {
-        self.rooms.keys().map(|&id| RoomId(id)).collect()
     }
 
     /// Total pending frames across all mailboxes.

@@ -21,11 +21,6 @@ pub fn normal(rng: &mut impl Rng, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
 
-/// Matrix with i.i.d. `N(0, std_dev²)` entries.
-pub fn randn(rows: usize, cols: usize, std_dev: f64, rng: &mut impl Rng) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| normal(rng, 0.0, std_dev))
-}
-
 /// Matrix with i.i.d. uniform entries in `[lo, hi)`.
 pub fn uniform(rows: usize, cols: usize, lo: f64, hi: f64, rng: &mut impl Rng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
@@ -35,12 +30,6 @@ pub fn uniform(rows: usize, cols: usize, lo: f64, hi: f64, rng: &mut impl Rng) -
 pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
     let bound = (6.0 / (fan_in + fan_out) as f64).sqrt();
     uniform(fan_in, fan_out, -bound, bound, rng)
-}
-
-/// He (Kaiming) normal initialization, appropriate before ReLU activations.
-pub fn he_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let std_dev = (2.0 / fan_in as f64).sqrt();
-    randn(fan_in, fan_out, std_dev, rng)
 }
 
 #[cfg(test)]
@@ -76,13 +65,6 @@ mod tests {
         let bound = (6.0 / 16.0_f64).sqrt();
         assert!(w.as_slice().iter().all(|x| x.abs() <= bound));
         assert_eq!(w.shape(), (8, 8));
-    }
-
-    #[test]
-    fn randn_is_deterministic_under_seed() {
-        let a = randn(3, 3, 1.0, &mut StdRng::seed_from_u64(42));
-        let b = randn(3, 3, 1.0, &mut StdRng::seed_from_u64(42));
-        assert!(a.approx_eq(&b, 0.0));
     }
 
     #[test]

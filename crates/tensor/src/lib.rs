@@ -17,7 +17,7 @@
 //! * [`ParamStore`] — persistent trainable parameters with gradient and Adam
 //!   state, plus flat export/import for checkpointing.
 //! * [`optim`] — [`Sgd`] and [`Adam`] optimizers and gradient clipping.
-//! * [`init`] — Xavier/He initializers and Box–Muller Gaussian sampling.
+//! * [`init`] — the Xavier initializer and Box–Muller Gaussian sampling.
 //! * [`checkpoint`] — save/restore parameters in a validated text format.
 //!
 //! ## Example

@@ -8,11 +8,15 @@
 //!   --rooms=N       concurrent rooms (default 256)
 //!   --ticks=N       pump rounds (default 120)
 //!   --budget-ms=F   per-frame SLO budget; enables the degradation ladder
-//!                   (also honors AFTER_SLO_BUDGET_MS; omit both for the
-//!                   fully deterministic no-shedding mode)
+//!                   (AFTER_SLO_BUDGET_MS when the flag is absent; omit both
+//!                   for the fully deterministic no-shedding mode)
 //!   AFTER_THREADS   worker-pool width (default: available parallelism)
+//!
+//! Both variables are parsed here, in `main`, and passed to the server as
+//! `ServerConfig` values.
 
 use after_xr::xr_graph::geom::Point2;
+use after_xr::xr_obs::{self, slo, ObsOptions};
 use after_xr::xr_serve::{RoomConfig, RoomServer, ServerConfig};
 use after_xr::xr_session::{Frame, SceneConfig};
 use rand::rngs::StdRng;
@@ -37,7 +41,7 @@ fn main() {
         } else if let Some(v) = arg.strip_prefix("--ticks=") {
             ticks = v.parse().expect("--ticks=N");
         } else if let Some(v) = arg.strip_prefix("--budget-ms=") {
-            budget_ms = Some(v.parse().expect("--budget-ms=F"));
+            budget_ms = Some(slo::parse_budget_ms(v).expect("--budget-ms=F (a positive number)"));
         } else {
             eprintln!("unknown argument {arg} (expected --rooms=, --ticks=, --budget-ms=)");
             std::process::exit(2);
@@ -46,11 +50,16 @@ fn main() {
 
     // metrics registry for the serve.* namespace; --trace/--metrics envs of
     // the table binaries are not needed here, we print the snapshot directly
-    let ctx = after_xr::xr_obs::ObsCtx::new(true, false);
+    let ctx = xr_obs::ObsCtx::new(true, false);
     let _guard = ctx.install();
 
-    let slo = budget_ms.map(after_xr::xr_obs::SloConfig::new).or_else(after_xr::xr_obs::SloConfig::from_env);
-    let mut server = RoomServer::new(ServerConfig { max_rooms: rooms, slo, ..ServerConfig::default() });
+    let budget_ms = budget_ms.or(ObsOptions::from_env().slo_budget_ms);
+    let mut server = RoomServer::new(ServerConfig {
+        max_rooms: rooms,
+        workers: xr_obs::threads_from_env(),
+        slo: budget_ms.map(slo::SloConfig::new),
+        ..ServerConfig::default()
+    });
     println!(
         "admitting {rooms} rooms ({} workers, budget {})",
         server.config().workers,
@@ -89,7 +98,7 @@ fn main() {
         stats.enqueued, stats.coalesced, stats.shed, stats.transitions
     );
 
-    let snapshot = after_xr::xr_obs::metrics_snapshot().expect("metrics context installed");
+    let snapshot = xr_obs::metrics_snapshot().expect("metrics context installed");
     if let Some(tick) = snapshot.histogram("serve.room.tick.ms") {
         println!(
             "tick latency: p50 {:.4} ms  p95 {:.4} ms  p99 {:.4} ms  max {:.4} ms",

@@ -1,9 +1,11 @@
 //! Soak and determinism suite for the multi-room serving layer.
 //!
 //! The soak test drives 1k+ concurrent rooms through hundreds of pump rounds
-//! under join/leave churn and asserts the serving SLO holds (p99 tick within
-//! budget), shedding stays under a pinned ceiling, and — once every room has
-//! left — the registry gauges drain back to zero. The determinism test runs
+//! under join/leave churn, once on 1 worker and once on 8, and asserts the
+//! serving SLO holds (p99 tick within budget), shedding stays under a pinned
+//! ceiling, and — once every room has left — the registry gauges drain back
+//! to zero. Every worker count is an explicit `ServerConfig::workers` value,
+//! so one process covers them all. The determinism test runs
 //! the same workload at `workers = 1` and `workers = 8` and requires
 //! byte-identical per-room decision streams plus an identical
 //! metrics-snapshot structure. Both fleets alternate their rooms between the
@@ -50,6 +52,13 @@ fn walk_frame(room_seed: u64, tick: u64) -> Frame {
 
 #[test]
 fn soak_1k_rooms_with_churn_holds_slo_and_drains_cleanly() {
+    for workers in [1, 8] {
+        churn_soak(workers);
+    }
+}
+
+/// One churn soak on `workers` pool workers under a fresh metrics context.
+fn churn_soak(workers: usize) {
     const ROOMS: usize = 1024;
     const ROUNDS: u64 = 220;
     const CHURN_EVERY: u64 = 20;
@@ -64,6 +73,7 @@ fn soak_1k_rooms_with_churn_holds_slo_and_drains_cleanly() {
 
     let mut server = RoomServer::new(ServerConfig {
         max_rooms: ROOMS + CHURN_ROOMS,
+        workers,
         slo: Some(xr_obs::SloConfig::new(BUDGET_MS)),
         ..ServerConfig::default()
     });
@@ -100,14 +110,22 @@ fn soak_1k_rooms_with_churn_holds_slo_and_drains_cleanly() {
 
     let stats = server.stats();
     assert_eq!(stats.enqueued, frames_sent);
-    assert!(stats.shed <= SHED_CEILING, "shed {} frames over the soak (ceiling {SHED_CEILING})", stats.shed);
+    assert!(
+        stats.shed <= SHED_CEILING,
+        "{workers} workers: shed {} frames over the soak (ceiling {SHED_CEILING})",
+        stats.shed
+    );
     // everything sent was either served or (rarely) shed/coalesced
     assert_eq!(stats.processed + stats.shed + stats.coalesced, frames_sent);
 
     let mid = xr_obs::metrics_snapshot().expect("metrics context is installed");
     let tick = mid.histogram("serve.room.tick.ms").expect("tick histogram exists");
     assert_eq!(tick.count, stats.processed);
-    assert!(tick.p99 <= BUDGET_MS, "p99 tick {}ms blew the {BUDGET_MS}ms budget", tick.p99);
+    assert!(
+        tick.p99 <= BUDGET_MS,
+        "{workers} workers: p99 tick {}ms blew the {BUDGET_MS}ms budget",
+        tick.p99
+    );
     assert_eq!(mid.gauge("serve.rooms.active"), Some(active.len() as f64));
 
     // drain: every room leaves; the registry gauges must return to zero and
