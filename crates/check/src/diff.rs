@@ -834,6 +834,90 @@ impl DiffSubject for PooledVsFreshTape {
 }
 
 // ---------------------------------------------------------------------------
+// Serving pair: tape-free vs. tape inference step (bit-identical).
+// ---------------------------------------------------------------------------
+
+/// [`poshgnn::PoshGnn::soft_recommend`] (the tape-free serving step) vs.
+/// [`poshgnn::PoshGnn::soft_recommend_on_tape`] (the same step on the
+/// autodiff tape), on two identically built models, for every
+/// [`poshgnn::PoshVariant`] at hidden width 8 (the paper's) and 12 (whose
+/// 20-wide LWP input leaves the layers' fixed-width paths). Parameters are
+/// drawn per case instead of the initial ones, whose −2 output bias keeps
+/// most of the network in one regime.
+///
+/// Each model serves one episode in order (every step after the first
+/// advances MIA's carry), then in reverse (every step falls back to a
+/// fresh MIA), then switches to a second target of the same room without a
+/// new episode (the carry restarts on the other context while `h`/`r`
+/// carry over). Every soft output must match bit for bit.
+pub struct FusedVsTapeStep;
+
+/// Hidden widths [`FusedVsTapeStep`] runs each case at.
+const FUSED_HIDDEN: [usize; 2] = [8, 12];
+
+impl DiffSubject for FusedVsTapeStep {
+    type Case = PoshCase;
+
+    fn pair(&self) -> String {
+        "poshgnn: tape-free vs tape inference step".to_string()
+    }
+
+    fn generate(&self, rng: &mut StdRng) -> PoshCase {
+        generate_posh_case(rng)
+    }
+
+    fn compare(&self, case: &PoshCase) -> Option<StepDivergence> {
+        use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, PoshVariant, StepView, TargetContext};
+
+        let scenario = posh_scenario(case);
+        let a = TargetContext::new(&scenario, case.target, 0.5);
+        let b = TargetContext::new(&scenario, (case.target + 1) % a.n, 0.5);
+        let ticks: Vec<(&TargetContext, usize)> = (0..=a.t_max())
+            .map(|t| (&a, t))
+            .chain((0..=a.t_max()).rev().map(|t| (&a, t)))
+            .chain((0..=b.t_max()).map(|t| (&b, t)))
+            .collect();
+        for hidden in FUSED_HIDDEN {
+            for variant in [PoshVariant::Full, PoshVariant::PdrWithMia, PoshVariant::PdrOnly] {
+                let cfg = PoshGnnConfig { hidden, variant, ..Default::default() };
+                let (mut fused, mut taped) = (PoshGnn::new(cfg), PoshGnn::new(cfg));
+                let mut rng = StdRng::seed_from_u64(case.dataset_seed ^ hidden as u64);
+                let flat: Vec<f64> =
+                    (0..fused.parameter_count()).map(|_| rand::Rng::gen_range(&mut rng, -1.5..1.5)).collect();
+                assert!(fused.import_params(&flat) && taped.import_params(&flat));
+                fused.begin_episode(&StepView::new(&a, 0));
+                taped.begin_episode(&StepView::new(&a, 0));
+                for (call, &(ctx, t)) in ticks.iter().enumerate() {
+                    let rf = fused.soft_recommend(ctx, t);
+                    let rt = taped.soft_recommend_on_tape(ctx, t);
+                    if let Some((w, (f, g))) =
+                        rf.iter().zip(&rt).enumerate().find(|(_, (f, g))| f.to_bits() != g.to_bits())
+                    {
+                        return Some(StepDivergence {
+                            step: call,
+                            detail: format!(
+                                "{} hidden={hidden}, call {call} (target {}, t={t}): r[{w}]: tape-free {f:?} vs tape {g:?}",
+                                variant.name(),
+                                ctx.target
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    fn shrink(&self, case: &PoshCase) -> Vec<PoshCase> {
+        shrink_posh_case(case)
+    }
+
+    fn describe(&self, case: &PoshCase) -> String {
+        describe_posh_case(case)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Session pair: scene-engine contexts vs. brute-force precompute (bit-identical).
 // ---------------------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 //! POSHGNN recommender pair on full generated episodes.
 
 use xr_check::diff::{
-    assert_no_divergence, CachedVsFreshMia, EngineVsBruteForce, IncrementalVsFromScratch,
+    assert_no_divergence, CachedVsFreshMia, EngineVsBruteForce, FusedVsTapeStep, IncrementalVsFromScratch,
     MatmulNaiveVsBlocked, MultiRoomVsSequential, OrcaGridVsBrute, PooledVsFreshTape, PrunedVsFull,
     SerialVsParallelRunner, SparseVsDensePoshGnn, SpmmVsDense,
 };
@@ -34,6 +34,13 @@ fn parallel_runner_matches_serial_bitwise() {
 #[test]
 fn cached_mia_episode_loss_matches_fresh_bitwise() {
     assert_no_divergence(&CachedVsFreshMia, KERNEL_CASES);
+}
+
+#[test]
+fn tape_free_serving_step_matches_the_tape_step_bitwise() {
+    // all three variants at two hidden widths, with the carry advancing, the
+    // carry falling back, and a switch to a second context
+    assert_no_divergence(&FusedVsTapeStep, KERNEL_CASES);
 }
 
 #[test]

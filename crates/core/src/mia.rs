@@ -14,10 +14,13 @@
 //!
 //! Every per-step output is O(N + m) for m occlusion edges: the adjacency
 //! operators are CSR, and no N×N matrix is formed. The step from `t−1` to
-//! `t` is a recurrence (`MiaCarry` carries `A_{t−1}`'s operators and
+//! `t` is a recurrence (`MiaCarry` carries `A_{t−1}`'s degrees and
 //! propagation terms), which serves both the training slab
 //! ([`Mia::compute_episode`]) and the model's inference step;
 //! [`Mia::compute`] is the from-scratch reference it is pinned against.
+//! Both run one feature body; the inference step (`Mia::serve_into`) writes
+//! its rows into the model's buffers and builds none of the operators only
+//! the loss reads.
 //!
 //! Under a crowd-scale pruned engine (`prune_k > 0`), the contexts MIA
 //! consumes carry occlusion graphs restricted to each viewer's K-candidate
@@ -133,8 +136,9 @@ impl MiaOutput {
 /// The state MIA carries from step `t` to step `t + 1`: `A_t`'s degrees
 /// `A_t·1` and two-hop propagation `A_t·(A_t·1)` — exactly the predecessor
 /// terms of step `t + 1`'s `Δ`. Everything here is a function of `A_t`
-/// alone.
-#[derive(Debug, Clone)]
+/// alone. Refilling a carry reuses its buffers, so the serving step keeps
+/// two and swaps them.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MiaCarry {
     t: usize,
     deg: Vec<f64>,
@@ -146,7 +150,56 @@ impl MiaCarry {
     pub(crate) fn t(&self) -> usize {
         self.t
     }
+
+    /// Refills with `g`'s terms, read from the graph's own rows: the degree
+    /// is the row length, and `A·(A·1)` sums the neighbours' degrees in
+    /// ascending order from `0.0` — bit for bit the CSR mat-vec, whose
+    /// stored values are all `1.0`.
+    fn set_graph(&mut self, t: usize, g: &UGraph) {
+        let n = g.node_count();
+        self.t = t;
+        self.deg.clear();
+        self.deg.extend((0..n).map(|v| g.degree(v) as f64));
+        let deg = &self.deg;
+        self.a2_1.clear();
+        self.a2_1.extend((0..n).map(|v| {
+            let mut acc = 0.0;
+            for &u in g.neighbors(v) {
+                acc += deg[u];
+            }
+            acc
+        }));
+    }
+
+    /// Refills with the predecessor terms of step `t`: `A_{t−1}`'s, or the
+    /// empty graph's zeros at `t = 0` (the conference has not started).
+    fn set_predecessor(&mut self, ctx: &TargetContext, t: usize) {
+        if t == 0 {
+            self.t = 0;
+            self.deg.clear();
+            self.deg.resize(ctx.n, 0.0);
+            self.a2_1.clear();
+            self.a2_1.resize(ctx.n, 0.0);
+        } else {
+            self.set_graph(t - 1, &ctx.occlusion[t - 1]);
+        }
+    }
 }
+
+/// One user's row of MIA's dense outputs at one step.
+struct MiaRow {
+    /// `x̂_t`: masked `p̂`, masked `ŝ`, relative distance, interface.
+    features: [f64; FEATURE_DIM],
+    /// `Δ_t = [e⁰ ‖ e¹ ‖ e²]`.
+    delta: [f64; DELTA_DIM],
+    /// `m_t` as `0.0`/`1.0`.
+    mask: f64,
+}
+
+/// Width of `x̂_t`.
+pub(crate) const FEATURE_DIM: usize = 4;
+/// Width of `Δ_t`.
+pub(crate) const DELTA_DIM: usize = 3;
 
 /// The Multi-modal Information Aggregator. Stateless and parameter-free; it
 /// owns only the feature-engineering recipe.
@@ -166,25 +219,17 @@ impl Mia {
     /// [`Mia::advance`] produce step `t + 1`.
     pub(crate) fn start(&self, ctx: &TargetContext, t: usize) -> (MiaOutput, MiaCarry) {
         let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
-        let n = ctx.n;
-        let (prev_deg, p2_1) = if t == 0 {
-            // the predecessor is the empty graph: zero degrees, zero
-            // propagation
-            (vec![0.0; n], vec![0.0; n])
-        } else {
-            let prev = &ctx.occlusion[t - 1];
-            let prev_deg = degrees(prev);
-            let p2_1 = prev.adjacency_csr().matvec(&prev_deg);
-            (prev_deg, p2_1)
-        };
-        let (out, deg, a2_1) = self.compute_with_prev(ctx, t, &prev_deg, &p2_1);
-        (out, MiaCarry { t, deg, a2_1 })
+        let mut prev = MiaCarry::default();
+        prev.set_predecessor(ctx, t);
+        let mut next = MiaCarry::default();
+        let out = self.output(ctx, t, &prev, &mut next);
+        (out, next)
     }
 
     /// Steps `carry` from `t − 1` to `t = carry.t() + 1` and returns MIA at
     /// `t`. `Δ_t`'s predecessor terms — `A_{t−1}`'s degrees and
-    /// `A_{t−1}·(A_{t−1}·1)` — come from the carry instead of a rebuild of
-    /// `A_{t−1}`'s CSR, so the step is O(N + m).
+    /// `A_{t−1}·(A_{t−1}·1)` — come from the carry instead of a re-read of
+    /// `A_{t−1}`, so the step is O(N + m).
     ///
     /// The caller must pass the context whose step `carry.t()` produced the
     /// carry; the output is then bit-identical to [`Mia::compute`] at `t`.
@@ -192,43 +237,69 @@ impl Mia {
         let t = carry.t + 1;
         let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
         xr_obs::counter_add("poshgnn.mia.carried", &[], 1);
-        let (out, deg, a2_1) = self.compute_with_prev(ctx, t, &carry.deg, &carry.a2_1);
-        *carry = MiaCarry { t, deg, a2_1 };
+        let mut next = MiaCarry::default();
+        let out = self.output(ctx, t, carry, &mut next);
+        *carry = next;
         out
     }
 
-    /// MIA body given the predecessor's terms: the shared tail of
-    /// [`Mia::start`] and [`Mia::advance`]. `prev_deg` and `p2_1` are the
-    /// predecessor's `A'·1` and `A'·(A'·1)`; the step's own `A·1` and
-    /// `A·(A·1)` are returned alongside the output for the carry.
-    fn compute_with_prev(
+    /// The serving form of one MIA step: writes `x̂_t` into columns `0..4`
+    /// and `Δ_t` into columns `4..7` of `rows` (which must be `N` rows of at
+    /// least 7 columns) and `m_t` into `mask`, and builds none of the
+    /// operators only the loss reads (`A_t`, `D⁻¹A_t`, `B_t`, `p̂`, `ŝ`).
+    ///
+    /// With `carried`, `carry` must hold step `t − 1` of `ctx` (as
+    /// [`Mia::advance`] requires); otherwise it is refilled from
+    /// `ctx.occlusion[t − 1]` first. On return `carry` holds step `t` and
+    /// `spare` the buffers of step `t − 1`. The values are bit-identical to
+    /// [`Mia::compute`]'s `features`, `delta` and `mask` at `t`.
+    #[allow(clippy::too_many_arguments)] // internal: the carry pair and the two output buffers
+    pub(crate) fn serve_into(
         &self,
         ctx: &TargetContext,
         t: usize,
-        prev_deg: &[f64],
-        p2_1: &[f64],
-    ) -> (MiaOutput, Vec<f64>, Vec<f64>) {
+        carried: bool,
+        carry: &mut MiaCarry,
+        spare: &mut MiaCarry,
+        rows: &mut Matrix,
+        mask: &mut [f64],
+    ) {
+        let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
+        if carried {
+            debug_assert_eq!(carry.t + 1, t, "the carry does not hold step t − 1");
+            xr_obs::counter_add("poshgnn.mia.carried", &[], 1);
+        } else {
+            carry.set_predecessor(ctx, t);
+        }
+        self.rows(ctx, t, carry, spare, |r, row| {
+            let out = rows.row_mut(r);
+            out[..FEATURE_DIM].copy_from_slice(&row.features);
+            out[FEATURE_DIM..FEATURE_DIM + DELTA_DIM].copy_from_slice(&row.delta);
+            mask[r] = row.mask;
+        });
+        std::mem::swap(carry, spare);
+    }
+
+    /// The MIA feature body shared by training and serving: fills `next`
+    /// with step `t`'s graph terms and hands each user's row, computed from
+    /// them and `prev`'s (step `t − 1`'s) terms, to `emit`.
+    fn rows(
+        &self,
+        ctx: &TargetContext,
+        t: usize,
+        prev: &MiaCarry,
+        next: &mut MiaCarry,
+        mut emit: impl FnMut(usize, MiaRow),
+    ) {
         let n = ctx.n;
-        let g = &ctx.occlusion[t];
-        let adjacency_csr = Rc::new(g.adjacency_csr());
-        let adjacency_norm_csr = Rc::new(adjacency_csr.row_normalized());
-        let deg = degrees(g);
+        next.set_graph(t, &ctx.occlusion[t]);
         // Δ_t = [e⁰ ‖ e¹ ‖ e²]; the propagation differences are scaled by
         // 1/N so Δ stays O(1) regardless of crowd size (training stability;
         // the paper leaves the scale unspecified). All structural terms are
         // O(m): `(A − A')·1` is the degree difference, and
         // `(A² − A'²)·1 = A·(A·1) − A'·(A'·1)` is two sparse mat-vecs —
         // no N×N matrix is ever formed here.
-        let a2_1 = adjacency_csr.matvec(&deg);
         let inv_n = 1.0 / n as f64;
-        let delta = Matrix::from_fn(n, 3, |r, c| match c {
-            0 => 1.0,
-            1 => (deg[r] - prev_deg[r]) * inv_n,
-            _ => (a2_1[r] - p2_1[r]) * inv_n,
-        });
-
-        let mask = Matrix::from_fn(n, 1, |r, _| if ctx.candidate_mask[t][r] { 1.0 } else { 0.0 });
-
         // Utility rows with the target zeroed. The loss coefficients stay on
         // the *raw* `p`/`s` scale of Def. 2 — the AFTER utility counts a
         // visible user's full preference regardless of distance, so scaling
@@ -238,31 +309,47 @@ impl Mia {
         // the users' relative distance"): the network sees proximity but is
         // not paid for it.
         let dist = &ctx.distances[t];
-        let zero_target =
-            |u: &[f64]| -> Vec<f64> { (0..n).map(|w| if w == ctx.target { 0.0 } else { u[w] }).collect() };
-        let p_hat_v = zero_target(&ctx.preference);
-        let s_hat_v = zero_target(&ctx.social);
+        #[allow(clippy::needless_range_loop)] // r is a user id into six per-user arrays
+        for r in 0..n {
+            let mask = if ctx.candidate_mask[t][r] { 1.0 } else { 0.0 };
+            let (p, s) = if r == ctx.target { (0.0, 0.0) } else { (ctx.preference[r], ctx.social[r]) };
+            let interface = if ctx.mr_mask[r] { 1.0 } else { 0.0 };
+            emit(
+                r,
+                MiaRow {
+                    features: [p * mask, s * mask, (dist[r] / ctx.room_diagonal).min(1.0), interface],
+                    delta: [1.0, (next.deg[r] - prev.deg[r]) * inv_n, (next.a2_1[r] - prev.a2_1[r]) * inv_n],
+                    mask,
+                },
+            );
+        }
+    }
 
-        let p_hat = Matrix::from_fn(n, 1, |r, _| p_hat_v[r] * mask[(r, 0)]);
-        let s_hat = Matrix::from_fn(n, 1, |r, _| s_hat_v[r] * mask[(r, 0)]);
-
-        let features = Matrix::from_fn(n, 4, |r, c| match c {
-            0 => p_hat[(r, 0)],
-            1 => s_hat[(r, 0)],
-            2 => (dist[r] / ctx.room_diagonal).min(1.0),
-            _ => {
-                if ctx.mr_mask[r] {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+    /// The whole [`MiaOutput`] at `t` from the predecessor's terms in
+    /// `prev`: the shared feature body plus the operators the loss reads.
+    /// Fills `next` with step `t`'s terms for the carry.
+    fn output(&self, ctx: &TargetContext, t: usize, prev: &MiaCarry, next: &mut MiaCarry) -> MiaOutput {
+        let n = ctx.n;
+        let mut features = Matrix::zeros(n, FEATURE_DIM);
+        let mut delta = Matrix::zeros(n, DELTA_DIM);
+        let mut mask = Matrix::zeros(n, 1);
+        self.rows(ctx, t, prev, next, |r, row| {
+            features.row_mut(r).copy_from_slice(&row.features);
+            delta.row_mut(r).copy_from_slice(&row.delta);
+            mask[(r, 0)] = row.mask;
         });
+        // the loss's utility columns are the first two feature columns
+        let p_hat = Matrix::from_fn(n, 1, |r, _| features[(r, 0)]);
+        let s_hat = Matrix::from_fn(n, 1, |r, _| features[(r, 1)]);
+
+        let adjacency_csr = Rc::new(ctx.occlusion[t].adjacency_csr());
+        let adjacency_norm_csr = Rc::new(adjacency_csr.row_normalized());
 
         // depth-weighted blocking matrix for the loss: each occlusion edge
         // contributes one directed entry (row: the farther user, column: the
         // nearer one), so nnz ≤ m. Filtering A's sorted rows keeps every
         // row's columns ascending, so no sort pass is needed.
+        let dist = &ctx.distances[t];
         let (a_ptr, a_cols) = (adjacency_csr.row_ptr(), adjacency_csr.col_idx());
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
@@ -281,7 +368,7 @@ impl Mia {
         }
         let blocking_csr = Rc::new(CsrAdj::from_parts(n, n, row_ptr, col_idx, vals));
 
-        let out = MiaOutput {
+        MiaOutput {
             features: Rc::new(features),
             delta: Rc::new(delta),
             mask: Rc::new(mask),
@@ -292,8 +379,7 @@ impl Mia {
             blocking_csr,
             transposes: Default::default(),
             dense: Default::default(),
-        };
-        (out, deg, a2_1)
+        }
     }
 
     /// Precomputes MIA for every step of an episode as shareable slabs.
@@ -335,37 +421,19 @@ impl Mia {
     /// Raw (un-normalized, un-masked) features for the "Only PDR" ablation:
     /// plain `p`, `s`, absolute distance, interface.
     pub fn raw_features(&self, ctx: &TargetContext, t: usize) -> Matrix {
-        let n = ctx.n;
-        Matrix::from_fn(n, 4, |r, c| match c {
-            0 => {
-                if r == ctx.target {
-                    0.0
-                } else {
-                    ctx.preference[r]
-                }
-            }
-            1 => {
-                if r == ctx.target {
-                    0.0
-                } else {
-                    ctx.social[r]
-                }
-            }
-            2 => ctx.distances[t][r],
-            _ => {
-                if ctx.mr_mask[r] {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        })
+        let mut out = Matrix::zeros(ctx.n, FEATURE_DIM);
+        self.raw_features_into(ctx, t, &mut out);
+        out
     }
-}
 
-/// Degrees `A·1` of an occlusion graph (exact integers in f64).
-fn degrees(graph: &UGraph) -> Vec<f64> {
-    (0..graph.node_count()).map(|v| graph.degree(v) as f64).collect()
+    /// [`Mia::raw_features`] written into columns `0..4` of `rows`.
+    pub(crate) fn raw_features_into(&self, ctx: &TargetContext, t: usize, rows: &mut Matrix) {
+        for r in 0..ctx.n {
+            let (p, s) = if r == ctx.target { (0.0, 0.0) } else { (ctx.preference[r], ctx.social[r]) };
+            let interface = if ctx.mr_mask[r] { 1.0 } else { 0.0 };
+            rows.row_mut(r)[..FEATURE_DIM].copy_from_slice(&[p, s, ctx.distances[t][r], interface]);
+        }
+    }
 }
 
 /// Dense 0/1 adjacency of an occlusion graph, for consumers that want `A_t`
@@ -605,6 +673,36 @@ mod tests {
             assert_eq!(f.adjacency_norm_csr, d.adjacency_norm_csr, "t={t}: norm csr");
             assert_eq!(f.blocking_csr, d.blocking_csr, "t={t}: blocking csr");
         }
+    }
+
+    #[test]
+    fn serving_rows_are_bitwise_the_training_output() {
+        let c = ctx();
+        let (mut carry, mut spare) = (MiaCarry::default(), MiaCarry::default());
+        // two spare columns that MIA must leave alone
+        let mut rows = Matrix::full(c.n, FEATURE_DIM + DELTA_DIM + 2, f64::NAN);
+        let mut mask = vec![f64::NAN; c.n];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        // fresh, carried, then two recomputes (a repeat and a step back)
+        for (t, carried) in [(0, false), (1, true), (1, false), (0, false)] {
+            Mia.serve_into(&c, t, carried, &mut carry, &mut spare, &mut rows, &mut mask);
+            let want = Mia.compute(&c, t);
+            assert_eq!(carry.t(), t, "the carry holds the served step");
+            for (r, m) in mask.iter().enumerate() {
+                let row = rows.row(r);
+                assert_eq!(bits(&row[..FEATURE_DIM]), bits(want.features.row(r)), "t={t} x̂ row {r}");
+                assert_eq!(
+                    bits(&row[FEATURE_DIM..FEATURE_DIM + DELTA_DIM]),
+                    bits(want.delta.row(r)),
+                    "t={t} Δ row {r}"
+                );
+                assert!(row[FEATURE_DIM + DELTA_DIM..].iter().all(|x| x.is_nan()), "t={t}: wrote past Δ");
+                assert_eq!(m.to_bits(), want.mask[(r, 0)].to_bits(), "t={t} m row {r}");
+            }
+        }
+        let mut raw = Matrix::full(c.n, FEATURE_DIM + 1, f64::NAN);
+        Mia.raw_features_into(&c, 1, &mut raw);
+        assert_eq!(raw.slice_cols(0, FEATURE_DIM), Mia.raw_features(&c, 1));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use xr_gnn::{Activation, GcnLayer};
 use xr_tensor::{Adam, Matrix, Optimizer, ParamStore, Tape, TapeLinOp, Var};
 
 use crate::loss::{poshgnn_loss, LossParams};
-use crate::mia::{Mia, MiaCarry, MiaOutput};
+use crate::mia::{Mia, MiaCarry, MiaOutput, DELTA_DIM, FEATURE_DIM};
 use crate::problem::TargetContext;
 use crate::recommender::{threshold_decision, AfterRecommender};
 use crate::view::StepView;
@@ -71,21 +71,26 @@ pub struct PoshGnnConfig {
     /// (`α·rᵀB_t r`). Kept for the loss-design ablation experiment.
     pub symmetric_penalty: bool,
     /// Run GNN aggregation and the loss penalty on dense N×N constants
-    /// instead of the CSR sparse kernels. The sparse path (default) is
-    /// mathematically identical — this flag exists for cross-checking and
-    /// for measuring the sparse speedup in benchmarks.
+    /// instead of the CSR sparse kernels, in training and at inference. The
+    /// ablation is defined on the tape, so with this flag inference runs
+    /// [`PoshGnn::soft_recommend_on_tape`] on dense constants instead of the
+    /// tape-free step. The sparse path (default) is mathematically
+    /// identical — this flag exists for cross-checking and for measuring the
+    /// sparse speedup in benchmarks.
     pub dense_kernels: bool,
-    /// Recompute MIA from scratch ([`Mia::compute`]) at every step instead
-    /// of reusing earlier work. In training, that replaces the one slab per
-    /// episode shared by every epoch; at inference, it replaces the carry
-    /// that steps MIA on from the previous tick. MIA is
+    /// Recompute MIA from scratch at every step instead of reusing earlier
+    /// work. In training, [`Mia::compute`] replaces the one slab per
+    /// episode shared by every epoch; at inference, every step re-reads
+    /// `A_{t−1}` instead of advancing the carry from the previous tick. MIA is
     /// parameter-free, so the default path is bit-identical on both; this
     /// reference exists for the differential oracle and A/B benchmarks.
     /// Defaults to `false`.
     pub fresh_mia: bool,
-    /// Build a fresh `Tape` per episode instead of resetting one pooled
-    /// arena tape. Same bit-identical contract and purpose as `fresh_mia`.
-    /// Defaults to `false`.
+    /// Build a fresh `Tape` per training episode instead of resetting one
+    /// pooled arena tape. Same bit-identical contract and purpose as
+    /// `fresh_mia`. Training only: the default inference step records no
+    /// tape, and [`PoshGnn::soft_recommend_on_tape`] always resets its own
+    /// pooled tape. Defaults to `false`.
     pub fresh_tape: bool,
     /// Retired: the f32 serving twin was removed and inference serves in
     /// f64 only. Must stay `false`; [`PoshGnn::new`] panics otherwise.
@@ -115,11 +120,6 @@ impl Default for PoshGnnConfig {
     }
 }
 
-/// Scene-feature width produced by MIA (p̂, ŝ, distance, interface).
-const FEATURE_DIM: usize = 4;
-/// Width of `Δ_t`.
-const DELTA_DIM: usize = 3;
-
 /// The POSHGNN model.
 pub struct PoshGnn {
     config: PoshGnnConfig,
@@ -131,18 +131,59 @@ pub struct PoshGnn {
     lwp1: GcnLayer,
     lwp2: GcnLayer,
     lwp3: GcnLayer,
-    /// Inference state: (`h_{t-1}`, `r_{t-1}`), shared into each step's tape
-    /// via `constant_rc` instead of cloned. A step on a context of another
-    /// size ignores it and starts from zeros.
-    episode_state: Option<(Rc<Matrix>, Rc<Matrix>)>,
-    /// MIA's one-step inference carry, tagged with the address of the
-    /// context it was computed on: the next step of that context advances
-    /// it; any other step recomputes from scratch. `None` outside an
-    /// episode (every step recomputes); `begin_episode` arms it with an
-    /// empty carry.
-    mia_carry: Option<Option<(*const TargetContext, MiaCarry)>>,
-    /// Arena tape reset (not reallocated) at every inference step.
+    /// Inference state (`h_{t−1}`, `r_{t−1}`) and the buffers the tape-free
+    /// step reuses at every step.
+    serve: ServeBuffers,
+    /// Which context MIA's inference carry was computed on, by address:
+    /// `None` outside an episode (every step recomputes); `Some(None)` once
+    /// `begin_episode` armed it; `Some(Some(ctx))` when `mia_carry` holds
+    /// step `mia_carry.t()` of `ctx`, so that the next step of `ctx`
+    /// advances it and any other step recomputes from scratch.
+    mia_on: Option<Option<*const TargetContext>>,
+    /// MIA's carry.
+    mia_carry: MiaCarry,
+    /// The buffers the tape-free step swaps with `mia_carry` at every step.
+    mia_spare: MiaCarry,
+    /// Arena tape reset (not reallocated) at every step of the tape
+    /// inference path.
     infer_tape: Tape,
+}
+
+/// The recurrent state and the reusable buffers of an inference step. Each
+/// matrix is reshaped only when `N` (or `hidden`) changes, so steady-state
+/// steps of the tape-free path allocate nothing here.
+#[derive(Debug, Default)]
+struct ServeBuffers {
+    /// Whether `h_prev`/`r_prev` hold the previous step of the running
+    /// episode; otherwise the next step starts from zeros.
+    has_prev: bool,
+    /// `h_{t−1}` (`N × hidden`).
+    h_prev: Matrix,
+    /// `r_{t−1}` (`N × 1`).
+    r_prev: Matrix,
+    /// LWP's input `[x̂_t ‖ Δ_t ‖ h_{t−1} ‖ r_{t−1}]`; MIA writes the first 7
+    /// columns and PDR reads the first 4 (`x̂_t`, or the raw features of
+    /// "Only PDR").
+    lwp_in: Matrix,
+    /// `m_t` as `0.0`/`1.0`.
+    mask: Vec<f64>,
+    /// `h_t`, `r̃_t`, the two hidden LWP layers, `σ` and `r_t`.
+    h: Matrix,
+    r_tilde: Matrix,
+    z1: Matrix,
+    z2: Matrix,
+    sigma: Matrix,
+    r: Matrix,
+    /// One row's aggregate and projection inside a layer.
+    scratch: Vec<f64>,
+}
+
+impl ServeBuffers {
+    /// Whether a step on an `n`-user context continues from `h_prev`/`r_prev`.
+    /// A context of another size starts from zeros.
+    fn continues(&self, n: usize) -> bool {
+        self.has_prev && self.r_prev.rows() == n
+    }
 }
 
 impl PoshGnn {
@@ -185,8 +226,10 @@ impl PoshGnn {
             lwp1,
             lwp2,
             lwp3,
-            episode_state: None,
-            mia_carry: None,
+            serve: ServeBuffers::default(),
+            mia_on: None,
+            mia_carry: MiaCarry::default(),
+            mia_spare: MiaCarry::default(),
             infer_tape: Tape::new(),
         }
     }
@@ -389,48 +432,141 @@ impl PoshGnn {
 
     /// The soft recommendation `r_t` for one step during inference,
     /// advancing the episode state.
+    ///
+    /// Serves the tape-free step: MIA writes only `x̂_t`, `Δ_t` and `m_t`
+    /// into reused buffers, and each GCN layer aggregates straight over the
+    /// occlusion graph's rows ([`GcnLayer::forward_mean_into`]). The result
+    /// is bit-identical to [`PoshGnn::soft_recommend_on_tape`]. Under
+    /// [`PoshGnnConfig::dense_kernels`] the step runs on the tape instead,
+    /// since that ablation is defined as dense constants on the tape.
     pub fn soft_recommend(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
+        if self.config.dense_kernels {
+            return self.soft_recommend_on_tape(ctx, t);
+        }
+        let _span = xr_obs::span!("poshgnn.recommend.step", t = t, n = ctx.n);
+        let (n, hidden, variant) = (ctx.n, self.config.hidden, self.config.variant);
+        // "Only PDR" reads no MIA output, so it leaves the carry untouched
+        let carried = variant != PoshVariant::PdrOnly && self.claim_carry(ctx, t);
+        let PoshGnn { store, mia, pdr1, pdr2, lwp1, lwp2, lwp3, serve: s, mia_carry, mia_spare, .. } = self;
+        let graph = &ctx.occlusion[t];
+        let width = FEATURE_DIM + DELTA_DIM + hidden + 1;
+        if s.lwp_in.shape() != (n, width) {
+            s.lwp_in = Matrix::zeros(n, width);
+        }
+        if !s.continues(n) {
+            s.h_prev = Matrix::zeros(n, hidden);
+            s.r_prev = Matrix::zeros(n, 1);
+        }
+        if s.r.shape() != (n, 1) {
+            s.r = Matrix::zeros(n, 1);
+        }
+        s.mask.resize(n, 0.0);
+        if variant == PoshVariant::PdrOnly {
+            mia.raw_features_into(ctx, t, &mut s.lwp_in);
+        } else {
+            mia.serve_into(ctx, t, carried, mia_carry, mia_spare, &mut s.lwp_in, &mut s.mask);
+        }
+
+        // PDR: h_t then r̃_t (Eq. 1 stack).
+        {
+            let _pdr = xr_obs::span!("poshgnn.pdr.forward");
+            pdr1.forward_mean_into(store, graph, &s.lwp_in, &mut s.h, &mut s.scratch);
+            pdr2.forward_mean_into(store, graph, &s.h, &mut s.r_tilde, &mut s.scratch);
+        }
+        let r = s.r.as_mut_slice();
+        match variant {
+            PoshVariant::PdrOnly => r.copy_from_slice(s.r_tilde.as_slice()),
+            PoshVariant::PdrWithMia => {
+                for ((o, &m), &rt) in r.iter_mut().zip(&s.mask).zip(s.r_tilde.as_slice()) {
+                    *o = m * rt;
+                }
+            }
+            PoshVariant::Full => {
+                let _lwp = xr_obs::span!("poshgnn.lwp.forward");
+                let at = FEATURE_DIM + DELTA_DIM;
+                for i in 0..n {
+                    let row = s.lwp_in.row_mut(i);
+                    row[at..at + hidden].copy_from_slice(s.h_prev.row(i));
+                    row[at + hidden] = s.r_prev[(i, 0)];
+                }
+                lwp1.forward_mean_into(store, graph, &s.lwp_in, &mut s.z1, &mut s.scratch);
+                lwp2.forward_mean_into(store, graph, &s.z1, &mut s.z2, &mut s.scratch);
+                lwp3.forward_mean_into(store, graph, &s.z2, &mut s.sigma, &mut s.scratch);
+                // preservation gate: m ⊙ ((1 − σ) ⊙ r̃ + σ ⊙ r_{t−1}), with
+                // `Var::gate_blend`'s grouping
+                let gate = s
+                    .mask
+                    .iter()
+                    .zip(s.sigma.as_slice())
+                    .zip(s.r_tilde.as_slice().iter().zip(s.r_prev.as_slice()));
+                for (o, ((&m, &sg), (&rt, &rp))) in r.iter_mut().zip(gate) {
+                    *o = m * ((1.0 - sg) * rt + sg * rp);
+                }
+            }
+        }
+        std::mem::swap(&mut s.h, &mut s.h_prev);
+        std::mem::swap(&mut s.r, &mut s.r_prev);
+        s.has_prev = true;
+        s.r_prev.as_slice().to_vec()
+    }
+
+    /// The inference step on the autodiff tape: the reference
+    /// [`PoshGnn::soft_recommend`] is pinned against (the `xr_check`
+    /// `FusedVsTapeStep` subject), and the serving step of the
+    /// `dense_kernels` ablation. It shares the episode state and MIA carry
+    /// with the tape-free step.
+    pub fn soft_recommend_on_tape(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
         let _span = xr_obs::span!("poshgnn.recommend.step", t = t, n = ctx.n);
         let tape = std::mem::take(&mut self.infer_tape);
         tape.reset();
-        let (h_prev, r_prev) = match self.episode_state.take().filter(|(_, r)| r.rows() == ctx.n) {
-            Some((h, r)) => (tape.constant_rc(h), tape.constant_rc(r)),
-            None => (tape.constant_zeros(ctx.n, self.config.hidden), tape.constant_zeros(ctx.n, 1)),
+        let (h_prev, r_prev) = if self.serve.continues(ctx.n) {
+            (tape.constant_from(&self.serve.h_prev), tape.constant_from(&self.serve.r_prev))
+        } else {
+            (tape.constant_zeros(ctx.n, self.config.hidden), tape.constant_zeros(ctx.n, 1))
         };
         let mia_out = self.infer_mia(ctx, t);
         let (r_t, h_t) = self.step_dispatch(&tape, ctx, t, &mia_out, h_prev, r_prev, false);
-        let r = Rc::new(r_t.value());
-        let out = r.as_slice().to_vec();
-        self.episode_state = Some((Rc::new(h_t.value()), r));
+        self.serve.h_prev = h_t.value();
+        self.serve.r_prev = r_t.value();
+        self.serve.has_prev = true;
         self.infer_tape = tape;
-        out
+        self.serve.r_prev.as_slice().to_vec()
     }
 
-    /// MIA at `t` for the inference step. Inside an episode (after
+    /// Whether MIA at `(ctx, t)` advances the carry, and records that the
+    /// carry will hold `(ctx, t)` after this step. Inside an episode (after
     /// `begin_episode`), the step right after the carried one on the same
-    /// context advances the carry (reading only ticks `t − 1` and `t`, so
-    /// inference stays causal); anything else — the first step, a repeated,
-    /// skipped or out-of-order `t`, another context — recomputes from
-    /// scratch and restarts the carry there. Outside an episode every step
-    /// recomputes. All branches are bit-identical to [`Mia::compute`],
-    /// which [`PoshGnnConfig::fresh_mia`] runs at every step instead.
+    /// context advances it (reading only ticks `t − 1` and `t`, so inference
+    /// stays causal); anything else — the first step, a repeated, skipped or
+    /// out-of-order `t`, another context — recomputes from scratch and
+    /// restarts the carry there. Outside an episode, and under
+    /// [`PoshGnnConfig::fresh_mia`], every step recomputes. All branches are
+    /// bit-identical to [`Mia::compute`].
     ///
     /// A context is recognized by its address, which is unique among live
     /// contexts; a context dropped mid-episode and replaced by another at
     /// the same address is not told apart, which is why a new context
     /// starts with `begin_episode` (which empties the carry).
-    fn infer_mia(&mut self, ctx: &TargetContext, t: usize) -> MiaOutput {
-        let Some(armed) = self.mia_carry.as_mut().filter(|_| !self.config.fresh_mia) else {
-            return self.mia.compute(ctx, t);
-        };
+    fn claim_carry(&mut self, ctx: &TargetContext, t: usize) -> bool {
         let key: *const TargetContext = ctx;
-        match armed {
-            Some((on, carry)) if std::ptr::eq(*on, key) && carry.t() + 1 == t => self.mia.advance(ctx, carry),
-            slot => {
-                let (out, carry) = self.mia.start(ctx, t);
-                *slot = Some((key, carry));
-                out
-            }
+        let carried =
+            matches!(self.mia_on, Some(Some(on)) if std::ptr::eq(on, key) && self.mia_carry.t() + 1 == t);
+        let fresh = self.config.fresh_mia;
+        if let Some(slot) = self.mia_on.as_mut() {
+            *slot = (!fresh).then_some(key);
+        }
+        carried && !fresh
+    }
+
+    /// MIA at `t` for the tape inference step, carried as
+    /// [`PoshGnn::claim_carry`] decides.
+    fn infer_mia(&mut self, ctx: &TargetContext, t: usize) -> MiaOutput {
+        if self.claim_carry(ctx, t) {
+            self.mia.advance(ctx, &mut self.mia_carry)
+        } else {
+            let (out, carry) = self.mia.start(ctx, t);
+            self.mia_carry = carry;
+            out
         }
     }
 
@@ -467,8 +603,8 @@ impl AfterRecommender for PoshGnn {
     }
 
     fn begin_episode(&mut self, _view: &StepView<'_>) {
-        self.episode_state = None;
-        self.mia_carry = Some(None);
+        self.serve.has_prev = false;
+        self.mia_on = Some(None);
     }
 
     fn recommend_step(&mut self, view: &StepView<'_>) -> Vec<bool> {

@@ -4,11 +4,14 @@
 //! missing file, unparseable JSON, or absent required key — this is the CI
 //! guard that keeps `AFTER_METRICS` / `AFTER_TRACE` output loadable.
 //!
-//! Usage: `cargo run --release -p xr-eval --bin obs_smoke [outdir]`
-//! With no explicit outdir (and no `AFTER_METRICS`/`AFTER_TRACE` override)
-//! the files go to a process-unique temp directory and are removed after
-//! validation — a smoke run leaves nothing behind. An explicit outdir or
-//! env override keeps its files.
+//! Usage: `cargo run --release -p xr-eval --bin obs_smoke [outdir] [--flags]`
+//! The first argument that does not start with `--` is the output directory;
+//! the flags are the shared observability flags (`--slo-budget-ms=MS`,
+//! `--metrics=PATH`, …; see `ObsOptions::from_args_and_env`), which win over
+//! the `AFTER_*` variables. With no explicit outdir (and no metrics, trace or
+//! Prometheus path from a flag or variable) the files go to a process-unique
+//! temp directory and are removed after validation — a smoke run leaves
+//! nothing behind. An explicit outdir or path keeps its files.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -127,17 +130,27 @@ fn check_trace(path: &PathBuf) {
     eprintln!("obs_smoke: trace OK ({} events)", events.len());
 }
 
+/// Splits the command line into the output directory (the first argument
+/// not starting with `--`) and the flags (every argument that does).
+fn split_args(args: &[String]) -> (Option<PathBuf>, Vec<&str>) {
+    let outdir = args.iter().find(|a| !a.starts_with("--")).map(PathBuf::from);
+    let flags = args.iter().filter(|a| a.starts_with("--")).map(String::as_str).collect();
+    (outdir, flags)
+}
+
 fn main() {
-    let explicit_outdir = std::env::args().nth(1).map(PathBuf::from);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (explicit_outdir, flags) = split_args(&args);
     // no explicit outdir → a process-unique tempdir, removed after validation
     let scratch = explicit_outdir.is_none();
     let outdir = explicit_outdir
         .unwrap_or_else(|| std::env::temp_dir().join(format!("obs_smoke-{}", std::process::id())));
     std::fs::create_dir_all(&outdir)
         .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", outdir.display())));
-    // honor AFTER_METRICS / AFTER_TRACE when set (as CI does); otherwise
-    // default both sinks into outdir — this binary always runs fully sinked
-    let env_opts = ObsOptions::from_env();
+    // honor AFTER_METRICS / AFTER_TRACE (as CI sets them) and the flags;
+    // otherwise default every sink into outdir — this binary always runs
+    // fully sinked
+    let env_opts = ObsOptions::from_args_and_env(flags);
     let metrics_path = env_opts.metrics_path.unwrap_or_else(|| outdir.join("obs_smoke_metrics.json"));
     let trace_path = env_opts.trace_path.unwrap_or_else(|| outdir.join("obs_smoke_trace.json"));
     let prom_path = env_opts.prom_path.unwrap_or_else(|| outdir.join("obs_smoke_metrics.prom"));
@@ -176,4 +189,34 @@ fn main() {
         }
     }
     println!("obs_smoke PASS");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn the_first_plain_argument_is_the_outdir_and_flags_are_options() {
+        let a = args(&["--slo-budget-ms=0.001", "/tmp/obs", "--metrics=m.json"]);
+        let (outdir, flags) = split_args(&a);
+        assert_eq!(outdir, Some(PathBuf::from("/tmp/obs")));
+        assert_eq!(flags, ["--slo-budget-ms=0.001", "--metrics=m.json"]);
+        let opts = ObsOptions::from_args_and_env(flags);
+        assert_eq!(opts.slo_budget_ms, Some(0.001));
+        assert_eq!(opts.metrics_path, Some(PathBuf::from("m.json")));
+    }
+
+    #[test]
+    fn flags_alone_leave_the_outdir_to_the_tempdir_default() {
+        let a = args(&["--slo-budget-ms=0.001"]);
+        let (outdir, flags) = split_args(&a);
+        assert_eq!(outdir, None, "a flag is never taken for the output directory");
+        assert_eq!(flags, ["--slo-budget-ms=0.001"]);
+        assert_eq!(split_args(&args(&["out", "other"])).0, Some(PathBuf::from("out")));
+        assert_eq!(split_args(&[]).0, None);
+    }
 }

@@ -1,6 +1,7 @@
 //! Core neural layers: dense (MLP) and graph-convolution layers.
 
 use rand::Rng;
+use xr_graph::UGraph;
 use xr_tensor::{init, Matrix, ParamId, ParamStore, Tape, TapeLinOp, Var};
 
 /// Activation applied after a layer's affine map.
@@ -193,6 +194,114 @@ impl GcnLayer {
         // `self.activation.apply((own + neigh).add_row_broadcast(b))`
         own.sum_bias_act(neigh, b, self.activation.nonlinearity())
     }
+
+    /// Tape-free forward for serving: the value [`GcnLayer::forward_agg`]
+    /// computes with `graph`'s mean aggregation `D⁻¹A`
+    /// ([`UGraph::adjacency_norm_csr`]) as `adj`, bit for bit, written into
+    /// `out` without building the operator or any `N × d` intermediate.
+    ///
+    /// Reads the first `in_dim` columns of each row of `h`; wider rows are
+    /// allowed, so a layer can read a prefix of a wider input buffer. `out`
+    /// is reshaped to `N × out_dim` if it has another shape. Input widths 4,
+    /// 8 and 16 with output widths 1 and 8 (the model's layers at the
+    /// paper's hidden width) keep their row accumulators in fixed-size stack
+    /// arrays; other widths use `scratch`. A caller that keeps `out` and
+    /// `scratch` allocates nothing after the first call.
+    ///
+    /// Row by row, every entry follows the tape's per-element operation
+    /// order: the aggregate sums `(1/deg)·h_j` over the ascending neighbours
+    /// starting from `0.0` (as `CsrAdj::matmul_dense_into` does with the
+    /// values `row_normalized` stores); `h_i·W_self` and `agg_i·W_neigh`
+    /// accumulate over ascending `k` from `0.0`, skipping zero left entries
+    /// (as `Matrix::matmul`); the epilogue is `act((own + neigh) + b)` (as
+    /// `Var::sum_bias_act`).
+    pub fn forward_mean_into(
+        &self,
+        store: &ParamStore,
+        graph: &UGraph,
+        h: &Matrix,
+        out: &mut Matrix,
+        scratch: &mut Vec<f64>,
+    ) {
+        let (n, din, dout) = (graph.node_count(), self.in_dim, self.out_dim);
+        assert_eq!(h.rows(), n, "forward_mean_into: {} input rows for {n} nodes", h.rows());
+        assert!(h.cols() >= din, "forward_mean_into: input width {} < in_dim {din}", h.cols());
+        if out.shape() != (n, dout) {
+            *out = Matrix::zeros(n, dout);
+        }
+        let rows = MeanRows {
+            graph,
+            h,
+            w_self: store.value(self.w_self).as_slice(),
+            w_neigh: store.value(self.w_neigh).as_slice(),
+            bias: store.value(self.bias).row(0),
+            act: self.activation.nonlinearity(),
+        };
+        match (din, dout) {
+            (4, 1) => rows.run(out, &mut [0.0; 4], &mut [0.0; 1], &mut [0.0; 1]),
+            (4, 8) => rows.run(out, &mut [0.0; 4], &mut [0.0; 8], &mut [0.0; 8]),
+            (8, 1) => rows.run(out, &mut [0.0; 8], &mut [0.0; 1], &mut [0.0; 1]),
+            (8, 8) => rows.run(out, &mut [0.0; 8], &mut [0.0; 8], &mut [0.0; 8]),
+            (16, 1) => rows.run(out, &mut [0.0; 16], &mut [0.0; 1], &mut [0.0; 1]),
+            (16, 8) => rows.run(out, &mut [0.0; 16], &mut [0.0; 8], &mut [0.0; 8]),
+            _ => {
+                scratch.clear();
+                scratch.resize(din + 2 * dout, 0.0);
+                let (agg, rest) = scratch.split_at_mut(din);
+                let (own, neigh) = rest.split_at_mut(dout);
+                rows.run(out, agg, own, neigh);
+            }
+        }
+    }
+}
+
+/// The operands of one [`GcnLayer::forward_mean_into`] call.
+struct MeanRows<'a> {
+    graph: &'a UGraph,
+    h: &'a Matrix,
+    w_self: &'a [f64],
+    w_neigh: &'a [f64],
+    bias: &'a [f64],
+    act: xr_tensor::Nonlinearity,
+}
+
+impl MeanRows<'_> {
+    /// Every output row, with one row's aggregate in `agg` (`in_dim` long)
+    /// and its two projections in `own` and `neigh` (`out_dim` long). Always
+    /// inlined, so stack arrays passed here fix every loop's trip count.
+    #[inline(always)]
+    fn run(&self, out: &mut Matrix, agg: &mut [f64], own: &mut [f64], neigh: &mut [f64]) {
+        let (din, dout) = (agg.len(), own.len());
+        // `x·W` for one row into `acc`: ascending k, zero entries skipped
+        let project = |x: &[f64], w: &[f64], acc: &mut [f64]| {
+            acc.fill(0.0);
+            for (&a, w_row) in x.iter().zip(w.chunks_exact(dout)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in acc.iter_mut().zip(w_row) {
+                    *o += a * b;
+                }
+            }
+        };
+        for i in 0..self.graph.node_count() {
+            agg.fill(0.0);
+            let nbrs = self.graph.neighbors(i);
+            if !nbrs.is_empty() {
+                let w = 1.0 / nbrs.len() as f64;
+                for &j in nbrs {
+                    for (a, &x) in agg.iter_mut().zip(&self.h.row(j)[..din]) {
+                        *a += w * x;
+                    }
+                }
+            }
+            project(&self.h.row(i)[..din], self.w_self, own);
+            project(agg, self.w_neigh, neigh);
+            for (((o, &s), &nb), &b) in out.row_mut(i).iter_mut().zip(&*own).zip(&*neigh).zip(self.bias) {
+                *o = self.act.apply((s + nb) + b);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -298,6 +407,78 @@ mod tests {
         let sparse = gcn.forward_agg(&tape2, &store, tape2.constant(h_mat), &a_sparse).value();
 
         assert!(dense.approx_eq(&sparse, 1e-12));
+    }
+
+    /// `forward_mean_into` vs `forward_agg` on `adjacency_norm_csr`, bit for
+    /// bit; `h` may be wider than the layer's input (a prefix read).
+    fn assert_tape_free_matches_tape(layer: &GcnLayer, store: &ParamStore, graph: &UGraph, h: &Matrix) {
+        use std::rc::Rc;
+
+        let tape = Tape::new();
+        let adj = tape.sparse(Rc::new(graph.adjacency_norm_csr()));
+        let input = tape.constant(h.slice_cols(0, layer.in_dim()));
+        let want = layer.forward_agg(&tape, store, input, &adj).value();
+        // a wrongly shaped `out` and a dirty scratch must not matter
+        let mut out = Matrix::full(1, 1, f64::NAN);
+        let mut scratch = vec![f64::NAN; 3];
+        for _ in 0..2 {
+            layer.forward_mean_into(store, graph, h, &mut out, &mut scratch);
+            assert_eq!(out.shape(), want.shape());
+            for (i, (a, b)) in out.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "entry {i}: tape-free {a:?} vs tape {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tape_free_forward_is_bitwise_the_sparse_tape_forward() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // 0 and 6 isolated; 3's input row all zeros; a few zero entries
+        let graph = UGraph::from_edges(7, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (2, 5), (1, 5)]);
+        let mut h = Matrix::from_fn(7, 17, |_, _| rng.gen_range(-1.5..1.5));
+        h.row_mut(3).fill(0.0);
+        h[(1, 0)] = 0.0;
+        h[(5, 2)] = -0.0;
+        for (i, act) in [Activation::None, Activation::Relu, Activation::Sigmoid, Activation::Tanh]
+            .into_iter()
+            .enumerate()
+        {
+            // every fixed-width arm, then widths that take the scratch path
+            for (din, dout) in [(4, 1), (4, 8), (8, 1), (8, 8), (16, 1), (16, 8), (9, 1), (17, 20), (3, 3)] {
+                let mut store = ParamStore::new();
+                let layer = GcnLayer::new(&mut store, "g", din, dout, act, &mut rng);
+                store
+                    .value_mut(layer.bias)
+                    .as_mut_slice()
+                    .iter_mut()
+                    .for_each(|b| *b = 0.1 * i as f64 - 0.15);
+                assert_tape_free_matches_tape(&layer, &store, &graph, &h);
+            }
+        }
+    }
+
+    #[test]
+    fn tape_free_forward_handles_one_node_and_edgeless_graphs() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for act in [Activation::None, Activation::Relu, Activation::Sigmoid, Activation::Tanh] {
+            let mut store = ParamStore::new();
+            let layer = GcnLayer::new(&mut store, "g", 5, 4, act, &mut rng);
+            let one = Matrix::from_fn(1, 5, |_, c| c as f64 - 2.0);
+            assert_tape_free_matches_tape(&layer, &store, &UGraph::from_edges(1, std::iter::empty()), &one);
+            assert_tape_free_matches_tape(
+                &layer,
+                &store,
+                &UGraph::from_edges(1, std::iter::empty()),
+                &Matrix::zeros(1, 5),
+            );
+            let edgeless = Matrix::from_fn(4, 6, |r, c| (r * 6 + c) as f64 * 0.1 - 1.0);
+            assert_tape_free_matches_tape(
+                &layer,
+                &store,
+                &UGraph::from_edges(4, std::iter::empty()),
+                &edgeless,
+            );
+        }
     }
 
     #[test]

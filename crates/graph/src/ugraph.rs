@@ -122,6 +122,7 @@ impl UGraph {
     }
 
     /// Number of nodes.
+    #[inline]
     pub fn node_count(&self) -> usize {
         self.n
     }
@@ -137,11 +138,13 @@ impl UGraph {
     }
 
     /// Neighbors of `v`, strictly ascending.
+    #[inline]
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.cols[self.row_ptr[v]..self.row_ptr[v + 1]]
     }
 
     /// Degree of `v`.
+    #[inline]
     pub fn degree(&self, v: usize) -> usize {
         self.row_ptr[v + 1] - self.row_ptr[v]
     }

@@ -36,8 +36,9 @@ const MATMUL_MR: usize = 2;
 /// accumulators stay in registers across the whole `k` loop.
 const MATMUL_NR: usize = 8;
 
-/// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq)]
+/// A dense row-major matrix of `f64`. The default is the empty `0 × 0`
+/// matrix.
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -118,16 +119,19 @@ impl Matrix {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(rows, cols)`.
+    #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
@@ -143,11 +147,13 @@ impl Matrix {
     }
 
     /// Row-major view of the underlying data.
+    #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable row-major view of the underlying data.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -158,11 +164,13 @@ impl Matrix {
     }
 
     /// A single row as a slice.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable access to a single row.
+    #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -647,6 +655,7 @@ impl Matrix {
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
 
+    #[inline]
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
         debug_assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
         &self.data[r * self.cols + c]
@@ -654,6 +663,7 @@ impl std::ops::Index<(usize, usize)> for Matrix {
 }
 
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
+    #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         debug_assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
         &mut self.data[r * self.cols + c]

@@ -193,8 +193,10 @@ pub enum Nonlinearity {
 }
 
 impl Nonlinearity {
+    /// The activation of one entry: the closure every tape node and the
+    /// tape-free serving layers share, so both paths round alike.
     #[inline]
-    fn apply(self, v: f64) -> f64 {
+    pub fn apply(self, v: f64) -> f64 {
         match self {
             Nonlinearity::None => v,
             Nonlinearity::Relu => {
