@@ -15,6 +15,8 @@
 //!   it knows nothing about trajectories or occlusion, which is the failure
 //!   mode the paper's tables demonstrate.
 
+use std::rc::Rc;
+
 use poshgnn::recommender::{mask_from_indices, top_k_indices, AfterRecommender};
 use poshgnn::StepView;
 use rand::rngs::StdRng;
@@ -22,7 +24,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use xr_datasets::Scenario;
 use xr_gnn::{Activation, GcnLayer};
-use xr_tensor::{init, Adam, Matrix, Optimizer, ParamStore, Tape};
+use xr_tensor::{init, Adam, CsrAdj, Matrix, Optimizer, ParamStore, Tape};
 
 /// Configuration for the GraFrank-like model.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +88,10 @@ impl GraFrankRecommender {
             _ => (0..n).map(|w| scenario.preference[v][w]).sum::<f64>() / n as f64,
         });
         // binary social adjacency
-        let adj = Matrix::from_fn(n, n, |v, w| if scenario.social[v][w] > 0.0 { 1.0 } else { 0.0 });
+        let ties: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|v| (0..n).filter(move |&w| scenario.social[v][w] > 0.0).map(move |w| (v, w, 1.0)))
+            .collect();
+        let adj = Rc::new(CsrAdj::from_entries(n, n, &ties));
 
         // model parameters
         let mut store = ParamStore::new();
@@ -108,7 +113,7 @@ impl GraFrankRecommender {
                 let tape = Tape::new();
                 let sf = tape.constant(social_facet.clone());
                 let pf = tape.constant(pref_facet.clone());
-                let a = tape.constant(adj.clone());
+                let a = tape.sparse(adj.clone());
                 let e_social = gcn_social.forward(&tape, &store, sf, a);
                 let e_pref = gcn_pref.forward(&tape, &store, pf, a);
                 // cross-facet attention: per-node gate from facet saliences
@@ -161,7 +166,7 @@ impl GraFrankRecommender {
         let tape = Tape::new();
         let sf = tape.constant(social_facet);
         let pf = tape.constant(pref_facet);
-        let a = tape.constant(adj);
+        let a = tape.sparse(adj);
         let e_social = gcn_social.forward(&tape, &store, sf, a);
         let e_pref = gcn_pref.forward(&tape, &store, pf, a);
         let qs = tape.param(&store, q_social);

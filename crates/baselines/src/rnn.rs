@@ -7,14 +7,16 @@
 //! the occlusion graph) without MIA's hybrid-participation pruning or Δ
 //! structural-difference signal, and they have no LWP preservation gate.
 
+use std::rc::Rc;
+
 use poshgnn::loss::{poshgnn_loss, LossParams};
-use poshgnn::mia::{dense_adjacency, Mia};
+use poshgnn::mia::Mia;
 use poshgnn::recommender::{threshold_decision, AfterRecommender};
 use poshgnn::{StepView, TargetContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xr_gnn::{transition_matrix, Activation, DcGruCell, Dense, TgcnCell};
-use xr_tensor::{Adam, Matrix, Optimizer, ParamStore, Tape, Var};
+use xr_gnn::{Activation, DcGruCell, Dense, TgcnCell};
+use xr_tensor::{Adam, CsrAdj, Matrix, Optimizer, ParamStore, Tape, Var};
 
 /// Which recurrent kernel to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,23 +91,19 @@ impl RnnRecommender {
         RnnRecommender { kind, config, store, optimizer, kernel, readout, mia: Mia, state: None }
     }
 
-    /// The graph operator each kernel consumes: the row-normalized random
-    /// walk matrix for both kernels (mean aggregation keeps activations
-    /// bounded on dense occlusion graphs; DCRNN's diffusion convolution is
-    /// defined over it anyway).
-    fn graph_operator(&self, adjacency: &Matrix) -> Matrix {
-        transition_matrix(adjacency)
-    }
-
+    /// One recurrent step. `graph_op` is the operator both kernels consume:
+    /// the row-normalized random walk matrix `D⁻¹A_t` of the occlusion graph
+    /// (mean aggregation keeps activations bounded on dense occlusion
+    /// graphs; DCRNN's diffusion convolution is defined over it anyway).
     fn step_on_tape<'t>(
         &self,
         tape: &'t Tape,
         features: Matrix,
-        graph_op: Matrix,
+        graph_op: Rc<CsrAdj>,
         h_prev: Var<'t>,
     ) -> (Var<'t>, Var<'t>) {
         let x = tape.constant(features);
-        let g = tape.constant(graph_op);
+        let g = tape.sparse(graph_op);
         let h = match &self.kernel {
             Kernel::Tgcn(cell) => cell.step(tape, &self.store, x, g, h_prev),
             Kernel::Dcrnn(cell) => cell.step(tape, &self.store, x, g, h_prev),
@@ -131,10 +129,10 @@ impl RnnRecommender {
                     let (r, h) = self.step_on_tape(
                         &tape,
                         self.mia.raw_features(ctx, t),
-                        self.graph_operator(&dense_adjacency(&ctx.occlusion[t])),
+                        mia_out.adjacency_norm_csr.clone(),
                         h_prev,
                     );
-                    let blocking = tape.constant(mia_out.blocking_csr.to_dense());
+                    let blocking = tape.sparse(mia_out.blocking_csr.clone());
                     let l = poshgnn_loss(
                         &tape,
                         r,
@@ -182,7 +180,7 @@ impl AfterRecommender for RnnRecommender {
         let (r, h) = self.step_on_tape(
             &tape,
             self.mia.raw_features_view(view),
-            self.graph_operator(&dense_adjacency(view.occlusion())),
+            Rc::new(view.occlusion().adjacency_norm_csr()),
             h_prev,
         );
         self.state = Some(h.value());

@@ -10,8 +10,9 @@
 //!
 //! Shipped subjects cover the workspace's four equivalence-sensitive kernel
 //! pairs (naive vs. blocked matmul, dense vs. CSR SpMM, brute-force vs.
-//! spatial-grid ORCA neighbors, serial vs. parallel runner) plus one
-//! recommender pair (sparse vs. dense-kernel POSHGNN). Case generation is
+//! spatial-grid ORCA neighbors, serial vs. parallel runner), the POSHGNN
+//! hot-path pairs (cached vs. fresh MIA, tape-free vs. tape step, pooled
+//! vs. fresh tape) and the scene and server pairs. Case generation is
 //! deterministic — case `i` always draws from the same seed — so failures
 //! reproduce exactly across runs, machines, and thread counts.
 
@@ -211,12 +212,12 @@ fn first_bit_mismatch(label: &str, a: &Matrix, b: &Matrix) -> Option<StepDiverge
 }
 
 // ---------------------------------------------------------------------------
-// Kernel pair 1: naive vs. dispatched dense matmul (bit-identical claim).
+// Kernel pair 1: naive vs. register-tiled dense matmul (bit-identical claim).
 // ---------------------------------------------------------------------------
 
-/// `Matrix::matmul_naive` vs. the size-dispatched `Matrix::matmul`.
-/// Dimensions straddle `MATMUL_DISPATCH_THRESHOLD` (64³ flops) so both the
-/// naive fall-through and the packed-B register-tiled kernel are exercised.
+/// `Matrix::matmul_naive` vs. the register-tiled `Matrix::matmul`.
+/// Dimensions in `1..80` cover full and partial 2×8 register tiles and the
+/// single-column path.
 pub struct MatmulNaiveVsBlocked;
 
 /// A generated matmul case.
@@ -514,22 +515,8 @@ impl DiffSubject for SerialVsParallelRunner {
 }
 
 // ---------------------------------------------------------------------------
-// Recommender pair: sparse vs. dense-kernel POSHGNN episodes.
+// POSHGNN episode cases, shared by every POSHGNN-level subject below.
 // ---------------------------------------------------------------------------
-
-/// Two identically seeded [`poshgnn::PoshGnn`] models — CSR kernels vs.
-/// `dense_kernels` — run over the same generated episode; soft outputs are
-/// compared within `tol` and thresholded decisions exactly, step by step.
-pub struct SparseVsDensePoshGnn {
-    /// Elementwise tolerance on `r_t` (decisions must match exactly).
-    pub tol: f64,
-}
-
-impl Default for SparseVsDensePoshGnn {
-    fn default() -> Self {
-        SparseVsDensePoshGnn { tol: 1e-9 }
-    }
-}
 
 /// A generated POSHGNN episode scenario.
 pub struct PoshCase {
@@ -594,59 +581,6 @@ fn posh_scenario(case: &PoshCase) -> xr_datasets::Scenario {
 /// Materializes the episode context of a [`PoshCase`].
 fn posh_context(case: &PoshCase) -> poshgnn::TargetContext {
     poshgnn::TargetContext::new(&posh_scenario(case), case.target, 0.5)
-}
-
-impl DiffSubject for SparseVsDensePoshGnn {
-    type Case = PoshCase;
-
-    fn pair(&self) -> String {
-        "poshgnn: sparse vs dense kernels".to_string()
-    }
-
-    fn generate(&self, rng: &mut StdRng) -> PoshCase {
-        generate_posh_case(rng)
-    }
-
-    fn compare(&self, case: &PoshCase) -> Option<StepDivergence> {
-        use poshgnn::recommender::threshold_decision;
-        use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView};
-
-        let ctx = posh_context(case);
-        let mut sparse = PoshGnn::new(PoshGnnConfig::default());
-        let mut dense = PoshGnn::new(PoshGnnConfig { dense_kernels: true, ..Default::default() });
-        sparse.begin_episode(&StepView::new(&ctx, 0));
-        dense.begin_episode(&StepView::new(&ctx, 0));
-        for t in 0..=ctx.t_max() {
-            let rs = sparse.soft_recommend(&ctx, t);
-            let rd = dense.soft_recommend(&ctx, t);
-            for (w, (s, d)) in rs.iter().zip(&rd).enumerate() {
-                if (s - d).abs() > self.tol {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!("r_{t}[{w}]: sparse {s:?} vs dense {d:?}"),
-                    });
-                }
-            }
-            let threshold = sparse.config().threshold;
-            let ds = threshold_decision(&rs, ctx.target, threshold);
-            let dd = threshold_decision(&rd, ctx.target, threshold);
-            if ds != dd {
-                return Some(StepDivergence {
-                    step: t,
-                    detail: format!("decisions at t={t}: sparse {ds:?} vs dense {dd:?}"),
-                });
-            }
-        }
-        None
-    }
-
-    fn shrink(&self, case: &PoshCase) -> Vec<PoshCase> {
-        shrink_posh_case(case)
-    }
-
-    fn describe(&self, case: &PoshCase) -> String {
-        describe_posh_case(case)
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! * [`diff`] — a **differential oracle runner**: any pair of supposedly
 //!   equivalent implementations (dense vs. CSR SpMM, naive vs. blocked
 //!   matmul, grid vs. brute-force ORCA neighbors, serial vs. parallel
-//!   tables, sparse vs. dense POSHGNN) is executed on proptest-generated
+//!   tables, tape-free vs. tape POSHGNN step) is executed on proptest-generated
 //!   scenarios; the first diverging step is reported with a greedily
 //!   minimized counterexample and the `xr_obs` span context at the
 //!   divergence point, and the report is written to an artifact file CI can

@@ -1,11 +1,10 @@
 //! The workspace's equivalence claims, enforced by the differential oracle:
-//! 256 proptest-generated scenarios per kernel pair, plus the sparse/dense
-//! POSHGNN recommender pair on full generated episodes.
+//! 256 proptest-generated scenarios per pair.
 
 use xr_check::diff::{
     assert_no_divergence, CachedVsFreshMia, EngineVsBruteForce, FusedVsTapeStep, IncrementalVsFromScratch,
     MatmulNaiveVsBlocked, MultiRoomVsSequential, OrcaGridVsBrute, PooledVsFreshTape, PrunedVsFull,
-    SerialVsParallelRunner, SparseVsDensePoshGnn, SpmmVsDense,
+    SerialVsParallelRunner, SpmmVsDense,
 };
 
 /// ≥ 256 cases per kernel pair (the acceptance bar for this harness).
@@ -51,13 +50,6 @@ fn pooled_tape_gradients_match_fresh_bitwise() {
 #[test]
 fn scene_engine_contexts_match_brute_force_bitwise() {
     assert_no_divergence(&EngineVsBruteForce, KERNEL_CASES);
-}
-
-#[test]
-fn poshgnn_sparse_and_dense_kernels_agree_on_whole_episodes() {
-    // full pipeline per case (dataset → ORCA → MIA → model), so fewer cases
-    // than the raw kernel pairs; still seeded and reproducible
-    assert_no_divergence(&SparseVsDensePoshGnn::default(), 24);
 }
 
 #[test]

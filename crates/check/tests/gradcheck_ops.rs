@@ -1,7 +1,6 @@
 //! Op-level gradient checks — the property suite promoted from
 //! `crates/tensor/tests/gradcheck.rs`, now driven through the
-//! `xr_check::gradcheck` library API, plus the two checks PR 1 left open:
-//! the tape SpMM op and the blocked matmul backward.
+//! `xr_check::gradcheck` library API, plus the tape SpMM op.
 
 use std::rc::Rc;
 
@@ -162,26 +161,4 @@ proptest! {
         })
         .assert_within(1e-5);
     }
-}
-
-#[test]
-fn grad_through_the_packed_matmul_backward() {
-    // A 4096×128 · 128×1 product sits at the flop dispatch threshold with
-    // k ≥ MATMUL_PACK_MIN_K, so the packed kernel (not the chunked
-    // fall-through) is what finite differences validate here — for the
-    // backward too, whose AᵀB product is 128×4096 · 4096×1.
-    let (m, k) = (4096_usize, 128_usize);
-    assert!(
-        m * k >= Matrix::MATMUL_DISPATCH_THRESHOLD && k >= Matrix::MATMUL_PACK_MIN_K,
-        "operands must engage the packed kernel"
-    );
-    let x_m = Matrix::from_fn(m, k, |r, c| 0.05 * ((r * 7 + c * 3) % 11) as f64 - 0.2);
-    let w_v = Matrix::from_fn(m, 1, |r, _| 0.01 * (r % 5) as f64 + 0.02);
-    let vals: Vec<f64> = (0..k).map(|i| ((i * 2654435761 % 1000) as f64 / 500.0) - 1.0).collect();
-    check_single(&vals, k, 1, &cfg(), move |tape, w| {
-        let x = tape.constant(x_m.clone());
-        let weight = tape.constant(w_v.clone());
-        (x.matmul(w) * weight).sum()
-    })
-    .assert_within(1e-5);
 }

@@ -22,9 +22,9 @@ fn small_ctx(dataset_seed: u64, scenario_seed: u64) -> TargetContext {
     TargetContext::new(&scenario, 0, 0.5)
 }
 
-fn check_variant(variant: PoshVariant, dense_kernels: bool) {
+fn check_variant(variant: PoshVariant) {
     let ctx = small_ctx(2, 5);
-    let mut model = PoshGnn::new(PoshGnnConfig { variant, dense_kernels, ..Default::default() });
+    let mut model = PoshGnn::new(PoshGnnConfig { variant, ..Default::default() });
     let report = check_poshgnn(&mut model, &ctx, &GradCheckConfig::default());
     // all five GCN layers × (w_self, w_neigh, bias)
     assert_eq!(report.blocks.len(), 15, "unexpected block count:\n{}", report.render_table());
@@ -40,22 +40,17 @@ fn check_variant(variant: PoshVariant, dense_kernels: bool) {
 
 #[test]
 fn full_variant_gradients_match_finite_differences() {
-    check_variant(PoshVariant::Full, false);
-}
-
-#[test]
-fn full_variant_gradients_match_on_the_dense_kernel_path() {
-    check_variant(PoshVariant::Full, true);
+    check_variant(PoshVariant::Full);
 }
 
 #[test]
 fn pdr_with_mia_variant_gradients_match_finite_differences() {
-    check_variant(PoshVariant::PdrWithMia, false);
+    check_variant(PoshVariant::PdrWithMia);
 }
 
 #[test]
 fn pdr_only_variant_gradients_match_finite_differences() {
-    check_variant(PoshVariant::PdrOnly, false);
+    check_variant(PoshVariant::PdrOnly);
 }
 
 #[test]

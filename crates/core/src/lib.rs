@@ -26,7 +26,7 @@ pub mod view;
 
 pub use loss::{poshgnn_loss, LossParams};
 pub use metrics::{evaluate_sequence, UtilityBreakdown};
-pub use mia::{dense_adjacency, Mia, MiaOutput};
+pub use mia::{Mia, MiaOutput};
 pub use model::{PoshGnn, PoshGnnConfig, PoshVariant};
 pub use problem::TargetContext;
 pub use recommender::{mask_from_indices, threshold_decision, top_k_indices, AfterRecommender};

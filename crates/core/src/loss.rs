@@ -15,7 +15,7 @@
 
 use std::rc::Rc;
 
-use xr_tensor::{Matrix, Tape, TapeLinOp, Var};
+use xr_tensor::{Matrix, SparseVar, Tape, Var};
 
 /// Hyperparameters of the POSHGNN loss.
 #[derive(Debug, Clone, Copy)]
@@ -44,10 +44,9 @@ impl Default for LossParams {
 ///   social-presence term backpropagates through *both* time steps).
 /// * `p_hat`, `s_hat` — the MIA-normalized utility columns, shared onto the
 ///   tape as zero-copy `Rc` constants (MIA caches them per episode).
-/// * `adj` — the `N × N` occlusion penalty operator at `t`: either a dense
-///   constant [`Var`] or a sparse [`xr_tensor::SparseVar`] (both implement
-///   [`TapeLinOp`]). The quadratic form is evaluated as `r_tᵀ·(A·r_t)`, so
-///   the sparse path costs O(nnz) instead of O(N²).
+/// * `adj` — the `N × N` sparse occlusion penalty operand at `t`. The
+///   quadratic form is evaluated as `r_tᵀ·(A·r_t)`, so it costs O(nnz)
+///   instead of O(N²).
 ///
 /// The three reductions are recorded as fused single nodes
 /// ([`Var::dot_scale`], [`Var::dot3_scale`], [`Var::mat_dot_scale`]) whose
@@ -59,7 +58,7 @@ pub fn poshgnn_loss<'t>(
     r_prev: Var<'t>,
     p_hat: &Rc<Matrix>,
     s_hat: &Rc<Matrix>,
-    adj: impl TapeLinOp<'t>,
+    adj: SparseVar<'t>,
     params: LossParams,
 ) -> Var<'t> {
     let LossParams { alpha, beta } = params;
@@ -67,7 +66,7 @@ pub fn poshgnn_loss<'t>(
     let s = tape.constant_rc(s_hat.clone());
     let gain_p = r_t.dot_scale(p, -(1.0 - beta));
     let gain_s = r_t.dot3_scale(r_prev, s, -beta);
-    let occlusion = r_t.t().mat_dot_scale(adj.left_matmul(r_t), alpha);
+    let occlusion = r_t.t().mat_dot_scale(adj.matmul(r_t), alpha);
     let gamma = (1.0 - beta) * p_hat.sum() + beta * s_hat.sum();
     (gain_p + gain_s + occlusion).add_scalar(gamma)
 }
@@ -75,9 +74,15 @@ pub fn poshgnn_loss<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xr_tensor::CsrAdj;
 
     fn col(vals: &[f64]) -> Matrix {
         Matrix::col_vec(vals)
+    }
+
+    /// The `n × n` penalty operand with no edges.
+    fn no_edges(tape: &Tape, n: usize) -> SparseVar<'_> {
+        tape.sparse(Rc::new(CsrAdj::empty(n, n)))
     }
 
     #[test]
@@ -88,7 +93,7 @@ mod tests {
         let r = tape.constant(col(&[1.0, 1.0]));
         let p = Rc::new(col(&[1.0, 1.0]));
         let s = Rc::new(col(&[1.0, 1.0]));
-        let adj = tape.constant(Matrix::zeros(2, 2));
+        let adj = no_edges(&tape, 2);
         let loss = poshgnn_loss(&tape, r, r, &p, &s, adj, LossParams { alpha: 0.01, beta: 0.5 });
         assert!(loss.scalar().abs() < 1e-12);
     }
@@ -99,7 +104,7 @@ mod tests {
         let r = tape.constant(col(&[0.0, 0.0]));
         let p = Rc::new(col(&[0.6, 0.4]));
         let s = Rc::new(col(&[0.2, 0.0]));
-        let adj = tape.constant(Matrix::zeros(2, 2));
+        let adj = no_edges(&tape, 2);
         let params = LossParams { alpha: 0.01, beta: 0.5 };
         let loss = poshgnn_loss(&tape, r, r, &p, &s, adj, params);
         let gamma = 0.5 * 1.0 + 0.5 * 0.2;
@@ -115,12 +120,11 @@ mod tests {
         let run = |edge: bool| {
             let tape = Tape::new();
             let r = tape.constant(col(&[1.0, 1.0]));
-            let adj_m = if edge {
-                Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap()
+            let adj = if edge {
+                tape.sparse(Rc::new(CsrAdj::from_entries(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)])))
             } else {
-                Matrix::zeros(2, 2)
+                no_edges(&tape, 2)
             };
-            let adj = tape.constant(adj_m);
             poshgnn_loss(&tape, r, r, &p, &s, adj, params).scalar()
         };
         let with_edge = run(true);
@@ -138,33 +142,11 @@ mod tests {
             let tape = Tape::new();
             let r = tape.constant(col(&[1.0]));
             let rp = tape.constant(col(&[prev]));
-            let adj = tape.constant(Matrix::zeros(1, 1));
+            let adj = no_edges(&tape, 1);
             poshgnn_loss(&tape, r, rp, &p, &s, adj, params).scalar()
         };
         assert!(run(1.0) < run(0.0), "continuity must be rewarded");
         assert!((run(0.0) - 1.0).abs() < 1e-12, "no continuity → full γ");
-    }
-
-    #[test]
-    fn sparse_and_dense_penalty_operators_agree() {
-        use xr_tensor::CsrAdj;
-
-        let p = Rc::new(col(&[0.3, 0.7, 0.1]));
-        let s = Rc::new(col(&[0.2, 0.4, 0.9]));
-        let adj_m = Matrix::from_vec(3, 3, vec![0.0, 0.5, 0.0, 0.0, 0.0, 0.9, 0.0, 0.0, 0.0]).unwrap();
-        let params = LossParams { alpha: 0.4, beta: 0.5 };
-        let rv = col(&[0.9, 0.8, 0.2]);
-
-        let tape = Tape::new();
-        let r = tape.constant(rv.clone());
-        let dense = poshgnn_loss(&tape, r, r, &p, &s, tape.constant(adj_m.clone()), params);
-
-        let tape2 = Tape::new();
-        let r2 = tape2.constant(rv);
-        let a = tape2.sparse(Rc::new(CsrAdj::from_dense(&adj_m, 0.0)));
-        let sparse = poshgnn_loss(&tape2, r2, r2, &p, &s, a, params);
-
-        assert!((dense.scalar() - sparse.scalar()).abs() < 1e-14);
     }
 
     #[test]
@@ -181,7 +163,7 @@ mod tests {
             let tape = Tape::new();
             let r = tape.constant(col(&rv));
             let rp = tape.constant(col(&rv));
-            let adj = tape.constant(Matrix::zeros(n, n));
+            let adj = no_edges(&tape, n);
             let loss = poshgnn_loss(
                 &tape,
                 r,

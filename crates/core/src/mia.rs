@@ -57,8 +57,7 @@ pub struct MiaOutput {
     pub s_hat: Rc<Matrix>,
     /// Occlusion adjacency `A_t` in CSR form, an O(N + m) copy of the
     /// occlusion graph's own CSR arrays. It feeds the loss's symmetric
-    /// occlusion penalty; consumers that want a dense `N × N` matrix (the
-    /// `dense_kernels` ablation) derive it with [`CsrAdj::to_dense`].
+    /// occlusion penalty.
     pub adjacency_csr: Rc<CsrAdj>,
     /// Row-normalized adjacency `D⁻¹A_t` used as the GNN aggregation
     /// operator: mean aggregation keeps activations bounded on dense
@@ -78,11 +77,6 @@ pub struct MiaOutput {
     /// training slab fills them on its first epoch and shares them with
     /// every later one via [`xr_tensor::Tape::sparse_with_transpose`].
     transposes: [OnceCell<Rc<CsrAdj>>; 3],
-    /// Lazily densified copies of the three CSR operators, in field order,
-    /// for the `dense_kernels` ablation only; a training slab fills them once
-    /// and shares them with every later epoch via
-    /// [`xr_tensor::Tape::constant_rc`].
-    dense: [OnceCell<Rc<Matrix>>; 3],
 }
 
 impl MiaOutput {
@@ -98,10 +92,6 @@ impl MiaOutput {
         Rc::clone(self.transposes[slot].get_or_init(|| Rc::new(self.operator(slot).transpose())))
     }
 
-    fn dense_of(&self, slot: usize) -> Rc<Matrix> {
-        Rc::clone(self.dense[slot].get_or_init(|| Rc::new(self.operator(slot).to_dense())))
-    }
-
     /// Transpose of `adjacency_csr`, built on first use and then shared.
     pub(crate) fn adjacency_csr_t(&self) -> Rc<CsrAdj> {
         self.transpose_of(0)
@@ -115,21 +105,6 @@ impl MiaOutput {
     /// Transpose of `blocking_csr`, built on first use and then shared.
     pub(crate) fn blocking_csr_t(&self) -> Rc<CsrAdj> {
         self.transpose_of(2)
-    }
-
-    /// Dense `adjacency_csr`, built on first use and then shared.
-    pub(crate) fn adjacency_dense(&self) -> Rc<Matrix> {
-        self.dense_of(0)
-    }
-
-    /// Dense `adjacency_norm_csr`, built on first use and then shared.
-    pub(crate) fn adjacency_norm_dense(&self) -> Rc<Matrix> {
-        self.dense_of(1)
-    }
-
-    /// Dense `blocking_csr`, built on first use and then shared.
-    pub(crate) fn blocking_dense(&self) -> Rc<Matrix> {
-        self.dense_of(2)
     }
 }
 
@@ -378,7 +353,6 @@ impl Mia {
             adjacency_norm_csr,
             blocking_csr,
             transposes: Default::default(),
-            dense: Default::default(),
         }
     }
 
@@ -436,19 +410,6 @@ impl Mia {
     }
 }
 
-/// Dense 0/1 adjacency of an occlusion graph, for consumers that want `A_t`
-/// as an `N × N` matrix (the RNN baselines); MIA itself only builds the CSR
-/// form.
-pub fn dense_adjacency(graph: &UGraph) -> Matrix {
-    let n = graph.node_count();
-    let mut a = Matrix::zeros(n, n);
-    for (u, v) in graph.edges() {
-        a[(u, v)] = 1.0;
-        a[(v, u)] = 1.0;
-    }
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +439,18 @@ mod tests {
 
     fn ctx() -> TargetContext {
         TargetContext::new(&scenario(), 0, 0.5)
+    }
+
+    /// Dense 0/1 adjacency of an occlusion graph: the textbook reference
+    /// the CSR operators are checked against.
+    fn dense_adjacency(graph: &UGraph) -> Matrix {
+        let n = graph.node_count();
+        let mut a = Matrix::zeros(n, n);
+        for (u, v) in graph.edges() {
+            a[(u, v)] = 1.0;
+            a[(v, u)] = 1.0;
+        }
+        a
     }
 
     #[test]
@@ -616,20 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn transposes_and_dense_forms_are_built_lazily_once_and_exact() {
+    fn transposes_are_built_lazily_once_and_exact() {
         let out = Mia.compute(&ctx(), 0);
         assert!(out.transposes.iter().all(|slot| slot.get().is_none()), "forward-only output");
-        assert!(out.dense.iter().all(|slot| slot.get().is_none()), "no N×N matrix unless asked");
         let first = out.blocking_csr_t();
         assert_eq!(*first, out.blocking_csr.transpose());
         assert!(Rc::ptr_eq(&first, &out.blocking_csr_t()), "built once, then shared");
         assert_eq!(*out.adjacency_norm_csr_t(), out.adjacency_norm_csr.transpose());
         assert_eq!(*out.adjacency_csr_t(), out.adjacency_csr.transpose());
-        let dense = out.blocking_dense();
-        assert_eq!(*dense, out.blocking_csr.to_dense());
-        assert!(Rc::ptr_eq(&dense, &out.blocking_dense()), "built once, then shared");
-        assert_eq!(*out.adjacency_norm_dense(), out.adjacency_norm_csr.to_dense());
-        assert_eq!(*out.adjacency_dense(), out.adjacency_csr.to_dense());
     }
 
     #[test]

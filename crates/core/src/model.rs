@@ -19,7 +19,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xr_gnn::{Activation, GcnLayer};
-use xr_tensor::{Adam, Matrix, Optimizer, ParamStore, Tape, TapeLinOp, Var};
+use xr_tensor::{Adam, Matrix, Optimizer, ParamStore, Tape, Var};
 
 use crate::loss::{poshgnn_loss, LossParams};
 use crate::mia::{Mia, MiaCarry, MiaOutput, DELTA_DIM, FEATURE_DIM};
@@ -70,13 +70,8 @@ pub struct PoshGnnConfig {
     /// (`α·rᵀA_t r`) instead of the depth-weighted blocking refinement
     /// (`α·rᵀB_t r`). Kept for the loss-design ablation experiment.
     pub symmetric_penalty: bool,
-    /// Run GNN aggregation and the loss penalty on dense N×N constants
-    /// instead of the CSR sparse kernels, in training and at inference. The
-    /// ablation is defined on the tape, so with this flag inference runs
-    /// [`PoshGnn::soft_recommend_on_tape`] on dense constants instead of the
-    /// tape-free step. The sparse path (default) is mathematically
-    /// identical — this flag exists for cross-checking and for measuring the
-    /// sparse speedup in benchmarks.
+    /// Retired: the dense N×N operator ablation was removed and every graph
+    /// operator is CSR. Must stay `false`; [`PoshGnn::new`] panics otherwise.
     pub dense_kernels: bool,
     /// Recompute MIA from scratch at every step instead of reusing earlier
     /// work. In training, [`Mia::compute`] replaces the one slab per
@@ -191,14 +186,19 @@ impl PoshGnn {
     ///
     /// # Panics
     ///
-    /// If a retired field is set: `serve_f32: true` or `drift_sample > 0`.
-    /// The f32 serving path they selected was removed, and ignoring them
-    /// would serve f64 to a caller who asked for something else.
+    /// If a retired field is set: `serve_f32: true`, `drift_sample > 0` or
+    /// `dense_kernels: true`. The paths they selected were removed, and
+    /// ignoring them would serve the default path to a caller who asked for
+    /// something else.
     pub fn new(config: PoshGnnConfig) -> Self {
         assert!(!config.serve_f32, "PoshGnnConfig::serve_f32 is retired: the f32 serving path was removed");
         assert!(
             config.drift_sample == 0,
             "PoshGnnConfig::drift_sample is retired: the f32 drift monitor was removed"
+        );
+        assert!(
+            !config.dense_kernels,
+            "PoshGnnConfig::dense_kernels is retired: every graph operator is CSR"
         );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut store = ParamStore::new();
@@ -244,21 +244,27 @@ impl PoshGnn {
         self.store.scalar_count()
     }
 
-    /// One forward step on `tape`. Returns `(r_t, h_t)`. `agg` is the
-    /// mean-aggregation operator (`D⁻¹A_t`) — a sparse
-    /// [`xr_tensor::SparseVar`] on the default path, or a dense constant
-    /// [`Var`] under [`PoshGnnConfig::dense_kernels`].
+    /// One forward step on `tape`. Returns `(r_t, h_t)`. The GCN layers
+    /// aggregate over the sparse mean-aggregation operator `D⁻¹A_t`. Only a
+    /// tape that will run `backward` needs the operator's transpose;
+    /// inference passes `backward = false` and never builds it.
     #[allow(clippy::too_many_arguments)] // internal: one arg per module input
-    fn step_on_tape<'t, A: TapeLinOp<'t> + Copy>(
+    fn step_on_tape<'t>(
         &self,
         tape: &'t Tape,
         ctx: &TargetContext,
         t: usize,
         mia_out: &MiaOutput,
-        agg: A,
         h_prev: Var<'t>,
         r_prev: Var<'t>,
+        backward: bool,
     ) -> (Var<'t>, Var<'t>) {
+        let csr = mia_out.adjacency_norm_csr.clone();
+        let agg = if backward {
+            tape.sparse_with_transpose(csr, mia_out.adjacency_norm_csr_t())
+        } else {
+            tape.sparse(csr)
+        };
         let variant = self.config.variant;
         let features = if variant == PoshVariant::PdrOnly {
             tape.constant(self.mia.raw_features(ctx, t))
@@ -269,8 +275,8 @@ impl PoshGnn {
         // PDR: h_t then r̃_t (Eq. 1 stack).
         let (h_t, r_tilde) = {
             let _pdr = xr_obs::span!("poshgnn.pdr.forward");
-            let h_t = self.pdr1.forward_agg(tape, &self.store, features, &agg);
-            let r_tilde = self.pdr2.forward_agg(tape, &self.store, h_t, &agg);
+            let h_t = self.pdr1.forward(tape, &self.store, features, agg);
+            let r_tilde = self.pdr2.forward(tape, &self.store, h_t, agg);
             (h_t, r_tilde)
         };
 
@@ -282,42 +288,14 @@ impl PoshGnn {
                 let _lwp = xr_obs::span!("poshgnn.lwp.forward");
                 let delta = tape.constant_rc(mia_out.delta.clone());
                 let lwp_in = tape.concat_cols(&[features, delta, h_prev, r_prev]);
-                let z1 = self.lwp1.forward_agg(tape, &self.store, lwp_in, &agg);
-                let z2 = self.lwp2.forward_agg(tape, &self.store, z1, &agg);
-                let sigma = self.lwp3.forward_agg(tape, &self.store, z2, &agg);
+                let z1 = self.lwp1.forward(tape, &self.store, lwp_in, agg);
+                let z2 = self.lwp2.forward(tape, &self.store, z1, agg);
+                let sigma = self.lwp3.forward(tape, &self.store, z2, agg);
                 // preservation gate, as a single fused node
                 mask.gate_blend(sigma, r_tilde, r_prev)
             }
         };
         (r_t, h_t)
-    }
-
-    /// Dispatches one step to the sparse or dense aggregation kernel. Only a
-    /// tape that will run `backward` needs the sparse operator's transpose;
-    /// inference passes `backward = false` and never builds it.
-    #[allow(clippy::too_many_arguments)] // internal: one arg per module input
-    fn step_dispatch<'t>(
-        &self,
-        tape: &'t Tape,
-        ctx: &TargetContext,
-        t: usize,
-        mia_out: &MiaOutput,
-        h_prev: Var<'t>,
-        r_prev: Var<'t>,
-        backward: bool,
-    ) -> (Var<'t>, Var<'t>) {
-        if self.config.dense_kernels {
-            let agg = tape.constant_rc(mia_out.adjacency_norm_dense());
-            self.step_on_tape(tape, ctx, t, mia_out, agg, h_prev, r_prev)
-        } else {
-            let csr = mia_out.adjacency_norm_csr.clone();
-            let agg = if backward {
-                tape.sparse_with_transpose(csr, mia_out.adjacency_norm_csr_t())
-            } else {
-                tape.sparse(csr)
-            };
-            self.step_on_tape(tape, ctx, t, mia_out, agg, h_prev, r_prev)
-        }
     }
 
     /// Builds the whole-episode Def. 7 loss on `tape`: the mean per-step
@@ -358,22 +336,14 @@ impl PoshGnn {
         for t in 0..=ctx.t_max() {
             let step_timer = xr_obs::start_timer();
             let mia_out = mia_at(t);
-            let (r_t, h_t) = self.step_dispatch(tape, ctx, t, &mia_out, h_prev, r_prev, true);
-            let l = if self.config.dense_kernels {
-                let penalty = if self.config.symmetric_penalty {
-                    tape.constant_rc(mia_out.adjacency_dense())
-                } else {
-                    tape.constant_rc(mia_out.blocking_dense())
-                };
-                poshgnn_loss(tape, r_t, r_prev, &mia_out.p_hat, &mia_out.s_hat, penalty, self.config.loss)
+            let (r_t, h_t) = self.step_on_tape(tape, ctx, t, &mia_out, h_prev, r_prev, true);
+            let penalty = if self.config.symmetric_penalty {
+                tape.sparse_with_transpose(mia_out.adjacency_csr.clone(), mia_out.adjacency_csr_t())
             } else {
-                let penalty = if self.config.symmetric_penalty {
-                    tape.sparse_with_transpose(mia_out.adjacency_csr.clone(), mia_out.adjacency_csr_t())
-                } else {
-                    tape.sparse_with_transpose(mia_out.blocking_csr.clone(), mia_out.blocking_csr_t())
-                };
-                poshgnn_loss(tape, r_t, r_prev, &mia_out.p_hat, &mia_out.s_hat, penalty, self.config.loss)
+                tape.sparse_with_transpose(mia_out.blocking_csr.clone(), mia_out.blocking_csr_t())
             };
+            let l =
+                poshgnn_loss(tape, r_t, r_prev, &mia_out.p_hat, &mia_out.s_hat, penalty, self.config.loss);
             total = Some(match total {
                 Some(acc) => acc + l,
                 None => l,
@@ -436,13 +406,8 @@ impl PoshGnn {
     /// Serves the tape-free step: MIA writes only `x̂_t`, `Δ_t` and `m_t`
     /// into reused buffers, and each GCN layer aggregates straight over the
     /// occlusion graph's rows ([`GcnLayer::forward_mean_into`]). The result
-    /// is bit-identical to [`PoshGnn::soft_recommend_on_tape`]. Under
-    /// [`PoshGnnConfig::dense_kernels`] the step runs on the tape instead,
-    /// since that ablation is defined as dense constants on the tape.
+    /// is bit-identical to [`PoshGnn::soft_recommend_on_tape`].
     pub fn soft_recommend(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
-        if self.config.dense_kernels {
-            return self.soft_recommend_on_tape(ctx, t);
-        }
         let _span = xr_obs::span!("poshgnn.recommend.step", t = t, n = ctx.n);
         let (n, hidden, variant) = (ctx.n, self.config.hidden, self.config.variant);
         // "Only PDR" reads no MIA output, so it leaves the carry untouched
@@ -512,8 +477,7 @@ impl PoshGnn {
 
     /// The inference step on the autodiff tape: the reference
     /// [`PoshGnn::soft_recommend`] is pinned against (the `xr_check`
-    /// `FusedVsTapeStep` subject), and the serving step of the
-    /// `dense_kernels` ablation. It shares the episode state and MIA carry
+    /// `FusedVsTapeStep` subject). It shares the episode state and MIA carry
     /// with the tape-free step.
     pub fn soft_recommend_on_tape(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
         let _span = xr_obs::span!("poshgnn.recommend.step", t = t, n = ctx.n);
@@ -525,7 +489,7 @@ impl PoshGnn {
             (tape.constant_zeros(ctx.n, self.config.hidden), tape.constant_zeros(ctx.n, 1))
         };
         let mia_out = self.infer_mia(ctx, t);
-        let (r_t, h_t) = self.step_dispatch(&tape, ctx, t, &mia_out, h_prev, r_prev, false);
+        let (r_t, h_t) = self.step_on_tape(&tape, ctx, t, &mia_out, h_prev, r_prev, false);
         self.serve.h_prev = h_t.value();
         self.serve.r_prev = r_t.value();
         self.serve.has_prev = true;
@@ -723,24 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_kernels_produce_identical_recommendations() {
-        // The CSR path is an implementation detail: training + inference
-        // under dense_kernels must give the same decisions.
-        let train_ctx = small_ctx(11);
-        let eval_ctx = small_ctx(12);
-
-        let mut sparse = PoshGnn::new(PoshGnnConfig::default());
-        sparse.train(std::slice::from_ref(&train_ctx), 10);
-        let recs_sparse = sparse.run_episode(&eval_ctx);
-
-        let mut dense = PoshGnn::new(PoshGnnConfig { dense_kernels: true, ..Default::default() });
-        dense.train(std::slice::from_ref(&train_ctx), 10);
-        let recs_dense = dense.run_episode(&eval_ctx);
-
-        assert_eq!(recs_sparse, recs_dense);
-    }
-
-    #[test]
     #[should_panic(expected = "serve_f32 is retired")]
     fn retired_serve_f32_is_rejected() {
         PoshGnn::new(PoshGnnConfig { serve_f32: true, ..Default::default() });
@@ -750,6 +696,12 @@ mod tests {
     #[should_panic(expected = "drift_sample is retired")]
     fn retired_drift_sample_is_rejected() {
         PoshGnn::new(PoshGnnConfig { drift_sample: 1, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "dense_kernels is retired")]
+    fn retired_dense_kernels_is_rejected() {
+        PoshGnn::new(PoshGnnConfig { dense_kernels: true, ..Default::default() });
     }
 
     /// One inference call in a scripted serving sequence.

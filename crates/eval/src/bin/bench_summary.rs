@@ -1,22 +1,22 @@
 //! Machine-readable performance summary for the repo's hot paths: blocked
-//! vs. naive matmul, sparse vs. dense GNN kernels, grid vs. brute-force
-//! crowd neighbor queries, serial vs. parallel experiment cells, cached vs.
-//! uncached training epochs, the matmul dispatch crossover table, shared
-//! scene-engine context builds, crowd-scale K-candidate pruned serving vs.
-//! dense full-N on stadium frames, and the cost of running with
-//! observability installed vs. without.
+//! vs. naive matmul on the shapes the models multiply, CSR SpMM vs. dense
+//! matmul of the same operator, grid vs. brute-force crowd neighbor queries,
+//! the POSHGNN recommend step, serial vs. parallel experiment cells, cached
+//! vs. uncached training epochs, shared scene-engine context builds,
+//! crowd-scale K-candidate pruned serving vs. dense full-N on stadium
+//! frames, and the cost of running with observability installed vs.
+//! without.
 //!
-//! Writes one JSON summary (default `BENCH_pr10.json` at the workspace root,
-//! next to `Cargo.toml`; override with `--out=PATH`) via the `xr_obs` JSON
-//! exporter and prints it to stdout. All "before" numbers are the
+//! Writes one JSON summary to the required `--out=PATH` via the `xr_obs`
+//! JSON exporter and prints it to stdout. There is no default path, so a
+//! run can never overwrite a committed `BENCH_pr*.json` by accident;
+//! historical summaries stay as published. All "before" numbers are the
 //! pre-overhaul code paths, which are kept callable behind flags
-//! (`matmul_naive`, `dense_kernels`, `use_spatial_grid: false`,
-//! `workers: 1`, `fresh_mia`/`fresh_tape`), so the comparison runs
-//! both sides in one build. Historical `BENCH_pr*.json`
-//! files stay committed as published; this binary only writes the current
-//! summary. Compare two summaries with the `bench_compare` binary.
+//! (`matmul_naive`, `use_spatial_grid: false`, `workers: 1`,
+//! `fresh_mia`/`fresh_tape`), so the comparison runs both sides in one
+//! build. Compare two summaries with the `bench_compare` binary.
 //!
-//! Usage: `cargo run --release -p xr-eval --bin bench_summary [--out=PATH]`
+//! Usage: `cargo run --release -p xr-eval --bin bench_summary -- --out=PATH`
 //! Accepts `--trace[=PATH]` / `--metrics[=PATH]` (or `AFTER_TRACE` /
 //! `AFTER_METRICS`) to additionally capture the instrumented kernels'
 //! own telemetry while the benchmarks run.
@@ -28,11 +28,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xr_crowd::{Agent, CrowdSimulator, Room, SimConfig};
 use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
-use xr_eval::report::results_dir;
 use xr_eval::runner::{build_contexts, pick_targets, run_comparison, run_method, ComparisonConfig};
 use xr_graph::geom::Point2;
 use xr_obs::json::{num3, Json};
 use xr_tensor::{CsrAdj, Matrix};
+
+/// The upper median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v[v.len() / 2]
+}
 
 /// Median wall-clock milliseconds of `f` over `reps` runs (after one warmup).
 fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -52,27 +57,40 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect()).unwrap()
 }
 
+/// Register-tiled vs. naive matmul on products the code runs at the paper's
+/// N = 200: LWP's first `X·W` (16 input columns), a DCRNN gate's `[x ‖ h]·W`
+/// (12 columns), and GraFrank's `E·Eᵀ` score table. Every graph operator is
+/// CSR, so no N × N dense operand is ever multiplied and none is timed here.
+/// These products take microseconds, so each sample batches ~16 M
+/// multiply-adds, the two arms alternate sample by sample, and `speedup` is
+/// the median of the per-pair ratios: a burst of host load then skews one
+/// pair, not a whole arm.
 fn bench_matmul() -> Json {
     let mut rng = StdRng::seed_from_u64(1);
-    let shapes = [(128usize, 128usize, 128usize), (256, 256, 256), (512, 512, 512), (200, 16, 200)];
+    let shapes = [(200usize, 16usize, 8usize), (200, 12, 8), (200, 8, 200)];
     let rows: Vec<Json> = shapes
         .iter()
         .map(|&(m, k, n)| {
             let a = random_matrix(m, k, &mut rng);
             let b = random_matrix(k, n, &mut rng);
-            let naive = time_ms(5, || {
-                std::hint::black_box(a.matmul_naive(&b));
-            });
-            let blocked = time_ms(5, || {
-                std::hint::black_box(a.matmul(&b));
-            });
+            let iters = (16_000_000 / (m * k * n)).max(1);
+            let batch = |naive: bool| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(if naive { a.matmul_naive(&b) } else { a.matmul(&b) });
+                }
+                start.elapsed().as_secs_f64() * 1e3 / iters as f64
+            };
+            batch(true); // warmup
+            batch(false);
+            let pairs: Vec<(f64, f64)> = (0..15).map(|_| (batch(true), batch(false))).collect();
             Json::obj()
                 .set("m", m)
                 .set("k", k)
                 .set("n", n)
-                .set("naive_ms", num3(naive))
-                .set("blocked_ms", num3(blocked))
-                .set("speedup", num3(naive / blocked))
+                .set("naive_ms", num3(median(pairs.iter().map(|p| p.0).collect())))
+                .set("blocked_ms", num3(median(pairs.iter().map(|p| p.1).collect())))
+                .set("speedup", num3(median(pairs.iter().map(|p| p.0 / p.1).collect())))
         })
         .collect();
     Json::from(rows)
@@ -140,6 +158,8 @@ fn bench_crowd() -> Json {
         .set("speedup", num3(brute_ms / grid_ms))
 }
 
+/// The POSHGNN recommend step's absolute cost. It has no second arm, so it
+/// carries no `speedup` and `bench_compare` does not gate it.
 fn bench_poshgnn_step() -> Json {
     let dataset = Dataset::generate(DatasetKind::Timik, 2);
     let sizes = [100usize, 200];
@@ -150,17 +170,9 @@ fn bench_poshgnn_step() -> Json {
                 ScenarioConfig { n_participants: n, time_steps: 30, seed: 11, ..ScenarioConfig::default() };
             let scenario = dataset.sample_scenario(&scenario_cfg);
             let ctxs = build_contexts(&scenario, &pick_targets(&scenario, 2, 7), 0.5);
-            let mut ms = [0.0f64; 2];
-            for (slot, dense) in [(0usize, false), (1, true)] {
-                let mut model = PoshGnn::new(PoshGnnConfig { dense_kernels: dense, ..Default::default() });
-                model.train(&ctxs, 2); // params only; step cost is training-independent
-                ms[slot] = run_method(&mut model, &ctxs).ms_per_step;
-            }
-            Json::obj()
-                .set("n", n)
-                .set("sparse_ms_per_step", num3(ms[0]))
-                .set("dense_ms_per_step", num3(ms[1]))
-                .set("speedup", num3(ms[1] / ms[0]))
+            let mut model = PoshGnn::new(PoshGnnConfig::default());
+            model.train(&ctxs, 2); // params only; step cost is training-independent
+            Json::obj().set("n", n).set("sparse_ms_per_step", num3(run_method(&mut model, &ctxs).ms_per_step))
         })
         .collect();
     Json::from(rows)
@@ -194,10 +206,6 @@ fn per_epoch_ms_paired(a: PoshGnnConfig, b: PoshGnnConfig, ctxs: &[poshgnn::Targ
         sa.push(sample(a));
         sb.push(sample(b));
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        v[v.len() / 2]
-    };
     (median(sa), median(sb))
 }
 
@@ -245,55 +253,6 @@ fn bench_tape_reuse() -> Json {
         .set("fresh_tape_ms_per_epoch", num3(fresh))
         .set("pooled_tape_ms_per_epoch", num3(pooled))
         .set("speedup", num3(fresh / pooled))
-}
-
-fn bench_matmul_dispatch() -> Json {
-    let mut rng = StdRng::seed_from_u64(5);
-    let shapes: [(usize, usize, usize); 10] = [
-        (8, 8, 8),
-        (16, 16, 16),
-        (32, 32, 32),
-        (48, 48, 48),
-        (64, 64, 64),
-        (96, 96, 96),
-        (128, 128, 128),
-        (192, 192, 192),
-        (256, 256, 256),
-        (200, 16, 200),
-    ];
-    let rows: Vec<Json> = shapes
-        .iter()
-        .map(|&(m, k, n)| {
-            let a = random_matrix(m, k, &mut rng);
-            let b = random_matrix(k, n, &mut rng);
-            let flops = m * k * n;
-            // batch small multiplies so each sample is long enough to time
-            let iters = (4_000_000 / flops).max(1);
-            let naive = time_ms(9, || {
-                for _ in 0..iters {
-                    std::hint::black_box(a.matmul_naive(&b));
-                }
-            });
-            let dispatched = time_ms(9, || {
-                for _ in 0..iters {
-                    std::hint::black_box(a.matmul(&b));
-                }
-            });
-            let packed = flops >= Matrix::MATMUL_DISPATCH_THRESHOLD && k >= Matrix::MATMUL_PACK_MIN_K;
-            Json::obj()
-                .set("m", m)
-                .set("k", k)
-                .set("n", n)
-                .set("kernel", if packed { "packed" } else { "chunked" })
-                .set("naive_ms", num3(naive / iters as f64))
-                .set("dispatched_ms", num3(dispatched / iters as f64))
-                .set("speedup", num3(naive / dispatched))
-        })
-        .collect();
-    Json::obj()
-        .set("threshold_flops", Matrix::MATMUL_DISPATCH_THRESHOLD as u64)
-        .set("pack_min_k", Matrix::MATMUL_PACK_MIN_K as u64)
-        .set("sizes", Json::from(rows))
 }
 
 fn bench_scene_build() -> Json {
@@ -610,49 +569,46 @@ fn bench_crowd_scale() -> Json {
 }
 
 /// Output path for the summary: `--out=PATH` (or `--out PATH`) on the
-/// command line, default `BENCH_pr10.json` at the workspace root.
-fn out_path() -> std::path::PathBuf {
-    let root = results_dir().parent().map(|p| p.to_path_buf()).unwrap_or_default();
-    let mut args = std::env::args().skip(1);
+/// command line. Required; `None` when it is missing.
+fn out_path(mut args: impl Iterator<Item = String>) -> Option<std::path::PathBuf> {
     while let Some(arg) = args.next() {
         if let Some(path) = arg.strip_prefix("--out=") {
-            return path.into();
+            return Some(path.into());
         }
         if arg == "--out" {
-            if let Some(path) = args.next() {
-                return path.into();
-            }
+            return args.next().map(Into::into);
         }
     }
-    root.join("BENCH_pr10.json")
+    None
 }
 
 fn main() {
+    let Some(path) = out_path(std::env::args().skip(1)) else {
+        eprintln!("usage: bench_summary --out=PATH [--trace[=PATH]] [--metrics[=PATH]]");
+        std::process::exit(2);
+    };
     let mut obs = xr_obs::init_cli_env();
-    let path = out_path();
-    eprintln!("[1/12] blocked vs naive matmul");
+    eprintln!("[1/11] blocked vs naive matmul");
     let matmul = bench_matmul();
-    eprintln!("[2/12] sparse vs dense aggregation (SpMM)");
+    eprintln!("[2/11] CSR SpMM vs dense matmul of the same operator");
     let spmm = bench_spmm();
-    eprintln!("[3/12] grid vs brute-force crowd neighbors");
+    eprintln!("[3/11] grid vs brute-force crowd neighbors");
     let crowd = bench_crowd();
-    eprintln!("[4/12] POSHGNN recommend step, sparse vs dense kernels");
+    eprintln!("[4/11] POSHGNN recommend step");
     let posh = bench_poshgnn_step();
-    eprintln!("[5/12] comparison runner, 1 thread vs all cores");
+    eprintln!("[5/11] comparison runner, 1 thread vs all cores");
     let runner = bench_parallel_runner();
-    eprintln!("[6/12] train epoch, MIA cache + tape arena vs uncached");
+    eprintln!("[6/11] train epoch, MIA cache + tape arena vs uncached");
     let train_epoch = bench_train_epoch();
-    eprintln!("[7/12] tape arena reuse vs fresh tape per episode");
+    eprintln!("[7/11] tape arena reuse vs fresh tape per episode");
     let tape_reuse = bench_tape_reuse();
-    eprintln!("[8/12] adaptive matmul dispatch crossover");
-    let dispatch = bench_matmul_dispatch();
-    eprintln!("[9/12] scene build, shared engine vs per-target precompute");
+    eprintln!("[8/11] scene build, shared engine vs per-target precompute");
     let scene_build = bench_scene_build();
-    eprintln!("[10/12] observability overhead, installed ctx vs none");
+    eprintln!("[9/11] observability overhead, installed ctx vs none");
     let obs_overhead = bench_obs_overhead();
-    eprintln!("[11/12] multi-room serving: 1k rooms on the worker pool");
+    eprintln!("[10/11] multi-room serving: 1k rooms on the worker pool");
     let multi_room = bench_multi_room(xr_obs::threads_from_env());
-    eprintln!("[12/12] crowd-scale serving: K-candidate pruned vs dense full-N");
+    eprintln!("[11/11] crowd-scale serving: K-candidate pruned vs dense full-N");
     let crowd_scale = bench_crowd_scale();
     let summary = Json::obj()
         .set("matmul", matmul)
@@ -662,7 +618,6 @@ fn main() {
         .set("comparison_runner", runner)
         .set("train_epoch", train_epoch)
         .set("tape_reuse", tape_reuse)
-        .set("matmul_dispatch", dispatch)
         .set("scene_build", scene_build)
         .set("obs_overhead", obs_overhead)
         .set("multi_room", multi_room)

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use xr_graph::UGraph;
-use xr_tensor::{init, Matrix, ParamId, ParamStore, Tape, TapeLinOp, Var};
+use xr_tensor::{init, Matrix, ParamId, ParamStore, SparseVar, Tape, Var};
 
 /// Activation applied after a layer's affine map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,32 +170,20 @@ impl GcnLayer {
         store.value_mut(self.bias).fill(value);
     }
 
-    /// Forward pass: `h (N × in_dim)`, `adj` the `N × N` adjacency constant.
-    pub fn forward<'t>(&self, tape: &'t Tape, store: &ParamStore, h: Var<'t>, adj: Var<'t>) -> Var<'t> {
-        self.forward_agg(tape, store, h, &adj)
-    }
-
-    /// Forward pass generic over the adjacency representation: `adj` may be a
-    /// dense [`Var`] node or a sparse [`xr_tensor::SparseVar`] operand. The
-    /// sparse path turns the `A·H` aggregation from O(N²·d) into O(nnz·d).
-    pub fn forward_agg<'t>(
-        &self,
-        tape: &'t Tape,
-        store: &ParamStore,
-        h: Var<'t>,
-        adj: &impl TapeLinOp<'t>,
-    ) -> Var<'t> {
+    /// Forward pass: `h (N × in_dim)`, `adj` the `N × N` sparse adjacency
+    /// operand. The `A·H` aggregation is an SpMM at O(nnz·d).
+    pub fn forward<'t>(&self, tape: &'t Tape, store: &ParamStore, h: Var<'t>, adj: SparseVar<'t>) -> Var<'t> {
         let w1 = tape.param(store, self.w_self);
         let w2 = tape.param(store, self.w_neigh);
         let b = tape.param(store, self.bias);
         let own = h.matmul(w1);
-        let neigh = adj.left_matmul(h).matmul(w2);
+        let neigh = adj.matmul(h).matmul(w2);
         // fused epilogue: bit-identical to
         // `self.activation.apply((own + neigh).add_row_broadcast(b))`
         own.sum_bias_act(neigh, b, self.activation.nonlinearity())
     }
 
-    /// Tape-free forward for serving: the value [`GcnLayer::forward_agg`]
+    /// Tape-free forward for serving: the value [`GcnLayer::forward`]
     /// computes with `graph`'s mean aggregation `D⁻¹A`
     /// ([`UGraph::adjacency_norm_csr`]) as `adj`, bit for bit, written into
     /// `out` without building the operator or any `N × d` intermediate.
@@ -309,7 +297,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use xr_tensor::{Adam, Optimizer};
+    use std::rc::Rc;
+    use xr_tensor::{Adam, CsrAdj, Optimizer};
+
+    /// `adj`'s non-zeros as a sparse operand on `tape`.
+    fn sparse<'t>(tape: &'t Tape, adj: &Matrix) -> SparseVar<'t> {
+        tape.sparse(Rc::new(CsrAdj::from_dense(adj, 0.0)))
+    }
 
     #[test]
     fn dense_shapes_and_activation() {
@@ -349,15 +343,13 @@ mod tests {
 
         let tape = Tape::new();
         let h = tape.constant(features.clone());
-        let a = tape.constant(adj_a);
-        let out_a = gcn.forward(&tape, &store, h, a).value();
+        let out_a = gcn.forward(&tape, &store, h, sparse(&tape, &adj_a)).value();
 
         // change the *other* nodes' links; node 0 must be unaffected
         let adj_b = Matrix::zeros(3, 3);
         let tape2 = Tape::new();
         let h2 = tape2.constant(features);
-        let a2 = tape2.constant(adj_b);
-        let out_b = gcn.forward(&tape2, &store, h2, a2).value();
+        let out_b = gcn.forward(&tape2, &store, h2, sparse(&tape2, &adj_b)).value();
 
         for c in 0..2 {
             assert!((out_a[(0, c)] - out_b[(0, c)]).abs() < 1e-12);
@@ -381,43 +373,18 @@ mod tests {
         let a_mat = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
         let tape = Tape::new();
         let h = tape.constant(h_mat.clone());
-        let a = tape.constant(a_mat.clone());
-        let out = gcn.forward(&tape, &store, h, a).value();
+        let out = gcn.forward(&tape, &store, h, sparse(&tape, &a_mat)).value();
         let expected = h_mat.add(&a_mat.matmul(&h_mat));
         assert!(out.approx_eq(&expected, 1e-12));
     }
 
-    #[test]
-    fn gcn_sparse_and_dense_adjacency_agree() {
-        use std::rc::Rc;
-        use xr_tensor::CsrAdj;
-
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        let gcn = GcnLayer::new(&mut store, "g", 3, 2, Activation::Relu, &mut rng);
-        let h_mat = Matrix::from_fn(5, 3, |r, c| (r as f64) - 0.7 * c as f64);
-        let a_mat = Matrix::from_fn(5, 5, |r, c| if (r + 2 * c) % 3 == 0 && r != c { 0.5 } else { 0.0 });
-
-        let tape = Tape::new();
-        let dense =
-            gcn.forward(&tape, &store, tape.constant(h_mat.clone()), tape.constant(a_mat.clone())).value();
-
-        let tape2 = Tape::new();
-        let a_sparse = tape2.sparse(Rc::new(CsrAdj::from_dense(&a_mat, 0.0)));
-        let sparse = gcn.forward_agg(&tape2, &store, tape2.constant(h_mat), &a_sparse).value();
-
-        assert!(dense.approx_eq(&sparse, 1e-12));
-    }
-
-    /// `forward_mean_into` vs `forward_agg` on `adjacency_norm_csr`, bit for
+    /// `forward_mean_into` vs `forward` on `adjacency_norm_csr`, bit for
     /// bit; `h` may be wider than the layer's input (a prefix read).
     fn assert_tape_free_matches_tape(layer: &GcnLayer, store: &ParamStore, graph: &UGraph, h: &Matrix) {
-        use std::rc::Rc;
-
         let tape = Tape::new();
         let adj = tape.sparse(Rc::new(graph.adjacency_norm_csr()));
         let input = tape.constant(h.slice_cols(0, layer.in_dim()));
-        let want = layer.forward_agg(&tape, store, input, &adj).value();
+        let want = layer.forward(&tape, store, input, adj).value();
         // a wrongly shaped `out` and a dirty scratch must not matter
         let mut out = Matrix::full(1, 1, f64::NAN);
         let mut scratch = vec![f64::NAN; 3];
@@ -495,8 +462,7 @@ mod tests {
         for _ in 0..200 {
             let tape = Tape::new();
             let h = tape.constant(features.clone());
-            let a = tape.constant(adj.clone());
-            let y = gcn.forward(&tape, &store, h, a);
+            let y = gcn.forward(&tape, &store, h, sparse(&tape, &adj));
             let t = tape.constant(target.clone());
             let diff = y - t;
             let loss = (diff * diff).mean();

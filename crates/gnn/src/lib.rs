@@ -12,4 +12,4 @@ pub mod layers;
 pub mod recurrent;
 
 pub use layers::{Activation, Dense, GcnLayer, Mlp};
-pub use recurrent::{transition_matrix, DcGruCell, DiffusionConv, GruCell, TgcnCell};
+pub use recurrent::{DcGruCell, DiffusionConv, GruCell, TgcnCell};

@@ -2,7 +2,7 @@
 //! used by the DCRNN baseline.
 
 use rand::Rng;
-use xr_tensor::{init, Matrix, ParamId, ParamStore, Tape, Var};
+use xr_tensor::{init, Matrix, ParamId, ParamStore, SparseVar, Tape, Var};
 
 use crate::layers::{Activation, GcnLayer};
 
@@ -96,13 +96,14 @@ impl TgcnCell {
         self.gru.hidden_dim()
     }
 
-    /// One step: spatial convolution then temporal gating.
+    /// One step: spatial convolution over the sparse operand `adj`, then
+    /// temporal gating.
     pub fn step<'t>(
         &self,
         tape: &'t Tape,
         store: &ParamStore,
         x: Var<'t>,
-        adj: Var<'t>,
+        adj: SparseVar<'t>,
         h: Var<'t>,
     ) -> Var<'t> {
         let spatial = self.gcn.forward(tape, store, x, adj);
@@ -111,8 +112,9 @@ impl TgcnCell {
 }
 
 /// K-step diffusion convolution (the spatial operator of DCRNN \[72\]):
-/// `DC(X) = Σ_{k=0..K} P^k X W_k`, with `P` the row-normalized transition
-/// matrix of the graph. Bidirectionality degenerates to one direction on our
+/// `DC(X) = Σ_{k=0..K} P^k X W_k`, with `P = D⁻¹A` the row-normalized
+/// transition matrix of the graph (`UGraph::adjacency_norm_csr`; isolated
+/// nodes get a zero row and receive no diffusion). Bidirectionality degenerates to one direction on our
 /// undirected occlusion graphs.
 #[derive(Debug, Clone)]
 pub struct DiffusionConv {
@@ -144,14 +146,15 @@ impl DiffusionConv {
         self.k
     }
 
-    /// Forward: `x (N × in)`, `transition` the row-normalized `N × N` random
-    /// walk matrix `P`. Applies `Σ_k P^k X W_k` by iterated multiplication.
+    /// Forward: `x (N × in)`, `transition` the sparse row-normalized
+    /// `N × N` random walk operand `P`. Applies `Σ_k P^k X W_k` by iterated
+    /// SpMM.
     pub fn forward<'t>(
         &self,
         tape: &'t Tape,
         store: &ParamStore,
         x: Var<'t>,
-        transition: Var<'t>,
+        transition: SparseVar<'t>,
     ) -> Var<'t> {
         let mut diffused = x;
         let mut acc = x.matmul(tape.param(store, self.weights[0]));
@@ -202,13 +205,14 @@ impl DcGruCell {
         self.hidden_dim
     }
 
-    /// One step with transition matrix `p` (row-normalized adjacency).
+    /// One step with the sparse transition operand `p` (row-normalized
+    /// adjacency).
     pub fn step<'t>(
         &self,
         tape: &'t Tape,
         store: &ParamStore,
         x: Var<'t>,
-        p: Var<'t>,
+        p: SparseVar<'t>,
         h: Var<'t>,
     ) -> Var<'t> {
         let xh = tape.concat_cols(&[x, h]);
@@ -220,29 +224,19 @@ impl DcGruCell {
     }
 }
 
-/// Row-normalized transition matrix `P = D⁻¹A` from a dense adjacency;
-/// isolated nodes get a zero row (they receive no diffusion).
-pub fn transition_matrix(adj: &Matrix) -> Matrix {
-    let (n, m) = adj.shape();
-    assert_eq!(n, m, "adjacency must be square");
-    let mut out = Matrix::zeros(n, n);
-    for r in 0..n {
-        let deg: f64 = adj.row(r).iter().sum();
-        if deg > 0.0 {
-            for c in 0..n {
-                out[(r, c)] = adj[(r, c)] / deg;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use xr_tensor::{Adam, Optimizer};
+    use std::rc::Rc;
+    use xr_graph::UGraph;
+    use xr_tensor::{Adam, CsrAdj, Optimizer};
+
+    /// The mean-aggregation operand `D⁻¹A` of `graph` on `tape`.
+    fn transition<'t>(tape: &'t Tape, graph: &UGraph) -> SparseVar<'t> {
+        tape.sparse(Rc::new(graph.adjacency_norm_csr()))
+    }
 
     #[test]
     fn gru_shapes() {
@@ -311,24 +305,10 @@ mod tests {
         assert_eq!(cell.hidden_dim(), 8);
         let tape = Tape::new();
         let x = tape.constant(Matrix::ones(5, 4));
-        let a = tape.constant(Matrix::zeros(5, 5));
+        let a = tape.sparse(Rc::new(CsrAdj::empty(5, 5)));
         let h = tape.constant(Matrix::zeros(5, 8));
         let h2 = cell.step(&tape, &store, x, a, h);
         assert_eq!(h2.shape(), (5, 8));
-    }
-
-    #[test]
-    fn transition_matrix_rows_sum_to_one_or_zero() {
-        let adj = Matrix::from_vec(3, 3, vec![0., 1., 1., 1., 0., 0., 1., 0., 0.]).unwrap();
-        let p = transition_matrix(&adj);
-        let row0: f64 = p.row(0).iter().sum();
-        let row1: f64 = p.row(1).iter().sum();
-        assert!((row0 - 1.0).abs() < 1e-12);
-        assert!((row1 - 1.0).abs() < 1e-12);
-        // isolated node: zero row
-        let adj2 = Matrix::zeros(2, 2);
-        let p2 = transition_matrix(&adj2);
-        assert_eq!(p2.row(0).iter().sum::<f64>(), 0.0);
     }
 
     #[test]
@@ -339,7 +319,7 @@ mod tests {
         assert_eq!(dc.order(), 0);
         let tape = Tape::new();
         let x = tape.constant(Matrix::ones(4, 2));
-        let p = tape.constant(Matrix::zeros(4, 4));
+        let p = tape.sparse(Rc::new(CsrAdj::empty(4, 4)));
         let y = dc.forward(&tape, &store, x, p);
         assert_eq!(y.shape(), (4, 3));
     }
@@ -350,16 +330,14 @@ mod tests {
         let mut store = ParamStore::new();
         let dc = DiffusionConv::new(&mut store, "dc", 1, 1, 1, &mut rng);
         let x_mat = Matrix::from_vec(2, 1, vec![1.0, 0.0]).unwrap();
-        let p_full = transition_matrix(&Matrix::from_vec(2, 2, vec![0., 1., 1., 0.]).unwrap());
 
-        let run = |p_mat: Matrix| {
+        let run = |graph: UGraph| {
             let tape = Tape::new();
             let x = tape.constant(x_mat.clone());
-            let p = tape.constant(p_mat);
-            dc.forward(&tape, &store, x, p).value()
+            dc.forward(&tape, &store, x, transition(&tape, &graph)).value()
         };
-        let with_edge = run(p_full);
-        let without = run(Matrix::zeros(2, 2));
+        let with_edge = run(UGraph::from_edges(2, [(0, 1)]));
+        let without = run(UGraph::from_edges(2, std::iter::empty()));
         // node 1's output must differ when it can see node 0's feature
         assert!((with_edge[(1, 0)] - without[(1, 0)]).abs() > 1e-9);
     }
@@ -371,10 +349,7 @@ mod tests {
         let cell = DcGruCell::new(&mut store, "dcgru", 3, 6, 2, &mut rng);
         assert_eq!(cell.hidden_dim(), 6);
         let tape = Tape::new();
-        let p = tape.constant(transition_matrix(
-            &Matrix::from_vec(4, 4, vec![0., 1., 0., 0., 1., 0., 1., 0., 0., 1., 0., 1., 0., 0., 1., 0.])
-                .unwrap(),
-        ));
+        let p = transition(&tape, &UGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]));
         let mut h = tape.constant(Matrix::zeros(4, 6));
         for _ in 0..5 {
             let x = tape.constant(Matrix::full(4, 3, 2.0));

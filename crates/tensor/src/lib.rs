@@ -6,11 +6,11 @@
 //! The crate provides exactly what a small graph-neural-network stack needs:
 //!
 //! * [`Matrix`] — dense row-major `f64` matrices with the usual kernels
-//!   (matmul is cache-blocked; the reference loop stays as
+//!   (matmul is register-tiled; the reference loop stays as
 //!   [`Matrix::matmul_naive`]).
 //! * [`CsrAdj`] — CSR sparse matrices with an SpMM kernel
-//!   ([`CsrAdj::matmul_dense`]), sharing the [`LinOp`] trait with [`Matrix`]
-//!   so graph aggregation can run dense or sparse interchangeably.
+//!   ([`CsrAdj::matmul_dense`]): the one representation of every graph
+//!   operator, recorded on a tape as a [`SparseVar`].
 //! * [`Tape`] / [`Var`] — a define-by-run autodiff engine. Operations on
 //!   [`Var`] handles are recorded on the tape; [`Var::backward`] accumulates
 //!   gradients into a [`ParamStore`].
@@ -51,5 +51,5 @@ pub mod tape;
 
 pub use matrix::{Matrix, ShapeError};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use sparse::{CsrAdj, LinOp};
-pub use tape::{Nonlinearity, ParamId, ParamStore, SparseVar, Tape, TapeLinOp, Var};
+pub use sparse::CsrAdj;
+pub use tape::{Nonlinearity, ParamId, ParamStore, SparseVar, Tape, Var};

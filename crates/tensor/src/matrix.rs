@@ -175,43 +175,27 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self · rhs` via the size-adaptive dispatcher.
-    ///
-    /// Products below [`Self::MATMUL_DISPATCH_THRESHOLD`] flops run the
-    /// unpacked register-tiled kernel `matmul_chunked_into` — at
-    /// those sizes B is cache-resident, so repacking it into panels is pure
-    /// overhead. Larger products run the packed-B register-tiled kernel
-    /// `matmul_packed_into`. Per output entry every kernel
-    /// accumulates over `k` in ascending order with identical arithmetic
-    /// (including the `a == 0.0` skip), so results match bit-for-bit with
-    /// the reference [`Self::matmul_naive`] — the kernel-equivalence
-    /// property test and the differential oracle pin this.
+    /// Matrix product `self · rhs` via the register-tiled kernel of
+    /// [`Self::matmul_into`].
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_into(rhs, &mut out);
         out
     }
 
-    /// Dispatch boundary of [`Self::matmul`], in multiply-adds (`m·k·n`).
-    ///
-    /// Calibrated on the bench_summary crossover table (see BENCH_pr4.json):
-    /// the packed kernel's B-panel repack pays for itself once B no longer
-    /// fits the L1/L2 working set — measured between 64³ (≈0.26 Mflop,
-    /// unpacked still ahead) and 128³ (≈2.1 Mflop, packed ahead) on the
-    /// reference container, so the boundary sits at 0.5 Mflop. Below it the
-    /// unpacked register-tiled kernel wins or ties at every measured shape.
-    pub const MATMUL_DISPATCH_THRESHOLD: usize = 512 * 1024;
-
-    /// Minimum contraction depth for the packed kernel. The `O(k·n)` panel
-    /// repack amortizes over the `k` loop, so shallow-`k` products (e.g.
-    /// `200×16 · 16×200`, which clears the flop threshold on width alone)
-    /// would pay the repack without reusing the panels enough to win —
-    /// measured ~0.9x vs naive. Those stay on the unpacked kernel.
-    pub const MATMUL_PACK_MIN_K: usize = 32;
-
     /// Like [`Self::matmul`], but writes the product into `out`
     /// (overwriting every entry) instead of allocating. `out` must already
     /// have shape `rows × rhs.cols`; its prior contents are ignored.
+    ///
+    /// Each `MATMUL_MR × MATMUL_NR` output tile accumulates in registers
+    /// across the whole `k` range, reading B rows in place,
+    /// instead of re-loading and re-storing the output row every `k` step
+    /// as the plain i-k-j loop does (~2× on the model's own `n≤16`-wide
+    /// products; see BENCH_pr4.json). For each output entry the `k` loop
+    /// runs the full range in ascending order with the same `a == 0.0`
+    /// skip as [`Self::matmul_naive`], so results are bit-for-bit
+    /// identical — the kernel-equivalence property test and the
+    /// differential oracle pin this.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -220,62 +204,8 @@ impl Matrix {
         );
         assert_eq!(out.shape(), (self.rows, rhs.cols), "matmul_into output shape mismatch");
         let (m, kd, n) = (self.rows, self.cols, rhs.cols);
-        if m * kd * n < Self::MATMUL_DISPATCH_THRESHOLD || kd < Self::MATMUL_PACK_MIN_K {
-            self.matmul_chunked_into(rhs, out);
-        } else {
-            self.matmul_packed_into(rhs, out);
-        }
-    }
-
-    /// Matrix product `self · rhs` via the straightforward i-k-j loop.
-    ///
-    /// Kept as the reference implementation for the dispatching
-    /// [`Self::matmul`] kernel's equivalence property test, and as the
-    /// faster path for products below the dispatch threshold.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_naive_into(rhs, &mut out);
-        out
-    }
-
-    fn matmul_naive_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.fill(0.0);
-        // i-k-j loop order keeps the inner loop contiguous over both `rhs`
-        // and `out` rows, which matters even at these small sizes.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = rhs.row(k);
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(rrow.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// The below-threshold kernel: the same [`MATMUL_MR`]`×`[`MATMUL_NR`]
-    /// register tile as the packed kernel, but reading B rows in place —
-    /// at these sizes B is already cache-resident, so packing would only
-    /// add traffic. The win over the plain i-k-j loop is that each output
-    /// tile accumulates in registers across the whole `k` range instead of
-    /// re-loading and re-storing the output row every `k` step (~2× on the
-    /// model's own `n≤16`-wide products; see BENCH_pr4.json). For each
-    /// output entry the `k` loop runs the full range in ascending order
-    /// with the same `a == 0.0` skip as the naive loop, so results are
-    /// bit-for-bit identical.
-    fn matmul_chunked_into(&self, rhs: &Matrix, out: &mut Matrix) {
         const MR: usize = MATMUL_MR;
         const NR: usize = MATMUL_NR;
-        let (m, kd, n) = (self.rows, self.cols, rhs.cols);
         if n == 1 {
             // Column output: one dot product per row. The general tile path
             // pays per-`k` slice overhead for a single lane; this runs the
@@ -338,70 +268,36 @@ impl Matrix {
         }
     }
 
-    /// The above-threshold kernel: `rhs` is repacked into zero-padded
-    /// panels of [`MATMUL_NR`] contiguous columns, then each `MATMUL_MR`-row
-    /// block of A is multiplied against a panel with the accumulator tile
-    /// held in registers. One panel (`k × NR` doubles) stays L1-resident
-    /// while A rows stream past it, and each loaded B cache line feeds
-    /// `MR` rows of output instead of one — the classic BLIS shape, minus
-    /// k-blocking, which would reorder the per-entry accumulation and break
-    /// bit-identity with the naive kernel. For each output entry the `k`
-    /// loop runs the full range in ascending order with the same
-    /// `a == 0.0` skip as the naive loop, so the arithmetic sequence is
-    /// identical. Padded panel columns are computed and discarded.
-    fn matmul_packed_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        const MR: usize = MATMUL_MR;
-        const NR: usize = MATMUL_NR;
-        let (m, kd, n) = (self.rows, self.cols, rhs.cols);
-        let panels = n.div_ceil(NR);
-        let mut packed = vec![0.0f64; panels * kd * NR];
-        for p in 0..panels {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let panel = &mut packed[p * kd * NR..(p + 1) * kd * NR];
-            for k in 0..kd {
-                panel[k * NR..k * NR + w].copy_from_slice(&rhs.data[k * n + j0..k * n + j0 + w]);
-            }
-        }
-        for p in 0..panels {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let panel = &packed[p * kd * NR..(p + 1) * kd * NR];
-            let mut i = 0;
-            while i + MR <= m {
-                let mut acc = [[0.0f64; NR]; MR];
-                for k in 0..kd {
-                    let brow = &panel[k * NR..k * NR + NR];
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let a = self.data[(i + r) * kd + k];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        for (o, &b) in accr.iter_mut().zip(brow.iter()) {
-                            *o += a * b;
-                        }
-                    }
+    /// Matrix product `self · rhs` via the straightforward i-k-j loop.
+    ///
+    /// Kept as the reference implementation for the register-tiled
+    /// [`Self::matmul`] kernel's equivalence property test.
+    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul shape mismatch: {}x{} · {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        self.matmul_naive_into(rhs, &mut out);
+        out
+    }
+
+    fn matmul_naive_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        out.fill(0.0);
+        // i-k-j loop order keeps the inner loop contiguous over both `rhs`
+        // and `out` rows, which matters even at these small sizes.
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let a = self[(i, k)];
+                if a == 0.0 {
+                    continue;
                 }
-                for (r, accr) in acc.iter().enumerate() {
-                    out.data[(i + r) * n + j0..(i + r) * n + j0 + w].copy_from_slice(&accr[..w]);
+                let rrow = rhs.row(k);
+                let orow = out.row_mut(i);
+                for (o, &b) in orow.iter_mut().zip(rrow.iter()) {
+                    *o += a * b;
                 }
-                i += MR;
-            }
-            // leftover rows: same panel, one accumulator row at a time
-            while i < m {
-                let mut acc = [0.0f64; NR];
-                for k in 0..kd {
-                    let a = self.data[i * kd + k];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let brow = &panel[k * NR..k * NR + NR];
-                    for (o, &b) in acc.iter_mut().zip(brow.iter()) {
-                        *o += a * b;
-                    }
-                }
-                out.data[i * n + j0..i * n + j0 + w].copy_from_slice(&acc[..w]);
-                i += 1;
             }
         }
     }
@@ -412,7 +308,7 @@ impl Matrix {
     /// Bit-for-bit identical to `self.transpose().matmul(rhs)`: per output
     /// entry the contraction index (rows of both operands) runs in
     /// ascending order with the same `a == 0.0` skip, in the same
-    /// register-tiled chunks as the private `matmul_chunked_into`. This is the
+    /// register-tiled chunks as [`Self::matmul_into`]. This is the
     /// backward-pass kernel for `∂(A·B)/∂B = Aᵀ·G` — the transpose of a
     /// tall activation matrix is pure strided traffic, so fusing it away
     /// removes an allocation and a copy per matmul per backward step.
@@ -704,20 +600,6 @@ mod tests {
         let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
         assert!(a.matmul(&Matrix::identity(4)).approx_eq(&a, 0.0));
         assert!(Matrix::identity(4).matmul(&a).approx_eq(&a, 0.0));
-    }
-
-    #[test]
-    fn packed_matmul_matches_naive_above_dispatch_threshold() {
-        // Shapes above MATMUL_DISPATCH_THRESHOLD, chosen to exercise partial
-        // register tiles in both the row (m % MR) and panel (n % NR) edges.
-        for &(m, k, n) in &[(65, 70, 130), (128, 64, 64), (40, 200, 37)] {
-            let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f64 - 6.0);
-            let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f64 - 5.0);
-            let blocked = a.matmul(&b);
-            let naive = a.matmul_naive(&b);
-            let tol = 1e-9 * naive.max_abs().max(1.0);
-            assert!(blocked.approx_eq(&naive, tol), "mismatch at {m}x{k}x{n}");
-        }
     }
 
     #[test]

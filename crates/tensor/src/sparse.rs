@@ -5,11 +5,10 @@
 //! O(N²) work. [`CsrAdj`] stores only the non-zeros in compressed sparse row
 //! form — `row_ptr`/`col_idx`/`vals` — and its SpMM kernel
 //! [`CsrAdj::matmul_dense`] costs O(nnz · cols) instead of O(N² · cols).
-//!
-//! The dense path stays available behind the [`LinOp`] trait, which both
-//! [`Matrix`] and [`CsrAdj`] implement, so callers (GCN aggregation, the
-//! occlusion loss penalty) can be written once and cross-checked dense vs
-//! sparse in tests and ablations.
+//! Every graph operator in the workspace — GCN and diffusion aggregation,
+//! the occlusion loss penalty, GraFrank's social graph — is a [`CsrAdj`];
+//! there is no dense twin. [`CsrAdj::to_dense`] exists for tests that
+//! compare against a dense reference.
 
 use crate::matrix::Matrix;
 
@@ -389,38 +388,6 @@ impl CsrAdj {
     }
 }
 
-/// A linear operator applied by left-multiplication: `apply(X) = A · X`.
-///
-/// Implemented by dense [`Matrix`] and sparse [`CsrAdj`] so aggregation and
-/// penalty code can be written once and run on either representation.
-pub trait LinOp {
-    /// `(rows, cols)` of the operator.
-    fn shape(&self) -> (usize, usize);
-
-    /// `self · x`.
-    fn apply(&self, x: &Matrix) -> Matrix;
-}
-
-impl LinOp for Matrix {
-    fn shape(&self) -> (usize, usize) {
-        Matrix::shape(self)
-    }
-
-    fn apply(&self, x: &Matrix) -> Matrix {
-        self.matmul(x)
-    }
-}
-
-impl LinOp for CsrAdj {
-    fn shape(&self) -> (usize, usize) {
-        CsrAdj::shape(self)
-    }
-
-    fn apply(&self, x: &Matrix) -> Matrix {
-        self.matmul_dense(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,17 +466,6 @@ mod tests {
         assert!((d.row(0).iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(d.row(1).iter().sum::<f64>(), 0.0); // empty row untouched
         assert!((d[(2, 0)] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linop_dense_and_sparse_agree() {
-        let a_dense = sample_dense(15, 15, 4);
-        let csr = CsrAdj::from_dense(&a_dense, 0.0);
-        let x = Matrix::from_fn(15, 3, |r, c| (r + c) as f64 * 0.1);
-        let via_dense = LinOp::apply(&a_dense, &x);
-        let via_sparse = LinOp::apply(&csr, &x);
-        assert!(via_dense.approx_eq(&via_sparse, 1e-12));
-        assert_eq!(LinOp::shape(&a_dense), LinOp::shape(&csr));
     }
 
     #[test]

@@ -591,29 +591,6 @@ impl<'t> SparseVar<'t> {
     }
 }
 
-/// A linear operator usable on a tape by left-multiplication — the tape-level
-/// counterpart of [`crate::sparse::LinOp`].
-///
-/// Implemented by dense [`Var`] nodes (recording a `MatMul`) and by
-/// [`SparseVar`] operands (recording an `Spmm`), so graph aggregation and the
-/// occlusion penalty can be written once and run on either representation.
-pub trait TapeLinOp<'t> {
-    /// `self · x`, recorded on the tape.
-    fn left_matmul(&self, x: Var<'t>) -> Var<'t>;
-}
-
-impl<'t> TapeLinOp<'t> for Var<'t> {
-    fn left_matmul(&self, x: Var<'t>) -> Var<'t> {
-        self.matmul(x)
-    }
-}
-
-impl<'t> TapeLinOp<'t> for SparseVar<'t> {
-    fn left_matmul(&self, x: Var<'t>) -> Var<'t> {
-        self.matmul(x)
-    }
-}
-
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy)]
 pub struct Var<'t> {

@@ -29,11 +29,11 @@ fn dense_from_raw(rows: usize, cols: usize, raw: &[f64]) -> Matrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The dispatching matmul must match the naive i-k-j loop exactly on
-    /// both sides of MATMUL_DISPATCH_THRESHOLD (the dim range straddles it):
-    /// the packed register-tiled kernel accumulates over k in ascending
-    /// order with identical arithmetic (including the a == 0.0 skip), so
-    /// the results are bit-for-bit equal, well inside the 1e-9 contract.
+    /// The register-tiled matmul must match the naive i-k-j loop exactly on
+    /// shapes with full and partial 2×8 tiles: it accumulates over k in
+    /// ascending order with identical arithmetic (including the a == 0.0
+    /// skip), so the results are bit-for-bit equal, well inside the 1e-9
+    /// contract.
     #[test]
     fn dispatched_matmul_equals_naive(
         dims in (33usize..90, 33usize..90, 33usize..90),
