@@ -18,7 +18,9 @@
 //! `SceneEngine::push` rebuilds each viewer's occlusion graph from its
 //! angular sweep, and that build (counting-sort edge assembly into a flat
 //! CSR graph) must stay at a small constant number of allocations per
-//! viewer, not one per node or per edge-set block.
+//! viewer, not one per node or per edge-set block. The tick stores only
+//! per-viewer rows, so no single allocation it makes may be as large as a
+//! dense N×N f64 matrix.
 //!
 //! The counter is process-wide, so every test here holds [`SERIAL`]: a test
 //! training concurrently on another thread would otherwise leak its
@@ -37,11 +39,13 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -53,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // a realloc may move the block: count the whole new size
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -74,6 +79,13 @@ fn bytes_during(f: impl FnOnce()) -> u64 {
     let before = BYTES.load(Ordering::Relaxed);
     f();
     BYTES.load(Ordering::Relaxed) - before
+}
+
+/// The size of the largest single allocation (or realloc) while `f` runs.
+fn largest_allocation_during(f: impl FnOnce()) -> u64 {
+    LARGEST.store(0, Ordering::Relaxed);
+    f();
+    LARGEST.load(Ordering::Relaxed)
 }
 
 fn episode_ctx() -> TargetContext {
@@ -192,27 +204,23 @@ fn f64_serving_step_allocates_less_than_one_dense_matrix_at_n200() {
     );
 }
 
-#[test]
-fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
-    // the paper's room (N = 200, Timik-like) served for 8 viewers with
-    // bounded retention; a tick-dependent shift moves every user on every
-    // tick, so each push rebuilds all 8 occlusion graphs from their sweeps
+/// The paper's room (N = 200, Timik-like) served densely for 8 viewers with
+/// bounded retention: the engine after 4 warm-up pushes, its viewers, and
+/// the frames of `ticks` more. A tick-dependent shift moves every user on
+/// every tick, so each push rebuilds every viewer's state. Frames are built
+/// up front so only the engine's own work is counted.
+fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
     const N: usize = 200;
     const VIEWERS: usize = 8;
     const WARM: usize = 4;
-    const MEASURED: usize = 16;
-    const BUDGET_PER_VIEWER: u64 = 32;
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dataset = Dataset::generate(DatasetKind::Timik, 2);
-    let cfg =
-        ScenarioConfig { n_participants: N, time_steps: WARM + MEASURED, seed: 11, ..Default::default() };
+    let cfg = ScenarioConfig { n_participants: N, time_steps: WARM + ticks, seed: 11, ..Default::default() };
     let scenario = dataset.sample_scenario(&cfg);
     let viewers: Vec<usize> = (0..VIEWERS).map(|i| i * (N / VIEWERS)).collect();
     let mut engine = SceneEngine::new(N, SceneConfig::from_scenario(&scenario), &viewers);
     engine.set_slo(None);
     engine.set_snap_epsilon(0.0);
     engine.set_state_retention(Some(2));
-    // frames are built up front so only the engine's own work is counted
     let mut frames: Vec<Frame> = scenario
         .trajectories
         .iter()
@@ -226,23 +234,57 @@ fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
     for frame in frames {
         engine.push(frame);
     }
+    (engine, viewers, measured)
+}
+
+#[test]
+fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
+    // each push rebuilds all 8 occlusion graphs from their sweeps
+    const N: usize = 200;
+    const MEASURED: usize = 16;
+    const BUDGET_PER_VIEWER: u64 = 32;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut engine, viewers, measured) = warm_dense_engine(MEASURED);
+    let n_viewers = viewers.len();
     let allocations = allocations_during(|| {
         for frame in measured {
             engine.push(frame);
         }
     });
-    let per_viewer = allocations / (MEASURED * VIEWERS) as u64;
+    let per_viewer = allocations / (MEASURED * n_viewers) as u64;
     let edges: usize =
         viewers.iter().map(|&v| engine.view(v, engine.ticks() - 1).occlusion().edge_count()).sum();
     eprintln!(
-        "dense push at N={N}: {allocations} allocations over {MEASURED} ticks × {VIEWERS} viewers \
+        "dense push at N={N}: {allocations} allocations over {MEASURED} ticks × {n_viewers} viewers \
          = {per_viewer} per viewer per tick (mean m={})",
-        edges / VIEWERS
+        edges / n_viewers
     );
-    assert!(edges / VIEWERS > N, "the scene must be occlusion-dense enough to mean something");
+    assert!(edges / n_viewers > N, "the scene must be occlusion-dense enough to mean something");
     assert!(
         per_viewer <= BUDGET_PER_VIEWER,
         "a steady-state dense push makes {per_viewer} allocations per viewer per tick (budget \
          {BUDGET_PER_VIEWER}) — the occlusion-graph build went back to per-node or per-edge allocation"
+    );
+}
+
+#[test]
+fn dense_scene_tick_never_allocates_an_n_by_n_block() {
+    // a dense tick stores only per-viewer arrays (distance row, mask, CSR
+    // graph), each far below one N×N f64 matrix
+    const N: usize = 200;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut engine, _viewers, measured) = warm_dense_engine(4);
+    let largest = largest_allocation_during(|| {
+        for frame in measured {
+            engine.push(frame);
+        }
+    });
+    let dense = (N * N * std::mem::size_of::<f64>()) as u64;
+    eprintln!("dense push at N={N}: largest single allocation {largest} B, dense N×N = {dense} B");
+    assert!(largest > 0, "the pushes made no allocation — instrumentation broken?");
+    assert!(
+        largest < dense,
+        "a steady-state dense push allocated a {largest} B block at N={N}, at least one dense N×N f64 \
+         matrix ({dense} B) — the tick went back to storing the whole distance matrix"
     );
 }

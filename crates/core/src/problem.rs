@@ -139,10 +139,11 @@ impl TargetContext {
     }
 
     /// Distributes an ingested engine's shared per-tick state into compat
-    /// contexts, one per request. The heavy per-viewer structures (occlusion
-    /// graphs, candidate masks) are *moved* out of the engine — each slot's
-    /// last requester takes ownership, earlier duplicates clone — so the
-    /// shared pass allocates each graph exactly once.
+    /// contexts, one per request. The per-viewer structures (distance rows,
+    /// occlusion graphs, candidate masks, all indexed by slot) are *moved*
+    /// out of the engine — each slot's last requester takes ownership,
+    /// earlier duplicates clone — so the shared pass allocates each exactly
+    /// once.
     fn from_engine(
         scenario: &Scenario,
         engine: SceneEngine,
@@ -198,28 +199,22 @@ impl TargetContext {
                     ctx.shortlists.get_or_insert_with(Vec::new).push(ids);
                 }
             }
-            let (_positions, dist_flat, occlusion, masks) = state.into_parts();
+            let (_positions, rows, occlusion, masks) = state.into_parts();
+            let mut rows: Vec<Option<Vec<f64>>> = rows.into_iter().map(Some).collect();
             let mut occlusion: Vec<Option<UGraph>> = occlusion.into_iter().map(Some).collect();
             let mut masks: Vec<Option<Vec<bool>>> = masks.into_iter().map(Some).collect();
             let mut remaining = slot_uses.clone();
             for (ctx, &slot) in contexts.iter_mut().zip(&slots) {
                 remaining[slot] -= 1;
                 let last_user = remaining[slot] == 0;
-                let graph = if last_user {
-                    occlusion[slot].take().expect("slot state consumed once")
-                } else {
-                    occlusion[slot].as_ref().expect("slot state present").clone()
-                };
-                let mut mask = if last_user {
-                    masks[slot].take().expect("slot state consumed once")
-                } else {
-                    masks[slot].as_ref().expect("slot state present").clone()
-                };
+                let row = take_or_clone(&mut rows[slot], last_user);
+                let graph = take_or_clone(&mut occlusion[slot], last_user);
+                let mut mask = take_or_clone(&mut masks[slot], last_user);
                 for &b in blocked {
                     mask[b] = false;
                 }
                 ctx.occlusion.push(graph);
-                ctx.distances.push(dist_flat[ctx.target * n..(ctx.target + 1) * n].to_vec());
+                ctx.distances.push(row);
                 ctx.candidate_mask.push(mask);
             }
         }
@@ -350,6 +345,16 @@ fn physical_candidate_mask(
         }
     }
     mask
+}
+
+/// A slot's per-viewer structure for one requester: the slot's last
+/// requester takes it, earlier ones clone it.
+fn take_or_clone<T: Clone>(slot: &mut Option<T>, last_user: bool) -> T {
+    if last_user {
+        slot.take().expect("slot state consumed once")
+    } else {
+        slot.as_ref().expect("slot state present").clone()
+    }
 }
 
 #[cfg(test)]

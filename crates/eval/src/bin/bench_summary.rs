@@ -257,9 +257,10 @@ fn bench_tape_reuse() -> Json {
 
 fn bench_scene_build() -> Json {
     // Context construction for every participant in the room: the shared
-    // scene engine builds distances / occlusion / masks once per tick and
-    // serves all targets from that state (O(N²·T)), while the brute-force
-    // reference recomputes them per target (O(N³·T)).
+    // scene engine builds each target's distance row, occlusion graph and
+    // mask once per tick from one sweep each (O(N²·T) with N targets),
+    // while the brute-force reference tests every arc pair per target
+    // (O(N³·T)).
     let dataset = Dataset::generate(DatasetKind::Timik, 6);
     let sizes = [100usize, 200];
     let rows: Vec<Json> = sizes
@@ -482,8 +483,9 @@ fn bench_multi_room(workers: usize) -> Json {
 /// Crowd-scale serving: the K-candidate pruned scene path (hierarchical
 /// spatial index + per-viewer shortlists, `set_prune_k(K)`) vs.
 /// the dense full-N build, on stadium frames from the venue generator.
-/// The full arm is skipped at N = 50k — a dense N×N distance matrix alone
-/// is 20 GB there, which is the point of the pruned path — and runs with
+/// The full arm is skipped at N = 50k — a dense tick there sweeps all 50k
+/// users' arcs for every viewer and keeps 50k-node graphs, masks and rows
+/// per viewer, which is the point of the pruned path — and runs with
 /// retention 1 (the serving posture) where it does run. Each timed tick
 /// includes the per-viewer top-k decisions, so the rows are end-to-end
 /// frame→recommendation serving cost.

@@ -158,22 +158,11 @@ impl UGraph {
         })
     }
 
-    /// Dense row-major adjacency matrix (`n*n` entries of 0.0/1.0).
-    pub fn adjacency_rowmajor(&self) -> Vec<f64> {
-        let mut a = vec![0.0; self.n * self.n];
-        for u in 0..self.n {
-            for &v in self.neighbors(u) {
-                a[u * self.n + v] = 1.0;
-            }
-        }
-        a
-    }
-
     /// Sparse CSR adjacency (both `(u,v)` and `(v,u)` entries, value 1.0).
     ///
-    /// Costs O(n + m) — a copy of the graph's own arrays — so unlike
-    /// [`UGraph::adjacency_rowmajor`] there is no O(n²) materialization,
-    /// which is what makes per-step graph rebuilds cheap at N=500.
+    /// Costs O(n + m) — a copy of the graph's own arrays, with no O(n²)
+    /// materialization — which is what makes per-step graph rebuilds cheap
+    /// at N=500.
     pub fn adjacency_csr(&self) -> CsrAdj {
         let vals = vec![1.0; self.cols.len()];
         CsrAdj::from_parts(self.n, self.n, self.row_ptr.clone(), self.cols.clone(), vals)
@@ -275,24 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_matrix_is_symmetric_zero_diagonal() {
-        let g = path3();
-        let a = g.adjacency_rowmajor();
-        for i in 0..3 {
-            assert_eq!(a[i * 3 + i], 0.0);
-            for j in 0..3 {
-                assert_eq!(a[i * 3 + j], a[j * 3 + i]);
-            }
-        }
-        assert_eq!(a.iter().sum::<f64>(), 4.0); // 2 edges × 2 entries
-    }
-
-    #[test]
     fn csr_adjacency_matches_dense() {
         let g = UGraph::from_edges(4, [(0, 1), (1, 2), (0, 3)]);
         let csr = g.adjacency_csr();
         assert_eq!(csr.nnz(), 6);
-        assert_eq!(csr.to_dense().into_vec(), g.adjacency_rowmajor());
+        // the edge list written out as a 4×4 row-major 0/1 matrix
+        let dense = [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]];
+        assert_eq!(csr.to_dense().into_vec(), dense.concat());
 
         let norm = g.adjacency_norm_csr();
         let d = norm.to_dense();

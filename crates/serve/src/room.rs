@@ -85,8 +85,9 @@ pub struct RoomConfig {
     /// `Some(k)` makes the room's engine build per-viewer K-candidate
     /// shortlists instead of dense full-scene state; `None` (like `Some(0)`)
     /// keeps the dense full-N payload, the engine's default. Stadium-scale
-    /// rooms must set this — the dense path allocates an N×N distance matrix
-    /// per retained tick.
+    /// rooms must set this — the dense path sweeps all N users' arcs for
+    /// every viewer on every tick and keeps N-length rows, graphs and masks
+    /// per viewer per retained tick.
     pub prune_k: Option<usize>,
 }
 

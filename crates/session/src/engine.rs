@@ -10,10 +10,12 @@
 //!
 //! The engine is an *optimization layer*, not an approximation:
 //!
-//! * Distances: `d(i,j)` is measured once per unordered pair with
-//!   [`Point2::distance`] and mirrored. `(p_i − p_j)` and `(p_j − p_i)` are
-//!   exact IEEE negations, so squares, sum, and square root agree bit for
-//!   bit with the brute-force per-target row `positions[v].distance(positions[w])`.
+//! * Distances: each registered viewer's row `d(v, ·)` is measured with
+//!   [`Point2::distance`] in `(min, max)` id order. `(p_i − p_j)` and
+//!   `(p_j − p_i)` are exact IEEE negations, so squares, sum, and square
+//!   root agree bit for bit with the brute-force per-target row
+//!   `positions[v].distance(positions[w])`, and with
+//!   [`SceneState::distance`] for any pair.
 //! * Occlusion: per-viewer arcs come from the same
 //!   [`OcclusionConverter::arcs`] call as the brute-force build; the angular
 //!   sweep only *prunes pairs that cannot intersect* (forward gap beyond
@@ -33,8 +35,8 @@
 //! ## Dense ticks are built from scratch
 //!
 //! The dense payload (`prune_k = 0`, every new engine's setting) is rebuilt
-//! from its frame on every tick: the distance matrix, then for each
-//! registered viewer its arcs, the angular sweep and the candidate mask. The
+//! from its frame on every tick: for each registered viewer its distance
+//! row, its arcs, the angular sweep and the candidate mask. The
 //! paper's rooms are crowds in which nearly every user moves at every step,
 //! so no tick-to-tick carry is attempted. The sweep's working buffers (sort
 //! order, sorted arcs, edge list) belong to the engine and are reused across
@@ -49,8 +51,8 @@
 //! ## Crowd-scale pruned mode ([`SceneEngine::set_prune_k`])
 //!
 //! With [`SceneEngine::set_prune_k`]`(K > 0)` the engine
-//! stops materializing dense per-tick structure entirely — no `n×n`
-//! distance matrix, no `n`-node occlusion graphs, no `n`-length masks — and
+//! stops materializing dense per-tick structure entirely — no `n`-length
+//! distance rows, no `n`-node occlusion graphs, no `n`-length masks — and
 //! instead builds one [`CandidateSet`] shortlist per registered viewer from
 //! a per-tick two-level [`PruneIndex`]: the K nearest other users by
 //! `(distance, id)`, with exact member distances, restricted occlusion
@@ -131,11 +133,12 @@ impl SceneConfig {
 /// or per-viewer K-candidate shortlists when pruning is on.
 #[derive(Debug, Clone)]
 enum StatePayload {
-    /// The full-N path: dense distance matrix plus per-slot occlusion
-    /// graphs and masks.
+    /// The full-N path: per-slot distance rows, occlusion graphs and
+    /// masks — nothing is stored for users who are not viewers.
     Full {
-        /// Flat row-major `n×n` symmetric distance matrix.
-        distances: Vec<f64>,
+        /// Distance row `d(v, ·)` (length `n`, `0.0` at `v`) per registered
+        /// viewer (slot order).
+        distances: Vec<Vec<f64>>,
         /// Static occlusion graph per *registered viewer* (slot order).
         occlusion: Vec<UGraph>,
         /// Hybrid-participation candidate mask per registered viewer.
@@ -169,38 +172,12 @@ impl SceneState {
         &self.positions
     }
 
-    /// Distance between users `i` and `j` (symmetric, bit-exact). In pruned
-    /// mode the pair is re-measured from positions — [`Point2::distance`]
-    /// is bit-identical either direction, so the value matches the dense
-    /// matrix entry the full path would hold.
+    /// Distance between users `i` and `j` (symmetric, bit-exact), measured
+    /// from positions in `(min, max)` order — [`Point2::distance`] is
+    /// bit-identical either direction, so the value equals the viewer-row
+    /// entry and the brute-force `positions[i].distance(positions[j])`.
     pub fn distance(&self, i: usize, j: usize) -> f64 {
-        match &self.payload {
-            StatePayload::Full { distances, .. } => distances[i * self.n + j],
-            StatePayload::Pruned { .. } => {
-                if i == j {
-                    0.0
-                } else {
-                    let (a, b) = (i.min(j), i.max(j));
-                    self.positions[a].distance(self.positions[b])
-                }
-            }
-        }
-    }
-
-    /// The full distance row of user `v` (length `n`, `0.0` at `v`).
-    ///
-    /// # Panics
-    ///
-    /// Panics in pruned mode (`prune_k > 0`): dense rows are never
-    /// materialized there — read [`SceneState::candidates`] (member
-    /// distances) or [`SceneState::distance`] (a single exact pair).
-    pub fn distance_row(&self, v: usize) -> &[f64] {
-        match &self.payload {
-            StatePayload::Full { distances, .. } => &distances[v * self.n..(v + 1) * self.n],
-            StatePayload::Pruned { .. } => {
-                panic!("dense distance rows are not materialized in pruned mode (prune_k > 0)")
-            }
-        }
+        pair_distance(&self.positions, i, j)
     }
 
     /// Whether this state holds pruned per-viewer shortlists instead of
@@ -226,31 +203,34 @@ impl SceneState {
         }
     }
 
-    /// Tears the state into its owned parts — positions, the flat `n×n`
-    /// distance matrix, and the per-slot occlusion graphs and candidate
-    /// masks (slot order = the engine's registered-viewer order). Lets batch
+    /// Tears the state into its owned parts — positions, and per slot
+    /// (slot order = the engine's registered-viewer order) the viewer's
+    /// distance row, occlusion graph and candidate mask. Lets batch
     /// consumers take ownership of the heavy per-viewer structures instead
     /// of cloning them.
     ///
     /// A pruned state is *densified* here — the single materialization
-    /// point that keeps batch consumers payload-agnostic: the distance
-    /// matrix is re-measured (bit-identical by the IEEE argument), each
-    /// shortlist's restricted edges become an `n`-node [`UGraph`], and the
-    /// dense mask carries each member's bit with every non-member `false`.
-    /// At a complete shortlist (`K ≥ n−1`) the result is bitwise equal to
-    /// the full path's parts; at serving K the mask *is* the candidate-set
-    /// contract — users outside the shortlist are not candidates.
-    pub fn into_parts(self) -> (Vec<Point2>, Vec<f64>, Vec<UGraph>, Vec<Vec<bool>>) {
+    /// point that keeps batch consumers payload-agnostic: each viewer's row
+    /// is measured from positions (V·N pairs, bit-identical by the IEEE
+    /// argument), each shortlist's restricted edges become an `n`-node
+    /// [`UGraph`], and the dense mask carries each member's bit with every
+    /// non-member `false`. At a complete shortlist (`K ≥ n−1`) the result is
+    /// bitwise equal to the full path's parts; at serving K the mask *is*
+    /// the candidate-set contract — users outside the shortlist are not
+    /// candidates.
+    #[allow(clippy::type_complexity)] // (positions, then rows, graphs and masks per slot)
+    pub fn into_parts(self) -> (Vec<Point2>, Vec<Vec<f64>>, Vec<UGraph>, Vec<Vec<bool>>) {
         let n = self.n;
         match self.payload {
             StatePayload::Full { distances, occlusion, candidate_mask } => {
                 (self.positions, distances, occlusion, candidate_mask)
             }
             StatePayload::Pruned { shortlists, .. } => {
-                let distances = pairwise_distances(&self.positions);
+                let mut distances = Vec::with_capacity(shortlists.len());
                 let mut occlusion = Vec::with_capacity(shortlists.len());
                 let mut masks = Vec::with_capacity(shortlists.len());
                 for cs in &shortlists {
+                    distances.push(distance_row(&self.positions, cs.viewer()));
                     let edges: Vec<(usize, usize)> =
                         cs.edges().iter().map(|&(a, b)| (a as usize, b as usize)).collect();
                     occlusion.push(UGraph::from_sorted_unique_edges(n, &edges));
@@ -293,7 +273,12 @@ impl<'a> TargetView<'a> {
     ///
     /// Panics in pruned mode — read [`TargetView::candidates`] instead.
     pub fn distances(&self) -> &'a [f64] {
-        self.state.distance_row(self.viewer)
+        match &self.state.payload {
+            StatePayload::Full { distances, .. } => &distances[self.slot],
+            StatePayload::Pruned { .. } => {
+                panic!("dense distance rows are not materialized in pruned mode (prune_k > 0)")
+            }
+        }
     }
 
     /// The viewer's static occlusion graph `O_t^v`.
@@ -370,8 +355,8 @@ impl SweepBuffers {
 ///
 /// Viewers (the target users whose occlusion structure is needed) are
 /// registered up front so a single-target session does not pay for N
-/// per-viewer graphs; the scene-wide distance matrix is maintained either
-/// way and shared by all of them.
+/// per-viewer graphs or distance rows: a tick stores one of each per viewer
+/// and nothing for the other users.
 #[derive(Debug, Clone)]
 pub struct SceneEngine {
     converter: OcclusionConverter,
@@ -631,25 +616,25 @@ impl SceneEngine {
         t
     }
 
-    /// Dense tick build (`prune_k = 0`), from scratch: the distance matrix,
-    /// then each registered viewer's arcs, occlusion sweep and candidate
-    /// mask.
+    /// Dense tick build (`prune_k = 0`), from scratch: each registered
+    /// viewer's distance row, arcs, occlusion sweep and candidate mask.
     fn build_state_dense(&mut self, positions: Vec<Point2>, pair_tests: &mut u64) -> SceneState {
         let n = self.n;
-        let distances = pairwise_distances(&positions);
+        let mut distances = Vec::with_capacity(self.viewers.len());
         let mut occlusion = Vec::with_capacity(self.viewers.len());
         let mut candidate_mask = Vec::with_capacity(self.viewers.len());
         for &v in &self.viewers {
+            let row = distance_row(&positions, v);
             let arcs = self.converter.arcs(v, &positions);
             let graph = self.sweep.graph(&arcs, pair_tests);
-            let row = &distances[v * n..(v + 1) * n];
             candidate_mask.push(candidate_mask_from_shared(
                 v,
                 self.config.mr_mask[v],
-                row,
+                &row,
                 &graph,
                 &self.config.mr_mask,
             ));
+            distances.push(row);
             occlusion.push(graph);
         }
         SceneState { n, positions, payload: StatePayload::Full { distances, occlusion, candidate_mask } }
@@ -783,19 +768,19 @@ impl SceneEngine {
     }
 }
 
-/// Flat row-major symmetric distance matrix: each unordered pair is measured
-/// once and mirrored (bit-exact — see the module docs).
-fn pairwise_distances(positions: &[Point2]) -> Vec<f64> {
-    let n = positions.len();
-    let mut d = vec![0.0; n * n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let v = positions[i].distance(positions[j]);
-            d[i * n + j] = v;
-            d[j * n + i] = v;
-        }
+/// The distance between users `i` and `j`, measured in `(min, max)` order
+/// (bit-exact either way — see the module docs); `0.0` when `i == j`.
+fn pair_distance(positions: &[Point2], i: usize, j: usize) -> f64 {
+    if i == j {
+        0.0
+    } else {
+        positions[i.min(j)].distance(positions[i.max(j)])
     }
-    d
+}
+
+/// User `v`'s distance row (length `n`, `0.0` at `v`).
+fn distance_row(positions: &[Point2], v: usize) -> Vec<f64> {
+    (0..positions.len()).map(|w| pair_distance(positions, v, w)).collect()
 }
 
 /// Fills `order` with the ids of users that have an arc, sorted by the sweep
@@ -1035,16 +1020,29 @@ mod tests {
 
     #[test]
     fn distances_match_legacy_rows_bit_for_bit() {
+        // viewers registered out of id order: rows are stored by slot, so a
+        // row indexed by id instead would read another viewer's distances
         let n = 24;
-        let mut engine = engine_for(n, 2, 0.25);
+        let mr_mask: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+        let config = SceneConfig { body_radius: 0.25, mr_mask, room_diagonal: 10.0 };
+        let viewers = [17, 3, 0, 23];
+        let mut engine = SceneEngine::new(n, config, &viewers);
         let positions = random_positions(n, 8.0, 7);
         engine.push(Frame::new(positions.clone()));
-        let state = engine.state(0);
-        for v in 0..n {
-            let row = state.distance_row(v);
+        for &v in &viewers {
+            let row = engine.view(v, 0).distances();
+            assert_eq!(row.len(), n);
             for w in 0..n {
                 let legacy = positions[v].distance(positions[w]);
-                assert_eq!(row[w].to_bits(), legacy.to_bits(), "d({v},{w})");
+                assert_eq!(row[w].to_bits(), legacy.to_bits(), "row of viewer {v}: d({v},{w})");
+            }
+        }
+        // every pair, viewers or not, through the exact-pair accessor
+        let state = engine.state(0);
+        for i in 0..n {
+            for j in 0..n {
+                let legacy = positions[i].distance(positions[j]);
+                assert_eq!(state.distance(i, j).to_bits(), legacy.to_bits(), "d({i},{j})");
             }
         }
     }
@@ -1130,7 +1128,7 @@ mod tests {
 
     /// The dense parts of a full-mode state (tests only ever unpack full
     /// states through this; pruned states have their own assertions).
-    fn full_parts(s: &SceneState) -> (&Vec<f64>, &Vec<UGraph>, &Vec<Vec<bool>>) {
+    fn full_parts(s: &SceneState) -> (&Vec<Vec<f64>>, &Vec<UGraph>, &Vec<Vec<bool>>) {
         match &s.payload {
             StatePayload::Full { distances, occlusion, candidate_mask } => {
                 (distances, occlusion, candidate_mask)
@@ -1166,13 +1164,16 @@ mod tests {
         frames
     }
 
+    /// The bits of per-slot distance rows, for bitwise comparison.
+    fn row_bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter().map(|row| row.iter().map(|d| d.to_bits()).collect()).collect()
+    }
+
     fn assert_states_bitwise_equal(a: &SceneState, b: &SceneState, ctx: &str) {
         assert_eq!(a.positions, b.positions, "{ctx}: positions");
         let (ad, ao, am) = full_parts(a);
         let (bd, bo, bm) = full_parts(b);
-        let da: Vec<u64> = ad.iter().map(|d| d.to_bits()).collect();
-        let db: Vec<u64> = bd.iter().map(|d| d.to_bits()).collect();
-        assert_eq!(da, db, "{ctx}: distance bits");
+        assert_eq!(row_bits(ad), row_bits(bd), "{ctx}: distance bits");
         assert_eq!(ao, bo, "{ctx}: occlusion (UGraph Eq)");
         assert_eq!(am, bm, "{ctx}: candidate masks");
     }
@@ -1334,9 +1335,8 @@ mod tests {
                 let (fp, fd, fo, fm) = full.state(t).clone().into_parts();
                 let (pp, pd, po, pm) = pruned.state(t).clone().into_parts();
                 assert_eq!(fp, pp, "seed {seed} t={t}: positions");
-                let fb: Vec<u64> = fd.iter().map(|d| d.to_bits()).collect();
-                let pb: Vec<u64> = pd.iter().map(|d| d.to_bits()).collect();
-                assert_eq!(fb, pb, "seed {seed} t={t}: distance bits");
+                assert_eq!(fd.len(), n, "seed {seed} t={t}: one row per slot");
+                assert_eq!(row_bits(&fd), row_bits(&pd), "seed {seed} t={t}: per-slot distance bits");
                 assert_eq!(fo, po, "seed {seed} t={t}: occlusion graphs");
                 assert_eq!(fm, pm, "seed {seed} t={t}: masks");
             }
@@ -1462,7 +1462,7 @@ mod tests {
         let mut engine = engine_for(6, 2, 0.25);
         engine.set_prune_k(2);
         engine.push(Frame::new(random_positions(6, 5.0, 8)));
-        engine.state(0).distance_row(0);
+        engine.view(0, 0).distances();
     }
 
     #[test]

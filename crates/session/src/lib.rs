@@ -7,16 +7,16 @@
 //! target a cheap view borrowing that shared state:
 //!
 //! * [`SceneEngine`] ingests one [`Frame`] (all positions at tick `t`) at a
-//!   time and appends that tick's [`SceneState`]: the symmetric pairwise
-//!   distance matrix (each unordered pair measured once and mirrored —
-//!   bit-exact, since IEEE negation is exact), the per-viewer occlusion
-//!   structure, and the MR co-location candidate masks derived from it.
+//!   time and appends that tick's [`SceneState`]: each viewer's distance
+//!   row (each pair measured in `(min, max)` order — bit-exact either way,
+//!   since IEEE negation is exact), the per-viewer occlusion structure, and
+//!   the MR co-location candidate masks derived from it.
 //! * [`TargetView`] borrows one `(viewer, tick)` slice of that shared state;
 //!   it is what per-target code (compat wrappers, recommenders) reads.
 //!
 //! Per-viewer occlusion graphs are built with an angular sweep over arcs
 //! sorted by center instead of the all-pairs intersection loop, so a tick
-//! costs O(N² + V·(N log N + E)) shared work instead of V·O(N²) — the
+//! costs O(V·(N log N + E)) work instead of V·O(N²) — the
 //! O(N³·T) → O(N²·T) drop for a whole-scene session (V = N viewers). Every
 //! candidate pair still goes through the *exact* [`xr_graph::ViewArc`]
 //! intersection predicate and edges are inserted in the same lexicographic
