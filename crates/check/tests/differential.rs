@@ -37,8 +37,8 @@ fn cached_mia_episode_loss_matches_fresh_bitwise() {
 
 #[test]
 fn tape_free_serving_step_matches_the_tape_step_bitwise() {
-    // all three variants at two hidden widths, with the carry advancing, the
-    // carry falling back, and a switch to a second context
+    // all three variants at two hidden widths, over ticks in order, in
+    // reverse, and after a switch to a second context
     assert_no_divergence(&FusedVsTapeStep, KERNEL_CASES);
 }
 

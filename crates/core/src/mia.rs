@@ -13,14 +13,14 @@
 //! * the aggregation operator `D⁻¹A_t` over the static occlusion graph.
 //!
 //! Every per-step output is O(N + m) for m occlusion edges: the adjacency
-//! operators are CSR, and no N×N matrix is formed. The step from `t−1` to
-//! `t` is a recurrence (`MiaCarry` carries `A_{t−1}`'s degrees and
-//! propagation terms), which serves both the training slab
-//! ([`Mia::compute_episode`]) and the model's inference step;
-//! [`Mia::compute`] is the from-scratch reference it is pinned against.
-//! Both run one feature body; the inference step (`Mia::serve_into`) writes
-//! its rows into the model's buffers and builds none of the operators only
-//! the loss reads.
+//! operators are CSR, and no N×N matrix is formed. The training slab
+//! ([`Mia::compute_episode`]) runs the step from `t−1` to `t` as a
+//! recurrence (`MiaCarry` carries `A_{t−1}`'s degrees and propagation
+//! terms); [`Mia::compute`] is the from-scratch reference it is pinned
+//! against. The model's inference step (`Mia::serve_into`) computes each
+//! step from scratch, like [`Mia::compute`], but writes its rows into the
+//! model's buffers and builds none of the operators only the loss reads.
+//! All three run one feature body.
 //!
 //! Under a crowd-scale pruned engine (`prune_k > 0`), the contexts MIA
 //! consumes carry occlusion graphs restricted to each viewer's K-candidate
@@ -112,7 +112,7 @@ impl MiaOutput {
 /// `A_t·1` and two-hop propagation `A_t·(A_t·1)` — exactly the predecessor
 /// terms of step `t + 1`'s `Δ`. Everything here is a function of `A_t`
 /// alone. Refilling a carry reuses its buffers, so the serving step keeps
-/// two and swaps them.
+/// two (for `A_{t−1}` and `A_t`) and refills both at every step.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MiaCarry {
     t: usize,
@@ -211,7 +211,6 @@ impl Mia {
     pub(crate) fn advance(&self, ctx: &TargetContext, carry: &mut MiaCarry) -> MiaOutput {
         let t = carry.t + 1;
         let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
-        xr_obs::counter_add("poshgnn.mia.carried", &[], 1);
         let mut next = MiaCarry::default();
         let out = self.output(ctx, t, carry, &mut next);
         *carry = next;
@@ -223,36 +222,27 @@ impl Mia {
     /// least 7 columns) and `m_t` into `mask`, and builds none of the
     /// operators only the loss reads (`A_t`, `D⁻¹A_t`, `B_t`, `p̂`, `ŝ`).
     ///
-    /// With `carried`, `carry` must hold step `t − 1` of `ctx` (as
-    /// [`Mia::advance`] requires); otherwise it is refilled from
-    /// `ctx.occlusion[t − 1]` first. On return `carry` holds step `t` and
-    /// `spare` the buffers of step `t − 1`. The values are bit-identical to
-    /// [`Mia::compute`]'s `features`, `delta` and `mask` at `t`.
-    #[allow(clippy::too_many_arguments)] // internal: the carry pair and the two output buffers
+    /// Everything is computed from `ctx` at `t`: `prev` is refilled with
+    /// `A_{t−1}`'s terms and `next` with `A_t`'s, reusing their buffers, so
+    /// a steady-state step allocates nothing. The values are bit-identical
+    /// to [`Mia::compute`]'s `features`, `delta` and `mask` at `t`.
     pub(crate) fn serve_into(
         &self,
         ctx: &TargetContext,
         t: usize,
-        carried: bool,
-        carry: &mut MiaCarry,
-        spare: &mut MiaCarry,
+        prev: &mut MiaCarry,
+        next: &mut MiaCarry,
         rows: &mut Matrix,
         mask: &mut [f64],
     ) {
         let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
-        if carried {
-            debug_assert_eq!(carry.t + 1, t, "the carry does not hold step t − 1");
-            xr_obs::counter_add("poshgnn.mia.carried", &[], 1);
-        } else {
-            carry.set_predecessor(ctx, t);
-        }
-        self.rows(ctx, t, carry, spare, |r, row| {
+        prev.set_predecessor(ctx, t);
+        self.rows(ctx, t, prev, next, |r, row| {
             let out = rows.row_mut(r);
             out[..FEATURE_DIM].copy_from_slice(&row.features);
             out[FEATURE_DIM..FEATURE_DIM + DELTA_DIM].copy_from_slice(&row.delta);
             mask[r] = row.mask;
         });
-        std::mem::swap(carry, spare);
     }
 
     /// The MIA feature body shared by training and serving: fills `next`
@@ -365,8 +355,7 @@ impl Mia {
     /// keeps the CSR transposes its first backward pass builds.
     ///
     /// The slab is the `Mia::start` / `Mia::advance` recurrence run over
-    /// the episode — the same step function the model's inference path
-    /// carries from tick to tick — and is bit-identical to
+    /// the episode, and is bit-identical to
     /// [`Mia::compute_episode_fresh`], pinned by a unit test here and by the
     /// `CachedVsFreshMia` differential subject.
     pub fn compute_episode(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
@@ -645,16 +634,15 @@ mod tests {
     #[test]
     fn serving_rows_are_bitwise_the_training_output() {
         let c = ctx();
-        let (mut carry, mut spare) = (MiaCarry::default(), MiaCarry::default());
+        let (mut prev, mut next) = (MiaCarry::default(), MiaCarry::default());
         // two spare columns that MIA must leave alone
         let mut rows = Matrix::full(c.n, FEATURE_DIM + DELTA_DIM + 2, f64::NAN);
         let mut mask = vec![f64::NAN; c.n];
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        // fresh, carried, then two recomputes (a repeat and a step back)
-        for (t, carried) in [(0, false), (1, true), (1, false), (0, false)] {
-            Mia.serve_into(&c, t, carried, &mut carry, &mut spare, &mut rows, &mut mask);
+        // in order, then a repeat and a step back on the same buffers
+        for t in [0, 1, 1, 0] {
+            Mia.serve_into(&c, t, &mut prev, &mut next, &mut rows, &mut mask);
             let want = Mia.compute(&c, t);
-            assert_eq!(carry.t(), t, "the carry holds the served step");
             for (r, m) in mask.iter().enumerate() {
                 let row = rows.row(r);
                 assert_eq!(bits(&row[..FEATURE_DIM]), bits(want.features.row(r)), "t={t} x̂ row {r}");

@@ -73,13 +73,13 @@ pub struct PoshGnnConfig {
     /// Retired: the dense N×N operator ablation was removed and every graph
     /// operator is CSR. Must stay `false`; [`PoshGnn::new`] panics otherwise.
     pub dense_kernels: bool,
-    /// Recompute MIA from scratch at every step instead of reusing earlier
-    /// work. In training, [`Mia::compute`] replaces the one slab per
-    /// episode shared by every epoch; at inference, every step re-reads
-    /// `A_{t−1}` instead of advancing the carry from the previous tick. MIA is
-    /// parameter-free, so the default path is bit-identical on both; this
-    /// reference exists for the differential oracle and A/B benchmarks.
-    /// Defaults to `false`.
+    /// Training only: recompute MIA with [`Mia::compute`] at every step of
+    /// every epoch instead of reading the one slab per episode
+    /// ([`Mia::compute_episode`]) that every epoch shares. MIA is
+    /// parameter-free, so both give the same bits; this reference exists for
+    /// the differential oracle and A/B benchmarks. Inference ignores it: a
+    /// recommend step always computes MIA from its own `(ctx, t)`. Defaults
+    /// to `false`.
     pub fresh_mia: bool,
     /// Build a fresh `Tape` per training episode instead of resetting one
     /// pooled arena tape. Same bit-identical contract and purpose as
@@ -129,16 +129,6 @@ pub struct PoshGnn {
     /// Inference state (`h_{t−1}`, `r_{t−1}`) and the buffers the tape-free
     /// step reuses at every step.
     serve: ServeBuffers,
-    /// Which context MIA's inference carry was computed on, by address:
-    /// `None` outside an episode (every step recomputes); `Some(None)` once
-    /// `begin_episode` armed it; `Some(Some(ctx))` when `mia_carry` holds
-    /// step `mia_carry.t()` of `ctx`, so that the next step of `ctx`
-    /// advances it and any other step recomputes from scratch.
-    mia_on: Option<Option<*const TargetContext>>,
-    /// MIA's carry.
-    mia_carry: MiaCarry,
-    /// The buffers the tape-free step swaps with `mia_carry` at every step.
-    mia_spare: MiaCarry,
     /// Arena tape reset (not reallocated) at every step of the tape
     /// inference path.
     infer_tape: Tape,
@@ -162,6 +152,10 @@ struct ServeBuffers {
     lwp_in: Matrix,
     /// `m_t` as `0.0`/`1.0`.
     mask: Vec<f64>,
+    /// The graph terms of `A_{t−1}` and `A_t` that MIA's `Δ_t` reads,
+    /// refilled from the context at every step.
+    mia_prev: MiaCarry,
+    mia_next: MiaCarry,
     /// `h_t`, `r̃_t`, the two hidden LWP layers, `σ` and `r_t`.
     h: Matrix,
     r_tilde: Matrix,
@@ -227,9 +221,6 @@ impl PoshGnn {
             lwp2,
             lwp3,
             serve: ServeBuffers::default(),
-            mia_on: None,
-            mia_carry: MiaCarry::default(),
-            mia_spare: MiaCarry::default(),
             infer_tape: Tape::new(),
         }
     }
@@ -405,14 +396,13 @@ impl PoshGnn {
     ///
     /// Serves the tape-free step: MIA writes only `x̂_t`, `Δ_t` and `m_t`
     /// into reused buffers, and each GCN layer aggregates straight over the
-    /// occlusion graph's rows ([`GcnLayer::forward_mean_into`]). The result
-    /// is bit-identical to [`PoshGnn::soft_recommend_on_tape`].
+    /// occlusion graph's rows ([`GcnLayer::forward_mean_into`]). MIA is
+    /// computed from `(ctx, t)` alone, reading only ticks `t − 1` and `t`.
+    /// The result is bit-identical to [`PoshGnn::soft_recommend_on_tape`].
     pub fn soft_recommend(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
         let _span = xr_obs::span!("poshgnn.recommend.step", t = t, n = ctx.n);
         let (n, hidden, variant) = (ctx.n, self.config.hidden, self.config.variant);
-        // "Only PDR" reads no MIA output, so it leaves the carry untouched
-        let carried = variant != PoshVariant::PdrOnly && self.claim_carry(ctx, t);
-        let PoshGnn { store, mia, pdr1, pdr2, lwp1, lwp2, lwp3, serve: s, mia_carry, mia_spare, .. } = self;
+        let PoshGnn { store, mia, pdr1, pdr2, lwp1, lwp2, lwp3, serve: s, .. } = self;
         let graph = &ctx.occlusion[t];
         let width = FEATURE_DIM + DELTA_DIM + hidden + 1;
         if s.lwp_in.shape() != (n, width) {
@@ -429,7 +419,7 @@ impl PoshGnn {
         if variant == PoshVariant::PdrOnly {
             mia.raw_features_into(ctx, t, &mut s.lwp_in);
         } else {
-            mia.serve_into(ctx, t, carried, mia_carry, mia_spare, &mut s.lwp_in, &mut s.mask);
+            mia.serve_into(ctx, t, &mut s.mia_prev, &mut s.mia_next, &mut s.lwp_in, &mut s.mask);
         }
 
         // PDR: h_t then r̃_t (Eq. 1 stack).
@@ -477,8 +467,8 @@ impl PoshGnn {
 
     /// The inference step on the autodiff tape: the reference
     /// [`PoshGnn::soft_recommend`] is pinned against (the `xr_check`
-    /// `FusedVsTapeStep` subject). It shares the episode state and MIA carry
-    /// with the tape-free step.
+    /// `FusedVsTapeStep` subject). It shares the episode state with the
+    /// tape-free step.
     pub fn soft_recommend_on_tape(&mut self, ctx: &TargetContext, t: usize) -> Vec<f64> {
         let _span = xr_obs::span!("poshgnn.recommend.step", t = t, n = ctx.n);
         let tape = std::mem::take(&mut self.infer_tape);
@@ -488,50 +478,13 @@ impl PoshGnn {
         } else {
             (tape.constant_zeros(ctx.n, self.config.hidden), tape.constant_zeros(ctx.n, 1))
         };
-        let mia_out = self.infer_mia(ctx, t);
+        let mia_out = self.mia.compute(ctx, t);
         let (r_t, h_t) = self.step_on_tape(&tape, ctx, t, &mia_out, h_prev, r_prev, false);
         self.serve.h_prev = h_t.value();
         self.serve.r_prev = r_t.value();
         self.serve.has_prev = true;
         self.infer_tape = tape;
         self.serve.r_prev.as_slice().to_vec()
-    }
-
-    /// Whether MIA at `(ctx, t)` advances the carry, and records that the
-    /// carry will hold `(ctx, t)` after this step. Inside an episode (after
-    /// `begin_episode`), the step right after the carried one on the same
-    /// context advances it (reading only ticks `t − 1` and `t`, so inference
-    /// stays causal); anything else — the first step, a repeated, skipped or
-    /// out-of-order `t`, another context — recomputes from scratch and
-    /// restarts the carry there. Outside an episode, and under
-    /// [`PoshGnnConfig::fresh_mia`], every step recomputes. All branches are
-    /// bit-identical to [`Mia::compute`].
-    ///
-    /// A context is recognized by its address, which is unique among live
-    /// contexts; a context dropped mid-episode and replaced by another at
-    /// the same address is not told apart, which is why a new context
-    /// starts with `begin_episode` (which empties the carry).
-    fn claim_carry(&mut self, ctx: &TargetContext, t: usize) -> bool {
-        let key: *const TargetContext = ctx;
-        let carried =
-            matches!(self.mia_on, Some(Some(on)) if std::ptr::eq(on, key) && self.mia_carry.t() + 1 == t);
-        let fresh = self.config.fresh_mia;
-        if let Some(slot) = self.mia_on.as_mut() {
-            *slot = (!fresh).then_some(key);
-        }
-        carried && !fresh
-    }
-
-    /// MIA at `t` for the tape inference step, carried as
-    /// [`PoshGnn::claim_carry`] decides.
-    fn infer_mia(&mut self, ctx: &TargetContext, t: usize) -> MiaOutput {
-        if self.claim_carry(ctx, t) {
-            self.mia.advance(ctx, &mut self.mia_carry)
-        } else {
-            let (out, carry) = self.mia.start(ctx, t);
-            self.mia_carry = carry;
-            out
-        }
     }
 
     /// Read-only view of the parameter store: block names, values, and the
@@ -568,7 +521,6 @@ impl AfterRecommender for PoshGnn {
 
     fn begin_episode(&mut self, _view: &StepView<'_>) {
         self.serve.has_prev = false;
-        self.mia_on = Some(None);
     }
 
     fn recommend_step(&mut self, view: &StepView<'_>) -> Vec<bool> {
@@ -727,70 +679,6 @@ mod tests {
             .collect()
     }
 
-    /// `calls` served by the default (carried MIA) and the `fresh_mia`
-    /// models must agree bit for bit; returns the carried model's count of
-    /// carry advances.
-    fn assert_carry_matches_fresh(calls: &[Call<'_>]) -> u64 {
-        let obs = xr_obs::ObsCtx::new(true, false);
-        let carried = {
-            let _g = obs.install();
-            soft_bits(&mut PoshGnn::new(PoshGnnConfig::default()), calls)
-        };
-        let fresh =
-            soft_bits(&mut PoshGnn::new(PoshGnnConfig { fresh_mia: true, ..Default::default() }), calls);
-        assert_eq!(carried.len(), fresh.len());
-        for (i, (c, f)) in carried.iter().zip(&fresh).enumerate() {
-            assert_eq!(c, f, "step call {i}: carried MIA diverged from fresh MIA");
-        }
-        obs.registry.snapshot().counter("poshgnn.mia.carried").unwrap_or(0)
-    }
-
-    #[test]
-    fn serving_carry_is_bitwise_the_fresh_mia_path() {
-        let (a, b) = (small_ctx(16), small_ctx(17));
-        // direct calls before any episode never carry, consecutive or not
-        let mut calls: Vec<Call<'_>> = (0..=a.t_max()).map(|t| Call::Step(&a, t)).collect();
-        calls.push(Call::Begin(&a));
-        // a whole episode: every step after the first advances the carry
-        calls.extend((0..=a.t_max()).map(|t| Call::Step(&a, t)));
-        // repeated, skipped and out-of-order ticks; only 5→6 and 0→1 are
-        // consecutive, everything else recomputes from scratch
-        calls.extend([8, 8, 3, 5, 6, 2, 0, 1, 7].map(|t| Call::Step(&a, t)));
-        // a second episode on another context
-        calls.push(Call::Begin(&b));
-        calls.extend((0..=b.t_max()).map(|t| Call::Step(&b, t)));
-        let advances = assert_carry_matches_fresh(&calls);
-        assert_eq!(advances as usize, a.t_max() + 2 + b.t_max(), "the carry served every consecutive step");
-    }
-
-    #[test]
-    fn two_live_contexts_never_share_a_carry() {
-        // two targets in one room: same n, same ticks, different views
-        let dataset = Dataset::generate(DatasetKind::Hubs, 1);
-        let scenario = dataset.sample_scenario(&ScenarioConfig {
-            n_participants: 12,
-            vr_fraction: 0.5,
-            time_steps: 8,
-            room_side: 6.0,
-            body_radius: 0.15,
-            seed: 18,
-        });
-        let a = TargetContext::new(&scenario, 0, 0.5);
-        let b = TargetContext::new(&scenario, 5, 0.5);
-        assert_ne!(Mia.compute(&a, 1).features, Mia.compute(&b, 1).features, "the views differ at t=1");
-        // the same tick on the other context, the next tick there, then back
-        let calls = [
-            Call::Begin(&a),
-            Call::Step(&a, 0),
-            Call::Step(&a, 1),
-            Call::Step(&b, 1),
-            Call::Step(&b, 2),
-            Call::Step(&a, 3),
-            Call::Step(&a, 4),
-        ];
-        assert_eq!(assert_carry_matches_fresh(&calls), 3, "a 0→1, b 1→2, a 3→4");
-    }
-
     #[test]
     fn a_context_of_another_size_restarts_the_recurrent_state() {
         let a = small_ctx(19);
@@ -814,6 +702,24 @@ mod tests {
         let fresh =
             soft_bits(&mut PoshGnn::new(PoshGnnConfig::default()), &[Call::Begin(&b), Call::Step(&b, 1)]);
         assert_eq!(switched[1], fresh[0], "the step on b must start from zero state");
+    }
+
+    #[test]
+    fn a_context_replaced_in_place_mid_episode_gets_its_own_mia() {
+        // Seeds 16 and 17 give different t = 0 graphs, so a Δ_1 built from
+        // the old context's A_0 differs from the new context's own Δ_1.
+        let mut model = PoshGnn::new(PoshGnnConfig::default());
+        let mut slot = small_ctx(16);
+        model.begin_episode(&StepView::new(&slot, 0));
+        model.soft_recommend(&slot, 0);
+        slot = small_ctx(17);
+        model.soft_recommend(&slot, 1);
+        let want = Mia.compute(&slot, 1).delta;
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for i in 0..slot.n {
+            let got = &model.serve.lwp_in.row(i)[FEATURE_DIM..FEATURE_DIM + DELTA_DIM];
+            assert_eq!(bits(got), bits(want.row(i)), "Δ_1 of user {i}");
+        }
     }
 
     #[test]

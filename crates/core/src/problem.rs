@@ -41,13 +41,6 @@ pub struct TargetContext {
     /// when rendering `w` would be ineffective because a *physically
     /// present* co-located MR participant stands nearer in the same arc.
     pub candidate_mask: Vec<Vec<bool>>,
-    /// Per-tick candidate shortlists (`shortlists[t]` = the target's
-    /// K-nearest member ids, ascending) when the backing engine ran in
-    /// crowd-scale pruned mode (`prune_k > 0`); `None` on the full-N
-    /// and brute-force paths. When present, `occlusion[t]` / `candidate_mask[t]`
-    /// are the densified restriction to these members — users outside the
-    /// shortlist are not candidates, per the candidate-set contract.
-    pub shortlists: Option<Vec<Vec<usize>>>,
     /// Preference utilities `p(v, ·)`.
     pub preference: Vec<f64>,
     /// Social-presence utilities `s(v, ·)`.
@@ -120,9 +113,9 @@ impl TargetContext {
     /// own and configure their engine (e.g. crowd-scale pruned serving via
     /// [`SceneEngine::set_prune_k`]). Every requested target must have been
     /// registered as a viewer at engine construction. When the engine ran
-    /// pruned, each context's [`TargetContext::shortlists`] records the
-    /// per-tick membership and the dense fields hold the densified
-    /// restriction.
+    /// pruned, the dense fields hold the densified restriction to each
+    /// tick's shortlist: users outside it are not candidates, per the
+    /// candidate-set contract.
     ///
     /// # Panics
     ///
@@ -174,7 +167,6 @@ impl TargetContext {
                 occlusion: Vec::with_capacity(frames),
                 distances: Vec::with_capacity(frames),
                 candidate_mask: Vec::with_capacity(frames),
-                shortlists: None,
                 preference: scenario.preference[target].clone(),
                 social: scenario.social[target].clone(),
                 mr_mask: mr_mask.clone(),
@@ -185,20 +177,6 @@ impl TargetContext {
             .collect();
 
         for state in engine.into_states() {
-            // capture each requester's shortlist membership before the
-            // pruned state is densified by into_parts
-            if state.is_pruned() {
-                for (ctx, &slot) in contexts.iter_mut().zip(&slots) {
-                    let ids: Vec<usize> = state
-                        .candidates(slot)
-                        .expect("pruned state has a shortlist per slot")
-                        .ids()
-                        .iter()
-                        .map(|&w| w as usize)
-                        .collect();
-                    ctx.shortlists.get_or_insert_with(Vec::new).push(ids);
-                }
-            }
             let (_positions, rows, occlusion, masks) = state.into_parts();
             let mut rows: Vec<Option<Vec<f64>>> = rows.into_iter().map(Some).collect();
             let mut occlusion: Vec<Option<UGraph>> = occlusion.into_iter().map(Some).collect();
@@ -265,7 +243,6 @@ impl TargetContext {
             occlusion,
             distances,
             candidate_mask,
-            shortlists: None,
             preference: scenario.preference[target].clone(),
             social: scenario.social[target].clone(),
             mr_mask,
@@ -510,6 +487,13 @@ pub(crate) mod tests {
         let mut engine = SceneEngine::for_scenario(&scenario, &viewers);
         engine.set_prune_k(scenario.n() - 1);
         engine.push_scenario(&scenario);
+        // complete membership at every tick and slot
+        for t in 0..engine.ticks() {
+            for slot in 0..viewers.len() {
+                let cs = engine.state(t).candidates(slot).expect("a pruned state has a shortlist per slot");
+                assert_eq!(cs.len(), scenario.n() - 1, "t={t} slot {slot}");
+            }
+        }
         let pruned = TargetContext::with_engine(&scenario, engine, &requests);
         let default = TargetContext::batch(&scenario, &requests);
         for (p, d) in pruned.iter().zip(&default) {
@@ -518,13 +502,6 @@ pub(crate) mod tests {
             for (a, b) in p.distances.iter().flatten().zip(d.distances.iter().flatten()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-            // complete membership recorded per tick
-            let shortlists = p.shortlists.as_ref().expect("pruned engine records shortlists");
-            assert_eq!(shortlists.len(), p.positions.len());
-            for ids in shortlists {
-                assert_eq!(ids.len(), p.n - 1);
-            }
-            assert!(d.shortlists.is_none(), "default path stays dense");
         }
     }
 
@@ -534,11 +511,17 @@ pub(crate) mod tests {
         let mut engine = SceneEngine::for_scenario(&scenario, &[0]);
         engine.set_prune_k(2);
         engine.push_scenario(&scenario);
+        let members: Vec<Vec<usize>> = (0..engine.ticks())
+            .map(|t| {
+                let cs = engine.state(t).candidates(0).expect("a pruned state has a shortlist");
+                cs.ids().iter().map(|&w| w as usize).collect()
+            })
+            .collect();
         let ctx = TargetContext::with_engine(&scenario, engine, &[(0, 0.5)]).pop().unwrap();
-        let shortlists = ctx.shortlists.as_ref().unwrap();
         for (t, mask) in ctx.candidate_mask.iter().enumerate() {
+            assert_eq!(members[t].len(), 2, "t={t}");
             for (w, &bit) in mask.iter().enumerate() {
-                if !shortlists[t].contains(&w) {
+                if !members[t].contains(&w) {
                     assert!(!bit, "non-member {w} leaked into the mask at t={t}");
                 }
             }

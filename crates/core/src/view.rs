@@ -89,15 +89,6 @@ impl<'a> StepView<'a> {
         &self.ctx.candidate_mask[self.t]
     }
 
-    /// The target's candidate shortlist at the current tick (ascending user
-    /// ids), when the context came from a crowd-scale pruned engine
-    /// (`prune_k > 0`); `None` on the full-N and reference paths. When
-    /// present, every mask-true candidate is a member — recommenders can
-    /// iterate the K members instead of all N users.
-    pub fn candidates(&self) -> Option<&'a [usize]> {
-        self.ctx.shortlists.as_ref().map(|s| s[self.t].as_slice())
-    }
-
     /// Preference utilities `p(v, ·)`.
     pub fn preference(&self) -> &'a [f64] {
         &self.ctx.preference
@@ -152,13 +143,6 @@ mod tests {
         assert_eq!(view.positions(), &ctx.positions[1][..]);
         // the causal window reaches backwards freely
         assert_eq!(view.occlusion_at(0), &ctx.occlusion[0]);
-    }
-
-    #[test]
-    fn candidates_are_absent_on_the_dense_path() {
-        let ctx = TargetContext::new(&scenario(true), 0, 0.5);
-        let view = StepView::new(&ctx, 1);
-        assert!(view.candidates().is_none(), "dense contexts carry no shortlists");
     }
 
     #[test]

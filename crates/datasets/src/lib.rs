@@ -12,7 +12,7 @@
 //! * [`scenario`] — participants, MR/VR interfaces, ORCA trajectories.
 //! * [`catalog`] — the three dataset analogues with paper-default configs.
 //! * [`venue`] — crowd-scale stadium/concert generators (N = 10k–100k) with
-//!   zoned density, join/leave churn, teleports, and multi-room portal hops.
+//!   zoned density, join/leave churn and teleports.
 
 pub mod catalog;
 pub mod embedding;
@@ -28,4 +28,4 @@ pub use scenario::{
     ScenarioConfig,
 };
 pub use utility::PreferenceModel;
-pub use venue::{MultiVenue, VenueConfig, VenueKind, VenueSim, VenueZone};
+pub use venue::{VenueConfig, VenueKind, VenueSim, VenueZone};

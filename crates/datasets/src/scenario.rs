@@ -81,11 +81,6 @@ impl Scenario {
         self.trajectories.len() - 1
     }
 
-    /// Positions at time `t`.
-    pub fn positions_at(&self, t: usize) -> &[Point2] {
-        &self.trajectories[t]
-    }
-
     /// Boolean mask of MR (physically present) participants.
     pub fn mr_mask(&self) -> Vec<bool> {
         self.interfaces.iter().map(|&i| i == Interface::Mr).collect()
@@ -421,7 +416,7 @@ mod tests {
         assert_eq!(s.preference.len(), 20);
         assert_eq!(s.preference[0].len(), 20);
         assert_eq!(s.interfaces.len(), 20);
-        assert_eq!(s.positions_at(0).len(), 20);
+        assert_eq!(s.trajectories[0].len(), 20);
     }
 
     #[test]

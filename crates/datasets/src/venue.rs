@@ -7,16 +7,13 @@
 //! (zoned annuli — a mosh pit is 10× denser than the fringe), temporal
 //! coherence (bounded per-tick steps, so shortlist reuse has something to
 //! feed on), and the churn patterns that stress a serving
-//! layer: mid-session join/leave, teleporting users, and portal hops
-//! between rooms.
+//! layer: mid-session join/leave and teleporting users.
 //!
 //! [`VenueSim`] is a streaming generator: O(N) state, O(N) per frame, fully
 //! deterministic in its seed. Join/leave churn under a fixed frame width is
 //! modeled by *parking*: a departed user sits **bitwise exactly** at the
 //! lobby point until they rejoin (what the engine's coincidence rule masks
 //! out, and what snap-epsilon ingest and incremental reuse feed on).
-//! [`MultiVenue`] runs several venues side by side and hops users through
-//! portals — park in the source room, unpark in the destination.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -274,25 +271,6 @@ impl VenueSim {
         }
         self.positions.clone()
     }
-
-    /// Parks user `i` at the lobby (portal-hop source side).
-    fn force_park(&mut self, i: usize) {
-        if !self.parked[i] {
-            self.positions[i] = self.config.lobby();
-            self.parked[i] = true;
-            self.parks += 1;
-        }
-    }
-
-    /// Unparks user `i` into their zone (portal-hop destination side).
-    fn force_unpark(&mut self, i: usize) {
-        if self.parked[i] {
-            let z = self.config.zones()[self.zone[i] as usize];
-            self.positions[i] = sample_zone_point(&self.config, z, &mut self.rng);
-            self.parked[i] = false;
-            self.unparks += 1;
-        }
-    }
 }
 
 /// Area-uniform point of an annulus zone around the venue center.
@@ -303,76 +281,6 @@ fn sample_zone_point(config: &VenueConfig, zone: VenueZone, rng: &mut StdRng) ->
     let theta = rng.gen_range(0.0..std::f64::consts::TAU);
     let c = config.room_side / 2.0;
     Point2::new(c + r * theta.cos(), c + r * theta.sin())
-}
-
-/// Several venues served side by side, with portal hops between them: each
-/// tick, every room moves at most one user through a portal into the next
-/// room (park here, unpark there) — the cross-room churn a multi-room
-/// server has to absorb.
-#[derive(Debug)]
-pub struct MultiVenue {
-    sims: Vec<VenueSim>,
-    rng: StdRng,
-    /// Per-room, per-tick probability of one portal departure.
-    hop_prob: f64,
-    hops: u64,
-}
-
-impl MultiVenue {
-    /// `rooms` venues from `config`, each seeded independently
-    /// (`seed + room index`).
-    pub fn new(rooms: usize, config: VenueConfig, hop_prob: f64) -> MultiVenue {
-        assert!(rooms >= 2, "portal hops need at least two rooms");
-        assert!((0.0..=1.0).contains(&hop_prob), "hop_prob out of range");
-        let sims = (0..rooms)
-            .map(|r| VenueSim::new(VenueConfig { seed: config.seed.wrapping_add(r as u64), ..config }))
-            .collect();
-        MultiVenue { sims, rng: StdRng::seed_from_u64(config.seed ^ 0x9e3779b97f4a7c15), hop_prob, hops: 0 }
-    }
-
-    /// The per-room simulators.
-    pub fn sims(&self) -> &[VenueSim] {
-        &self.sims
-    }
-
-    /// Portal hops so far.
-    pub fn hops(&self) -> u64 {
-        self.hops
-    }
-
-    /// Advances every room one tick and applies portal hops; returns one
-    /// frame per room.
-    pub fn next_frames(&mut self) -> Vec<Vec<Point2>> {
-        let mut frames: Vec<Vec<Point2>> = self.sims.iter_mut().map(|s| s.next_frame()).collect();
-        let rooms = self.sims.len();
-        for r in 0..rooms {
-            if self.hop_prob == 0.0 || !self.rng.gen_bool(self.hop_prob) {
-                continue;
-            }
-            let n = self.sims[r].config.n;
-            let start = self.rng.gen_range(0..n);
-            // depart: the first active user at or after a random index
-            let Some(src) = (0..n).map(|o| (start + o) % n).find(|&i| !self.sims[r].parked[i]) else {
-                continue;
-            };
-            let dst_room = (r + 1) % rooms;
-            // arrive: the same slot rejoins in the next room if it was away,
-            // else the first parked user there
-            let dst = if self.sims[dst_room].parked[src] {
-                Some(src)
-            } else {
-                (0..n).map(|o| (start + o) % n).find(|&i| self.sims[dst_room].parked[i])
-            };
-            self.sims[r].force_park(src);
-            if let Some(d) = dst {
-                self.sims[dst_room].force_unpark(d);
-            }
-            self.hops += 1;
-            frames[r] = self.sims[r].positions.clone();
-            frames[dst_room] = self.sims[dst_room].positions.clone();
-        }
-        frames
-    }
 }
 
 #[cfg(test)]
@@ -463,24 +371,6 @@ mod tests {
             prev = frame;
         }
         assert!(sim.teleports() > 0 && jumps > 0, "teleport_prob=0.05 produced no jumps");
-    }
-
-    #[test]
-    fn portal_hops_move_users_between_rooms() {
-        let mut config = VenueConfig::concert(120, 23);
-        config.churn_prob = 0.0;
-        let mut mv = MultiVenue::new(3, config, 0.9);
-        for _ in 0..30 {
-            let frames = mv.next_frames();
-            assert_eq!(frames.len(), 3);
-            for f in &frames {
-                assert_eq!(f.len(), 120, "portal hops must preserve the frame width");
-            }
-        }
-        assert!(mv.hops() > 0, "hop_prob=0.9 over 30 ticks produced no portal hops");
-        // hopped-away users are parked in their source room
-        let away: usize = mv.sims().iter().map(|s| 120 - s.active_count()).sum();
-        assert!(away > 0, "hops happened but nobody is parked anywhere");
     }
 
     #[test]

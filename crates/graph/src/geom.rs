@@ -73,26 +73,6 @@ impl Point2 {
             a
         }
     }
-
-    /// Clamps the vector's norm to at most `max_norm`.
-    pub fn clamp_norm(self, max_norm: f64) -> Point2 {
-        let n = self.norm();
-        if n > max_norm && n > 0.0 {
-            self * (max_norm / n)
-        } else {
-            self
-        }
-    }
-
-    /// Perpendicular vector (rotated +90°).
-    pub fn perp(self) -> Point2 {
-        Point2 { x: -self.y, y: self.x }
-    }
-
-    /// Linear interpolation `self + t (other − self)`.
-    pub fn lerp(self, other: Point2, t: f64) -> Point2 {
-        self + (other - self) * t
-    }
 }
 
 impl Add for Point2 {
@@ -193,20 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_norm_limits_length() {
-        let v = Point2::new(10.0, 0.0).clamp_norm(2.0);
-        assert!((v.norm() - 2.0).abs() < 1e-12);
-        let w = Point2::new(0.5, 0.0).clamp_norm(2.0);
-        assert_eq!(w, Point2::new(0.5, 0.0));
-    }
-
-    #[test]
-    fn perp_is_orthogonal() {
-        let v = Point2::new(2.0, 5.0);
-        assert_eq!(v.dot(v.perp()), 0.0);
-    }
-
-    #[test]
     fn wrap_and_diff() {
         assert!((wrap_angle(-FRAC_PI_2) - 3.0 * FRAC_PI_2).abs() < 1e-12);
         assert!((wrap_angle(TAU + 0.5) - 0.5).abs() < 1e-12);
@@ -247,14 +213,5 @@ mod tests {
         }
         assert!(wrap_angle(-0.0).is_sign_negative());
         assert_eq!(wrap_angle(below_tau), below_tau);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point2::new(1.0, 2.0));
     }
 }

@@ -80,47 +80,6 @@ impl SocialGraph {
         self.adj[v].len()
     }
 
-    /// Number of common friends between two users.
-    pub fn common_neighbors(&self, a: usize, b: usize) -> usize {
-        let set: std::collections::HashSet<usize> = self.adj[a].iter().map(|&(w, _)| w).collect();
-        self.adj[b].iter().filter(|&&(w, _)| set.contains(&w)).count()
-    }
-
-    /// Adamic–Adar similarity: `Σ_{z ∈ N(a) ∩ N(b)} 1 / ln(deg(z))`.
-    ///
-    /// A classical structural-similarity score; we use it as our stand-in
-    /// "pre-trained personalized recommender" signal.
-    pub fn adamic_adar(&self, a: usize, b: usize) -> f64 {
-        let set: std::collections::HashSet<usize> = self.adj[a].iter().map(|&(w, _)| w).collect();
-        self.adj[b]
-            .iter()
-            .filter(|&&(w, _)| set.contains(&w))
-            .map(|&(w, _)| {
-                let d = self.degree(w) as f64;
-                if d > 1.0 {
-                    1.0 / d.ln()
-                } else {
-                    // degree-1 hubs contribute the maximum score used by
-                    // common Adamic–Adar implementations
-                    1.0 / (2.0_f64).ln()
-                }
-            })
-            .sum()
-    }
-
-    /// Jaccard similarity of neighborhoods.
-    pub fn jaccard(&self, a: usize, b: usize) -> f64 {
-        let sa: std::collections::HashSet<usize> = self.adj[a].iter().map(|&(w, _)| w).collect();
-        let sb: std::collections::HashSet<usize> = self.adj[b].iter().map(|&(w, _)| w).collect();
-        let inter = sa.intersection(&sb).count() as f64;
-        let union = sa.union(&sb).count() as f64;
-        if union == 0.0 {
-            0.0
-        } else {
-            inter / union
-        }
-    }
-
     /// BFS hop distances from `src` (`usize::MAX` when unreachable).
     pub fn hop_distances(&self, src: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.n];
@@ -135,16 +94,6 @@ impl SocialGraph {
             }
         }
         dist
-    }
-
-    /// Degree distribution histogram: `hist[d]` = number of nodes of degree `d`.
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let max_d = (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0);
-        let mut hist = vec![0usize; max_d + 1];
-        for v in 0..self.n {
-            hist[self.degree(v)] += 1;
-        }
-        hist
     }
 
     /// Mean degree.
@@ -218,18 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn common_neighbors_and_similarity() {
-        let g = triangle_plus_leaf();
-        assert_eq!(g.common_neighbors(1, 2), 1); // node 0
-        assert_eq!(g.common_neighbors(1, 3), 1); // node 0
-        assert!(g.adamic_adar(1, 2) > 0.0);
-        assert_eq!(g.adamic_adar(3, 3), g.adamic_adar(3, 3)); // deterministic
-        let j = g.jaccard(1, 2);
-        // N(1) = {0,2}, N(2) = {0,1}; intersection {0}, union {0,1,2}
-        assert!((j - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn hop_distances_work() {
         let g = triangle_plus_leaf();
         let d = g.hop_distances(3);
@@ -259,10 +196,6 @@ mod tests {
         let g = triangle_plus_leaf();
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.mean_degree(), 2.0);
-        let hist = g.degree_histogram();
-        assert_eq!(hist[1], 1); // leaf
-        assert_eq!(hist[2], 2);
-        assert_eq!(hist[3], 1);
     }
 
     #[test]

@@ -184,53 +184,6 @@ impl UGraph {
         }
         true
     }
-
-    /// Number of edges whose endpoints are both in `set` (0 iff independent).
-    pub fn conflict_count(&self, in_set: &[bool]) -> usize {
-        self.edges().filter(|&(u, v)| in_set[u] && in_set[v]).count()
-    }
-
-    /// Connected components, each a sorted node list, ordered by smallest node.
-    pub fn connected_components(&self) -> Vec<Vec<usize>> {
-        let mut seen = vec![false; self.n];
-        let mut comps = Vec::new();
-        for start in 0..self.n {
-            if seen[start] {
-                continue;
-            }
-            let mut comp = Vec::new();
-            let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(v) = stack.pop() {
-                comp.push(v);
-                for &w in self.neighbors(v) {
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            comp.sort_unstable();
-            comps.push(comp);
-        }
-        comps
-    }
-
-    /// BFS distances from `src` (`usize::MAX` for unreachable nodes).
-    pub fn bfs_distances(&self, src: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.n];
-        dist[src] = 0;
-        let mut queue = std::collections::VecDeque::from([src]);
-        while let Some(v) = queue.pop_front() {
-            for &w in self.neighbors(v) {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[v] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
-    }
 }
 
 #[cfg(test)]
@@ -288,18 +241,6 @@ mod tests {
         assert!(g.is_independent_set(&[0, 2]));
         assert!(!g.is_independent_set(&[0, 1]));
         assert!(g.is_independent_set(&[]));
-        assert_eq!(g.conflict_count(&[true, true, true]), 2);
-        assert_eq!(g.conflict_count(&[true, false, true]), 0);
-    }
-
-    #[test]
-    fn components_and_bfs() {
-        let g = UGraph::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-        let comps = g.connected_components();
-        assert_eq!(comps, vec![vec![0, 1, 2], vec![3, 4]]);
-        let d = g.bfs_distances(0);
-        assert_eq!(d[2], 2);
-        assert_eq!(d[3], usize::MAX);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::sync::Arc;
 pub use json::Json;
 pub use metrics::{HistSnapshot, MetricKey, MetricsSnapshot, Registry};
 pub use recorder::FlightRecorder;
-pub use session::{init_cli_env, init_from_env, threads_from_env, ObsOptions, ObsSession};
+pub use session::{init_cli_env, threads_from_env, ObsOptions, ObsSession};
 pub use slo::{SloConfig, SloTracker, TickVerdict};
 pub use timeseries::{TimeSeries, TimeSeriesSnapshot};
 pub use trace::{current_span_path, Span, TraceSink};

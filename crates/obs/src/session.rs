@@ -204,12 +204,6 @@ fn write_report(path: &Path, contents: &str, what: &str) {
     }
 }
 
-/// Activates observability from the `AFTER_*` env vars alone (no CLI
-/// parsing) — for tests and library embedders.
-pub fn init_from_env() -> ObsSession {
-    ObsSession::start(ObsOptions::from_env())
-}
-
 /// Activates observability from the process CLI arguments and environment:
 /// the one-liner for the table/figure binaries.
 pub fn init_cli_env() -> ObsSession {

@@ -1332,6 +1332,7 @@ mod tests {
             }
             for t in 0..frames.len() {
                 assert!(pruned.state(t).is_pruned());
+                assert!(!full.state(t).is_pruned() && full.state(t).candidates(0).is_none());
                 let (fp, fd, fo, fm) = full.state(t).clone().into_parts();
                 let (pp, pd, po, pm) = pruned.state(t).clone().into_parts();
                 assert_eq!(fp, pp, "seed {seed} t={t}: positions");

@@ -153,11 +153,6 @@ impl CandidateSet {
         u32::try_from(w).map(|w| self.ids.binary_search(&w).is_ok()).unwrap_or(false)
     }
 
-    /// The member index of user `w`, if present.
-    pub fn index_of(&self, w: usize) -> Option<usize> {
-        u32::try_from(w).ok().and_then(|w| self.ids.binary_search(&w).ok())
-    }
-
     /// The serving decision over the shortlist: the `top_k` nearest
     /// mask-true members by `(distance, id)`, returned nearest-first. At a
     /// complete shortlist (`K ≥ N−1`) this selects exactly the users the
@@ -443,7 +438,6 @@ mod tests {
         assert_eq!(cs.viewer(), 2);
         assert_eq!(cs.len(), 4);
         assert!(cs.contains(3) && !cs.contains(2) && !cs.contains(4));
-        assert_eq!(cs.index_of(5), Some(3));
         // mask-false member 3 is skipped; ties by id put 1 before 0
         assert_eq!(cs.decide_topk(2), vec![1, 0]);
         assert_eq!(cs.decide_topk(9), vec![1, 0, 5]);

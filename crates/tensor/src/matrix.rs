@@ -442,11 +442,6 @@ impl Matrix {
         self.zip_with(rhs, |a, b| a - b)
     }
 
-    /// Hadamard (entry-wise) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a * b)
-    }
-
     /// In-place `self += rhs`.
     pub fn add_assign(&mut self, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "add_assign shape mismatch");
@@ -615,7 +610,6 @@ mod tests {
         let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }
 

@@ -112,24 +112,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Convenience: runs `f` (a forward + backward pass returning the loss) for
-/// `steps` iterations with an optimizer step after each, returning the loss
-/// trajectory. Useful in tests and examples.
-pub fn minimize(
-    store: &mut ParamStore,
-    optimizer: &mut impl Optimizer,
-    steps: usize,
-    mut f: impl FnMut(&mut ParamStore) -> f64,
-) -> Vec<f64> {
-    let mut losses = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let loss = f(store);
-        optimizer.step(store);
-        losses.push(loss);
-    }
-    losses
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

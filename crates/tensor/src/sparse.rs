@@ -186,14 +186,6 @@ impl CsrAdj {
         &self.vals
     }
 
-    /// Iterator over row `r`'s `(col, value)` entries.
-    pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
-            .iter()
-            .copied()
-            .zip(self.vals[self.row_ptr[r]..self.row_ptr[r + 1]].iter().copied())
-    }
-
     /// SpMM: `self · rhs` with a dense right-hand side.
     ///
     /// Each stored `a_ij` scatters `a_ij · rhs.row(j)` into `out.row(i)`;
@@ -419,7 +411,7 @@ mod tests {
         assert!(csr.to_dense().approx_eq(&expected, 0.0));
         // columns strictly increasing within each row
         for r in 0..3 {
-            let cols: Vec<usize> = csr.row_entries(r).map(|(c, _)| c).collect();
+            let cols = &csr.col_idx()[csr.row_ptr()[r]..csr.row_ptr()[r + 1]];
             assert!(cols.windows(2).all(|w| w[0] < w[1]));
         }
     }
