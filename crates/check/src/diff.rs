@@ -1154,222 +1154,6 @@ impl DiffSubject for MultiRoomVsSequential {
 }
 
 // ---------------------------------------------------------------------------
-// Session pair: pruned shortlist reuse vs. per-tick rebuild (bit-identical).
-// ---------------------------------------------------------------------------
-
-/// A churn-heavy scene-maintenance workload: bounded random walks spiked
-/// with teleports, plus join/leave churn modeled as teleports to and from a
-/// shared lobby point far outside the room (the engine keeps a fixed frame
-/// width, so "absent" users park — coincident and stationary — in the
-/// lobby, exercising the degenerate-arc and sort-tie paths).
-#[derive(Debug, Clone)]
-pub struct IncrementalSceneCase {
-    /// Participant count (fixed frame width; churn is positional).
-    pub n: usize,
-    /// Registered viewers (unique, ascending, all `< n`).
-    pub viewers: Vec<usize>,
-    /// Recommendation size for the decision stream.
-    pub top_k: usize,
-    /// Shortlist size handed to both engines (`1..=n − 1`).
-    pub prune_k: usize,
-    /// MR participation mask.
-    pub mr_mask: Vec<bool>,
-    /// State retention handed to both engines (`None` = unbounded).
-    pub retention: Option<usize>,
-    /// Ingest snap radius handed to both engines.
-    pub snap_epsilon: f64,
-    /// Positions per tick, `frames[t]` of length `n`.
-    pub frames: Vec<Vec<Point2>>,
-}
-
-/// The pruned scene engine with shortlist reuse (`set_incremental(true)`: a
-/// stationary viewer whose shortlist membership and members all stood still
-/// keeps its previous shortlist by pointer) vs. the same engine rebuilding
-/// every shortlist (`set_incremental(false)`) on the same frame stream.
-/// Reuse is an optimization, not an approximation: every tick's snapped
-/// positions, each viewer's shortlist ids, member distances (bitwise),
-/// restricted edges and mask bits, and its [`xr_session::CandidateSet::decide_topk`]
-/// decision must be identical across teleports, lobby churn, snapping, and
-/// tight retention windows.
-pub struct IncrementalVsFromScratch;
-
-impl DiffSubject for IncrementalVsFromScratch {
-    type Case = IncrementalSceneCase;
-
-    fn pair(&self) -> String {
-        "session: pruned shortlist reuse vs per-tick rebuild".to_string()
-    }
-
-    fn generate(&self, rng: &mut StdRng) -> IncrementalSceneCase {
-        let (n, ticks) = (4usize..10, 3usize..9).generate(rng);
-        let viewer_count = (1usize..4).generate(rng).min(n);
-        let mut viewers: Vec<usize> = (0..viewer_count).map(|_| (0usize..n).generate(rng)).collect();
-        viewers.sort_unstable();
-        viewers.dedup();
-        let top_k = (1usize..5).generate(rng);
-        let prune_k = (1usize..n).generate(rng);
-        let mr_mask: Vec<bool> = (0..n).map(|_| (0u32..2).generate(rng) == 1).collect();
-        let retention = match (0u32..3).generate(rng) {
-            0 => None,
-            1 => Some(1),
-            _ => Some(2),
-        };
-        // half the cases snap nothing; the rest absorb part of the walk
-        let snap_epsilon = if (0u32..2).generate(rng) == 0 { 0.0 } else { (0.0f64..0.1).generate(rng) };
-        // motion regime per case: mostly-coherent walks with occasional
-        // teleports and lobby churn, biased so some cases are near-static
-        // (most shortlists reused) and some are storms (constant rebuilds)
-        let (teleport_prob, churn_prob) = (0.0f64..0.35, 0.0f64..0.35).generate(rng);
-        let step = (0.02f64..0.8).generate(rng);
-        let lobby = Point2::new(20.0, 20.0);
-        let in_room_pos = |rng: &mut StdRng| -> Point2 {
-            Point2::new((-4.0f64..4.0).generate(rng), (-4.0f64..4.0).generate(rng))
-        };
-        let mut in_room: Vec<bool> = (0..n).map(|_| (0u32..4).generate(rng) != 0).collect();
-        let mut current: Vec<Point2> =
-            (0..n).map(|i| if in_room[i] { in_room_pos(rng) } else { lobby }).collect();
-        let mut frames = vec![current.clone()];
-        for _ in 1..ticks {
-            for i in 0..n {
-                if (0.0f64..1.0).generate(rng) < churn_prob {
-                    // join/leave churn: swap sides of the lobby door
-                    in_room[i] = !in_room[i];
-                    current[i] = if in_room[i] { in_room_pos(rng) } else { lobby };
-                } else if !in_room[i] {
-                    // parked in the lobby: bit-identical (stationary)
-                } else if (0.0f64..1.0).generate(rng) < teleport_prob {
-                    current[i] = in_room_pos(rng);
-                } else {
-                    let (dx, dy) = (-step..step, -step..step).generate(rng);
-                    current[i] = Point2::new(
-                        (current[i].x + dx).clamp(-4.0, 4.0),
-                        (current[i].y + dy).clamp(-4.0, 4.0),
-                    );
-                }
-            }
-            frames.push(current.clone());
-        }
-        IncrementalSceneCase { n, viewers, top_k, prune_k, mr_mask, retention, snap_epsilon, frames }
-    }
-
-    fn compare(&self, case: &IncrementalSceneCase) -> Option<StepDivergence> {
-        use xr_session::{Frame, SceneConfig, SceneEngine};
-
-        let scene = SceneConfig {
-            body_radius: 0.2,
-            mr_mask: case.mr_mask.clone(),
-            room_diagonal: 8.0 * std::f64::consts::SQRT_2,
-        };
-        let build = |incremental: bool| {
-            let mut engine = SceneEngine::new(case.n, scene.clone(), &case.viewers);
-            engine.set_incremental(incremental);
-            engine.set_state_retention(case.retention);
-            engine.set_snap_epsilon(case.snap_epsilon);
-            engine.set_prune_k(case.prune_k);
-            engine
-        };
-        let mut inc = build(true);
-        let mut oracle = build(false);
-
-        for (t, frame) in case.frames.iter().enumerate() {
-            inc.push(Frame::new(frame.clone()));
-            oracle.push(Frame::new(frame.clone()));
-            // compare the freshly pushed tick — always retained, even at
-            // retention=1 (the regression this subject pins)
-            let (si, so) = (inc.state(t), oracle.state(t));
-            for (i, (p, q)) in si.positions().iter().zip(so.positions()).enumerate() {
-                if p.x.to_bits() != q.x.to_bits() || p.y.to_bits() != q.y.to_bits() {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!("position[{i}] at t={t}: reuse {p:?} vs rebuild {q:?}"),
-                    });
-                }
-            }
-            for &viewer in &case.viewers {
-                let ci = inc.view(viewer, t).candidates().expect("prune_k > 0 builds shortlists");
-                let co = oracle.view(viewer, t).candidates().expect("prune_k > 0 builds shortlists");
-                let bits = |cs: &xr_session::CandidateSet| -> Vec<u64> {
-                    cs.distances().iter().map(|d| d.to_bits()).collect()
-                };
-                let field = if ci.ids() != co.ids() {
-                    Some(("ids", format!("{:?} vs {:?}", ci.ids(), co.ids())))
-                } else if bits(ci) != bits(co) {
-                    Some(("distances", format!("{:?} vs {:?}", ci.distances(), co.distances())))
-                } else if ci.edges() != co.edges() {
-                    Some(("edges", format!("{:?} vs {:?}", ci.edges(), co.edges())))
-                } else if ci.mask() != co.mask() {
-                    Some(("mask", format!("{:?} vs {:?}", ci.mask(), co.mask())))
-                } else {
-                    None
-                };
-                if let Some((name, values)) = field {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!(
-                            "viewer {viewer} shortlist {name} at t={t}: reuse vs rebuild {values}"
-                        ),
-                    });
-                }
-                let (di, ds) = (ci.decide_topk(case.top_k), co.decide_topk(case.top_k));
-                if di != ds {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!("viewer {viewer} decision at t={t}: reuse {di:?} vs rebuild {ds:?}"),
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    fn shrink(&self, case: &IncrementalSceneCase) -> Vec<IncrementalSceneCase> {
-        let mut out = Vec::new();
-        if case.frames.len() > 2 {
-            out.push(IncrementalSceneCase {
-                frames: case.frames[..case.frames.len() / 2].to_vec(),
-                ..case.clone()
-            });
-            out.push(IncrementalSceneCase { frames: case.frames[1..].to_vec(), ..case.clone() });
-        }
-        if case.n > 3 {
-            let n = case.n / 2;
-            let mut viewers: Vec<usize> = case.viewers.iter().copied().filter(|&v| v < n).collect();
-            if viewers.is_empty() {
-                viewers.push(0);
-            }
-            out.push(IncrementalSceneCase {
-                n,
-                viewers,
-                prune_k: case.prune_k.min(n - 1),
-                mr_mask: case.mr_mask[..n].to_vec(),
-                frames: case.frames.iter().map(|f| f[..n].to_vec()).collect(),
-                ..case.clone()
-            });
-        }
-        if case.retention.is_some() {
-            out.push(IncrementalSceneCase { retention: None, ..case.clone() });
-        }
-        if case.snap_epsilon > 0.0 {
-            out.push(IncrementalSceneCase { snap_epsilon: 0.0, ..case.clone() });
-        }
-        out
-    }
-
-    fn describe(&self, case: &IncrementalSceneCase) -> String {
-        format!(
-            "n={} users, {} ticks, viewers {:?}, top_k={}, prune_k={}, retention {:?}, snap_epsilon={}",
-            case.n,
-            case.frames.len(),
-            case.viewers,
-            case.top_k,
-            case.prune_k,
-            case.retention,
-            case.snap_epsilon
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Session pair: K-candidate pruned maintenance vs. full-N scene state.
 // ---------------------------------------------------------------------------
 
@@ -1387,8 +1171,6 @@ pub struct PrunedSceneCase {
     pub serve_k: usize,
     /// MR participation mask.
     pub mr_mask: Vec<bool>,
-    /// Whether the engines run incremental maintenance.
-    pub incremental: bool,
     /// Positions per tick, `frames[t]` of length `n`.
     pub frames: Vec<Vec<Point2>>,
 }
@@ -1442,7 +1224,6 @@ impl DiffSubject for PrunedVsFull {
         let top_k = (1usize..6).generate(rng);
         let serve_k = ((2 * n).div_ceil(3).max(5)..n).generate(rng).min(n - 1);
         let mr_mask: Vec<bool> = (0..n).map(|_| (0u32..2).generate(rng) == 1).collect();
-        let incremental = (0u32..2).generate(rng) == 1;
         let (teleport_prob, churn_prob) = (0.0f64..0.3, 0.0f64..0.3).generate(rng);
         let step = (0.02f64..0.8).generate(rng);
         let lobby = Point2::new(20.0, 20.0);
@@ -1472,7 +1253,7 @@ impl DiffSubject for PrunedVsFull {
             }
             frames.push(current.clone());
         }
-        PrunedSceneCase { n, viewers, top_k, serve_k, mr_mask, incremental, frames }
+        PrunedSceneCase { n, viewers, top_k, serve_k, mr_mask, frames }
     }
 
     fn compare(&self, case: &PrunedSceneCase) -> Option<StepDivergence> {
@@ -1485,7 +1266,6 @@ impl DiffSubject for PrunedVsFull {
         };
         let build = |prune_k: usize| {
             let mut engine = SceneEngine::new(case.n, scene.clone(), &case.viewers);
-            engine.set_incremental(case.incremental);
             engine.set_prune_k(prune_k);
             engine
         };
@@ -1623,25 +1403,20 @@ impl DiffSubject for PrunedVsFull {
                 top_k: case.top_k,
                 serve_k: case.serve_k.min(n - 1),
                 mr_mask: case.mr_mask[..n].to_vec(),
-                incremental: case.incremental,
                 frames: case.frames.iter().map(|f| f[..n].to_vec()).collect(),
             });
-        }
-        if case.incremental {
-            out.push(PrunedSceneCase { incremental: false, ..case.clone() });
         }
         out
     }
 
     fn describe(&self, case: &PrunedSceneCase) -> String {
         format!(
-            "n={} users, {} ticks, viewers {:?}, top_k={}, serve_k={}, incremental={}",
+            "n={} users, {} ticks, viewers {:?}, top_k={}, serve_k={}",
             case.n,
             case.frames.len(),
             case.viewers,
             case.top_k,
-            case.serve_k,
-            case.incremental
+            case.serve_k
         )
     }
 }

@@ -20,7 +20,9 @@
 //! CSR graph) must stay at a small constant number of allocations per
 //! viewer, not one per node or per edge-set block. The tick stores only
 //! per-viewer rows, so no single allocation it makes may be as large as a
-//! dense N×N f64 matrix.
+//! dense N×N f64 matrix. A pruned tick (a 2000-user stadium at K = 64)
+//! builds every viewer's shortlist from its frame and is held to the same
+//! per-viewer allocation budget.
 //!
 //! The counter is process-wide, so every test here holds [`SERIAL`]: a test
 //! training concurrently on another thread would otherwise leak its
@@ -31,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use poshgnn::{AfterRecommender, PoshGnn, PoshGnnConfig, StepView, TargetContext};
-use xr_datasets::{Dataset, DatasetKind, ScenarioConfig};
+use xr_datasets::{Dataset, DatasetKind, ScenarioConfig, VenueConfig, VenueSim};
 use xr_graph::Point2;
 use xr_session::{Frame, SceneConfig, SceneEngine};
 
@@ -219,7 +221,6 @@ fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
     let viewers: Vec<usize> = (0..VIEWERS).map(|i| i * (N / VIEWERS)).collect();
     let mut engine = SceneEngine::new(N, SceneConfig::from_scenario(&scenario), &viewers);
     engine.set_slo(None);
-    engine.set_snap_epsilon(0.0);
     engine.set_state_retention(Some(2));
     let mut frames: Vec<Frame> = scenario
         .trajectories
@@ -264,6 +265,54 @@ fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
         per_viewer <= BUDGET_PER_VIEWER,
         "a steady-state dense push makes {per_viewer} allocations per viewer per tick (budget \
          {BUDGET_PER_VIEWER}) — the occlusion-graph build went back to per-node or per-edge allocation"
+    );
+}
+
+#[test]
+fn pruned_scene_tick_allocates_at_most_32_times_per_viewer() {
+    // a stadium crowd served at K = 64 with bounded retention: each push
+    // builds one spatial index and a fresh shortlist per viewer; measured
+    // 7 per viewer, so the dense tick's budget leaves the same headroom
+    const N: usize = 2000;
+    const K: usize = 64;
+    const VIEWERS: usize = 8;
+    const WARM: usize = 4;
+    const MEASURED: usize = 16;
+    const BUDGET_PER_VIEWER: u64 = 32;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = VenueSim::new(VenueConfig::stadium(N, 1));
+    let scene = SceneConfig {
+        body_radius: sim.config().body_radius,
+        mr_mask: sim.config().mr_mask(),
+        room_diagonal: sim.config().room_diagonal(),
+    };
+    let viewers: Vec<usize> = (0..VIEWERS).map(|i| i * (N / VIEWERS)).collect();
+    let mut engine = SceneEngine::new(N, scene, &viewers);
+    engine.set_prune_k(K);
+    engine.set_state_retention(Some(2));
+    // frames are built up front so only the engine's own work is counted
+    let frames: Vec<Frame> = (0..WARM + MEASURED).map(|_| Frame::new(sim.next_frame())).collect();
+    let mut frames = frames.into_iter();
+    for frame in frames.by_ref().take(WARM) {
+        engine.push(frame);
+    }
+    let allocations = allocations_during(|| {
+        for frame in frames {
+            engine.push(frame);
+        }
+    });
+    let per_viewer = allocations / (MEASURED * VIEWERS) as u64;
+    let members: usize =
+        viewers.iter().map(|&v| engine.view(v, engine.ticks() - 1).candidates().unwrap().len()).sum();
+    eprintln!(
+        "pruned push at N={N}, K={K}: {allocations} allocations over {MEASURED} ticks × {VIEWERS} viewers \
+         = {per_viewer} per viewer per tick"
+    );
+    assert_eq!(members, K * VIEWERS, "every viewer's shortlist must be full");
+    assert!(
+        per_viewer <= BUDGET_PER_VIEWER,
+        "a steady-state pruned push makes {per_viewer} allocations per viewer per tick (budget \
+         {BUDGET_PER_VIEWER}) — the shortlist build went back to per-member allocation"
     );
 }
 

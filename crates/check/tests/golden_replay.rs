@@ -30,8 +30,7 @@ fn every_explicit_reference_path_reproduces_the_golden_file() {
     // The golden file predates every optimization layer and must stay
     // untouched: the episode MIA cache and pooled tape (vs. fresh per-step
     // MIA and per-episode tapes) and the dense payload (vs. complete K = n−1
-    // shortlists, with and without shortlist reuse) each have to replay it
-    // byte for byte.
+    // shortlists) each have to replay it byte for byte.
     let small = ReplayConfig::small();
     let n = small.scenario.n_participants;
     let fresh = ReplayConfig {
@@ -41,13 +40,6 @@ fn every_explicit_reference_path_reproduces_the_golden_file() {
     let references = [
         ("fresh_mia + fresh_tape", replay(&fresh)),
         ("set_prune_k(n - 1)", replay_with(&small, |e| e.set_prune_k(n - 1))),
-        (
-            "set_prune_k(n - 1) + set_incremental(false)",
-            replay_with(&small, |e| {
-                e.set_prune_k(n - 1);
-                e.set_incremental(false);
-            }),
-        ),
     ];
     let default = replay(&small);
     for (label, snapshot) in &references {
@@ -76,7 +68,6 @@ fn oracle_environment_variables_no_longer_select_a_path() {
     let snapshot = with_env_vars(&oracle_env, || {
         let scene = SceneConfig { body_radius: 0.2, mr_mask: vec![false; 4], room_diagonal: 1.0 };
         let engine = SceneEngine::new(4, scene, &[0]);
-        assert!(engine.incremental(), "AFTER_INCREMENTAL selected the from-scratch path");
         assert_eq!(engine.prune_k(), 0, "AFTER_PRUNE_K selected the pruned payload");
         assert!(engine.slo().is_none(), "AFTER_SLO_BUDGET_MS installed a scene deadline tracker");
         assert!(ServerConfig::default().slo.is_none(), "AFTER_SLO_BUDGET_MS set the server budget");

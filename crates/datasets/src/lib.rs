@@ -23,9 +23,6 @@ pub mod venue;
 
 pub use catalog::{Dataset, DatasetKind};
 pub use embedding::{spectral_embedding, SpectralEmbedding};
-pub use scenario::{
-    apply_motion_profile, generate_trajectories_with_motion, Interface, MotionProfile, Scenario,
-    ScenarioConfig,
-};
+pub use scenario::{Interface, Scenario, ScenarioConfig};
 pub use utility::PreferenceModel;
 pub use venue::{VenueConfig, VenueKind, VenueSim, VenueZone};

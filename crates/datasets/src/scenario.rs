@@ -171,125 +171,6 @@ pub fn generate_trajectories(
     frames
 }
 
-/// Temporal-coherence shaping for generated trajectories: the knobs
-/// benchmarks sweep to model bounded per-tick motion, idle dwellers, and
-/// teleports/churn (a user "leaving" and "re-joining" is a teleport to and
-/// from a parking spot under a fixed-width frame).
-///
-/// The default profile is the identity — [`apply_motion_profile`] then
-/// touches neither the frames nor the RNG, so legacy trajectories (and the
-/// golden replay built on them) are bit-for-bit unchanged.
-#[derive(Debug, Clone, Copy)]
-pub struct MotionProfile {
-    /// Per-tick displacement clamp, meters: a user's step from the previous
-    /// shaped position toward the raw simulated position is truncated to
-    /// this length. `None` leaves steps unclamped.
-    pub max_step: Option<f64>,
-    /// Per-user, per-tick probability of an instantaneous teleport to a
-    /// uniform point in the room.
-    pub teleport_prob: f64,
-    /// Per-user, per-tick probability of holding the previous position
-    /// *exactly* (bitwise dwell — what pruned shortlist reuse feeds on).
-    pub dwell_prob: f64,
-    /// Sensor-noise amplitude, meters: every emitted position is the shaped
-    /// *anchor* plus a fresh uniform offset in `[-jitter, jitter]²`. Unlike
-    /// the walk knobs the noise oscillates *around* the anchor instead of
-    /// accumulating, which is what head-tracking jitter looks like — and
-    /// what an ingest snap epsilon `≥ 2·√2·jitter` absorbs entirely. `0.0`
-    /// (the default) emits the anchors themselves, bit-for-bit the
-    /// pre-jitter behavior, and draws no randomness.
-    pub jitter: f64,
-}
-
-impl Default for MotionProfile {
-    fn default() -> Self {
-        MotionProfile { max_step: None, teleport_prob: 0.0, dwell_prob: 0.0, jitter: 0.0 }
-    }
-}
-
-impl MotionProfile {
-    /// `true` when the profile changes nothing (the default).
-    pub fn is_identity(&self) -> bool {
-        self.max_step.is_none() && self.teleport_prob == 0.0 && self.dwell_prob == 0.0 && self.jitter == 0.0
-    }
-}
-
-/// Reshapes simulated trajectories in place per a [`MotionProfile`]: frame 0
-/// is kept; each later frame's *anchor* is rebuilt per user as teleport /
-/// exact dwell / (possibly clamped) step toward the raw simulated position,
-/// in that precedence, and the emitted position is the anchor plus sensor
-/// jitter. Anchors — not emitted positions — chain across ticks, so jitter
-/// oscillates in place instead of compounding into a random walk. RNG draws
-/// happen only for enabled knobs, so an identity profile consumes no
-/// randomness and `jitter: 0.0` leaves the draw stream of the walk knobs
-/// untouched.
-pub fn apply_motion_profile(
-    frames: &mut [Vec<Point2>],
-    room: Room,
-    body_radius: f64,
-    profile: &MotionProfile,
-    rng: &mut StdRng,
-) {
-    if profile.is_identity() || frames.len() < 2 {
-        return;
-    }
-    assert!((0.0..=1.0).contains(&profile.teleport_prob), "teleport_prob out of range");
-    assert!((0.0..=1.0).contains(&profile.dwell_prob), "dwell_prob out of range");
-    if let Some(step) = profile.max_step {
-        assert!(step.is_finite() && step >= 0.0, "max_step must be finite and non-negative");
-    }
-    assert!(profile.jitter.is_finite() && profile.jitter >= 0.0, "jitter must be finite and non-negative");
-    let n = frames[0].len();
-    let mut anchors = frames[0].clone();
-    for frame in frames.iter_mut().skip(1) {
-        for i in 0..n {
-            let prev = anchors[i];
-            anchors[i] = if profile.teleport_prob > 0.0 && rng.gen_bool(profile.teleport_prob) {
-                Point2::new(
-                    rng.gen_range(room.min.x + body_radius..room.max.x - body_radius),
-                    rng.gen_range(room.min.y + body_radius..room.max.y - body_radius),
-                )
-            } else if profile.dwell_prob > 0.0 && rng.gen_bool(profile.dwell_prob) {
-                prev
-            } else {
-                let target = frame[i];
-                match profile.max_step {
-                    Some(max_step) if prev.distance(target) > max_step => {
-                        let scale = max_step / prev.distance(target);
-                        Point2::new(
-                            prev.x + (target.x - prev.x) * scale,
-                            prev.y + (target.y - prev.y) * scale,
-                        )
-                    }
-                    _ => target,
-                }
-            };
-            frame[i] = if profile.jitter > 0.0 {
-                let j = profile.jitter;
-                Point2::new(anchors[i].x + rng.gen_range(-j..j), anchors[i].y + rng.gen_range(-j..j))
-            } else {
-                anchors[i]
-            };
-        }
-    }
-}
-
-/// [`generate_trajectories`] followed by [`apply_motion_profile`] — the
-/// coherence-swept generator entry point for benchmarks and differential
-/// workloads. An identity profile is bit-for-bit `generate_trajectories`.
-pub fn generate_trajectories_with_motion(
-    n: usize,
-    time_steps: usize,
-    room: Room,
-    body_radius: f64,
-    profile: &MotionProfile,
-    rng: &mut StdRng,
-) -> Vec<Vec<Point2>> {
-    let mut frames = generate_trajectories(n, time_steps, room, body_radius, rng);
-    apply_motion_profile(&mut frames, room, body_radius, profile, rng);
-    frames
-}
-
 /// Snowball-samples `n` participants from the universe: a random seed user's
 /// social neighborhood is expanded breadth-first (shuffled per ring) until
 /// `n` users are collected, falling back to uniform fill when the component
@@ -483,78 +364,5 @@ mod tests {
     fn oversampling_panics() {
         let full = tiny_full(5);
         sample_scenario("test", &tiny_graph(5), &full, &full, &cfg(10, 2, 1));
-    }
-
-    #[test]
-    fn identity_motion_profile_is_bitwise_legacy() {
-        let room = Room::new(8.0, 8.0);
-        let mut rng_a = StdRng::seed_from_u64(42);
-        let a = generate_trajectories(12, 10, room, 0.2, &mut rng_a);
-        let mut rng_b = StdRng::seed_from_u64(42);
-        let b = generate_trajectories_with_motion(12, 10, room, 0.2, &MotionProfile::default(), &mut rng_b);
-        assert_eq!(a, b, "identity profile must not perturb frames or RNG state");
-        // and the RNG streams stayed in lockstep
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-    }
-
-    #[test]
-    fn max_step_bounds_per_tick_displacement() {
-        let room = Room::new(8.0, 8.0);
-        let mut rng = StdRng::seed_from_u64(43);
-        let profile = MotionProfile { max_step: Some(0.05), ..MotionProfile::default() };
-        let frames = generate_trajectories_with_motion(15, 20, room, 0.2, &profile, &mut rng);
-        for w in frames.windows(2) {
-            for (p0, p1) in w[0].iter().zip(&w[1]) {
-                let d = p0.distance(*p1);
-                assert!(d <= 0.05 + 1e-12, "step {d} exceeds the clamp");
-                assert!(room.contains(*p1));
-            }
-        }
-    }
-
-    #[test]
-    fn dwell_produces_bitwise_stationary_users_and_teleports_jump() {
-        let room = Room::new(8.0, 8.0);
-        let mut rng = StdRng::seed_from_u64(44);
-        let profile =
-            MotionProfile { max_step: Some(0.1), teleport_prob: 0.05, dwell_prob: 0.6, jitter: 0.0 };
-        let frames = generate_trajectories_with_motion(20, 30, room, 0.2, &profile, &mut rng);
-        let mut dwells = 0usize;
-        let mut jumps = 0usize;
-        for w in frames.windows(2) {
-            for (p0, p1) in w[0].iter().zip(&w[1]) {
-                let d = p0.distance(*p1);
-                if p1 == p0 {
-                    dwells += 1;
-                } else if d > 0.1 + 1e-12 {
-                    jumps += 1; // beyond the clamp ⇒ must be a teleport
-                }
-                assert!(room.contains(*p1));
-            }
-        }
-        assert!(dwells > 100, "dwell_prob=0.6 over 600 user-ticks produced only {dwells} dwells");
-        assert!(jumps > 0, "teleport_prob=0.05 produced no jumps");
-    }
-
-    #[test]
-    fn jitter_oscillates_around_anchors_without_drifting() {
-        let room = Room::new(8.0, 8.0);
-        let mut rng = StdRng::seed_from_u64(45);
-        // max_step 0 pins every anchor at frame 0, so all emitted motion is
-        // pure sensor noise — it must stay inside the jitter box forever
-        // instead of compounding into a random walk
-        let profile =
-            MotionProfile { max_step: Some(0.0), teleport_prob: 0.0, dwell_prob: 0.0, jitter: 0.01 };
-        let frames = generate_trajectories_with_motion(15, 40, room, 0.2, &profile, &mut rng);
-        for (t, frame) in frames.iter().enumerate().skip(1) {
-            for i in 0..15 {
-                let d = frame[i].distance(frames[0][i]);
-                assert!(
-                    d <= 0.01 * std::f64::consts::SQRT_2 + 1e-12,
-                    "tick {t}: user {i} drifted {d} from its anchor"
-                );
-            }
-        }
-        assert_ne!(frames[1], frames[0], "jitter must actually perturb emitted positions");
     }
 }

@@ -5,15 +5,14 @@
 //! Venue-scale serving benchmarks need *frames*, not collision-accurate
 //! trajectories: tens of thousands of users with realistic density structure
 //! (zoned annuli — a mosh pit is 10× denser than the fringe), temporal
-//! coherence (bounded per-tick steps, so shortlist reuse has something to
-//! feed on), and the churn patterns that stress a serving
-//! layer: mid-session join/leave and teleporting users.
+//! coherence (bounded per-tick steps), and the churn patterns that stress a
+//! serving layer: mid-session join/leave and teleporting users.
 //!
 //! [`VenueSim`] is a streaming generator: O(N) state, O(N) per frame, fully
 //! deterministic in its seed. Join/leave churn under a fixed frame width is
 //! modeled by *parking*: a departed user sits **bitwise exactly** at the
 //! lobby point until they rejoin (what the engine's coincidence rule masks
-//! out, and what snap-epsilon ingest and incremental reuse feed on).
+//! out).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -23,12 +23,11 @@
 //! order as the brute-force build, so the resulting graphs — and everything
 //! derived from them — are structurally identical, not just equivalent.
 //!
-//! Every engine starts on dense full-N state, built from scratch on every
-//! tick. The other paths are reached only through explicit calls on an
-//! engine the caller owns — [`SceneEngine::set_prune_k`]`(k)` for
-//! crowd-scale K-candidate shortlists (which reuse unchanged shortlists by
-//! pointer), [`SceneEngine::set_incremental`]`(false)` to rebuild every
-//! shortlist as the oracle for that reuse — never through the environment.
+//! Every tick is built from its frame alone: nothing is carried from the
+//! previous tick on either payload. Every engine starts on dense full-N
+//! state; crowd-scale K-candidate shortlists are reached only through
+//! [`SceneEngine::set_prune_k`]`(k)` on an engine the caller owns, never
+//! through the environment.
 
 pub mod engine;
 pub mod prune;

@@ -156,7 +156,7 @@ impl CandidateSet {
     /// The serving decision over the shortlist: the `top_k` nearest
     /// mask-true members by `(distance, id)`, returned nearest-first. At a
     /// complete shortlist (`K ≥ N−1`) this selects exactly the users the
-    /// full-path [`decide_topk`](https://docs.rs) rule selects.
+    /// full-path rule `xr_serve::decide_topk_f64` selects.
     pub fn decide_topk(&self, top_k: usize) -> Vec<u32> {
         let mut picks: Vec<usize> = (0..self.ids.len()).filter(|&i| self.mask[i]).collect();
         picks.sort_by(|&a, &b| {

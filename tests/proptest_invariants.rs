@@ -3,14 +3,13 @@
 
 use after_xr::poshgnn::{evaluate_sequence, TargetContext};
 use after_xr::xr_crowd::Room;
-use after_xr::xr_datasets::{generate_trajectories_with_motion, Interface, MotionProfile, Scenario};
+use after_xr::xr_datasets::{Interface, Scenario};
 use after_xr::xr_graph::geom::Point2;
 use after_xr::xr_graph::{gig_to_dog, mwis_exact, mwis_greedy, DiskGig, OcclusionConverter, UGraph};
-use after_xr::xr_session::{Frame, SceneConfig, SceneEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Random positions inside a 10×10 room, none coincident with index 0.
 fn positions_strategy(n: usize) -> impl Strategy<Value = Vec<Point2>> {
@@ -120,95 +119,6 @@ proptest! {
         for w in (1..12).step_by(2) {
             if vis_all[w] {
                 prop_assert!(vis_half[w], "user {w} lost visibility when blockers were removed");
-            }
-        }
-    }
-
-    /// Pruned shortlist reuse is an optimization, not an approximation:
-    /// under coherence-swept ORCA walks (bounded steps, teleports, dwells)
-    /// plus mid-session join/leave churn — modeled as teleports to and from
-    /// a shared lobby point — an engine that carries unchanged shortlists
-    /// forward by pointer serves every tick bit-identically to one that
-    /// rebuilds every shortlist, at any K, retention and snap epsilon.
-    #[test]
-    fn incremental_scene_state_is_bitwise_from_scratch(
-        seed in 0u64..10_000,
-        teleport in 0.0f64..0.4,
-        dwell in 0.0f64..0.5,
-        step_cap in 0.05f64..1.5,
-        churn in 0.0f64..0.3,
-        jitter in 0.0f64..0.05,
-        snap in 0.0f64..0.1,
-        k in 1usize..10,
-        retention in 0usize..3,
-    ) {
-        let (n, ticks) = (10usize, 6usize);
-        let room = Room::new(8.0, 8.0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let profile = MotionProfile {
-            max_step: Some(step_cap),
-            teleport_prob: teleport,
-            dwell_prob: dwell,
-            jitter,
-        };
-        let mut frames = generate_trajectories_with_motion(n, ticks, room, 0.25, &profile, &mut rng);
-        // join/leave churn on a fixed frame width: absent users park at a
-        // shared lobby point far outside the room
-        let lobby = Point2::new(30.0, 30.0);
-        let mut present = vec![true; n];
-        for frame in frames.iter_mut().skip(1) {
-            for i in 0..n {
-                if rng.gen_range(0.0..1.0) < churn {
-                    present[i] = !present[i];
-                }
-                if !present[i] {
-                    frame[i] = lobby;
-                }
-            }
-        }
-
-        let scene = SceneConfig {
-            body_radius: 0.25,
-            mr_mask: (0..n).map(|i| i % 2 == 0).collect(),
-            room_diagonal: 8.0 * std::f64::consts::SQRT_2,
-        };
-        let viewers = [0usize, 4, 7];
-        // retention 0 draws "unbounded"; snapping is shared ingest
-        // semantics, so it is set on both engines (including an epsilon
-        // that absorbs the jitter)
-        let keep = if retention == 0 { None } else { Some(retention) };
-        let build = |incremental: bool| {
-            let mut engine = SceneEngine::new(n, scene.clone(), &viewers);
-            engine.set_prune_k(k);
-            engine.set_incremental(incremental);
-            engine.set_state_retention(keep);
-            engine.set_snap_epsilon(snap);
-            engine
-        };
-        let mut inc = build(true);
-        let mut oracle = build(false);
-        for (t, frame) in frames.iter().enumerate() {
-            inc.push(Frame::new(frame.clone()));
-            oracle.push(Frame::new(frame.clone()));
-            let (si, so) = (inc.state(t), oracle.state(t));
-            for (i, (p, q)) in si.positions().iter().zip(so.positions()).enumerate() {
-                prop_assert!(
-                    p.x.to_bits() == q.x.to_bits() && p.y.to_bits() == q.y.to_bits(),
-                    "position[{}] at t={}: reuse {:?} vs rebuild {:?}", i, t, p, q
-                );
-            }
-            for &v in &viewers {
-                let ci = inc.view(v, t).candidates().expect("prune_k > 0 builds shortlists");
-                let co = oracle.view(v, t).candidates().expect("prune_k > 0 builds shortlists");
-                prop_assert_eq!(ci.ids(), co.ids(), "viewer {} ids at t={}", v, t);
-                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                prop_assert_eq!(
-                    bits(ci.distances()), bits(co.distances()),
-                    "viewer {} distances at t={}", v, t
-                );
-                prop_assert_eq!(ci.edges(), co.edges(), "viewer {} edges at t={}", v, t);
-                prop_assert_eq!(ci.mask(), co.mask(), "viewer {} mask at t={}", v, t);
-                prop_assert_eq!(ci.decide_topk(3), co.decide_topk(3), "viewer {} decision at t={}", v, t);
             }
         }
     }

@@ -10,7 +10,6 @@ use after_xr::xr_baselines::{
 };
 use after_xr::xr_datasets::{Dataset, DatasetKind, Scenario, ScenarioConfig};
 use after_xr::xr_eval::RenderAllRecommender;
-use after_xr::xr_session::SceneEngine;
 
 fn scenario() -> Scenario {
     let dataset = Dataset::generate(DatasetKind::Hubs, 2);
@@ -170,28 +169,6 @@ fn vr_targets_see_everyone_and_still_never_themselves() {
 
 #[test]
 fn decisions_never_depend_on_future_frames() {
-    assert_no_lookahead(true);
-}
-
-#[test]
-fn decisions_never_depend_on_future_frames_under_either_maintenance_mode() {
-    // `set_incremental` selects whether pruned shortlists are reused across
-    // ticks; dense engines build every tick from its frame under either
-    // setting, and the no-lookahead contract must hold under both.
-    assert_no_lookahead(true);
-    assert_no_lookahead(false);
-}
-
-/// Target 0's context, built on an engine pinned to the given maintenance
-/// path.
-fn context_with_maintenance(scenario: &Scenario, incremental: bool) -> TargetContext {
-    let mut engine = SceneEngine::for_scenario(scenario, &[0]);
-    engine.set_incremental(incremental);
-    engine.push_scenario(scenario);
-    TargetContext::with_engine(scenario, engine, &[(0, 0.5)]).pop().expect("one request, one context")
-}
-
-fn assert_no_lookahead(incremental: bool) {
     // The stepwise contract: a view at tick t exposes only ticks 0..=t, so
     // rewriting the world strictly after t_cut must leave every decision at
     // or before t_cut untouched — for every method in the workspace.
@@ -208,8 +185,8 @@ fn assert_no_lookahead(incremental: bool) {
     }
     assert_ne!(original.trajectories, perturbed.trajectories, "perturbation was a no-op");
 
-    let ctx_a = context_with_maintenance(&original, incremental);
-    let ctx_b = context_with_maintenance(&perturbed, incremental);
+    let ctx_a = TargetContext::new(&original, 0, 0.5);
+    let ctx_b = TargetContext::new(&perturbed, 0, 0.5);
     // Both instance sets are fitted on the *original* scenario — offline
     // training data is not the stepwise input under test here.
     let twins = all_recommenders(&original).into_iter().zip(all_recommenders(&original));
