@@ -271,8 +271,9 @@ fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
 #[test]
 fn pruned_scene_tick_allocates_at_most_32_times_per_viewer() {
     // a stadium crowd served at K = 64 with bounded retention: each push
-    // builds one spatial index and a fresh shortlist per viewer; measured
-    // 7 per viewer, so the dense tick's budget leaves the same headroom
+    // rebuilds the spatial index into the engine's buffers and builds a
+    // fresh shortlist per viewer; measured 7 per viewer, so the dense
+    // tick's budget leaves the same headroom
     const N: usize = 2000;
     const K: usize = 64;
     const VIEWERS: usize = 8;

@@ -3,8 +3,9 @@
 //! Perf artifacts (metrics JSON, `BENCH_*.json`) are only comparable across
 //! runs when they say *how* they were produced. [`run_metadata`] captures
 //! wall-clock and monotonic timestamps, the worker count a binary passes on
-//! ([`crate::threads_from_env`]), the installed context's step budget and
-//! every active `AFTER_*` env knob.
+//! ([`crate::threads_from_env`]), the installed context's step budget,
+//! every active `AFTER_*` env knob, and the commit and CPU model that
+//! produced the run.
 //!
 //! [`write_atomic`] is the temp-file-plus-rename export primitive all
 //! exporters go through: a panic (or a second process reading mid-export)
@@ -45,6 +46,42 @@ fn iso8601_utc(unix_s: u64) -> String {
     format!("{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z", y, m, d, secs / 3600, (secs % 3600) / 60, secs % 60)
 }
 
+/// The first `model name` of `/proc/cpuinfo`, or `"unknown"` where there
+/// is none.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The commit checked out in the git checkout that holds the current
+/// directory, read from its `.git` without running git; `"unknown"`
+/// outside a checkout.
+fn git_commit() -> String {
+    let cwd = std::env::current_dir().ok();
+    let root = cwd.as_deref().and_then(|dir| dir.ancestors().find(|d| d.join(".git").exists()));
+    root.and_then(|root| commit_in(&root.join(".git"))).unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The commit `HEAD` names in the git directory `git`: a detached hash, or
+/// the branch's loose or packed ref.
+fn commit_in(git: &Path) -> Option<String> {
+    let read = |p: &Path| std::fs::read_to_string(p).ok().map(|s| s.trim().to_string());
+    let head = read(&git.join("HEAD"))?;
+    let Some(reference) = head.strip_prefix("ref: ") else { return Some(head) };
+    read(&git.join(reference)).or_else(|| {
+        read(&git.join("packed-refs"))?.lines().find_map(|l| {
+            l.split_once(' ').filter(|(_, name)| *name == reference).map(|(hash, _)| hash.to_string())
+        })
+    })
+}
+
 /// The self-describing metadata block embedded in metrics JSON and
 /// `BENCH_*.json` artifacts.
 pub fn run_metadata() -> Json {
@@ -65,6 +102,8 @@ pub fn run_metadata() -> Json {
             crate::current_ctx().and_then(|ctx| ctx.slo_budget_ms).map_or(Json::Null, Json::from),
         )
         .set("env", env_json)
+        .set("commit", git_commit())
+        .set("cpu_model", cpu_model())
 }
 
 /// Writes `contents` to `path` atomically: the bytes land in a sibling temp
@@ -107,7 +146,26 @@ mod tests {
         assert!(meta.get("monotonic_ms").and_then(Json::as_f64).unwrap() >= 0.0);
         assert!(meta.get("threads").and_then(Json::as_f64).unwrap() >= 1.0);
         assert!(meta.get("env").is_some());
+        assert!(!meta.get("commit").and_then(Json::as_str).unwrap().is_empty());
+        assert!(!meta.get("cpu_model").and_then(Json::as_str).unwrap().is_empty());
         assert!(Json::parse(&meta.pretty()).is_ok());
+    }
+
+    #[test]
+    fn commit_is_read_from_loose_packed_and_detached_heads() {
+        let git = std::env::temp_dir().join(format!("xr_obs_git_{}", std::process::id()));
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        let write = |name: &str, text: &str| std::fs::write(git.join(name), text).unwrap();
+        write("HEAD", "ref: refs/heads/main\n");
+        write("packed-refs", "# pack-refs with: peeled\nbbbb refs/heads/main\ncccc refs/heads/other\n");
+        assert_eq!(commit_in(&git).as_deref(), Some("bbbb"), "packed ref");
+        write("refs/heads/main", "aaaa\n");
+        assert_eq!(commit_in(&git).as_deref(), Some("aaaa"), "a loose ref wins over the packed one");
+        write("HEAD", "dddd\n");
+        assert_eq!(commit_in(&git).as_deref(), Some("dddd"), "detached HEAD");
+        write("HEAD", "ref: refs/heads/gone\n");
+        assert_eq!(commit_in(&git), None, "a dangling ref");
+        std::fs::remove_dir_all(&git).ok();
     }
 
     #[test]

@@ -42,10 +42,10 @@
 //! sweep and candidate mask, and the pruned payload rebuilds every
 //! shortlist. The paper's rooms and venues are crowds in which nearly every
 //! user moves at every step, so a tick-to-tick carry would have little to
-//! skip. The sweep's working buffers (sort order, sorted arcs, edge list)
-//! and the K-nearest query scratch belong to the engine and are reused
-//! across viewers and ticks, so a push allocates only the structures it
-//! hands out.
+//! skip. The sweep's working buffers (sort order, sorted arcs, edge list),
+//! the pruned path's spatial index and its K-nearest query scratch belong
+//! to the engine and are reused across viewers and ticks, so a push
+//! allocates only the structures it hands out.
 //!
 //! ## Crowd-scale pruned mode ([`SceneEngine::set_prune_k`])
 //!
@@ -366,6 +366,9 @@ pub struct SceneEngine {
     /// Shortlist size for the crowd-scale pruned mode; 0 (the default)
     /// keeps the exact full-N path.
     prune_k: usize,
+    /// The pruned path's spatial index, rebuilt from each frame into the
+    /// same buffers.
+    index: PruneIndex,
     /// K-nearest query scratch for the pruned path.
     nearest_buf: Vec<(f64, u32)>,
     sweep: SweepBuffers,
@@ -402,6 +405,7 @@ impl SceneEngine {
             retain: None,
             slo: None,
             prune_k: 0,
+            index: PruneIndex::build(&[]),
             nearest_buf: Vec::new(),
             sweep: SweepBuffers::default(),
         }
@@ -585,16 +589,18 @@ impl SceneEngine {
     /// Crowd-scale tick build (`prune_k > 0`): one two-level spatial index
     /// over the frame, then one K-candidate shortlist per registered viewer
     /// — O(N) scene maintenance plus O(K log K + restricted pairs) per
-    /// viewer, with no dense structure anywhere.
+    /// viewer, with no dense structure anywhere. Emits the distances the
+    /// K-nearest queries evaluated as `session.prune.knn_distances`.
     fn build_state_pruned(&mut self, positions: Vec<Point2>, pair_tests: &mut u64) -> SceneState {
         let n = self.n;
         let k = self.prune_k.min(n.saturating_sub(1));
         xr_obs::counter_add("session.prune.ticks", &[], 1);
-        let index = PruneIndex::build(&positions);
+        self.index.rebuild(&positions);
         let mut nearest = std::mem::take(&mut self.nearest_buf);
         let mut shortlists = Vec::with_capacity(self.viewers.len());
+        let mut knn_distances = 0u64;
         for &v in &self.viewers {
-            index.nearest_k_into(&positions, v, k, &mut nearest);
+            knn_distances += self.index.nearest_k_into(&positions, v, k, &mut nearest) as u64;
             // members in ascending-id order, distances carried along
             nearest.sort_unstable_by_key(|&(_, w)| w);
             shortlists.push(build_candidate_set(
@@ -610,6 +616,7 @@ impl SceneEngine {
         }
         nearest.clear();
         self.nearest_buf = nearest;
+        xr_obs::counter_add("session.prune.knn_distances", &[], knn_distances);
         SceneState { n, positions, payload: StatePayload::Pruned { k, shortlists } }
     }
 
@@ -1348,6 +1355,29 @@ mod tests {
                 assert_eq!(state.distance(i, j).to_bits(), want.to_bits(), "d({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn a_viewer_inside_a_lobby_stack_evaluates_2k_distances_not_n() {
+        // the stadium's churn parks thousands of users bitwise on one lobby
+        // point: a viewer among them must do O(K) query work — 2K distances
+        // fill the selection buffer, its K-th best sits at distance 0, and
+        // the co-located exit ends the lobby bucket on the next id. A full
+        // lobby scan would evaluate 4 999.
+        let (stack, k) = (5000, 64);
+        let mut positions = vec![Point2::new(100.0, 100.0); stack];
+        positions.extend(random_positions(200, 10.0, 5));
+        let n = positions.len();
+        let config = SceneConfig { body_radius: 0.25, mr_mask: vec![true; n], room_diagonal: 15.0 };
+        let mut engine = SceneEngine::new(n, config, &[stack / 2]);
+        engine.set_prune_k(k);
+        let ctx = xr_obs::ObsCtx::new(true, false);
+        let _g = ctx.install();
+        engine.push(Frame::new(positions));
+        assert_eq!(ctx.registry.snapshot().counter("session.prune.knn_distances"), Some(2 * k as u64));
+        let cs = engine.view(stack / 2, 0).candidates().unwrap();
+        assert_eq!(cs.ids(), &(0..k as u32).collect::<Vec<_>>()[..], "the K lowest ids of the stack");
+        assert!(cs.distances().iter().all(|&d| d == 0.0) && cs.mask().iter().all(|&m| !m));
     }
 
     #[test]
