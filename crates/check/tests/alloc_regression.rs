@@ -18,11 +18,12 @@
 //! `SceneEngine::push` rebuilds each viewer's occlusion graph from its
 //! angular sweep, and that build (counting-sort edge assembly into a flat
 //! CSR graph) must stay at a small constant number of allocations per
-//! viewer, not one per node or per edge-set block. The tick stores only
-//! per-viewer rows, so no single allocation it makes may be as large as a
-//! dense N×N f64 matrix. A pruned tick (a 2000-user stadium at K = 64)
-//! builds every viewer's shortlist from its frame and is held to the same
-//! per-viewer allocation budget.
+//! viewer, not one per node or per edge-set block, and its bytes must stay
+//! at what it hands out: each viewer's 32-bit CSR graph, distance row and
+//! mask. The tick stores only per-viewer rows, so no single allocation it
+//! makes may be as large as a dense N×N f64 matrix. A pruned tick (a
+//! 2000-user stadium at K = 64) builds every viewer's shortlist from its
+//! frame and is held to the same per-viewer allocation budget.
 //!
 //! The counter is process-wide, so every test here holds [`SERIAL`]: a test
 //! training concurrently on another thread would otherwise leak its
@@ -265,6 +266,53 @@ fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
         per_viewer <= BUDGET_PER_VIEWER,
         "a steady-state dense push makes {per_viewer} allocations per viewer per tick (budget \
          {BUDGET_PER_VIEWER}) — the occlusion-graph build went back to per-node or per-edge allocation"
+    );
+}
+
+#[test]
+fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
+    // a dense push hands out, per viewer, a distance row (8n B), a
+    // candidate mask (n B) and a 32-bit CSR graph (4(n+1) B of row offsets,
+    // 8m B of neighbour ids); the sweep and counting-sort scratch belong to
+    // the engine. The measured frames are pushed once first, so the scratch
+    // has grown to what they need; PER_VIEWER_SLACK then covers the per-tick
+    // slot vectors (a row, graph and mask header per viewer: measured 104 B)
+    const N: usize = 200;
+    const PER_VIEWER_SLACK: u64 = 128;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut engine, viewers, measured) = warm_dense_engine(16);
+    for frame in measured.clone() {
+        engine.push(frame);
+    }
+    let n = N as u64;
+    let (mut bytes, mut exact, mut edges, mut views) = (0, 0, 0, 0);
+    for frame in measured {
+        bytes += bytes_during(|| {
+            engine.push(frame);
+        });
+        let t = engine.ticks() - 1;
+        for &v in &viewers {
+            let m = engine.view(v, t).occlusion().edge_count() as u64;
+            exact += 4 * (n + 1) + 8 * m + 8 * n + n;
+            edges += m;
+            views += 1;
+        }
+    }
+    let budget = exact + PER_VIEWER_SLACK * views;
+    eprintln!(
+        "dense push at N={N}: {} B per viewer per tick, {} B over the graph, row and mask (mean m={})",
+        bytes / views,
+        bytes.saturating_sub(exact) / views,
+        edges / views
+    );
+    assert!(edges / views > n, "the scene must be occlusion-dense enough to mean something");
+    assert!(
+        bytes <= budget,
+        "a steady-state dense push allocates {} B per viewer per tick, over the {} B of a 32-bit CSR \
+         graph, a distance row, a mask and {PER_VIEWER_SLACK} B — the graph widened or the sweep stopped \
+         reusing its scratch",
+        bytes / views,
+        budget / views
     );
 }
 

@@ -140,7 +140,7 @@ impl MiaCarry {
         self.a2_1.extend((0..n).map(|v| {
             let mut acc = 0.0;
             for &u in g.neighbors(v) {
-                acc += deg[u];
+                acc += deg[u as usize];
             }
             acc
         }));

@@ -15,6 +15,8 @@
 //! [`TargetContext::brute_force`], the reference an `xr_check` differential
 //! subject pins the engine path against.
 
+use std::sync::Arc;
+
 use xr_datasets::{Interface, Scenario};
 use xr_graph::geom::Point2;
 use xr_graph::{OcclusionConverter, UGraph};
@@ -47,8 +49,9 @@ pub struct TargetContext {
     pub social: Vec<f64>,
     /// MR mask over participants (physically present users).
     pub mr_mask: Vec<bool>,
-    /// Positions per time step (shared with the scenario).
-    pub positions: Vec<Vec<Point2>>,
+    /// Positions per time step: one copy of the scenario's trajectory,
+    /// shared by every context built in the same call.
+    pub positions: Arc<[Vec<Point2>]>,
     /// Occlusion converter (body radius) used for all visibility queries.
     pub converter: OcclusionConverter,
     /// Room diagonal, used to normalize distances into `[0, 1]`.
@@ -148,6 +151,7 @@ impl TargetContext {
         let mr_mask = engine.config().mr_mask.clone();
         let converter = *engine.converter();
         let room_diagonal = engine.config().room_diagonal;
+        let positions: Arc<[Vec<Point2>]> = scenario.trajectories.clone().into();
         let slots: Vec<usize> = requests
             .iter()
             .map(|&(target, _)| engine.slot_of(target).expect("request registered at construction"))
@@ -170,7 +174,7 @@ impl TargetContext {
                 preference: scenario.preference[target].clone(),
                 social: scenario.social[target].clone(),
                 mr_mask: mr_mask.clone(),
-                positions: scenario.trajectories.clone(),
+                positions: Arc::clone(&positions),
                 converter,
                 room_diagonal,
             })
@@ -246,7 +250,7 @@ impl TargetContext {
             preference: scenario.preference[target].clone(),
             social: scenario.social[target].clone(),
             mr_mask,
-            positions: scenario.trajectories.clone(),
+            positions: scenario.trajectories.clone().into(),
             converter,
             room_diagonal,
         }

@@ -278,7 +278,7 @@ impl MeanRows<'_> {
             if !nbrs.is_empty() {
                 let w = 1.0 / nbrs.len() as f64;
                 for &j in nbrs {
-                    for (a, &x) in agg.iter_mut().zip(&self.h.row(j)[..din]) {
+                    for (a, &x) in agg.iter_mut().zip(&self.h.row(j as usize)[..din]) {
                         *a += w * x;
                     }
                 }

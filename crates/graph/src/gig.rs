@@ -37,7 +37,7 @@ impl DiskGig {
             for j in i + 1..n {
                 let touch = radii[i] + radii[j];
                 if centers[i].distance_sq(centers[j]) <= touch * touch {
-                    edges.push((i, j));
+                    edges.push((i as u32, j as u32));
                 }
             }
         }
@@ -72,7 +72,7 @@ impl DiskGig {
 /// Returns the DOG and the index of the inserted target user.
 pub fn gig_to_dog(gig: &UGraph) -> (DynamicOcclusionGraph, usize) {
     let n = gig.node_count();
-    let edges: Vec<(usize, usize)> = gig.edges().collect();
+    let edges: Vec<(u32, u32)> = gig.edges().map(|(a, b)| (a as u32, b as u32)).collect();
     let g = UGraph::from_sorted_unique_edges(n + 1, &edges);
     // node `n` (the target) stays isolated by construction
     (DynamicOcclusionGraph::from_static_graphs(vec![g]), n)

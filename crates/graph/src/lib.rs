@@ -29,4 +29,4 @@ pub use gig::{gig_to_dog, weights_to_preferences, DiskGig};
 pub use mwis::{local_search_improve, mwis_exact, mwis_greedy, MwisSolution};
 pub use occlusion::{DynamicOcclusionGraph, OcclusionConverter, ViewArc};
 pub use social::SocialGraph;
-pub use ugraph::{sort_unique_pairs, UGraph};
+pub use ugraph::{PairSort, UGraph};

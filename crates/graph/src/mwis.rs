@@ -72,7 +72,8 @@ pub fn mwis_exact(g: &UGraph, weights: &[f64]) -> MwisSolution {
         let v = ctx.order[idx];
         // Branch 1: take v if allowed.
         if !blocked[v] && ctx.weights[v] > 0.0 {
-            let newly: Vec<usize> = ctx.g.neighbors(v).iter().copied().filter(|&u| !blocked[u]).collect();
+            let newly: Vec<usize> =
+                ctx.g.neighbors(v).iter().map(|&u| u as usize).filter(|&u| !blocked[u]).collect();
             for &u in &newly {
                 blocked[u] = true;
             }
@@ -120,10 +121,11 @@ pub fn mwis_greedy(g: &UGraph, weights: &[f64]) -> MwisSolution {
         chosen.push(v);
         alive[v] = false;
         for &u in g.neighbors(v) {
+            let u = u as usize;
             if alive[u] {
                 alive[u] = false;
                 for &w in g.neighbors(u) {
-                    deg[w] = deg[w].saturating_sub(1);
+                    deg[w as usize] = deg[w as usize].saturating_sub(1);
                 }
             }
         }
@@ -142,8 +144,9 @@ pub fn local_search_improve(g: &UGraph, weights: &[f64], start: &MwisSolution) -
         in_set[v] = true;
     }
 
-    let conflicts =
-        |in_set: &[bool], v: usize| -> usize { g.neighbors(v).iter().filter(|&&u| in_set[u]).count() };
+    let conflicts = |in_set: &[bool], v: usize| -> usize {
+        g.neighbors(v).iter().filter(|&&u| in_set[u as usize]).count()
+    };
 
     let mut improved = true;
     while improved {

@@ -7,6 +7,11 @@ use xr_tensor::CsrAdj;
 /// `cols[row_ptr[v]..row_ptr[v + 1]]`, strictly ascending, and every edge
 /// appears once in each endpoint's row.
 ///
+/// Node ids and row offsets are 32-bit: a graph holds fewer than
+/// `u32::MAX` nodes and at most `u32::MAX / 2` edges (each is stored
+/// twice), which every constructor asserts before it allocates. An edge
+/// costs 8 bytes and a node 4.
+///
 /// The layout is canonical — one edge set has exactly one representation —
 /// so `Eq` is edge-set equality, independent of how the edges were listed.
 /// Graphs are built whole by [`UGraph::from_edges`] (any order) or
@@ -16,46 +21,66 @@ use xr_tensor::CsrAdj;
 pub struct UGraph {
     n: usize,
     /// `n + 1` row offsets into `cols`.
-    row_ptr: Vec<usize>,
+    row_ptr: Vec<u32>,
     /// Concatenated neighbor rows (`2m` entries).
-    cols: Vec<usize>,
+    cols: Vec<u32>,
 }
 
-/// Sorts `pairs` lexicographically and removes duplicates — the result of
-/// `sort_unstable` + `dedup` — with a two-pass O(n + m) counting sort
-/// (stably by second component, then by first) instead of a comparison
-/// sort. Both components must be `< n`.
-///
-/// # Panics
-///
-/// Panics when a component is `≥ n`.
-pub fn sort_unique_pairs(n: usize, pairs: &mut Vec<(usize, usize)>) {
-    if pairs.len() > 1 {
-        let mut counts = vec![0usize; n + 1];
-        let mut by_second = vec![(0, 0); pairs.len()];
-        counting_scatter(pairs, &mut by_second, &mut counts, |p| p.1);
-        counts.fill(0);
-        counting_scatter(&by_second, pairs, &mut counts, |p| p.0);
+/// Asserts that `n` nodes and `m` edges fit [`UGraph`]'s 32-bit ids and
+/// offsets; called before anything is allocated.
+fn assert_index_range(n: usize, m: usize) {
+    assert!(n < u32::MAX as usize, "UGraph holds fewer than u32::MAX nodes, got n = {n}");
+    assert!(m <= u32::MAX as usize / 2, "UGraph holds at most u32::MAX / 2 edges (2m offsets), got m = {m}");
+}
+
+/// Reusable scratch for [`PairSort::sort_unique`], so that a caller sorting
+/// many pair lists (the engine's sweep, once per viewer per tick) allocates
+/// once, not per call.
+#[derive(Debug, Clone, Default)]
+pub struct PairSort {
+    counts: Vec<usize>,
+    by_second: Vec<(u32, u32)>,
+}
+
+impl PairSort {
+    /// Sorts `pairs` lexicographically and removes duplicates — the result
+    /// of `sort_unstable` + `dedup` — with a two-pass O(n + m) counting sort
+    /// (stably by second component, then by first) instead of a comparison
+    /// sort. Both components must be `< n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a component is `≥ n`.
+    pub fn sort_unique(&mut self, n: usize, pairs: &mut Vec<(u32, u32)>) {
+        if pairs.len() > 1 {
+            self.counts.clear();
+            self.counts.resize(n + 1, 0);
+            self.by_second.clear();
+            self.by_second.resize(pairs.len(), (0, 0));
+            counting_scatter(pairs, &mut self.by_second, &mut self.counts, |p| p.1);
+            self.counts.fill(0);
+            counting_scatter(&self.by_second, pairs, &mut self.counts, |p| p.0);
+        }
+        pairs.dedup();
     }
-    pairs.dedup();
 }
 
 /// One stable counting-sort pass of `src` into `dst` by `key`; `counts` is
 /// zeroed scratch of length `max key + 2`.
 fn counting_scatter(
-    src: &[(usize, usize)],
-    dst: &mut [(usize, usize)],
+    src: &[(u32, u32)],
+    dst: &mut [(u32, u32)],
     counts: &mut [usize],
-    key: impl Fn(&(usize, usize)) -> usize,
+    key: impl Fn(&(u32, u32)) -> u32,
 ) {
     for p in src {
-        counts[key(p) + 1] += 1;
+        counts[key(p) as usize + 1] += 1;
     }
     for k in 1..counts.len() {
         counts[k] += counts[k - 1];
     }
     for p in src {
-        let slot = &mut counts[key(p)];
+        let slot = &mut counts[key(p) as usize];
         dst[*slot] = *p;
         *slot += 1;
     }
@@ -63,7 +88,12 @@ fn counting_scatter(
 
 impl UGraph {
     /// An edgeless graph on `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n ≥ u32::MAX`.
     pub fn new(n: usize) -> Self {
+        assert_index_range(n, 0);
         UGraph { n, row_ptr: vec![0; n + 1], cols: Vec::new() }
     }
 
@@ -72,15 +102,17 @@ impl UGraph {
     ///
     /// # Panics
     ///
-    /// Panics when an endpoint is out of range.
+    /// Panics when an endpoint is out of range, or `n` or the edge count
+    /// exceeds the 32-bit range.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut list: Vec<(usize, usize)> = edges
+        assert_index_range(n, 0);
+        let mut list: Vec<(u32, u32)> = edges
             .into_iter()
             .inspect(|&(a, b)| assert!(a < n && b < n, "edge ({a},{b}) out of range (n={n})"))
             .filter(|&(a, b)| a != b)
-            .map(|(a, b)| (a.min(b), a.max(b)))
+            .map(|(a, b)| (a.min(b) as u32, a.max(b) as u32))
             .collect();
-        sort_unique_pairs(n, &mut list);
+        PairSort::default().sort_unique(n, &mut list);
         UGraph::from_sorted_unique_edges(n, &list)
     }
 
@@ -92,31 +124,33 @@ impl UGraph {
     ///
     /// # Panics
     ///
-    /// Panics when an endpoint is out of range; panics (debug assertions
-    /// only) when the input is not strictly sorted `(min, max)` pairs.
-    pub fn from_sorted_unique_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+    /// Panics when `n` or the edge count exceeds the 32-bit range, or an
+    /// endpoint is out of range; panics (debug assertions only) when the
+    /// input is not strictly sorted `(min, max)` pairs.
+    pub fn from_sorted_unique_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        assert_index_range(n, edges.len());
         debug_assert!(edges.iter().all(|&(a, b)| a < b), "edges must be (min, max) pairs");
         debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must be strictly ascending");
         // row_ptr[v] first counts v's degree, then (prefix sums) marks the
         // end of row v, and is decremented back to its start by the fill
-        let mut row_ptr = vec![0usize; n + 1];
+        let mut row_ptr = vec![0u32; n + 1];
         for &(a, b) in edges {
-            row_ptr[a] += 1;
-            row_ptr[b] += 1;
+            row_ptr[a as usize] += 1;
+            row_ptr[b as usize] += 1;
         }
         for v in 1..n {
             row_ptr[v] += row_ptr[v - 1];
         }
-        row_ptr[n] = 2 * edges.len();
-        let mut cols = vec![0usize; 2 * edges.len()];
+        row_ptr[n] = 2 * edges.len() as u32;
+        let mut cols = vec![0u32; 2 * edges.len()];
         // row r receives its lower neighbours u (from (u, r)) before its
         // upper ones v (from (r, v)), each run ascending in the sorted list;
         // the reverse walk writes that sequence back to front
         for &(a, b) in edges.iter().rev() {
-            row_ptr[a] -= 1;
-            cols[row_ptr[a]] = b;
-            row_ptr[b] -= 1;
-            cols[row_ptr[b]] = a;
+            row_ptr[a as usize] -= 1;
+            cols[row_ptr[a as usize] as usize] = b;
+            row_ptr[b as usize] -= 1;
+            cols[row_ptr[b as usize] as usize] = a;
         }
         UGraph { n, row_ptr, cols }
     }
@@ -134,19 +168,19 @@ impl UGraph {
 
     /// `true` when `a` and `b` are adjacent (binary search of `a`'s row).
     pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        a < self.n && self.neighbors(a).binary_search(&b).is_ok()
+        a < self.n && b < self.n && self.neighbors(a).binary_search(&(b as u32)).is_ok()
     }
 
     /// Neighbors of `v`, strictly ascending.
     #[inline]
-    pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.cols[self.row_ptr[v]..self.row_ptr[v + 1]]
+    pub fn neighbors(&self, v: usize) -> &[u32] {
+        &self.cols[self.row_ptr[v] as usize..self.row_ptr[v + 1] as usize]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
-        self.row_ptr[v + 1] - self.row_ptr[v]
+        (self.row_ptr[v + 1] - self.row_ptr[v]) as usize
     }
 
     /// Iterator over edges as `(min, max)` pairs in sorted order: each
@@ -154,18 +188,19 @@ impl UGraph {
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n).flat_map(move |u| {
             let row = self.neighbors(u);
-            row[row.partition_point(|&v| v < u)..].iter().map(move |&v| (u, v))
+            row[row.partition_point(|&v| (v as usize) < u)..].iter().map(move |&v| (u, v as usize))
         })
     }
 
     /// Sparse CSR adjacency (both `(u,v)` and `(v,u)` entries, value 1.0).
     ///
-    /// Costs O(n + m) — a copy of the graph's own arrays, with no O(n²)
-    /// materialization — which is what makes per-step graph rebuilds cheap
-    /// at N=500.
+    /// Costs O(n + m) — a copy of the graph's own arrays, widened to
+    /// `CsrAdj`'s `usize` indices, with no O(n²) materialization — which is
+    /// what makes per-step graph rebuilds cheap at N=500.
     pub fn adjacency_csr(&self) -> CsrAdj {
+        let widen = |xs: &[u32]| xs.iter().map(|&x| x as usize).collect();
         let vals = vec![1.0; self.cols.len()];
-        CsrAdj::from_parts(self.n, self.n, self.row_ptr.clone(), self.cols.clone(), vals)
+        CsrAdj::from_parts(self.n, self.n, widen(&self.row_ptr), widen(&self.cols), vals)
     }
 
     /// Row-normalized sparse adjacency `D⁻¹A` (mean aggregation).
@@ -261,14 +296,14 @@ mod tests {
         #[test]
         fn counting_sort_is_sort_unstable_plus_dedup(pairs in pairs_strategy(), short in 0usize..8) {
             // a quarter of the cases cut the list to empty or a single pair
-            let mut pairs = pairs;
+            let mut pairs: Vec<(u32, u32)> = pairs.iter().map(|&(a, b)| (a as u32, b as u32)).collect();
             if short < 2 {
                 pairs.truncate(short);
             }
             let mut want = pairs.clone();
             want.sort_unstable();
             want.dedup();
-            sort_unique_pairs(12, &mut pairs);
+            PairSort::default().sort_unique(12, &mut pairs);
             prop_assert_eq!(pairs, want);
         }
 
@@ -303,6 +338,26 @@ mod tests {
                 g.edges().flat_map(|(u, v)| [(u, v, 1.0), (v, u, 1.0)]).collect();
             prop_assert_eq!(g.adjacency_csr(), CsrAdj::from_entries(N, N, &entries));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than u32::MAX nodes")]
+    fn too_many_nodes_panic_before_allocating() {
+        // a row_ptr of 2^32 u32 offsets would be a 16 GiB request: the
+        // guard must fire before it is made
+        UGraph::new(u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX / 2 edges")]
+    fn too_many_edges_panic_before_allocating() {
+        // the edge guard on its own: 2m offsets would overflow u32
+        assert_index_range(3, u32::MAX as usize / 2 + 1);
+    }
+
+    #[test]
+    fn the_32_bit_range_admits_its_largest_counts() {
+        assert_index_range(u32::MAX as usize - 1, u32::MAX as usize / 2);
     }
 
     #[test]

@@ -42,10 +42,10 @@
 //! sweep and candidate mask, and the pruned payload rebuilds every
 //! shortlist. The paper's rooms and venues are crowds in which nearly every
 //! user moves at every step, so a tick-to-tick carry would have little to
-//! skip. The sweep's working buffers (sort order, sorted arcs, edge list),
-//! the pruned path's spatial index and its K-nearest query scratch belong
-//! to the engine and are reused across viewers and ticks, so a push
-//! allocates only the structures it hands out.
+//! skip. The sweep's working buffers (sorted arc keys, edge list, counting-sort
+//! scratch), the pruned path's spatial index and its K-nearest query
+//! scratch belong to the engine and are reused across viewers and ticks,
+//! so a push allocates only the structures it hands out.
 //!
 //! ## Crowd-scale pruned mode ([`SceneEngine::set_prune_k`])
 //!
@@ -73,7 +73,7 @@ use crate::prune::{CandidateSet, PruneIndex};
 
 use xr_datasets::Scenario;
 use xr_graph::geom::Point2;
-use xr_graph::{sort_unique_pairs, OcclusionConverter, UGraph, ViewArc};
+use xr_graph::{OcclusionConverter, PairSort, UGraph, ViewArc};
 
 /// Safety margin on the sweep's pruning bound: the forward gap and
 /// `angle_diff` compute the same circular distance with different rounding,
@@ -220,9 +220,7 @@ impl SceneState {
                 let mut masks = Vec::with_capacity(shortlists.len());
                 for cs in &shortlists {
                     distances.push(distance_row(&self.positions, cs.viewer()));
-                    let edges: Vec<(usize, usize)> =
-                        cs.edges().iter().map(|&(a, b)| (a as usize, b as usize)).collect();
-                    occlusion.push(UGraph::from_sorted_unique_edges(n, &edges));
+                    occlusion.push(UGraph::from_sorted_unique_edges(n, cs.edges()));
                     let mut dense = vec![false; n];
                     for (idx, &id) in cs.ids().iter().enumerate() {
                         dense[id as usize] = cs.mask()[idx];
@@ -314,28 +312,43 @@ impl<'a> TargetView<'a> {
 /// caller copies out only what it keeps (the graph, a shortlist's edges).
 #[derive(Debug, Clone, Default)]
 struct SweepBuffers {
-    /// Ids of users that have an arc, sorted by the sweep key `(center, id)`.
-    order: Vec<usize>,
-    /// Their arcs, parallel to `order`.
-    sorted: Vec<ViewArc>,
+    /// `(center key, id, arc)` of every user that has an arc, sorted by the
+    /// sweep key `(center, id)`.
+    sorted: Vec<(u64, u32, ViewArc)>,
     /// The last sweep's sorted unique `(min, max)` edges.
-    edges: Vec<(usize, usize)>,
+    edges: Vec<(u32, u32)>,
+    /// Counting-sort scratch for `edges`.
+    pair_sort: PairSort,
 }
 
 impl SweepBuffers {
-    /// Sweeps `arcs` (indexed by id) and returns its sorted unique edge list;
-    /// every listed pair was decided by the exact [`ViewArc::intersects`]
-    /// predicate.
-    fn edges(&mut self, arcs: &[Option<ViewArc>], pair_tests: &mut u64) -> &[(usize, usize)] {
-        sorted_arc_order(arcs, &mut self.order, &mut self.sorted);
-        sweep_edge_list(arcs.len(), &self.order, &self.sorted, &mut self.edges, pair_tests);
+    /// Sweeps `arcs` (the arc of id `i` at position `i`, `None` for no arc)
+    /// and returns its sorted unique edge list; every listed pair was
+    /// decided by the exact [`ViewArc::intersects`] predicate.
+    fn edges(
+        &mut self,
+        arcs: impl ExactSizeIterator<Item = Option<ViewArc>>,
+        pair_tests: &mut u64,
+    ) -> &[(u32, u32)] {
+        let n = arcs.len();
+        sort_arcs(arcs, &mut self.sorted);
+        sweep_edge_list(&self.sorted, &mut self.edges, pair_tests);
+        // each intersecting pair can be reached from both endpoints' forward
+        // scans; the O(n + m) counting sort + dedup yields the brute-force
+        // i<j order
+        self.pair_sort.sort_unique(n, &mut self.edges);
         &self.edges
     }
 
     /// One viewer's static occlusion graph, with the brute-force edge set
     /// and therefore `Eq` to the brute-force build.
-    fn graph(&mut self, arcs: &[Option<ViewArc>], pair_tests: &mut u64) -> UGraph {
-        UGraph::from_sorted_unique_edges(arcs.len(), self.edges(arcs, pair_tests))
+    fn graph(
+        &mut self,
+        arcs: impl ExactSizeIterator<Item = Option<ViewArc>>,
+        pair_tests: &mut u64,
+    ) -> UGraph {
+        let n = arcs.len();
+        UGraph::from_sorted_unique_edges(n, self.edges(arcs, pair_tests))
     }
 }
 
@@ -571,8 +584,7 @@ impl SceneEngine {
         let mut candidate_mask = Vec::with_capacity(self.viewers.len());
         for &v in &self.viewers {
             let row = distance_row(&positions, v);
-            let arcs = self.converter.arcs(v, &positions);
-            let graph = self.sweep.graph(&arcs, pair_tests);
+            let graph = self.sweep.graph(self.converter.arcs_iter(v, &positions), pair_tests);
             candidate_mask.push(candidate_mask_from_shared(
                 v,
                 self.config.mr_mask[v],
@@ -688,78 +700,74 @@ fn distance_row(positions: &[Point2], v: usize) -> Vec<f64> {
     (0..positions.len()).map(|w| pair_distance(positions, v, w)).collect()
 }
 
-/// Fills `order` with the ids of users that have an arc, sorted by the sweep
-/// key `(center, id)`, and `sorted` with their arcs in the same order —
-/// compact arrays so the hot loop never touches the Option-boxed arc slice.
-fn sorted_arc_order(arcs: &[Option<ViewArc>], order: &mut Vec<usize>, sorted: &mut Vec<ViewArc>) {
-    order.clear();
-    order.extend((0..arcs.len()).filter(|&w| arcs[w].is_some()));
-    order.sort_by(|&a, &b| arcs[a].unwrap().center.total_cmp(&arcs[b].unwrap().center).then(a.cmp(&b)));
+/// Fills `sorted` with the `(center key, id, arc)` of every id that has an
+/// arc, sorted by the sweep key `(center, id)` — one compact array whose
+/// comparisons are two integer compares, so neither the sort nor the hot
+/// loop touches an Option-boxed arc. The keys are unique, so an unstable
+/// sort yields the one sorted order.
+fn sort_arcs(arcs: impl Iterator<Item = Option<ViewArc>>, sorted: &mut Vec<(u64, u32, ViewArc)>) {
     sorted.clear();
-    sorted.extend(order.iter().map(|&w| arcs[w].unwrap()));
+    sorted.extend(
+        arcs.enumerate().filter_map(|(w, arc)| arc.map(|arc| (total_order_key(arc.center), w as u32, arc))),
+    );
+    sorted.sort_unstable_by_key(|&(key, id, _)| (key, id));
 }
 
-/// The angular sweep's edge enumeration over ids `< n`, run by the dense
-/// graph build and by the pruned path's restricted sweep (over
-/// shortlist-local indices): arcs sorted by center, each compared only
-/// against arcs within `half_width + max_half_width` forward gap, and every
-/// candidate pair decided by the exact [`ViewArc::intersects`] predicate.
-/// Leaves the sorted unique `(min, max)` pairs — the brute-force edge set —
-/// in `edges`.
-fn sweep_edge_list(
-    n: usize,
-    order: &[usize],
-    sorted: &[ViewArc],
-    edges: &mut Vec<(usize, usize)>,
-    pair_tests: &mut u64,
-) {
+/// An integer whose order is [`f64::total_cmp`]'s: negatives have every
+/// bit flipped, everything else only the sign bit.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// The angular sweep's edge enumeration, run by the dense graph build and
+/// by the pruned path's restricted sweep (over shortlist-local indices):
+/// arcs sorted by center, each compared only against arcs within
+/// `half_width + max_half_width` forward gap, and every candidate pair
+/// decided by the exact [`ViewArc::intersects`] predicate. Leaves the
+/// `(min, max)` pairs — the brute-force edge set, unsorted and possibly
+/// listed twice — in `edges`.
+fn sweep_edge_list(sorted: &[(u64, u32, ViewArc)], edges: &mut Vec<(u32, u32)>, pair_tests: &mut u64) {
     edges.clear();
-    let m = order.len();
+    let m = sorted.len();
     if m < 2 {
         return;
     }
-    let max_half_width = sorted.iter().map(|a| a.half_width).fold(f64::NEG_INFINITY, f64::max);
+    let max_half_width = sorted.iter().map(|(_, _, a)| a.half_width).fold(f64::NEG_INFINITY, f64::max);
 
     for s in 0..m {
-        let i = order[s];
-        let ai = sorted[s];
+        let (_, i, ai) = sorted[s];
         // beyond this forward gap no arc can reach back to `ai`; forward
         // gaps are nondecreasing along the sorted lap, so the first
         // out-of-reach arc ends the scan — pairs whose shorter gap runs the
         // other way are found from the partner's own forward scan
         let reach = ai.half_width + max_half_width + SWEEP_MARGIN;
         let mut wrap = true;
-        for sj in (s + 1)..m {
-            let gap = sorted[sj].center - ai.center; // ≥ 0: sorted
+        for &(_, j, aj) in &sorted[s + 1..] {
+            let gap = aj.center - ai.center; // ≥ 0: sorted
             if gap > reach {
                 wrap = false;
                 break;
             }
             *pair_tests += 1;
-            if ai.intersects(&sorted[sj]) {
-                let j = order[sj];
+            if ai.intersects(&aj) {
                 edges.push((i.min(j), i.max(j)));
             }
         }
         if wrap {
             // wrapped portion of the lap; gaps stay nondecreasing across it
-            for sj in 0..s {
-                let gap = sorted[sj].center - ai.center + std::f64::consts::TAU;
+            for &(_, j, aj) in &sorted[..s] {
+                let gap = aj.center - ai.center + std::f64::consts::TAU;
                 if gap > reach {
                     break;
                 }
                 *pair_tests += 1;
-                if ai.intersects(&sorted[sj]) {
-                    let j = order[sj];
+                if ai.intersects(&aj) {
                     edges.push((i.min(j), i.max(j)));
                 }
             }
         }
     }
-    // each intersecting pair can be reached from both endpoints' forward
-    // scans; the O(n + m) counting sort + dedup yields the brute-force i<j
-    // order
-    sort_unique_pairs(n, edges);
 }
 
 /// Builds one viewer's [`CandidateSet`] over its K-nearest members
@@ -789,9 +797,8 @@ fn build_candidate_set(
     // the full edge set ∩ members×members, because each surviving pair is
     // decided by the exact predicate and the pruning bound stays
     // conservative on any subset (a subset's max_half_width only shrinks)
-    let arcs: Vec<Option<ViewArc>> =
-        ids.iter().map(|&w| converter.arc(positions[viewer], positions[w as usize])).collect();
-    let local_edges = sweep.edges(&arcs, pair_tests);
+    let arcs = ids.iter().map(|&w| converter.arc(positions[viewer], positions[w as usize]));
+    let local_edges = sweep.edges(arcs, pair_tests);
 
     let mut mask = vec![true; len];
     if mr_mask[viewer] {
@@ -805,6 +812,7 @@ fn build_candidate_set(
             }
         }
         for &(a, b) in local_edges {
+            let (a, b) = (a as usize, b as usize);
             if mr_mask[ids[a] as usize] && dists[a] < dists[b] {
                 mask[b] = false;
             }
@@ -816,7 +824,8 @@ fn build_candidate_set(
 
     // ascending local indices map monotonically to ascending global ids, so
     // the sorted-unique property carries over
-    let edges: Vec<(u32, u32)> = local_edges.iter().map(|&(a, b)| (ids[a], ids[b])).collect();
+    let edges: Vec<(u32, u32)> =
+        local_edges.iter().map(|&(a, b)| (ids[a as usize], ids[b as usize])).collect();
     CandidateSet::new(viewer, k, ids, dists, mask, edges)
 }
 
@@ -853,7 +862,11 @@ fn mask_entry(viewer: usize, distances: &[f64], occlusion: &UGraph, mr_mask: &[b
     if distances[w] < 1e-9 {
         return false;
     }
-    !occlusion.neighbors(w).iter().any(|&u| u != viewer && mr_mask[u] && distances[u] < distances[w])
+    !occlusion
+        .neighbors(w)
+        .iter()
+        .map(|&u| u as usize)
+        .any(|u| u != viewer && mr_mask[u] && distances[u] < distances[w])
 }
 
 #[cfg(test)]
@@ -964,9 +977,34 @@ mod tests {
             for viewer in [0, n / 2, n - 1] {
                 let arcs = conv.arcs(viewer, &positions);
                 let mut tests = 0;
-                let swept = SweepBuffers::default().graph(&arcs, &mut tests);
+                let swept = SweepBuffers::default().graph(arcs.iter().copied(), &mut tests);
                 let brute = conv.static_graph(viewer, &positions);
                 assert_eq!(swept, brute, "seed {seed}, viewer {viewer}");
+            }
+        }
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let xs = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            std::f64::consts::TAU,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(total_order_key(a).cmp(&total_order_key(b)), a.total_cmp(&b), "{a:?} vs {b:?}");
             }
         }
     }
@@ -985,7 +1023,10 @@ mod tests {
         ];
         let arcs = conv.arcs(0, &positions);
         let mut tests = 0;
-        assert_eq!(SweepBuffers::default().graph(&arcs, &mut tests), conv.static_graph(0, &positions));
+        assert_eq!(
+            SweepBuffers::default().graph(arcs.iter().copied(), &mut tests),
+            conv.static_graph(0, &positions)
+        );
     }
 
     #[test]
@@ -1023,7 +1064,7 @@ mod tests {
                     }
                 }
                 let mut tests = 0;
-                let graph = SweepBuffers::default().graph(&arcs, &mut tests);
+                let graph = SweepBuffers::default().graph(arcs.iter().copied(), &mut tests);
                 let distances: Vec<f64> = (0..n).map(|w| positions[viewer].distance(positions[w])).collect();
                 let mask = candidate_mask_from_shared(viewer, mr_mask[viewer], &distances, &graph, &mr_mask);
                 assert_eq!(mask, expected, "seed {seed}, viewer {viewer}");

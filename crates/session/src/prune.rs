@@ -203,6 +203,38 @@ fn key_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
+/// `[min_x, min_y, max_x, max_y]` of `positions` under `f64::min` /
+/// `f64::max` (NaN coordinates are skipped; `±∞` when nothing is left).
+/// Folds over `LANES` independent accumulators per bound, then across
+/// them: one chain per bound would be latency-bound, and the min and max
+/// of a set do not depend on grouping. Only the sign of a zero bound can
+/// differ from a sequential fold, and a zero's sign moves no cell
+/// boundary.
+fn bounding_box(positions: &[Point2]) -> [f64; 4] {
+    const LANES: usize = 4;
+    let mut lo = [[f64::INFINITY; LANES]; 2];
+    let mut hi = [[f64::NEG_INFINITY; LANES]; 2];
+    let chunks = positions.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    let mut fold = |lane: usize, p: &Point2| {
+        lo[0][lane] = lo[0][lane].min(p.x);
+        lo[1][lane] = lo[1][lane].min(p.y);
+        hi[0][lane] = hi[0][lane].max(p.x);
+        hi[1][lane] = hi[1][lane].max(p.y);
+    };
+    for chunk in chunks {
+        for (lane, p) in chunk.iter().enumerate() {
+            fold(lane, p);
+        }
+    }
+    for (lane, p) in tail.iter().enumerate() {
+        fold(lane, p);
+    }
+    let min = |xs: [f64; LANES]| xs.into_iter().fold(f64::INFINITY, f64::min);
+    let max = |xs: [f64; LANES]| xs.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    [min(lo[0]), min(lo[1]), max(hi[0]), max(hi[1])]
+}
+
 /// Two-level uniform spatial grid over one tick's positions: fine
 /// CSR-bucketed cells sized for constant occupancy plus coarse super-cell
 /// occupancy counts for empty-block skipping. Rebuilt in O(N) per tick into
@@ -286,15 +318,13 @@ impl PruneIndex {
     /// Rebuilds the index over a new frame in place, reusing its buffers;
     /// the result equals [`PruneIndex::build`] of that frame.
     pub fn rebuild(&mut self, positions: &[Point2]) {
+        self.fill(positions, bounding_box(positions));
+    }
+
+    /// [`PruneIndex::rebuild`] over the frame's bounding box
+    /// `[min_x, min_y, max_x, max_y]`.
+    fn fill(&mut self, positions: &[Point2], [mut min_x, mut min_y, mut max_x, mut max_y]: [f64; 4]) {
         let n = positions.len();
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for p in positions {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
         if n == 0 {
             (min_x, min_y, max_x, max_y) = (0.0, 0.0, 0.0, 0.0);
         }
@@ -510,6 +540,59 @@ mod tests {
             for viewer in [0, n / 2, n - 1] {
                 let ks = [1, 3, 8, n.saturating_sub(1), n + 4];
                 assert_exact(&positions, viewer, &ks, &format!("trial {trial}"));
+            }
+        }
+    }
+
+    /// The bounding box as one sequential `f64::min` / `f64::max` chain per
+    /// bound.
+    fn sequential_box(positions: &[Point2]) -> [f64; 4] {
+        let mut b = [f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY];
+        for p in positions {
+            b = [b[0].min(p.x), b[1].min(p.y), b[2].max(p.x), b[3].max(p.y)];
+        }
+        b
+    }
+
+    #[test]
+    fn lane_bounding_box_builds_the_sequential_folds_index_through_signed_zeros_and_nan() {
+        // coordinates drawn from ±0.0, NaN and a few ordinary values, so
+        // the lanes' zero signs and NaN skips differ from the single chain's
+        let pool = [0.0, -0.0, f64::NAN, 1.5, -2.25, 7.0, -0.0, 0.0];
+        let mut rng = StdRng::seed_from_u64(42);
+        for n in [0usize, 1, 3, 4, 5, 9, 17, 64] {
+            for _ in 0..8 {
+                let positions: Vec<Point2> = (0..n)
+                    .map(|_| {
+                        Point2::new(pool[rng.gen_range(0..pool.len())], pool[rng.gen_range(0..pool.len())])
+                    })
+                    .collect();
+                let lanes = bounding_box(&positions);
+                let seq = sequential_box(&positions);
+                // equal as values: only a zero's sign may differ
+                assert!(lanes.iter().zip(&seq).all(|(a, b)| a == b), "n={n}: {lanes:?} vs {seq:?}");
+                let index = PruneIndex::build(&positions);
+                let mut reference = PruneIndex::build(&[]);
+                reference.fill(&positions, seq);
+                assert_eq!(
+                    (index.nx, index.ny, index.cell.to_bits()),
+                    (reference.nx, reference.ny, reference.cell.to_bits())
+                );
+                assert_eq!(
+                    (&index.starts, &index.items),
+                    (&reference.starts, &reference.items),
+                    "n={n}: buckets"
+                );
+                assert_eq!(index.super_counts, reference.super_counts, "n={n}");
+                for viewer in 0..n {
+                    for k in [1, 3, n] {
+                        assert_eq!(
+                            bits(&index.nearest_k(&positions, viewer, k)),
+                            bits(&reference.nearest_k(&positions, viewer, k)),
+                            "n={n} v={viewer} k={k}"
+                        );
+                    }
+                }
             }
         }
     }

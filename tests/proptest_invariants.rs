@@ -59,7 +59,7 @@ proptest! {
         for v in 0..g.node_count() {
             let row = g.neighbors(v);
             prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} not strictly ascending", v);
-            prop_assert!(row.iter().all(|&u| g.has_edge(u, v)));
+            prop_assert!(row.iter().all(|&u| g.has_edge(u as usize, v)));
         }
         let mut listed: Vec<(usize, usize)> =
             edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
