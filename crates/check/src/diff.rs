@@ -923,7 +923,8 @@ pub struct RoomScenario {
     pub viewers: Vec<usize>,
     /// Recommendation size.
     pub top_k: usize,
-    /// Scene payload: `None` dense, `Some(k)` K-candidate shortlists.
+    /// Shortlist cap: `None` (no cap) or `Some(n − 1)` complete
+    /// shortlists, `Some(k < n − 1)` the K nearest.
     pub prune_k: Option<usize>,
     /// MR participation mask.
     pub mr_mask: Vec<bool>,
@@ -944,11 +945,11 @@ pub struct MultiRoomCase {
 /// The multi-room scheduler ([`xr_serve::RoomServer`], no SLO budget so the
 /// degradation ladder and shedding stay inert) vs. the obvious sequential
 /// reference: one bare [`xr_session::SceneEngine`] per room fed the same
-/// frames in order, decided with the same rule. Each room draws its scene
-/// payload — dense, complete shortlists (`K = n−1`) or real pruning
-/// (`K < n−1`). Every room's decision stream, distance rows (bitwise),
-/// occlusion graphs, and candidate masks — or shortlists, when pruned — must
-/// be identical regardless of how the worker pool interleaved the rooms.
+/// frames in order, decided with the same rule. Each room draws its
+/// shortlist cap — none, `K = n−1` (both complete) or real pruning
+/// (`K < n−1`). Every room's decision stream and retained shortlists
+/// (members, distances, mask bits and edges) must be identical regardless of
+/// how the worker pool interleaved the rooms.
 pub struct MultiRoomVsSequential;
 
 impl DiffSubject for MultiRoomVsSequential {
@@ -1073,39 +1074,13 @@ impl DiffSubject for MultiRoomVsSequential {
                     }
                     // the retained engine state itself must be bit-identical
                     let diverged = server.with_room(ids[slot], |served| {
-                        let sv = served.engine().view(viewer, t);
-                        // pruned engines retain shortlists instead of
-                        // dense rows — compare those
-                        if let (Some(a), Some(b)) = (sv.candidates(), view.candidates()) {
-                            if a != b {
-                                return Some(format!(
-                                    "room {slot} viewer {viewer} shortlist at t={t}: scheduler {a:?} vs sequential {b:?}"
-                                ));
-                            }
-                            return None;
-                        }
-                        for (w, (a, b)) in sv.distances().iter().zip(view.distances()).enumerate() {
-                            if a.to_bits() != b.to_bits() {
-                                return Some(format!(
-                                    "room {slot} viewer {viewer} distance[{w}] at t={t}: scheduler {a:?} vs sequential {b:?}"
-                                ));
-                            }
-                        }
-                        if sv.occlusion() != view.occlusion() {
-                            return Some(format!(
-                                "room {slot} viewer {viewer} occlusion at t={t}: scheduler {:?} vs sequential {:?}",
-                                sv.occlusion(),
-                                view.occlusion()
-                            ));
-                        }
-                        if sv.candidate_mask() != view.candidate_mask() {
-                            return Some(format!(
-                                "room {slot} viewer {viewer} candidate mask at t={t}: scheduler {:?} vs sequential {:?}",
-                                sv.candidate_mask(),
-                                view.candidate_mask()
-                            ));
-                        }
-                        None
+                        let a = served.engine().view(viewer, t).candidates().map(shortlist_bits);
+                        let b = view.candidates().map(shortlist_bits);
+                        (a != b).then(|| {
+                            format!(
+                                "room {slot} viewer {viewer} shortlist at t={t}: scheduler {a:?} vs sequential {b:?}"
+                            )
+                        })
                     });
                     if let Some(detail) = diverged.flatten() {
                         return Some(StepDivergence { step: t, detail });
@@ -1154,11 +1129,21 @@ impl DiffSubject for MultiRoomVsSequential {
 }
 
 // ---------------------------------------------------------------------------
-// Session pair: K-candidate pruned maintenance vs. full-N scene state.
+// Session pair: K-candidate shortlists vs. the complete shortlist and the
+// brute-force per-target precompute.
 // ---------------------------------------------------------------------------
 
+/// A shortlist as plain values — members, distance bits, mask bits and
+/// edges — so that equality is bitwise.
+type ShortlistBits<'a> = (&'a [u32], Vec<u64>, &'a [bool], &'a [(u32, u32)]);
+
+/// The bitwise form of a shortlist.
+fn shortlist_bits(cs: &xr_session::CandidateSet) -> ShortlistBits<'_> {
+    (cs.ids(), cs.distances().iter().map(|d| d.to_bits()).collect(), cs.mask(), cs.edges())
+}
+
 /// A crowd-style scene workload for the pruning contract: bounded walks with
-/// lobby churn and teleports, compared at two shortlist sizes.
+/// lobby churn and teleports, swept over several shortlist caps.
 #[derive(Debug, Clone)]
 pub struct PrunedSceneCase {
     /// Participant count (fixed frame width).
@@ -1167,52 +1152,36 @@ pub struct PrunedSceneCase {
     pub viewers: Vec<usize>,
     /// Recommendation size for the decision stream.
     pub top_k: usize,
-    /// A *small* shortlist size (`< n − 1`) for the serving-K agreement leg.
-    pub serve_k: usize,
+    /// Shortlist caps to sweep (`≥ 1`; caps of `n − 1` and above are
+    /// complete shortlists).
+    pub ks: Vec<usize>,
     /// MR participation mask.
     pub mr_mask: Vec<bool>,
     /// Positions per tick, `frames[t]` of length `n`.
     pub frames: Vec<Vec<Point2>>,
 }
 
-/// The K-candidate pruned scene engine (`set_prune_k(K)`: per-viewer
-/// shortlists from the hierarchical spatial index, no dense N×N state) vs.
-/// the full-N engine (`set_prune_k(0)`) on the same frame stream. Two legs:
+/// The scene engine's shortlists swept over K on one frame stream. Two
+/// legs:
 ///
-/// * **Full K** (`K = N − 1`): pruning is exact — shortlist membership is
-///   complete, member distances / mask bits are bitwise equal to the dense
-///   rows, restricted occlusion edges equal the full edge set, and the
-///   top-k decision stream is identical.
-/// * **Serving K** (`K < N − 1`): pruning is an approximation whose ranking
-///   must still be faithful — the mean top-k overlap between the full and
-///   pruned nearest-candidate rankings, at the prefix both sides can serve
-///   (`k = min(5, visible candidates on either side)`), must stay at or
-///   above `min_top_k_agreement` (0.9). Because every mask-true candidate
-///   nearer than the shortlist boundary is a member (the K-nearest closure),
-///   this prefix agrees *exactly* when the engine is correct; the floor
-///   catches selection, tie-break, and member-mask bugs. How often K leaves
-///   enough visible candidates for a full top-5 (coverage) is a workload
-///   property, measured by the `crowd_scale` benchmark, not this subject.
-///   Viewers whose whole shortlist sits bitwise-coincident with them (a user
-///   parked inside the lobby stack) are excluded: a proximity shortlist is
-///   definitionally uninformative there — every member is at distance ~0 and
-///   masked by the coincidence rule — and a parked user is not being served.
-pub struct PrunedVsFull {
-    /// Mean top-k agreement floor for the serving-K leg.
-    pub min_top_k_agreement: f64,
-}
-
-impl Default for PrunedVsFull {
-    fn default() -> Self {
-        PrunedVsFull { min_top_k_agreement: 0.9 }
-    }
-}
+/// * **Complete** (no cap, `K = N − 1`) against the brute-force per-target
+///   precompute ([`poshgnn::TargetContext::brute_force`]), which shares no
+///   engine code: every other user is a member, member distances and mask
+///   bits are bitwise the brute-force rows, the edges are the brute-force
+///   occlusion graph's, and the top-k decision equals the dense-row rule
+///   [`xr_serve::decide_topk_f64`].
+/// * **K sweep**: at each drawn cap, every shortlist is the complete one
+///   restricted to its `min(K, N − 1)` nearest members by `(distance, id)` —
+///   the same member distances and mask bits bit for bit, and exactly the
+///   complete edges among those members — and its top-k decision is a
+///   prefix of the complete one's (mask-true members nearest first).
+pub struct PrunedVsFull;
 
 impl DiffSubject for PrunedVsFull {
     type Case = PrunedSceneCase;
 
     fn pair(&self) -> String {
-        "session: K-candidate pruned vs full-N scene".to_string()
+        "session: K-candidate shortlists vs the complete shortlist and brute force".to_string()
     }
 
     fn generate(&self, rng: &mut StdRng) -> PrunedSceneCase {
@@ -1222,7 +1191,7 @@ impl DiffSubject for PrunedVsFull {
         viewers.sort_unstable();
         viewers.dedup();
         let top_k = (1usize..6).generate(rng);
-        let serve_k = ((2 * n).div_ceil(3).max(5)..n).generate(rng).min(n - 1);
+        let ks = pvec(1usize..n + 3, 1usize..4).generate(rng);
         let mr_mask: Vec<bool> = (0..n).map(|_| (0u32..2).generate(rng) == 1).collect();
         let (teleport_prob, churn_prob) = (0.0f64..0.3, 0.0f64..0.3).generate(rng);
         let step = (0.02f64..0.8).generate(rng);
@@ -1253,130 +1222,133 @@ impl DiffSubject for PrunedVsFull {
             }
             frames.push(current.clone());
         }
-        PrunedSceneCase { n, viewers, top_k, serve_k, mr_mask, frames }
+        PrunedSceneCase { n, viewers, top_k, ks, mr_mask, frames }
     }
 
     fn compare(&self, case: &PrunedSceneCase) -> Option<StepDivergence> {
+        use xr_datasets::{Interface, Scenario};
         use xr_session::{Frame, SceneConfig, SceneEngine};
 
+        let n = case.n;
         let scene = SceneConfig {
             body_radius: 0.2,
             mr_mask: case.mr_mask.clone(),
             room_diagonal: 8.0 * std::f64::consts::SQRT_2,
         };
-        let build = |prune_k: usize| {
-            let mut engine = SceneEngine::new(case.n, scene.clone(), &case.viewers);
+        let run = |prune_k: usize| {
+            let mut engine = SceneEngine::new(n, scene.clone(), &case.viewers);
             engine.set_prune_k(prune_k);
+            for frame in &case.frames {
+                engine.push(Frame::new(frame.clone()));
+            }
             engine
         };
-        let mut full = build(0);
-        let mut pruned_full = build(case.n - 1);
-        let mut pruned_serve = build(case.serve_k);
+        let complete = run(0);
+        let capped: Vec<SceneEngine> = case.ks.iter().map(|&k| run(k)).collect();
+        let scenario = Scenario {
+            dataset: "pruned-scene".to_string(),
+            participants: (0..n).collect(),
+            interfaces: case
+                .mr_mask
+                .iter()
+                .map(|&mr| if mr { Interface::Mr } else { Interface::Vr })
+                .collect(),
+            preference: vec![vec![0.0; n]; n],
+            social: vec![vec![0.0; n]; n],
+            trajectories: case.frames.clone(),
+            room: Room::new(8.0, 8.0),
+            body_radius: scene.body_radius,
+        };
 
-        let mut agreement_sum = 0.0;
-        let mut agreement_count = 0usize;
-        for (t, frame) in case.frames.iter().enumerate() {
-            full.push(Frame::new(frame.clone()));
-            pruned_full.push(Frame::new(frame.clone()));
-            pruned_serve.push(Frame::new(frame.clone()));
-            for &viewer in &case.viewers {
-                let vf = full.view(viewer, t);
-                let vp = pruned_full.view(viewer, t);
-                let cs = vp.candidates().expect("prune_k = n-1 builds shortlists");
-                // full-K leg: membership is complete…
-                if cs.ids().len() != case.n - 1 {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!(
-                            "viewer {viewer} t={t}: full-K shortlist holds {} of {} candidates",
-                            cs.ids().len(),
-                            case.n - 1
-                        ),
-                    });
+        for &viewer in &case.viewers {
+            let brute = poshgnn::TargetContext::brute_force(&scenario, viewer, 0.5, &[]);
+            for t in 0..case.frames.len() {
+                let diverged = |detail: String| Some(StepDivergence { step: t, detail });
+                let view = complete.view(viewer, t);
+                let full = view.candidates().expect("every view has a shortlist");
+                // complete leg: every other user, bitwise the brute-force rows…
+                let others: Vec<u32> = (0..n as u32).filter(|&w| w as usize != viewer).collect();
+                if full.ids() != others.as_slice() {
+                    return diverged(format!(
+                        "viewer {viewer} t={t}: complete shortlist holds {:?}",
+                        full.ids()
+                    ));
                 }
-                // …distances and mask bits are bitwise the dense rows…
-                for (idx, &w) in cs.ids().iter().enumerate() {
-                    let (a, b) = (cs.distances()[idx], vf.distances()[w as usize]);
+                for (idx, &w) in full.ids().iter().enumerate() {
+                    let (a, b) = (full.distances()[idx], brute.distances[t][w as usize]);
                     if a.to_bits() != b.to_bits() {
-                        return Some(StepDivergence {
-                            step: t,
-                            detail: format!(
-                                "viewer {viewer} distance to {w} at t={t}: pruned {a:?} vs full {b:?}"
-                            ),
-                        });
+                        return diverged(format!(
+                            "viewer {viewer} distance to {w} at t={t}: engine {a:?} vs brute {b:?}"
+                        ));
                     }
-                    if cs.mask()[idx] != vf.candidate_mask()[w as usize] {
-                        return Some(StepDivergence {
-                            step: t,
-                            detail: format!(
-                                "viewer {viewer} mask[{w}] at t={t}: pruned {} vs full {}",
-                                cs.mask()[idx],
-                                vf.candidate_mask()[w as usize]
-                            ),
-                        });
+                    let (a, b) = (full.mask()[idx], brute.candidate_mask[t][w as usize]);
+                    if a != b {
+                        return diverged(format!(
+                            "viewer {viewer} mask[{w}] at t={t}: engine {a} vs brute {b}"
+                        ));
                     }
                 }
-                // …the restricted occlusion graph is the full edge set…
-                let full_edges: Vec<(u32, u32)> =
-                    vf.occlusion().edges().map(|(a, b)| (a as u32, b as u32)).collect();
-                if cs.edges() != full_edges.as_slice() {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!(
-                            "viewer {viewer} occlusion at t={t}: pruned {:?} vs full {:?}",
-                            cs.edges(),
-                            full_edges
-                        ),
-                    });
+                // …the brute-force occlusion graph…
+                let brute_edges: Vec<(u32, u32)> =
+                    brute.occlusion[t].edges().map(|(a, b)| (a as u32, b as u32)).collect();
+                if full.edges() != brute_edges.as_slice() {
+                    return diverged(format!(
+                        "viewer {viewer} occlusion at t={t}: engine {:?} vs brute {brute_edges:?}",
+                        full.edges()
+                    ));
                 }
-                // …and the decision stream is identical
-                let df = xr_serve::decide_topk_f64(vf.candidate_mask(), vf.distances(), case.top_k);
-                let dp = xr_serve::decide_view(&vp, case.top_k);
-                if df != dp {
-                    return Some(StepDivergence {
-                        step: t,
-                        detail: format!("viewer {viewer} decision at t={t}: pruned {dp:?} vs full {df:?}"),
-                    });
+                // …and the dense-row decision
+                let decided = full.decide_topk(case.top_k);
+                let dense =
+                    xr_serve::decide_topk_f64(&brute.candidate_mask[t], &brute.distances[t], case.top_k);
+                let dense: Vec<u32> = (0..n as u32).filter(|&w| dense[w as usize]).collect();
+                let mut sorted = decided.clone();
+                sorted.sort_unstable();
+                if sorted != dense {
+                    return diverged(format!(
+                        "viewer {viewer} decision at t={t}: engine {sorted:?} vs brute {dense:?}"
+                    ));
                 }
 
-                // serving-K leg: rank candidates by proximity on both sides
-                // and accumulate top-k agreement
-                let vs = pruned_serve.view(viewer, t);
-                let ss = vs.candidates().expect("prune_k > 0 builds shortlists");
-                if ss.distances().iter().fold(0.0f64, |m, &d| m.max(d)) < 1e-9 {
-                    // lobby-stacked viewer: the shortlist is all coincident
-                    continue;
-                }
-                let mut full_score = vec![f64::NEG_INFINITY; case.n];
-                let mut pruned_score = vec![f64::NEG_INFINITY; case.n];
-                for (w, score) in full_score.iter_mut().enumerate() {
-                    if w != viewer && vf.candidate_mask()[w] {
-                        *score = -vf.distances()[w];
-                    }
-                }
-                for (idx, &w) in ss.ids().iter().enumerate() {
-                    if ss.mask()[idx] {
-                        pruned_score[w as usize] = -ss.distances()[idx];
-                    }
-                }
-                let visible = |s: &[f64]| s.iter().filter(|v| v.is_finite()).count();
-                let k = 5.min(visible(&full_score)).min(visible(&pruned_score));
-                if k > 0 {
-                    agreement_sum += crate::metrics::top_k_overlap(&full_score, &pruned_score, k);
-                    agreement_count += 1;
-                }
-            }
-        }
-        if agreement_count > 0 {
-            let mean = agreement_sum / agreement_count as f64;
-            if mean < self.min_top_k_agreement {
-                return Some(StepDivergence {
-                    step: case.frames.len(),
-                    detail: format!(
-                        "serving-K leg (K={}): mean top-5 agreement {mean:.3} < {:.2}",
-                        case.serve_k, self.min_top_k_agreement
-                    ),
+                // K sweep: each shortlist is the complete one restricted to
+                // its K nearest members
+                let mut by_key: Vec<usize> = (0..full.len()).collect();
+                by_key.sort_by(|&a, &b| {
+                    full.distances()[a]
+                        .total_cmp(&full.distances()[b])
+                        .then(full.ids()[a].cmp(&full.ids()[b]))
                 });
+                for (engine, &k) in capped.iter().zip(&case.ks) {
+                    let cs = engine.view(viewer, t).candidates().expect("every view has a shortlist");
+                    let mut keep: Vec<usize> = by_key[..k.min(full.len())].to_vec();
+                    keep.sort_unstable();
+                    let ids: Vec<u32> = keep.iter().map(|&i| full.ids()[i]).collect();
+                    let distances: Vec<u64> = keep.iter().map(|&i| full.distances()[i].to_bits()).collect();
+                    let mask: Vec<bool> = keep.iter().map(|&i| full.mask()[i]).collect();
+                    let edges: Vec<(u32, u32)> = full
+                        .edges()
+                        .iter()
+                        .copied()
+                        .filter(|&(a, b)| ids.binary_search(&a).is_ok() && ids.binary_search(&b).is_ok())
+                        .collect();
+                    let want: ShortlistBits = (&ids, distances, &mask, &edges);
+                    if shortlist_bits(cs) != want {
+                        return diverged(format!(
+                            "viewer {viewer} K={k} at t={t}: shortlist {:?} vs complete restricted {want:?}",
+                            shortlist_bits(cs)
+                        ));
+                    }
+                    // its mask-true members are the nearest of the complete
+                    // shortlist's, so it decides a prefix of the same picks
+                    let visible = cs.mask().iter().filter(|&&m| m).count();
+                    let want = &decided[..visible.min(decided.len())];
+                    let got = cs.decide_topk(case.top_k);
+                    if got != want {
+                        return diverged(format!(
+                            "viewer {viewer} K={k} decision at t={t}: {got:?} vs complete prefix {want:?}"
+                        ));
+                    }
+                }
             }
         }
         None
@@ -1391,6 +1363,11 @@ impl DiffSubject for PrunedVsFull {
             });
             out.push(PrunedSceneCase { frames: case.frames[1..].to_vec(), ..case.clone() });
         }
+        if case.ks.len() > 1 {
+            for k in &case.ks {
+                out.push(PrunedSceneCase { ks: vec![*k], ..case.clone() });
+            }
+        }
         if case.n > 6 {
             let n = (case.n / 2).max(6);
             let mut viewers: Vec<usize> = case.viewers.iter().copied().filter(|&v| v < n).collect();
@@ -1401,7 +1378,7 @@ impl DiffSubject for PrunedVsFull {
                 n,
                 viewers,
                 top_k: case.top_k,
-                serve_k: case.serve_k.min(n - 1),
+                ks: case.ks.clone(),
                 mr_mask: case.mr_mask[..n].to_vec(),
                 frames: case.frames.iter().map(|f| f[..n].to_vec()).collect(),
             });
@@ -1411,12 +1388,12 @@ impl DiffSubject for PrunedVsFull {
 
     fn describe(&self, case: &PrunedSceneCase) -> String {
         format!(
-            "n={} users, {} ticks, viewers {:?}, top_k={}, serve_k={}",
+            "n={} users, {} ticks, viewers {:?}, top_k={}, ks={:?}",
             case.n,
             case.frames.len(),
             case.viewers,
             case.top_k,
-            case.serve_k
+            case.ks
         )
     }
 }

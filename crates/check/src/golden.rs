@@ -89,9 +89,9 @@ pub fn replay(cfg: &ReplayConfig) -> String {
 }
 
 /// [`replay`] with the scene engine configured explicitly before any frame
-/// is pushed — how the golden test drives the engine's reference path
-/// (`set_prune_k(n − 1)`) through the same pipeline. Every such configuration must reproduce the default snapshot
-/// byte for byte.
+/// is pushed — how the golden test drives an explicit `set_prune_k(n − 1)`
+/// cap through the same pipeline. Every such configuration must reproduce
+/// the default snapshot byte for byte.
 pub fn replay_with(cfg: &ReplayConfig, configure: impl FnOnce(&mut SceneEngine)) -> String {
     let _span = xr_obs::span!("xr_check.golden.replay");
     let dataset = Dataset::generate(cfg.dataset, cfg.dataset_seed);

@@ -30,7 +30,6 @@
 pub mod diff;
 pub mod golden;
 pub mod gradcheck;
-pub mod metrics;
 
 use std::path::PathBuf;
 

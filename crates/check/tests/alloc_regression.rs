@@ -14,14 +14,15 @@
 //! allocations: the tape-free step reuses the model's buffers, so only the
 //! returned soft scores and decisions are fresh.
 //!
-//! The dense scene tick is guarded the same way: with every user moving,
-//! `SceneEngine::push` rebuilds each viewer's occlusion graph from its
-//! angular sweep, and that build (counting-sort edge assembly into a flat
-//! CSR graph) must stay at a small constant number of allocations per
-//! viewer, not one per node or per edge-set block, and its bytes must stay
-//! at what it hands out: each viewer's 32-bit CSR graph, distance row and
-//! mask. The tick stores only per-viewer rows, so no single allocation it
-//! makes may be as large as a dense N×N f64 matrix. A pruned tick (a
+//! The uncapped scene tick (complete shortlists, the paper's room) is
+//! guarded the same way: with every user moving, `SceneEngine::push`
+//! rebuilds each viewer's complete shortlist from its angular sweep, and
+//! that build (counting-sort edge assembly into flat member and edge
+//! arrays) must stay at a small constant number of allocations per viewer,
+//! not one per member or per edge-set block. Its bytes must stay within
+//! what a densified viewer costs — a 32-bit CSR graph, a distance row and a
+//! mask. The tick stores only per-viewer arrays, so no single allocation it
+//! makes may be as large as a dense N×N f64 matrix. A capped tick (a
 //! 2000-user stadium at K = 64) builds every viewer's shortlist from its
 //! frame and is held to the same per-viewer allocation budget.
 //!
@@ -207,11 +208,12 @@ fn f64_serving_step_allocates_less_than_one_dense_matrix_at_n200() {
     );
 }
 
-/// The paper's room (N = 200, Timik-like) served densely for 8 viewers with
-/// bounded retention: the engine after 4 warm-up pushes, its viewers, and
-/// the frames of `ticks` more. A tick-dependent shift moves every user on
-/// every tick, so each push rebuilds every viewer's state. Frames are built
-/// up front so only the engine's own work is counted.
+/// The paper's room (N = 200, Timik-like) served with complete shortlists
+/// for 8 viewers and bounded retention: the engine after 4 warm-up pushes,
+/// its viewers, and the frames of exactly `ticks` more. A tick-dependent
+/// shift moves every user on every tick, so each push rebuilds every
+/// viewer's state. Frames are built up front so only the engine's own work
+/// is counted.
 fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
     const N: usize = 200;
     const VIEWERS: usize = 8;
@@ -221,7 +223,6 @@ fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
     let scenario = dataset.sample_scenario(&cfg);
     let viewers: Vec<usize> = (0..VIEWERS).map(|i| i * (N / VIEWERS)).collect();
     let mut engine = SceneEngine::new(N, SceneConfig::from_scenario(&scenario), &viewers);
-    engine.set_slo(None);
     engine.set_state_retention(Some(2));
     let mut frames: Vec<Frame> = scenario
         .trajectories
@@ -232,7 +233,9 @@ fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
             Frame::new(row.iter().map(|&p| p + shift).collect())
         })
         .collect();
-    let measured = frames.split_off(WARM);
+    // the scenario holds `time_steps + 1` frames: one more than `ticks`
+    let mut measured = frames.split_off(WARM);
+    measured.truncate(ticks);
     for frame in frames {
         engine.push(frame);
     }
@@ -241,7 +244,7 @@ fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
 
 #[test]
 fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
-    // each push rebuilds all 8 occlusion graphs from their sweeps
+    // each push rebuilds all 8 complete shortlists from their sweeps
     const N: usize = 200;
     const MEASURED: usize = 16;
     const BUDGET_PER_VIEWER: u64 = 32;
@@ -255,7 +258,7 @@ fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
     });
     let per_viewer = allocations / (MEASURED * n_viewers) as u64;
     let edges: usize =
-        viewers.iter().map(|&v| engine.view(v, engine.ticks() - 1).occlusion().edge_count()).sum();
+        viewers.iter().map(|&v| engine.view(v, engine.ticks() - 1).candidates().unwrap().edges().len()).sum();
     eprintln!(
         "dense push at N={N}: {allocations} allocations over {MEASURED} ticks × {n_viewers} viewers \
          = {per_viewer} per viewer per tick (mean m={})",
@@ -265,18 +268,20 @@ fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
     assert!(
         per_viewer <= BUDGET_PER_VIEWER,
         "a steady-state dense push makes {per_viewer} allocations per viewer per tick (budget \
-         {BUDGET_PER_VIEWER}) — the occlusion-graph build went back to per-node or per-edge allocation"
+         {BUDGET_PER_VIEWER}) — the shortlist build went back to per-member or per-edge allocation"
     );
 }
 
 #[test]
 fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
-    // a dense push hands out, per viewer, a distance row (8n B), a
+    // the budget is a densified viewer's size: a distance row (8n B), a
     // candidate mask (n B) and a 32-bit CSR graph (4(n+1) B of row offsets,
-    // 8m B of neighbour ids); the sweep and counting-sort scratch belong to
-    // the engine. The measured frames are pushed once first, so the scratch
-    // has grown to what they need; PER_VIEWER_SLACK then covers the per-tick
-    // slot vectors (a row, graph and mask header per viewer: measured 104 B)
+    // 8m B of neighbour ids). A complete shortlist hands out less: n−1 member ids (4 B each), distances (8 B)
+    // and mask bits (1 B), and 8m B of edges. The sweep, counting-sort and
+    // member scratch belong to the engine. The measured frames are pushed
+    // once first, so the scratch has grown to what they need;
+    // PER_VIEWER_SLACK then covers the per-tick slot vector (one shortlist
+    // header per viewer: 112 B)
     const N: usize = 200;
     const PER_VIEWER_SLACK: u64 = 128;
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -292,7 +297,7 @@ fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
         });
         let t = engine.ticks() - 1;
         for &v in &viewers {
-            let m = engine.view(v, t).occlusion().edge_count() as u64;
+            let m = engine.view(v, t).candidates().unwrap().edges().len() as u64;
             exact += 4 * (n + 1) + 8 * m + 8 * n + n;
             edges += m;
             views += 1;
@@ -367,8 +372,9 @@ fn pruned_scene_tick_allocates_at_most_32_times_per_viewer() {
 
 #[test]
 fn dense_scene_tick_never_allocates_an_n_by_n_block() {
-    // a dense tick stores only per-viewer arrays (distance row, mask, CSR
-    // graph), each far below one N×N f64 matrix
+    // an uncapped tick stores only per-viewer arrays (a complete
+    // shortlist's members, distances, mask bits and edges), each far below
+    // one N×N f64 matrix
     const N: usize = 200;
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (mut engine, _viewers, measured) = warm_dense_engine(4);

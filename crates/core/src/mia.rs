@@ -22,13 +22,13 @@
 //! model's buffers and builds none of the operators only the loss reads.
 //! All three run one feature body.
 //!
-//! Under a crowd-scale pruned engine (`prune_k > 0`), the contexts MIA
-//! consumes carry occlusion graphs restricted to each viewer's K-candidate
-//! shortlist. Nothing here changes: the structural-difference embedding's
-//! edge-deltas `A_t − A_{t−1}` then involve only shortlist pairs by
-//! construction, non-member rows of `x̂_t`/`Δ_t` are zero through the zeroed
-//! mask and empty adjacency rows, and at `K ≥ N−1` the restricted graphs are
-//! the full graphs, so every output is bitwise identical to the dense path.
+//! Under a crowd-scale engine with capped shortlists (`K < N − 1`), the
+//! contexts MIA consumes carry occlusion graphs restricted to each viewer's
+//! K-candidate shortlist. Nothing here changes: the structural-difference
+//! embedding's edge-deltas `A_t − A_{t−1}` then involve only shortlist pairs
+//! by construction, and non-member rows of `x̂_t`/`Δ_t` are zero through the
+//! zeroed mask and empty adjacency rows. At `K = N−1` the restricted graphs
+//! are the full graphs.
 
 use std::cell::OnceCell;
 use std::rc::Rc;

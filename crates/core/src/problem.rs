@@ -8,8 +8,8 @@
 //! `TargetContext` is a thin *compat wrapper* over the
 //! [`xr_session::SceneEngine`]: construction pumps the scenario's frames
 //! through the engine once and copies out this target's slice of the shared
-//! per-tick state. Callers that need a non-default engine (the from-scratch
-//! or pruned reference paths) configure one themselves and hand it to
+//! per-tick state. Callers that need a non-default engine (capped
+//! crowd-scale shortlists) configure one themselves and hand it to
 //! [`TargetContext::with_engine`]. The field layout and every numeric value
 //! are byte-identical to the brute-force per-target precompute
 //! [`TargetContext::brute_force`], the reference an `xr_check` differential
@@ -115,10 +115,10 @@ impl TargetContext {
     /// one per `(target, beta)` request — the entry point for callers that
     /// own and configure their engine (e.g. crowd-scale pruned serving via
     /// [`SceneEngine::set_prune_k`]). Every requested target must have been
-    /// registered as a viewer at engine construction. When the engine ran
-    /// pruned, the dense fields hold the densified restriction to each
-    /// tick's shortlist: users outside it are not candidates, per the
-    /// candidate-set contract.
+    /// registered as a viewer at engine construction. When the engine capped
+    /// its shortlists below `N − 1`, the dense fields hold the densified
+    /// restriction to each tick's shortlist: users outside it are not
+    /// candidates, per the candidate-set contract.
     ///
     /// # Panics
     ///
@@ -135,11 +135,10 @@ impl TargetContext {
     }
 
     /// Distributes an ingested engine's shared per-tick state into compat
-    /// contexts, one per request. The per-viewer structures (distance rows,
-    /// occlusion graphs, candidate masks, all indexed by slot) are *moved*
-    /// out of the engine — each slot's last requester takes ownership,
-    /// earlier duplicates clone — so the shared pass allocates each exactly
-    /// once.
+    /// contexts, one per request. Each tick's shortlists are densified once
+    /// ([`xr_session::SceneState::into_parts`]) into per-slot distance rows,
+    /// occlusion graphs and candidate masks; each slot's last requester
+    /// takes ownership of them, earlier duplicates clone.
     fn from_engine(
         scenario: &Scenario,
         engine: SceneEngine,
@@ -181,7 +180,7 @@ impl TargetContext {
             .collect();
 
         for state in engine.into_states() {
-            let (_positions, rows, occlusion, masks) = state.into_parts();
+            let (rows, occlusion, masks) = state.into_parts();
             let mut rows: Vec<Option<Vec<f64>>> = rows.into_iter().map(Some).collect();
             let mut occlusion: Vec<Option<UGraph>> = occlusion.into_iter().map(Some).collect();
             let mut masks: Vec<Option<Vec<bool>>> = masks.into_iter().map(Some).collect();
@@ -481,10 +480,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn pruned_engine_context_at_full_k_matches_the_default_bitwise() {
-        // a pruned engine with a complete shortlist (K ≥ n−1) must densify
-        // into exactly the context the default path builds — the
-        // pruned-vs-full oracle seen from the recommend stack
+    fn engine_capped_at_n_minus_1_builds_the_default_context_bitwise() {
+        // a cap of K = n−1 is a complete shortlist, so its contexts must be
+        // exactly the ones the default (uncapped) engine builds
         let scenario = scenario(true);
         let requests = [(0usize, 0.5f64), (1, 0.3)];
         let viewers: Vec<usize> = requests.iter().map(|&(t, _)| t).collect();
@@ -494,7 +492,7 @@ pub(crate) mod tests {
         // complete membership at every tick and slot
         for t in 0..engine.ticks() {
             for slot in 0..viewers.len() {
-                let cs = engine.state(t).candidates(slot).expect("a pruned state has a shortlist per slot");
+                let cs = engine.state(t).candidates(slot);
                 assert_eq!(cs.len(), scenario.n() - 1, "t={t} slot {slot}");
             }
         }
@@ -517,7 +515,7 @@ pub(crate) mod tests {
         engine.push_scenario(&scenario);
         let members: Vec<Vec<usize>> = (0..engine.ticks())
             .map(|t| {
-                let cs = engine.state(t).candidates(0).expect("a pruned state has a shortlist");
+                let cs = engine.state(t).candidates(0);
                 cs.ids().iter().map(|&w| w as usize).collect()
             })
             .collect();

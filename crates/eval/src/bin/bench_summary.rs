@@ -3,7 +3,7 @@
 //! matmul of the same operator, grid vs. brute-force crowd neighbor queries,
 //! the POSHGNN recommend step, serial vs. parallel experiment cells, cached
 //! vs. uncached training epochs, shared scene-engine context builds,
-//! crowd-scale K-candidate pruned serving vs. dense full-N on stadium
+//! crowd-scale K-candidate pruned serving vs. complete shortlists on stadium
 //! frames, and the cost of running with observability installed vs.
 //! without.
 //!
@@ -480,13 +480,14 @@ fn bench_multi_room(workers: usize) -> Json {
         .set("degrade_transitions", stats.transitions)
 }
 
-/// Crowd-scale serving: the K-candidate pruned scene path (hierarchical
-/// spatial index + per-viewer shortlists, `set_prune_k(K)`) vs.
-/// the dense full-N build, on stadium frames from the venue generator.
-/// The full arm is skipped at N = 50k — a dense tick there sweeps all 50k
-/// users' arcs for every viewer and keeps 50k-node graphs, masks and rows
-/// per viewer, which is the point of the pruned path — and runs with
-/// retention 1 (the serving posture) where it does run. Each timed tick
+/// Crowd-scale serving: capped K-candidate shortlists (hierarchical
+/// spatial index + K-nearest queries, `set_prune_k(K)`) vs. the uncapped
+/// engine's complete shortlists (`K = N − 1`, every other user), on
+/// stadium frames from the venue generator. The "full" arm is skipped at
+/// N = 50k — a complete tick there sweeps all 50k users' arcs for every
+/// viewer and keeps 50k members, distances and mask bits per viewer, which
+/// is the point of the cap — and runs with retention 1 (the serving
+/// posture) where it does run. Each timed tick
 /// includes the per-viewer top-k decisions, so the rows are end-to-end
 /// frame→recommendation serving cost.
 fn bench_crowd_scale() -> Json {
@@ -495,7 +496,7 @@ fn bench_crowd_scale() -> Json {
 
     let viewer_count = 16usize;
     let ks = [64usize, 256];
-    // (n, timed ticks, run the dense full-N arm?)
+    // (n, timed ticks, run the complete-shortlist arm?)
     let configs: [(usize, usize, bool); 3] = [(1000, 12, true), (10_000, 6, true), (50_000, 3, false)];
 
     let rows: Vec<Json> = configs
@@ -610,7 +611,7 @@ fn main() {
     let obs_overhead = bench_obs_overhead();
     eprintln!("[10/11] multi-room serving: 1k rooms on the worker pool");
     let multi_room = bench_multi_room(xr_obs::threads_from_env());
-    eprintln!("[11/11] crowd-scale serving: K-candidate pruned vs dense full-N");
+    eprintln!("[11/11] crowd-scale serving: K-candidate pruned vs complete shortlists");
     let crowd_scale = bench_crowd_scale();
     let summary = Json::obj()
         .set("matmul", matmul)

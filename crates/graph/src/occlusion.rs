@@ -69,20 +69,11 @@ impl OcclusionConverter {
     /// Arcs for every user; `None` at the target index (and for coincident
     /// users).
     pub fn arcs(&self, target: usize, positions: &[Point2]) -> Vec<Option<ViewArc>> {
-        self.arcs_iter(target, positions).collect()
-    }
-
-    /// [`OcclusionConverter::arcs`] as an iterator, for callers that consume
-    /// the arcs once and need not store them.
-    pub fn arcs_iter<'a>(
-        &'a self,
-        target: usize,
-        positions: &'a [Point2],
-    ) -> impl ExactSizeIterator<Item = Option<ViewArc>> + 'a {
         positions
             .iter()
             .enumerate()
-            .map(move |(w, &p)| if w == target { None } else { self.arc(positions[target], p) })
+            .map(|(w, &p)| if w == target { None } else { self.arc(positions[target], p) })
+            .collect()
     }
 
     /// The static occlusion graph `O_t^v` for the given positions: nodes are

@@ -11,9 +11,9 @@
 //! installed a tracker still *detects* misses (the returned
 //! [`TickVerdict`]) but records nothing.
 //!
-//! No library type reads a budget from the environment: a `SceneEngine`
-//! tracks ticks only after `set_slo`, a `RoomServer` only under an explicit
-//! `ServerConfig::slo`, and the eval recommend loop only when the installed
+//! No library type reads a budget from the environment: a `RoomServer`
+//! tracks its rooms' frames only under an explicit `ServerConfig::slo`, and
+//! the eval recommend loop only when the installed
 //! [`crate::ObsCtx`] carries [`crate::ObsCtx::slo_budget_ms`]. Binaries
 //! take the budget from `AFTER_SLO_BUDGET_MS` or the `--slo-budget-ms` flag,
 //! both through [`parse_budget_ms`], and [`crate::ObsSession`] installs it

@@ -81,13 +81,13 @@ pub struct RoomConfig {
     /// long-running room must not accumulate every tick), `None` keeps all
     /// (what the differential/replay suites use to inspect history).
     pub retain_states: Option<usize>,
-    /// Crowd-scale shortlist size handed to [`SceneEngine::set_prune_k`]:
-    /// `Some(k)` makes the room's engine build per-viewer K-candidate
-    /// shortlists instead of dense full-scene state; `None` (like `Some(0)`)
-    /// keeps the dense full-N payload, the engine's default. Stadium-scale
-    /// rooms must set this — the dense path sweeps all N users' arcs for
-    /// every viewer on every tick and keeps N-length rows, graphs and masks
-    /// per viewer per retained tick.
+    /// Shortlist cap handed to [`SceneEngine::set_prune_k`]: `Some(k)` makes
+    /// the room's engine keep each viewer's `min(k, n − 1)` nearest users;
+    /// `None` (like `Some(0)`) keeps complete shortlists of all `n − 1`
+    /// other users, the engine's default. Stadium-scale rooms must set this
+    /// — a complete shortlist sweeps all N users' arcs for every viewer on
+    /// every tick and keeps N-length members, distances and masks per
+    /// viewer per retained tick.
     pub prune_k: Option<usize>,
 }
 
@@ -113,8 +113,8 @@ pub struct Decision {
 
 /// Top-k-nearest decision on an f64 distance row: among candidates left by
 /// `mask`, recommend the `k` nearest (ties broken by user id — fully
-/// deterministic). This is the serving-side decision rule shared by the
-/// scheduler and the sequential reference the differential subject drives.
+/// deterministic). Rooms decide on shortlists ([`decide_view`]); this
+/// dense-row form is the reference their decisions are checked against.
 pub fn decide_topk_f64(mask: &[bool], distances: &[f64], k: usize) -> Vec<bool> {
     let mut candidates: Vec<usize> = (0..mask.len()).filter(|&w| mask[w]).collect();
     candidates.sort_by(|&a, &b| distances[a].total_cmp(&distances[b]).then(a.cmp(&b)));
@@ -126,20 +126,16 @@ pub fn decide_topk_f64(mask: &[bool], distances: &[f64], k: usize) -> Vec<bool> 
     out
 }
 
-/// The top-k-nearest decision for one engine view, whatever its payload: a
-/// pruned view decides on its shortlist (which already carries the mask and
-/// distances of its K members), a dense view with [`decide_topk_f64`].
+/// The top-k-nearest decision for one engine view, decided on its
+/// shortlist (which carries the mask bits and distances of its members); at
+/// a complete shortlist it selects what [`decide_topk_f64`] selects on the
+/// dense rows.
 pub fn decide_view(view: &TargetView<'_>, k: usize) -> Vec<bool> {
-    match view.candidates() {
-        Some(cs) => {
-            let mut out = vec![false; view.positions().len()];
-            for w in cs.decide_topk(k) {
-                out[w as usize] = true;
-            }
-            out
-        }
-        None => decide_topk_f64(view.candidate_mask(), view.distances(), k),
+    let mut out = vec![false; view.positions().len()];
+    for w in view.candidates().iter().flat_map(|cs| cs.decide_topk(k)) {
+        out[w as usize] = true;
     }
+    out
 }
 
 /// The [`ServeLevel::MaskOnly`] candidate set for viewer `v`: everyone
@@ -185,9 +181,6 @@ pub struct Room {
 impl Room {
     pub(crate) fn new(config: RoomConfig, slo: Option<xr_obs::SloTracker>) -> Room {
         let mut engine = SceneEngine::new(config.n, config.scene.clone(), &config.viewers);
-        // the room times whole frames itself (decision included, at every
-        // ladder level); an engine-level tracker would double-count
-        engine.set_slo(None);
         engine.set_state_retention(config.retain_states);
         if let Some(k) = config.prune_k {
             engine.set_prune_k(k);
@@ -383,26 +376,26 @@ mod tests {
         // self is never recommended
         assert!(!d.per_viewer[0][0]);
         assert!(!d.per_viewer[1][1]);
+        // the dense-row rule on the densified state of a reference engine
         let mut reference = SceneEngine::new(10, r.config().scene.clone(), &[0, 1]);
         reference.push(f);
-        let view = reference.view(0, 0);
-        let expect = decide_topk_f64(view.candidate_mask(), view.distances(), 5);
-        assert_eq!(d.per_viewer[0], expect);
+        let (rows, _, masks) = reference.into_states().pop().unwrap().into_parts();
+        assert_eq!(d.per_viewer[0], decide_topk_f64(&masks[0], &rows[0], 5));
     }
 
     #[test]
-    fn pruned_room_at_full_k_matches_the_dense_room() {
+    fn room_capped_at_n_minus_1_matches_the_uncapped_room() {
         let n = 12;
-        let mut dense = room(n, None);
-        let scene = dense.config().scene.clone();
+        let mut uncapped = room(n, None);
+        let scene = uncapped.config().scene.clone();
         let mut config = RoomConfig::new(n, scene, vec![0, 1]);
         config.prune_k = Some(n - 1);
-        let mut pruned = Room::new(config, None);
+        let mut capped = Room::new(config, None);
         for i in 0..6 {
             let f = frame(n, 100 + i);
-            let d_dense = dense.process(i, f.clone());
-            let d_pruned = pruned.process(i, f);
-            assert_eq!(d_pruned.per_viewer, d_dense.per_viewer, "frame {i}");
+            let d_uncapped = uncapped.process(i, f.clone());
+            let d_capped = capped.process(i, f);
+            assert_eq!(d_capped.per_viewer, d_uncapped.per_viewer, "frame {i}");
         }
     }
 
@@ -419,7 +412,7 @@ mod tests {
         assert!(recommended.len() <= 3);
         // every recommendation comes from the 4-member shortlist
         let view = r.engine().view(0, 0);
-        let cs = view.candidates().expect("pruned engine exposes shortlists");
+        let cs = view.candidates().expect("every view has a shortlist");
         for w in recommended {
             assert!(cs.contains(w), "recommended user {w} outside the shortlist");
         }

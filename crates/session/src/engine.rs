@@ -1,73 +1,72 @@
 //! The frame-driven scene engine and its shared per-tick state.
 //!
 //! One [`SceneEngine::push`] call advances the whole scene by one tick:
-//! every quantity that is common to all target users — pairwise distances,
-//! the occlusion/visibility structure, the MR co-location candidate masks —
-//! is computed once and stored in a [`SceneState`]; per-target code borrows
-//! it through [`TargetView`] instead of recomputing it.
+//! every quantity that is common to all target users — distances, the
+//! occlusion structure, the MR co-location candidate masks — is computed
+//! once per registered viewer and stored in a [`SceneState`]; per-target
+//! code borrows it through [`TargetView`] instead of recomputing it.
+//!
+//! ## One payload: a shortlist per viewer
+//!
+//! A tick stores one [`CandidateSet`] per registered viewer: its members
+//! with exact distances, mask bits and the occlusion edges among them
+//! (see [`crate::prune`] for the contract). The shortlist size is
+//! `K = min(prune_k, N − 1)`, where `prune_k = 0` — every new engine's
+//! setting — means no cap, `K = N − 1`.
+//!
+//! * A *complete* shortlist (`K = N − 1`) holds every other user, so it
+//!   carries the viewer's whole `O_t^v` and `m_t`. Its members are simply
+//!   every other id in ascending order: no spatial index, no K-nearest
+//!   query, no sort.
+//! * A *short* one (`K < N − 1`, crowd scale) holds the K nearest other
+//!   users by `(distance, id)`, read out of a per-tick two-level
+//!   [`PruneIndex`]. Per-viewer work drops from O(N log N + pairs) to
+//!   O(K log K + restricted pairs), which is what admits venue-scale scenes
+//!   (N = 10k–100k).
+//!
+//! Which of the two runs follows from K against N alone.
 //!
 //! ## Bit-identicality contract
 //!
 //! The engine is an *optimization layer*, not an approximation:
 //!
-//! * Distances: each registered viewer's row `d(v, ·)` is measured with
+//! * Distances: every member distance is measured with
 //!   [`Point2::distance`] in `(min, max)` id order. `(p_i − p_j)` and
 //!   `(p_j − p_i)` are exact IEEE negations, so squares, sum, and square
 //!   root agree bit for bit with the brute-force per-target row
 //!   `positions[v].distance(positions[w])`, and with
 //!   [`SceneState::distance`] for any pair.
-//! * Occlusion: per-viewer arcs come from the same
-//!   [`OcclusionConverter::arcs`] call as the brute-force build; the angular
+//! * Occlusion: member arcs come from the same
+//!   [`OcclusionConverter::arc`] call as the brute-force build; the angular
 //!   sweep only *prunes pairs that cannot intersect* (forward gap beyond
 //!   `half_width + max_half_width` plus a safety margin) and every surviving
-//!   pair is decided by the exact [`ViewArc::intersects`] predicate, so the
-//!   edge set is the brute-force one. [`UGraph`] stores a canonical CSR
-//!   (every row strictly ascending) whatever order its edges were listed
-//!   in, so equal edge sets make graphs that compare equal in every stored
-//!   value.
+//!   pair is decided by the exact [`ViewArc::intersects`] predicate. A
+//!   complete shortlist's edges are therefore the brute-force edge set, and
+//!   a short one's are that set restricted to `members × members`.
 //! * Candidate masks re-derive the brute-force `physical_candidate_mask`
-//!   semantics from the shared state: a candidate `w` of an MR viewer is
-//!   pruned iff it has no arc (coincident, `d < 1e-9`) or some co-located MR
-//!   participant's arc overlaps `w`'s while standing strictly nearer — and
-//!   "overlaps" is exactly occlusion-graph adjacency, so no arc intersection
-//!   is ever re-tested.
+//!   semantics from the shortlist: a member `w` of an MR viewer is pruned
+//!   iff it has no arc (coincident, `d < 1e-9`) or some MR member's arc
+//!   overlaps `w`'s while standing strictly nearer — and "overlaps" is
+//!   exactly occlusion-edge adjacency, so no arc intersection is ever
+//!   re-tested. The `(distance, id)` selection order puts every strictly
+//!   nearer user of a member in the shortlist too, so member bits are the
+//!   brute-force bits at every K.
 //!
 //! ## Every tick is built from its frame
 //!
 //! A tick's state is a function of that tick's frame (and the engine's
 //! constants: viewers, scene config, `prune_k`) alone, as the paper defines
 //! `O_t^v` and `m_t` from step `t`'s positions. Nothing is carried from the
-//! previous tick: the dense payload (`prune_k = 0`, every new engine's
-//! setting) rebuilds each registered viewer's distance row, arcs, angular
-//! sweep and candidate mask, and the pruned payload rebuilds every
-//! shortlist. The paper's rooms and venues are crowds in which nearly every
-//! user moves at every step, so a tick-to-tick carry would have little to
-//! skip. The sweep's working buffers (sorted arc keys, edge list, counting-sort
-//! scratch), the pruned path's spatial index and its K-nearest query
-//! scratch belong to the engine and are reused across viewers and ticks,
-//! so a push allocates only the structures it hands out.
+//! previous tick. The paper's rooms and venues are crowds in which nearly
+//! every user moves at every step, so a tick-to-tick carry would have
+//! little to skip. The sweep's working buffers (sorted arc keys, edge list,
+//! counting-sort scratch), the spatial index and the member scratch belong
+//! to the engine and are reused across viewers and ticks, so a push
+//! allocates only the structures it hands out.
 //!
-//! ## Crowd-scale pruned mode ([`SceneEngine::set_prune_k`])
-//!
-//! With [`SceneEngine::set_prune_k`]`(K > 0)` the engine
-//! stops materializing dense per-tick structure entirely — no `n`-length
-//! distance rows, no `n`-node occlusion graphs, no `n`-length masks — and
-//! instead builds one [`CandidateSet`] shortlist per registered viewer from
-//! a per-tick two-level [`PruneIndex`]: the K nearest other users by
-//! `(distance, id)`, with exact member distances, restricted occlusion
-//! edges, and mask bits. Per-viewer work drops from O(N log N + pairs) to
-//! O(K log K + restricted pairs), which is what admits venue-scale scenes
-//! (N=10k–100k). The contract (see [`crate::prune`]): member-level
-//! quantities are *bitwise equal* to the full path's — distances by the
-//! IEEE argument above, edges because each shortlist pair is decided by the
-//! same exact predicate, mask bits by the nearer-occluder closure of the
-//! `(distance, id)` selection order — so `K ≥ N−1` reproduces the full path
-//! bit for bit (pinned by the `xr_check` `PrunedVsFull` subject), and
-//! `K = 0` (every new engine's setting) preserves the exact full-N behavior
-//! as the differential oracle.
-//!
-//! [`SceneState::into_parts`] densifies a pruned state on demand so batch
-//! consumers (context assembly, replay) stay payload-agnostic.
+//! [`SceneState::into_parts`] densifies the shortlists into per-viewer
+//! distance rows, `n`-node occlusion graphs and masks — the single
+//! materialization point for batch consumers (context assembly, replay).
 
 use crate::prune::{CandidateSet, PruneIndex};
 
@@ -119,40 +118,16 @@ impl SceneConfig {
     }
 }
 
-/// The per-tick structure a [`SceneState`] holds: dense full-scene state,
-/// or per-viewer K-candidate shortlists when pruning is on.
-#[derive(Debug, Clone)]
-enum StatePayload {
-    /// The full-N path: per-slot distance rows, occlusion graphs and
-    /// masks — nothing is stored for users who are not viewers.
-    Full {
-        /// Distance row `d(v, ·)` (length `n`, `0.0` at `v`) per registered
-        /// viewer (slot order).
-        distances: Vec<Vec<f64>>,
-        /// Static occlusion graph per *registered viewer* (slot order).
-        occlusion: Vec<UGraph>,
-        /// Hybrid-participation candidate mask per registered viewer.
-        candidate_mask: Vec<Vec<bool>>,
-    },
-    /// The crowd-scale path (`prune_k > 0`): one shortlist per
-    /// registered viewer, nothing dense.
-    Pruned {
-        /// The effective shortlist size (already clamped to `n − 1`).
-        k: usize,
-        /// Per-slot candidate shortlists.
-        shortlists: Vec<CandidateSet>,
-    },
-}
-
-/// Shared scene state for one tick: everything per-target code consults,
-/// computed once for the whole scene. Owned by the [`SceneEngine`]; borrowed
-/// read-only through [`TargetView`].
+/// Shared scene state for one tick: the frame's positions and one
+/// [`CandidateSet`] per registered viewer. Owned by the [`SceneEngine`];
+/// borrowed read-only through [`TargetView`].
 #[derive(Debug, Clone)]
 pub struct SceneState {
-    n: usize,
     /// Positions at this tick.
     positions: Vec<Point2>,
-    payload: StatePayload,
+    /// Per-slot candidate shortlists (slot order = the engine's
+    /// registered-viewer order).
+    shortlists: Vec<CandidateSet>,
 }
 
 impl SceneState {
@@ -163,73 +138,45 @@ impl SceneState {
 
     /// Distance between users `i` and `j` (symmetric, bit-exact), measured
     /// from positions in `(min, max)` order — [`Point2::distance`] is
-    /// bit-identical either direction, so the value equals the viewer-row
+    /// bit-identical either direction, so the value equals the shortlist
     /// entry and the brute-force `positions[i].distance(positions[j])`.
     pub fn distance(&self, i: usize, j: usize) -> f64 {
         pair_distance(&self.positions, i, j)
     }
 
-    /// Whether this state holds pruned per-viewer shortlists instead of
-    /// dense full-scene structure.
-    pub fn is_pruned(&self) -> bool {
-        matches!(self.payload, StatePayload::Pruned { .. })
-    }
-
-    /// The effective shortlist size of a pruned state (0 in full mode).
-    pub fn prune_k(&self) -> usize {
-        match &self.payload {
-            StatePayload::Full { .. } => 0,
-            StatePayload::Pruned { k, .. } => *k,
-        }
-    }
-
     /// The candidate shortlist of the viewer in `slot` (slot order = the
-    /// engine's registered-viewer order); `None` in full mode.
-    pub fn candidates(&self, slot: usize) -> Option<&CandidateSet> {
-        match &self.payload {
-            StatePayload::Full { .. } => None,
-            StatePayload::Pruned { shortlists, .. } => Some(&shortlists[slot]),
-        }
+    /// engine's registered-viewer order).
+    pub fn candidates(&self, slot: usize) -> &CandidateSet {
+        &self.shortlists[slot]
     }
 
-    /// Tears the state into its owned parts — positions, and per slot
-    /// (slot order = the engine's registered-viewer order) the viewer's
-    /// distance row, occlusion graph and candidate mask. Lets batch
-    /// consumers take ownership of the heavy per-viewer structures instead
-    /// of cloning them.
+    /// Densifies the state into its per-slot parts (slot order = the
+    /// engine's registered-viewer order): each viewer's distance row, its
+    /// occlusion graph and its candidate mask — the single materialization
+    /// point that batch consumers (context assembly, replay) read.
     ///
-    /// A pruned state is *densified* here — the single materialization
-    /// point that keeps batch consumers payload-agnostic: each viewer's row
-    /// is measured from positions (V·N pairs, bit-identical by the IEEE
-    /// argument), each shortlist's restricted edges become an `n`-node
-    /// [`UGraph`], and the dense mask carries each member's bit with every
-    /// non-member `false`. At a complete shortlist (`K ≥ n−1`) the result is
-    /// bitwise equal to the full path's parts; at serving K the mask *is*
-    /// the candidate-set contract — users outside the shortlist are not
+    /// Each row is measured from positions (V·N pairs, bit-identical by the
+    /// IEEE argument), each shortlist's edges become an `n`-node [`UGraph`],
+    /// and the dense mask carries each member's bit with every non-member
+    /// `false`. A complete shortlist (`K = n−1`) therefore yields the
+    /// brute-force row, graph and mask bit for bit; at a shorter K the mask
+    /// *is* the candidate-set contract — users outside the shortlist are not
     /// candidates.
-    #[allow(clippy::type_complexity)] // (positions, then rows, graphs and masks per slot)
-    pub fn into_parts(self) -> (Vec<Point2>, Vec<Vec<f64>>, Vec<UGraph>, Vec<Vec<bool>>) {
-        let n = self.n;
-        match self.payload {
-            StatePayload::Full { distances, occlusion, candidate_mask } => {
-                (self.positions, distances, occlusion, candidate_mask)
+    pub fn into_parts(self) -> (Vec<Vec<f64>>, Vec<UGraph>, Vec<Vec<bool>>) {
+        let n = self.positions.len();
+        let mut distances = Vec::with_capacity(self.shortlists.len());
+        let mut occlusion = Vec::with_capacity(self.shortlists.len());
+        let mut masks = Vec::with_capacity(self.shortlists.len());
+        for cs in &self.shortlists {
+            distances.push(distance_row(&self.positions, cs.viewer()));
+            occlusion.push(UGraph::from_sorted_unique_edges(n, cs.edges()));
+            let mut dense = vec![false; n];
+            for (&id, &bit) in cs.ids().iter().zip(cs.mask()) {
+                dense[id as usize] = bit;
             }
-            StatePayload::Pruned { shortlists, .. } => {
-                let mut distances = Vec::with_capacity(shortlists.len());
-                let mut occlusion = Vec::with_capacity(shortlists.len());
-                let mut masks = Vec::with_capacity(shortlists.len());
-                for cs in &shortlists {
-                    distances.push(distance_row(&self.positions, cs.viewer()));
-                    occlusion.push(UGraph::from_sorted_unique_edges(n, cs.edges()));
-                    let mut dense = vec![false; n];
-                    for (idx, &id) in cs.ids().iter().enumerate() {
-                        dense[id as usize] = cs.mask()[idx];
-                    }
-                    masks.push(dense);
-                }
-                (self.positions, distances, occlusion, masks)
-            }
+            masks.push(dense);
         }
+        (distances, occlusion, masks)
     }
 }
 
@@ -254,62 +201,36 @@ impl<'a> TargetView<'a> {
         &self.state.positions
     }
 
-    /// The viewer's distance row.
+    /// Retired: a tick stores no dense distance row. Kept until its last
+    /// caller moves to [`TargetView::candidates`].
     ///
     /// # Panics
     ///
-    /// Panics in pruned mode — read [`TargetView::candidates`] instead.
+    /// Always — read [`TargetView::candidates`] instead.
     pub fn distances(&self) -> &'a [f64] {
-        match &self.state.payload {
-            StatePayload::Full { distances, .. } => &distances[self.slot],
-            StatePayload::Pruned { .. } => {
-                panic!("dense distance rows are not materialized in pruned mode (prune_k > 0)")
-            }
-        }
+        panic!("dense distance rows are not materialized: read TargetView::candidates")
     }
 
-    /// The viewer's static occlusion graph `O_t^v`.
+    /// Retired: a tick stores no dense candidate mask. Kept until its last
+    /// caller moves to [`TargetView::candidates`].
     ///
     /// # Panics
     ///
-    /// Panics in pruned mode — read [`TargetView::candidates`] instead.
-    pub fn occlusion(&self) -> &'a UGraph {
-        match &self.state.payload {
-            StatePayload::Full { occlusion, .. } => &occlusion[self.slot],
-            StatePayload::Pruned { .. } => {
-                panic!("dense occlusion graphs are not materialized in pruned mode (prune_k > 0)")
-            }
-        }
-    }
-
-    /// The viewer's hybrid-participation candidate mask `m_t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in pruned mode — read [`TargetView::candidates`] instead.
+    /// Always — read [`TargetView::candidates`] instead.
     pub fn candidate_mask(&self) -> &'a [bool] {
-        match &self.state.payload {
-            StatePayload::Full { candidate_mask, .. } => &candidate_mask[self.slot],
-            StatePayload::Pruned { .. } => {
-                panic!("dense candidate masks are not materialized in pruned mode (prune_k > 0)")
-            }
-        }
+        panic!("dense candidate masks are not materialized: read TargetView::candidates")
     }
 
-    /// The viewer's candidate shortlist; `None` in full mode.
+    /// The viewer's candidate shortlist. Always `Some`: the `Option` is
+    /// kept until its last caller stops matching on it.
     pub fn candidates(&self) -> Option<&'a CandidateSet> {
-        self.state.candidates(self.slot)
-    }
-
-    /// Whether this view comes from a pruned state.
-    pub fn is_pruned(&self) -> bool {
-        self.state.is_pruned()
+        Some(self.state.candidates(self.slot))
     }
 }
 
 /// The angular sweep's working buffers, owned by the engine and reused
 /// across viewers and ticks: a sweep leaves its result in `edges`, and the
-/// caller copies out only what it keeps (the graph, a shortlist's edges).
+/// caller copies out only what it keeps (a shortlist's edges).
 #[derive(Debug, Clone, Default)]
 struct SweepBuffers {
     /// `(center key, id, arc)` of every user that has an arc, sorted by the
@@ -339,17 +260,6 @@ impl SweepBuffers {
         self.pair_sort.sort_unique(n, &mut self.edges);
         &self.edges
     }
-
-    /// One viewer's static occlusion graph, with the brute-force edge set
-    /// and therefore `Eq` to the brute-force build.
-    fn graph(
-        &mut self,
-        arcs: impl ExactSizeIterator<Item = Option<ViewArc>>,
-        pair_tests: &mut u64,
-    ) -> UGraph {
-        let n = arcs.len();
-        UGraph::from_sorted_unique_edges(n, self.edges(arcs, pair_tests))
-    }
 }
 
 /// The streaming scene engine: feed it one [`Frame`] per tick, read shared
@@ -357,8 +267,8 @@ impl SweepBuffers {
 ///
 /// Viewers (the target users whose occlusion structure is needed) are
 /// registered up front so a single-target session does not pay for N
-/// per-viewer graphs or distance rows: a tick stores one of each per viewer
-/// and nothing for the other users.
+/// per-viewer shortlists: a tick stores one per viewer and nothing for the
+/// other users.
 #[derive(Debug, Clone)]
 pub struct SceneEngine {
     converter: OcclusionConverter,
@@ -373,16 +283,12 @@ pub struct SceneEngine {
     /// `Some(k)`: keep only the last `k` states (long-running serving);
     /// `None`: keep everything (episode replay/training).
     retain: Option<usize>,
-    /// Per-tick deadline tracking; `None` until [`SceneEngine::set_slo`]
-    /// installs a tracker.
-    slo: Option<xr_obs::SloTracker>,
-    /// Shortlist size for the crowd-scale pruned mode; 0 (the default)
-    /// keeps the exact full-N path.
+    /// Shortlist cap; 0 (the default) means none, `K = N − 1`.
     prune_k: usize,
-    /// The pruned path's spatial index, rebuilt from each frame into the
-    /// same buffers.
+    /// The short-shortlist path's spatial index, rebuilt from each frame
+    /// into the same buffers.
     index: PruneIndex,
-    /// K-nearest query scratch for the pruned path.
+    /// Per-viewer `(distance, id)` member scratch.
     nearest_buf: Vec<(f64, u32)>,
     sweep: SweepBuffers,
 }
@@ -416,7 +322,6 @@ impl SceneEngine {
             states: Vec::new(),
             base: 0,
             retain: None,
-            slo: None,
             prune_k: 0,
             index: PruneIndex::build(&[]),
             nearest_buf: Vec::new(),
@@ -459,8 +364,8 @@ impl SceneEngine {
     /// last `k` ticks (compacting immediately and on every later push),
     /// `None` (the default) keeps every tick. Long-running serving sessions
     /// must bound retention — a room ticking for hours would otherwise
-    /// accumulate O(n²) state per tick forever; episode replay and training
-    /// keep the full history.
+    /// accumulate per-viewer state every tick forever; episode replay and
+    /// training keep the full history.
     ///
     /// # Panics
     ///
@@ -488,15 +393,14 @@ impl SceneEngine {
         }
     }
 
-    /// Installs (or clears) a per-tick deadline tracker. A new engine has
-    /// none; no budget is ever read from the environment.
+    /// Retired: it installed a per-tick deadline tracker. Rooms time whole
+    /// frames with their own tracker, so only `None` is accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Some`.
     pub fn set_slo(&mut self, slo: Option<xr_obs::SloTracker>) {
-        self.slo = slo;
-    }
-
-    /// The active deadline tracker, if any.
-    pub fn slo(&self) -> Option<&xr_obs::SloTracker> {
-        self.slo.as_ref()
+        assert!(slo.is_none(), "the scene engine's deadline tracker is retired: rooms time whole frames");
     }
 
     /// Retired: it selected whether pruned ticks reused the previous tick's
@@ -515,17 +419,16 @@ impl SceneEngine {
         assert!(eps == 0.0, "snap epsilon is retired: every tick is built from its raw frame");
     }
 
-    /// Sets the crowd-scale shortlist size: `k > 0` makes every subsequent
-    /// tick build per-viewer K-candidate shortlists instead of dense
-    /// full-scene state, `0` (every new engine's setting) keeps the exact
-    /// full-N path (the differential oracle). Safe to switch mid-session:
-    /// each tick is built from its own frame at the K in force when it is
-    /// pushed.
+    /// Caps the shortlist size: every subsequent tick builds per-viewer
+    /// shortlists of `K = min(k, N − 1)` members, and `0` (every new
+    /// engine's setting) means no cap, `K = N − 1` — complete shortlists.
+    /// Safe to switch mid-session: each tick is built from its own frame at
+    /// the cap in force when it is pushed.
     pub fn set_prune_k(&mut self, k: usize) {
         self.prune_k = k;
     }
 
-    /// The active shortlist size (0 = full-N mode).
+    /// The active shortlist cap (0 = no cap, `K = N − 1`).
     pub fn prune_k(&self) -> usize {
         self.prune_k
     }
@@ -539,16 +442,10 @@ impl SceneEngine {
     pub fn push(&mut self, frame: Frame) -> usize {
         let t = self.ticks();
         let _span = xr_obs::span!("session.tick", t = t, n = self.n, viewers = self.viewers.len());
-        // Instant::now only when someone will read the measurement
-        let tick_start = self.slo.as_ref().map(|_| std::time::Instant::now());
         assert_eq!(frame.positions.len(), self.n, "frame has wrong participant count");
 
         let mut pair_tests = 0u64;
-        let state = if self.prune_k > 0 {
-            self.build_state_pruned(frame.positions, &mut pair_tests)
-        } else {
-            self.build_state_dense(frame.positions, &mut pair_tests)
-        };
+        let state = self.build_state(frame.positions, &mut pair_tests);
 
         // shared-state reuse telemetry: one tick serves every registered
         // viewer, and the sweep's exact-predicate evaluations replace
@@ -562,74 +459,50 @@ impl SceneEngine {
 
         self.states.push(state);
         self.compact();
-        if let (Some(slo), Some(start)) = (&mut self.slo, tick_start) {
-            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-            slo.record(t as u64, elapsed_ms);
-            xr_obs::series_observe(
-                "session.tick.ms",
-                &[],
-                t as u64 / slo.config().series_window_ticks,
-                elapsed_ms,
-            );
-        }
         t
     }
 
-    /// Dense tick build (`prune_k = 0`), from scratch: each registered
-    /// viewer's distance row, arcs, occlusion sweep and candidate mask.
-    fn build_state_dense(&mut self, positions: Vec<Point2>, pair_tests: &mut u64) -> SceneState {
+    /// One tick's shortlists, from scratch. A complete shortlist
+    /// (`K = N − 1`) lists every other id in ascending order; a short one
+    /// queries the K nearest out of one two-level spatial index over the
+    /// frame — O(N) scene maintenance plus O(K log K + restricted pairs)
+    /// per viewer. Emits the distances the K-nearest queries evaluated as
+    /// `session.prune.knn_distances` (0 on a complete tick).
+    fn build_state(&mut self, positions: Vec<Point2>, pair_tests: &mut u64) -> SceneState {
         let n = self.n;
-        let mut distances = Vec::with_capacity(self.viewers.len());
-        let mut occlusion = Vec::with_capacity(self.viewers.len());
-        let mut candidate_mask = Vec::with_capacity(self.viewers.len());
-        for &v in &self.viewers {
-            let row = distance_row(&positions, v);
-            let graph = self.sweep.graph(self.converter.arcs_iter(v, &positions), pair_tests);
-            candidate_mask.push(candidate_mask_from_shared(
-                v,
-                self.config.mr_mask[v],
-                &row,
-                &graph,
-                &self.config.mr_mask,
-            ));
-            distances.push(row);
-            occlusion.push(graph);
+        let complete = n.saturating_sub(1);
+        let k = if self.prune_k == 0 { complete } else { self.prune_k.min(complete) };
+        let short = k < complete;
+        if short {
+            self.index.rebuild(&positions);
         }
-        SceneState { n, positions, payload: StatePayload::Full { distances, occlusion, candidate_mask } }
-    }
-
-    /// Crowd-scale tick build (`prune_k > 0`): one two-level spatial index
-    /// over the frame, then one K-candidate shortlist per registered viewer
-    /// — O(N) scene maintenance plus O(K log K + restricted pairs) per
-    /// viewer, with no dense structure anywhere. Emits the distances the
-    /// K-nearest queries evaluated as `session.prune.knn_distances`.
-    fn build_state_pruned(&mut self, positions: Vec<Point2>, pair_tests: &mut u64) -> SceneState {
-        let n = self.n;
-        let k = self.prune_k.min(n.saturating_sub(1));
-        xr_obs::counter_add("session.prune.ticks", &[], 1);
-        self.index.rebuild(&positions);
-        let mut nearest = std::mem::take(&mut self.nearest_buf);
+        let mut members = std::mem::take(&mut self.nearest_buf);
         let mut shortlists = Vec::with_capacity(self.viewers.len());
         let mut knn_distances = 0u64;
         for &v in &self.viewers {
-            knn_distances += self.index.nearest_k_into(&positions, v, k, &mut nearest) as u64;
-            // members in ascending-id order, distances carried along
-            nearest.sort_unstable_by_key(|&(_, w)| w);
+            if short {
+                knn_distances += self.index.nearest_k_into(&positions, v, k, &mut members) as u64;
+                // members in ascending-id order, distances carried along
+                members.sort_unstable_by_key(|&(_, w)| w);
+            } else {
+                members.clear();
+                members
+                    .extend((0..n).filter(|&w| w != v).map(|w| (pair_distance(&positions, v, w), w as u32)));
+            }
             shortlists.push(build_candidate_set(
                 v,
-                k,
                 &positions,
                 &self.converter,
                 &self.config.mr_mask,
-                &nearest,
+                &members,
                 &mut self.sweep,
                 pair_tests,
             ));
         }
-        nearest.clear();
-        self.nearest_buf = nearest;
+        members.clear();
+        self.nearest_buf = members;
         xr_obs::counter_add("session.prune.knn_distances", &[], knn_distances);
-        SceneState { n, positions, payload: StatePayload::Pruned { k, shortlists } }
+        SceneState { positions, shortlists }
     }
 
     /// Convenience: pushes every tick of a scenario's trajectory.
@@ -678,8 +551,8 @@ impl SceneEngine {
 
     /// Consumes the engine, yielding every **retained** tick's shared state
     /// in order (all of them unless [`SceneEngine::set_state_retention`]
-    /// compacted history). Use [`SceneState::into_parts`] to take ownership
-    /// of the per-slot structures without a copy.
+    /// compacted history). Use [`SceneState::into_parts`] to densify the
+    /// per-slot structures.
     pub fn into_states(self) -> Vec<SceneState> {
         self.states
     }
@@ -720,9 +593,8 @@ fn total_order_key(x: f64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
 }
 
-/// The angular sweep's edge enumeration, run by the dense graph build and
-/// by the pruned path's restricted sweep (over shortlist-local indices):
-/// arcs sorted by center, each compared only against arcs within
+/// The angular sweep's edge enumeration over one shortlist's local member
+/// indices: arcs sorted by center, each compared only against arcs within
 /// `half_width + max_half_width` forward gap, and every candidate pair
 /// decided by the exact [`ViewArc::intersects`] predicate. Leaves the
 /// `(min, max)` pairs — the brute-force edge set, unsorted and possibly
@@ -770,18 +642,16 @@ fn sweep_edge_list(sorted: &[(u64, u32, ViewArc)], edges: &mut Vec<(u32, u32)>, 
     }
 }
 
-/// Builds one viewer's [`CandidateSet`] over its K-nearest members
-/// (`members` = `(distance, id)` pairs in ascending-id order): arcs are
-/// re-derived per member with the same converter call as the full path, the
-/// restricted occlusion edges come from the same angular sweep over
-/// shortlist-local indices, and mask bits apply the `mask_entry` rule over
-/// those edges. The `(distance, id)` selection order makes every strictly
-/// nearer user of a member also a member (nearer-occluder closure), so the
-/// member bits are bitwise equal to the full-scene mask.
-#[allow(clippy::too_many_arguments)]
+/// Builds one viewer's [`CandidateSet`] over its members (`members` =
+/// `(distance, id)` pairs in ascending-id order): arcs are re-derived per
+/// member with the brute-force build's converter call, the occlusion edges
+/// come from the angular sweep over shortlist-local indices, and mask bits
+/// apply the MR pruning rule over those edges. The `(distance, id)`
+/// selection order makes every strictly nearer user of a member also a
+/// member (nearer-occluder closure), so the member bits are bitwise equal
+/// to the brute-force mask.
 fn build_candidate_set(
     viewer: usize,
-    k: usize,
     positions: &[Point2],
     converter: &OcclusionConverter,
     mr_mask: &[bool],
@@ -793,19 +663,18 @@ fn build_candidate_set(
     let ids: Vec<u32> = members.iter().map(|&(_, w)| w).collect();
     let dists: Vec<f64> = members.iter().map(|&(d, _)| d).collect();
 
-    // restricted sweep over local member indices: the edge set it yields is
-    // the full edge set ∩ members×members, because each surviving pair is
-    // decided by the exact predicate and the pruning bound stays
-    // conservative on any subset (a subset's max_half_width only shrinks)
+    // sweep over local member indices: the edge set it yields is the full
+    // edge set ∩ members×members, because each surviving pair is decided by
+    // the exact predicate and the pruning bound stays conservative on any
+    // subset (a subset's max_half_width only shrinks)
     let arcs = ids.iter().map(|&w| converter.arc(positions[viewer], positions[w as usize]));
     let local_edges = sweep.edges(arcs, pair_tests);
 
     let mut mask = vec![true; len];
     if mr_mask[viewer] {
-        // the `mask_entry` rule restricted to members: coincident users are
-        // pruned, and a strictly nearer MR member in an overlapping arc
-        // prunes its partner (the viewer itself is never a member, so the
-        // `u != viewer` guard is implicit)
+        // coincident users are pruned, and a strictly nearer MR member in an
+        // overlapping arc prunes its partner (the viewer itself is never a
+        // member, so it never prunes anyone)
         for idx in 0..len {
             if dists[idx] < 1e-9 {
                 mask[idx] = false;
@@ -826,47 +695,7 @@ fn build_candidate_set(
     // the sorted-unique property carries over
     let edges: Vec<(u32, u32)> =
         local_edges.iter().map(|&(a, b)| (ids[a as usize], ids[b as usize])).collect();
-    CandidateSet::new(viewer, k, ids, dists, mask, edges)
-}
-
-/// Candidate mask `m_t` for one viewer, derived from the shared state: the
-/// legacy semantics (a physically present MR participant standing strictly
-/// nearer in an overlapping arc prunes the candidate) with "overlapping arc"
-/// read off the occlusion graph instead of re-tested.
-fn candidate_mask_from_shared(
-    viewer: usize,
-    viewer_is_mr: bool,
-    distances: &[f64],
-    occlusion: &UGraph,
-    mr_mask: &[bool],
-) -> Vec<bool> {
-    let n = distances.len();
-    let mut mask = vec![true; n];
-    mask[viewer] = false; // the target never recommends herself
-    if !viewer_is_mr {
-        return mask;
-    }
-    #[allow(clippy::needless_range_loop)] // w is a user id, not a position
-    for w in 0..n {
-        if w != viewer {
-            mask[w] = mask_entry(viewer, distances, occlusion, mr_mask, w);
-        }
-    }
-    mask
-}
-
-/// One candidate-mask bit: whether user `w` survives the MR-viewer pruning
-/// rule.
-fn mask_entry(viewer: usize, distances: &[f64], occlusion: &UGraph, mr_mask: &[bool], w: usize) -> bool {
-    // no arc: coincident with the viewer (same 1e-9 cutoff as `arc()`)
-    if distances[w] < 1e-9 {
-        return false;
-    }
-    !occlusion
-        .neighbors(w)
-        .iter()
-        .map(|&u| u as usize)
-        .any(|u| u != viewer && mr_mask[u] && distances[u] < distances[w])
+    CandidateSet::new(viewer, ids, dists, mask, edges)
 }
 
 #[cfg(test)]
@@ -888,40 +717,13 @@ mod tests {
         SceneEngine::new(n, config, &viewers)
     }
 
-    #[test]
-    fn slo_tracker_counts_every_tick_over_a_zero_budget() {
-        // a (near-)zero budget makes every real tick a deadline miss — the
-        // engine-level injected-breach case without sleeping
-        let ctx = xr_obs::ObsCtx::new(true, false);
-        let _g = ctx.install();
-        let mut engine = engine_for(12, 2, 0.25);
-        engine.set_slo(Some(xr_obs::SloTracker::new("session.tick", xr_obs::SloConfig::new(1e-9), &[])));
-        for t in 0..5u64 {
-            engine.push(Frame::new(random_positions(12, 8.0, t)));
-        }
-        let slo = engine.slo().unwrap();
-        assert_eq!(slo.ticks(), 5);
-        assert_eq!(slo.misses(), 5, "every tick must overrun a 1ns budget");
-        let snap = ctx.registry.snapshot();
-        assert_eq!(snap.counter("slo.session.tick.deadline_miss"), Some(5));
-        // the windowed latency series recorded under the engine's window
-        let series = xr_obs::series_snapshot().unwrap();
-        assert!(series.series("session.tick.ms").is_some());
-    }
-
-    #[test]
-    fn slo_tracker_stays_silent_under_a_huge_budget() {
-        let ctx = xr_obs::ObsCtx::new(true, false);
-        let _g = ctx.install();
-        let mut engine = engine_for(12, 2, 0.25);
-        engine.set_slo(Some(xr_obs::SloTracker::new("session.tick", xr_obs::SloConfig::new(1e9), &[])));
-        for t in 0..5u64 {
-            engine.push(Frame::new(random_positions(12, 8.0, t)));
-        }
-        assert_eq!(engine.slo().unwrap().misses(), 0);
-        let snap = ctx.registry.snapshot();
-        assert_eq!(snap.counter("slo.session.tick.deadline_miss"), None);
-        assert_eq!(snap.counter("slo.session.tick.ticks"), Some(5));
+    /// The occlusion graph one sweep over `arcs` builds.
+    fn swept_graph(arcs: &[Option<ViewArc>]) -> UGraph {
+        let mut tests = 0;
+        UGraph::from_sorted_unique_edges(
+            arcs.len(),
+            SweepBuffers::default().edges(arcs.iter().copied(), &mut tests),
+        )
     }
 
     #[test]
@@ -937,32 +739,10 @@ mod tests {
     }
 
     #[test]
-    fn distances_match_legacy_rows_bit_for_bit() {
-        // viewers registered out of id order: rows are stored by slot, so a
-        // row indexed by id instead would read another viewer's distances
-        let n = 24;
-        let mr_mask: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        let config = SceneConfig { body_radius: 0.25, mr_mask, room_diagonal: 10.0 };
-        let viewers = [17, 3, 0, 23];
-        let mut engine = SceneEngine::new(n, config, &viewers);
-        let positions = random_positions(n, 8.0, 7);
-        engine.push(Frame::new(positions.clone()));
-        for &v in &viewers {
-            let row = engine.view(v, 0).distances();
-            assert_eq!(row.len(), n);
-            for w in 0..n {
-                let legacy = positions[v].distance(positions[w]);
-                assert_eq!(row[w].to_bits(), legacy.to_bits(), "row of viewer {v}: d({v},{w})");
-            }
-        }
-        // every pair, viewers or not, through the exact-pair accessor
-        let state = engine.state(0);
-        for i in 0..n {
-            for j in 0..n {
-                let legacy = positions[i].distance(positions[j]);
-                assert_eq!(state.distance(i, j).to_bits(), legacy.to_bits(), "d({i},{j})");
-            }
-        }
+    #[should_panic(expected = "deadline tracker is retired")]
+    fn retired_slo_tracker_is_rejected() {
+        let slo = xr_obs::SloTracker::new("session.tick", xr_obs::SloConfig::new(1.0), &[]);
+        engine_for(4, 2, 0.25).set_slo(Some(slo));
     }
 
     #[test]
@@ -975,9 +755,7 @@ mod tests {
             let n = 3 + (seed as usize % 22);
             let positions = random_positions(n, 4.0, seed);
             for viewer in [0, n / 2, n - 1] {
-                let arcs = conv.arcs(viewer, &positions);
-                let mut tests = 0;
-                let swept = SweepBuffers::default().graph(arcs.iter().copied(), &mut tests);
+                let swept = swept_graph(&conv.arcs(viewer, &positions));
                 let brute = conv.static_graph(viewer, &positions);
                 assert_eq!(swept, brute, "seed {seed}, viewer {viewer}");
             }
@@ -1021,22 +799,20 @@ mod tests {
             Point2::new(-2.0, 0.1), // regular
             Point2::new(1.5, -1.5), // regular
         ];
-        let arcs = conv.arcs(0, &positions);
-        let mut tests = 0;
-        assert_eq!(
-            SweepBuffers::default().graph(arcs.iter().copied(), &mut tests),
-            conv.static_graph(0, &positions)
-        );
+        assert_eq!(swept_graph(&conv.arcs(0, &positions)), conv.static_graph(0, &positions));
     }
 
     #[test]
     fn candidate_mask_matches_arc_level_definition() {
-        // re-derive the mask the legacy way (arc scan) and compare
+        // re-derive the mask the brute-force way (arc scan) and compare it
+        // with each viewer's complete-shortlist bits
         let n = 20;
         let conv = OcclusionConverter::new(0.3);
         let mr_mask: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
         for seed in 0..20u64 {
             let positions = random_positions(n, 4.0, 100 + seed);
+            let mut engine = engine_for(n, 2, 0.3);
+            engine.push(Frame::new(positions.clone()));
             for viewer in 0..n {
                 let arcs = conv.arcs(viewer, &positions);
                 let mut expected = vec![true; n];
@@ -1063,23 +839,13 @@ mod tests {
                         }
                     }
                 }
-                let mut tests = 0;
-                let graph = SweepBuffers::default().graph(arcs.iter().copied(), &mut tests);
-                let distances: Vec<f64> = (0..n).map(|w| positions[viewer].distance(positions[w])).collect();
-                let mask = candidate_mask_from_shared(viewer, mr_mask[viewer], &distances, &graph, &mr_mask);
+                let cs = engine.state(0).candidates(viewer);
+                let mut mask = vec![false; n];
+                for (&w, &bit) in cs.ids().iter().zip(cs.mask()) {
+                    mask[w as usize] = bit;
+                }
                 assert_eq!(mask, expected, "seed {seed}, viewer {viewer}");
             }
-        }
-    }
-
-    /// The dense parts of a full-mode state (tests only ever unpack full
-    /// states through this; pruned states have their own assertions).
-    fn full_parts(s: &SceneState) -> (&Vec<Vec<f64>>, &Vec<UGraph>, &Vec<Vec<bool>>) {
-        match &s.payload {
-            StatePayload::Full { distances, occlusion, candidate_mask } => {
-                (distances, occlusion, candidate_mask)
-            }
-            StatePayload::Pruned { .. } => panic!("expected a full-mode state"),
         }
     }
 
@@ -1137,50 +903,29 @@ mod tests {
         frames
     }
 
-    /// The bits of per-slot distance rows, for bitwise comparison.
-    fn row_bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
-        rows.iter().map(|row| row.iter().map(|d| d.to_bits()).collect()).collect()
-    }
-
-    /// Asserts two states hold the same payload kind and equal every stored
-    /// value bit for bit.
+    /// Asserts two states equal every stored value bit for bit.
     fn assert_states_bitwise_equal(a: &SceneState, b: &SceneState, ctx: &str) {
         let bits = |ps: &[Point2]| -> Vec<(u64, u64)> {
             ps.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
         };
         assert_eq!(bits(&a.positions), bits(&b.positions), "{ctx}: position bits");
-        match (&a.payload, &b.payload) {
-            (
-                StatePayload::Pruned { k: ak, shortlists: asl },
-                StatePayload::Pruned { k: bk, shortlists: bsl },
-            ) => {
-                assert_eq!(ak, bk, "{ctx}: K");
-                assert_eq!(asl, bsl, "{ctx}: shortlists");
-                let dist_bits = |sl: &[CandidateSet]| -> Vec<Vec<u64>> {
-                    sl.iter().map(|cs| cs.distances().iter().map(|d| d.to_bits()).collect()).collect()
-                };
-                assert_eq!(dist_bits(asl), dist_bits(bsl), "{ctx}: member distance bits");
-            }
-            _ => {
-                let (ad, ao, am) = full_parts(a);
-                let (bd, bo, bm) = full_parts(b);
-                assert_eq!(row_bits(ad), row_bits(bd), "{ctx}: distance bits");
-                assert_eq!(ao, bo, "{ctx}: occlusion (UGraph Eq)");
-                assert_eq!(am, bm, "{ctx}: candidate masks");
-            }
-        }
+        assert_eq!(a.shortlists, b.shortlists, "{ctx}: shortlists");
+        let dist_bits = |sl: &[CandidateSet]| -> Vec<Vec<u64>> {
+            sl.iter().map(|cs| cs.distances().iter().map(|d| d.to_bits()).collect()).collect()
+        };
+        assert_eq!(dist_bits(&a.shortlists), dist_bits(&b.shortlists), "{ctx}: member distance bits");
     }
 
     #[test]
     fn every_tick_is_a_function_of_its_frame_alone() {
         // whatever the engine saw before, each pushed tick equals bit for bit
-        // what a fresh engine builds from that frame alone — dense, at a
-        // complete shortlist and at a serving K, with unbounded and
-        // single-tick retention, through lobby churn
+        // what a fresh engine builds from that frame alone — at complete
+        // shortlists and at a serving K, with unbounded and single-tick
+        // retention, through lobby churn
         let n = 16;
         let frames = frames_with_lobby_churn(n, 12, 5.0, 0.15, 61);
         let mut parked_with_their_shortlist = 0;
-        for prune_k in [0, n - 1, 4] {
+        for prune_k in [0, 4] {
             for retention in [None, Some(1)] {
                 let mut engine = engine_for(n, 2, 0.25);
                 engine.set_prune_k(prune_k);
@@ -1197,15 +942,56 @@ mod tests {
                     if prune_k == 4 && t > 0 {
                         parked_with_their_shortlist += (0..n)
                             .filter(|&v| f[v] == frames[t - 1][v])
-                            .filter(|&v| {
-                                engine.view(v, t).candidates().unwrap().distances().iter().all(|&d| d == 0.0)
-                            })
+                            .filter(|&v| engine.state(t).candidates(v).distances().iter().all(|&d| d == 0.0))
                             .count();
                     }
                 }
             }
         }
         assert!(parked_with_their_shortlist > 0, "the churn must park some viewer with its whole shortlist");
+    }
+
+    #[test]
+    fn no_cap_and_every_cap_from_n_minus_1_up_build_one_complete_shortlist_without_a_query() {
+        // K = 0 (no cap), K = n−1 and K = n+5 all mean a complete shortlist:
+        // every other id in ascending order with its exact distance, built
+        // without the K-nearest query
+        let n = 16;
+        let frames = frames_with_lobby_churn(n, 10, 5.0, 0.15, 83);
+        let ctx = xr_obs::ObsCtx::new(true, false);
+        let _g = ctx.install();
+        let engines: Vec<SceneEngine> = [0, n - 1, n + 5]
+            .into_iter()
+            .map(|prune_k| {
+                let mut engine = engine_for(n, 2, 0.25);
+                engine.set_prune_k(prune_k);
+                for f in &frames {
+                    engine.push(Frame::new(f.clone()));
+                }
+                engine
+            })
+            .collect();
+        let snap = ctx.registry.snapshot();
+        assert_eq!(snap.counter("session.ticks"), Some(3 * frames.len() as u64));
+        assert_eq!(
+            snap.counter("session.prune.knn_distances").unwrap_or(0),
+            0,
+            "a complete tick ran a query"
+        );
+        for (t, positions) in frames.iter().enumerate() {
+            for other in &engines[1..] {
+                assert_states_bitwise_equal(engines[0].state(t), other.state(t), &format!("t={t}"));
+            }
+            for v in 0..n {
+                let cs = engines[0].state(t).candidates(v);
+                let others: Vec<u32> = (0..n as u32).filter(|&w| w as usize != v).collect();
+                assert_eq!(cs.ids(), &others[..], "t={t} v={v}: members");
+                for (&w, d) in cs.ids().iter().zip(cs.distances()) {
+                    let brute = positions[v].distance(positions[w as usize]);
+                    assert_eq!(d.to_bits(), brute.to_bits(), "t={t}: d({v},{w})");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1230,8 +1016,7 @@ mod tests {
         for t in 7..10 {
             // retained states are addressed by their original tick index and
             // identical to the unbounded engine's
-            assert_eq!(full_parts(bounded.state(t)).0, full_parts(unbounded.state(t)).0, "t={t}");
-            assert_eq!(bounded.view(0, t).candidate_mask(), unbounded.view(0, t).candidate_mask());
+            assert_states_bitwise_equal(bounded.state(t), unbounded.state(t), &format!("t={t}"));
         }
         assert_eq!(bounded.latest_state().unwrap().positions(), unbounded.state(9).positions());
         assert_eq!(bounded.into_states().len(), 3);
@@ -1275,9 +1060,10 @@ mod tests {
         engine.push(Frame::new(random_positions(n, 5.0, 9)));
         let view = engine.view(7, 0);
         assert_eq!(view.viewer(), 7);
-        assert_eq!(view.distances().len(), n);
-        assert_eq!(view.candidate_mask().iter().filter(|&&b| !b).count(), 1);
-        assert_eq!(view.occlusion().node_count(), n);
+        let cs = view.candidates().unwrap();
+        assert_eq!((cs.viewer(), cs.len()), (7, n - 1), "slot 1 holds viewer 7's complete shortlist");
+        assert!(cs.mask().iter().all(|&m| m), "a VR viewer keeps every candidate");
+        assert_eq!(engine.state(0).candidates(0).viewer(), 4);
     }
 
     #[test]
@@ -1298,55 +1084,24 @@ mod tests {
     }
 
     #[test]
-    fn pruned_at_full_k_densifies_bitwise_identical_to_the_full_path() {
-        // K ≥ n−1 makes every shortlist complete, so into_parts of the
-        // pruned state must reproduce the full path's parts bit for bit —
-        // the heart of the full-N oracle contract
-        for seed in 0..6u64 {
-            let n = 8 + (seed as usize % 10);
-            let frames = coherent_frames(n, 6, 5.0, 0.4, 0.1, 500 + seed);
-            let mut full = engine_for(n, 2, 0.25);
-            full.set_prune_k(0);
-            let mut pruned = engine_for(n, 2, 0.25);
-            pruned.set_prune_k(n - 1);
-            for f in &frames {
-                full.push(Frame::new(f.clone()));
-                pruned.push(Frame::new(f.clone()));
-            }
-            for t in 0..frames.len() {
-                assert!(pruned.state(t).is_pruned());
-                assert!(!full.state(t).is_pruned() && full.state(t).candidates(0).is_none());
-                let (fp, fd, fo, fm) = full.state(t).clone().into_parts();
-                let (pp, pd, po, pm) = pruned.state(t).clone().into_parts();
-                assert_eq!(fp, pp, "seed {seed} t={t}: positions");
-                assert_eq!(fd.len(), n, "seed {seed} t={t}: one row per slot");
-                assert_eq!(row_bits(&fd), row_bits(&pd), "seed {seed} t={t}: per-slot distance bits");
-                assert_eq!(fo, po, "seed {seed} t={t}: occlusion graphs");
-                assert_eq!(fm, pm, "seed {seed} t={t}: masks");
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_member_quantities_match_the_full_scene_at_serving_k() {
-        // at a small serving K the member-level contract still holds: ids
-        // are the brute K nearest by (distance, id), member distances and
-        // mask bits are bitwise equal to the full scene's, and the
-        // restricted edges are the full edge set ∩ members×members
+    fn short_shortlists_are_the_k_nearest_of_the_complete_one() {
+        // at a small serving K the member-level contract holds: ids are the
+        // brute K nearest by (distance, id), and member distances, mask bits
+        // and edges are bitwise the complete shortlist's, restricted to the
+        // members
         for seed in 0..6u64 {
             let n = 18;
             let k = 6;
             let positions = random_positions(n, 5.0, 700 + seed);
-            let mut full = engine_for(n, 2, 0.25);
-            full.set_prune_k(0);
-            full.push(Frame::new(positions.clone()));
+            let mut complete = engine_for(n, 2, 0.25);
+            complete.push(Frame::new(positions.clone()));
             let mut pruned = engine_for(n, 2, 0.25);
             pruned.set_prune_k(k);
             pruned.push(Frame::new(positions.clone()));
 
             for v in 0..n {
-                let fv = full.view(v, 0);
-                let cs = pruned.view(v, 0).candidates().expect("pruned view");
+                let full = complete.state(0).candidates(v);
+                let cs = pruned.state(0).candidates(v);
                 assert_eq!(cs.viewer(), v);
                 // brute-force K nearest by (distance, id)
                 let mut all: Vec<(f64, u32)> = (0..n)
@@ -1359,23 +1114,23 @@ mod tests {
                 want.sort_unstable();
                 assert_eq!(cs.ids(), &want[..], "seed {seed} v={v}: membership");
                 for (idx, &w) in cs.ids().iter().enumerate() {
-                    let w = w as usize;
+                    let at = full.ids().binary_search(&w).unwrap();
                     assert_eq!(
                         cs.distances()[idx].to_bits(),
-                        fv.distances()[w].to_bits(),
+                        full.distances()[at].to_bits(),
                         "seed {seed} v={v} w={w}: distance"
                     );
                     assert_eq!(
                         cs.mask()[idx],
-                        fv.candidate_mask()[w],
+                        full.mask()[at],
                         "seed {seed} v={v} w={w}: mask bit (nearer-occluder closure)"
                     );
                 }
-                let restricted: Vec<(u32, u32)> = fv
-                    .occlusion()
+                let restricted: Vec<(u32, u32)> = full
                     .edges()
-                    .filter(|&(a, b)| cs.contains(a) && cs.contains(b))
-                    .map(|(a, b)| (a as u32, b as u32))
+                    .iter()
+                    .copied()
+                    .filter(|&(a, b)| cs.contains(a as usize) && cs.contains(b as usize))
                     .collect();
                 assert_eq!(cs.edges(), &restricted[..], "seed {seed} v={v}: restricted edges");
             }
@@ -1383,7 +1138,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_state_distance_matches_dense_bitwise() {
+    fn state_distance_matches_brute_force_bitwise() {
         let n = 10;
         let positions = random_positions(n, 6.0, 44);
         let mut engine = engine_for(n, 2, 0.25);
@@ -1422,41 +1177,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not materialized in pruned mode")]
-    fn pruned_distance_row_panics() {
+    #[should_panic(expected = "not materialized")]
+    fn retired_distance_row_accessor_panics() {
         let mut engine = engine_for(6, 2, 0.25);
-        engine.set_prune_k(2);
         engine.push(Frame::new(random_positions(6, 5.0, 8)));
         engine.view(0, 0).distances();
     }
 
     #[test]
-    #[should_panic(expected = "not materialized in pruned mode")]
-    fn pruned_candidate_mask_panics() {
+    #[should_panic(expected = "not materialized")]
+    fn retired_candidate_mask_accessor_panics() {
         let mut engine = engine_for(6, 2, 0.25);
-        engine.set_prune_k(2);
         engine.push(Frame::new(random_positions(6, 5.0, 8)));
         engine.view(0, 0).candidate_mask();
     }
 
     #[test]
     fn toggling_prune_k_mid_session_rebuilds_cleanly() {
-        // pruned ⇄ full switches leave nothing stale behind: every full tick
-        // after a switch still matches an engine that never pruned
+        // serving-K ⇄ complete switches leave nothing stale behind: every
+        // tick matches an engine that ran its K throughout
         let n = 12;
         let frames = coherent_frames(n, 9, 5.0, 0.3, 0.1, 77);
+        let k_at = |t: usize| if (t / 3).is_multiple_of(2) { 4 } else { 0 };
         let mut toggled = engine_for(n, 2, 0.25);
-        let mut oracle = engine_for(n, 2, 0.25);
+        let mut steady: Vec<SceneEngine> = [4, 0]
+            .into_iter()
+            .map(|k| {
+                let mut engine = engine_for(n, 2, 0.25);
+                engine.set_prune_k(k);
+                engine
+            })
+            .collect();
         for (t, f) in frames.iter().enumerate() {
-            toggled.set_prune_k(if (t / 3) % 2 == 0 { 4 } else { 0 });
+            toggled.set_prune_k(k_at(t));
             toggled.push(Frame::new(f.clone()));
-            oracle.push(Frame::new(f.clone()));
-        }
-        for (t, _) in frames.iter().enumerate() {
-            if toggled.state(t).is_pruned() {
-                continue;
+            for engine in &mut steady {
+                engine.push(Frame::new(f.clone()));
             }
-            assert_states_bitwise_equal(toggled.state(t), oracle.state(t), &format!("t={t}"));
+        }
+        for t in 0..frames.len() {
+            let reference = &steady[usize::from(k_at(t) == 0)];
+            assert_states_bitwise_equal(toggled.state(t), reference.state(t), &format!("t={t}"));
         }
     }
 

@@ -7,27 +7,30 @@
 //! target a cheap view borrowing that shared state:
 //!
 //! * [`SceneEngine`] ingests one [`Frame`] (all positions at tick `t`) at a
-//!   time and appends that tick's [`SceneState`]: each viewer's distance
-//!   row (each pair measured in `(min, max)` order — bit-exact either way,
-//!   since IEEE negation is exact), the per-viewer occlusion structure, and
-//!   the MR co-location candidate masks derived from it.
+//!   time and appends that tick's [`SceneState`]: one [`CandidateSet`] per
+//!   registered viewer — its members' exact distances (each pair measured
+//!   in `(min, max)` order, bit-exact either way since IEEE negation is
+//!   exact), the occlusion edges among them, and the MR co-location mask
+//!   bits derived from those edges.
 //! * [`TargetView`] borrows one `(viewer, tick)` slice of that shared state;
 //!   it is what per-target code (compat wrappers, recommenders) reads.
 //!
-//! Per-viewer occlusion graphs are built with an angular sweep over arcs
-//! sorted by center instead of the all-pairs intersection loop, so a tick
+//! A shortlist is complete (`K = N − 1`, every other user) unless the
+//! caller caps it with [`SceneEngine::set_prune_k`]`(k)`, in which case it
+//! holds the `K` nearest users out of a per-tick spatial index — the
+//! crowd-scale setting, reached only on an engine the caller owns, never
+//! through the environment. Every tick is built from its frame alone:
+//! nothing is carried from the previous tick.
+//!
+//! Occlusion edges are found with an angular sweep over arcs sorted by
+//! center instead of the all-pairs intersection loop, so a complete tick
 //! costs O(V·(N log N + E)) work instead of V·O(N²) — the
 //! O(N³·T) → O(N²·T) drop for a whole-scene session (V = N viewers). Every
 //! candidate pair still goes through the *exact* [`xr_graph::ViewArc`]
-//! intersection predicate and edges are inserted in the same lexicographic
-//! order as the brute-force build, so the resulting graphs — and everything
-//! derived from them — are structurally identical, not just equivalent.
-//!
-//! Every tick is built from its frame alone: nothing is carried from the
-//! previous tick on either payload. Every engine starts on dense full-N
-//! state; crowd-scale K-candidate shortlists are reached only through
-//! [`SceneEngine::set_prune_k`]`(k)` on an engine the caller owns, never
-//! through the environment.
+//! intersection predicate and edges come out in the same lexicographic
+//! order as the brute-force build, so the graphs densified from them — and
+//! everything derived from them — are structurally identical, not just
+//! equivalent.
 
 pub mod engine;
 pub mod prune;

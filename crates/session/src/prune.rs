@@ -5,36 +5,38 @@
 //!
 //! Every per-viewer stage of the pipeline — the occlusion sweep, candidate
 //! masks, MIA edge-deltas, PDR/LWP scoring, the serving top-k decision — is
-//! O(N) or worse in the participant count when it walks the implicit all-N
-//! candidate set. At venue scale (stadium/concert scenes, N=10k–100k) that
-//! caps a tick; the shortlist contract makes per-viewer work O(K) instead:
-//! the scene rebuilds one [`PruneIndex`] per tick (O(N) counting sort) and
-//! each registered viewer reads a K-nearest shortlist out of it.
+//! O(N) or worse in the participant count when it walks a complete
+//! shortlist of all N − 1 other users. At venue scale (stadium/concert
+//! scenes, N=10k–100k) that caps a tick; a capped shortlist makes
+//! per-viewer work O(K) instead: the scene rebuilds one [`PruneIndex`] per
+//! tick (O(N) counting sort) and each registered viewer reads a K-nearest
+//! shortlist out of it.
 //!
 //! ## The candidate-set contract
 //!
 //! A [`CandidateSet`] for viewer `v` is the `K` nearest other users ordered
 //! by the total key `(distance, id)` — `f64::total_cmp` on the exact f64
-//! distance, ties broken by ascending user id. Two invariants follow and
-//! everything downstream leans on them:
+//! distance, ties broken by ascending user id. It is the scene engine's
+//! only per-viewer payload: with no cap (`K = N − 1`) it holds every other
+//! user and the engine lists them directly, without the index. Two
+//! invariants follow and everything downstream leans on them:
 //!
 //! * **Nearer-occluder closure.** If `w` is in the shortlist, every user
 //!   *strictly nearer* than `w` is also in the shortlist (it precedes `w`
 //!   under the selection key). The candidate-mask rule prunes `w` only when
 //!   a strictly nearer MR participant overlaps it, so a shortlist member's
-//!   mask bit computed on the *restricted* occlusion graph is bitwise equal
+//!   mask bit computed on the *restricted* occlusion edges is bitwise equal
 //!   to the full-scene bit.
 //! * **Exact restriction.** Each shortlist-pair occlusion edge is decided by
-//!   the same exact [`xr_graph::ViewArc::intersects`] predicate as the full
-//!   sweep, so the restricted edge set equals the full edge set intersected
-//!   with `shortlist × shortlist` — no re-derived quantity is approximate,
-//!   only the candidate universe shrinks.
+//!   the same exact [`xr_graph::ViewArc::intersects`] predicate as the
+//!   brute-force build, so the restricted edge set equals the full edge set
+//!   intersected with `shortlist × shortlist` — no re-derived quantity is
+//!   approximate, only the candidate universe shrinks.
 //!
-//! Consequently `prune_k = K ≥ N−1` reproduces the full path bit for
-//! bit (the shortlist is complete), which is what the `xr_check`
-//! `PrunedVsFull` subject pins; at serving K the only divergence is
-//! candidates falling outside the K nearest, bounded by a top-k agreement
-//! floor.
+//! Consequently every shortlist is the complete (`K = N − 1`) one
+//! restricted to its K nearest members, bit for bit, which is what the
+//! `xr_check` `PrunedVsFull` K-sweep pins; the complete shortlist itself is
+//! pinned against the brute-force per-target precompute.
 //!
 //! ## The index
 //!
@@ -99,7 +101,6 @@ const MAX_DIM: usize = 1024;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateSet {
     viewer: usize,
-    k: usize,
     ids: Vec<u32>,
     distances: Vec<f64>,
     mask: Vec<bool>,
@@ -112,7 +113,6 @@ impl CandidateSet {
     /// max)` pairs over members.
     pub(crate) fn new(
         viewer: usize,
-        k: usize,
         ids: Vec<u32>,
         distances: Vec<f64>,
         mask: Vec<bool>,
@@ -129,18 +129,12 @@ impl CandidateSet {
                 .all(|&(a, b)| a < b && ids.binary_search(&a).is_ok() && ids.binary_search(&b).is_ok()),
             "edge endpoints must be members in (min, max) order"
         );
-        CandidateSet { viewer, k, ids, distances, mask, edges }
+        CandidateSet { viewer, ids, distances, mask, edges }
     }
 
     /// The viewer this shortlist belongs to.
     pub fn viewer(&self) -> usize {
         self.viewer
-    }
-
-    /// The requested shortlist size `K` (the member count is smaller when
-    /// fewer than `K` other users exist).
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Number of members.
@@ -159,7 +153,7 @@ impl CandidateSet {
     }
 
     /// Exact f64 viewer→member distances, parallel to [`CandidateSet::ids`]
-    /// (bit-identical to the full path's distance-matrix entries).
+    /// (bit-identical to the brute-force distance rows).
     pub fn distances(&self) -> &[f64] {
         &self.distances
     }
@@ -185,8 +179,8 @@ impl CandidateSet {
 
     /// The serving decision over the shortlist: the `top_k` nearest
     /// mask-true members by `(distance, id)`, returned nearest-first. At a
-    /// complete shortlist (`K ≥ N−1`) this selects exactly the users the
-    /// full-path rule `xr_serve::decide_topk_f64` selects.
+    /// complete shortlist (`K = N−1`) this selects exactly the users the
+    /// dense-row rule `xr_serve::decide_topk_f64` selects.
     pub fn decide_topk(&self, top_k: usize) -> Vec<u32> {
         let mut picks: Vec<usize> = (0..self.ids.len()).filter(|&i| self.mask[i]).collect();
         picks.sort_by(|&a, &b| {
@@ -431,7 +425,7 @@ impl PruneIndex {
 
     /// Exact K-nearest-other-users query by `(distance, id)`, filled into
     /// `out` (nearest first). Distances are the exact f64
-    /// [`Point2::distance`] values — bit-identical to the full scene path.
+    /// [`Point2::distance`] values — bit-identical to the brute-force rows.
     /// Returns how many distances the query evaluated.
     pub fn nearest_k_into(
         &self,
@@ -773,7 +767,6 @@ mod tests {
     fn candidate_set_accessors_and_topk() {
         let cs = CandidateSet::new(
             2,
-            4,
             vec![0, 1, 3, 5],
             vec![1.0, 0.5, 0.5, 2.0],
             vec![true, true, false, true],

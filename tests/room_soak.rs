@@ -8,9 +8,9 @@
 //! so one process covers them all. The determinism test runs
 //! the same workload at `workers = 1` and `workers = 8` and requires
 //! byte-identical per-room decision streams plus an identical
-//! metrics-snapshot structure. Both fleets alternate their rooms between the
-//! dense scene payload and complete `K = n−1` shortlists, so the pruned
-//! payload is served under churn too.
+//! metrics-snapshot structure. Both fleets alternate their rooms between no
+//! shortlist cap and an explicit `K = n−1` cap, so both settings are served
+//! under churn.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,8 +31,8 @@ fn soak_scene() -> SceneConfig {
     }
 }
 
-/// A soak room; every odd-numbered admission (`index`) serves the pruned
-/// payload with complete shortlists, the rest stay dense.
+/// A soak room; every odd-numbered admission (`index`) caps its shortlists
+/// at `K = n−1`, the rest run uncapped.
 fn soak_room(index: usize) -> RoomConfig {
     let mut config = RoomConfig::new(ROOM_N, soak_scene(), vec![0, 3]);
     if index % 2 == 1 {
