@@ -1175,9 +1175,9 @@ pub struct PrunedSceneCase {
 ///   the same member distances and mask bits bit for bit, and exactly the
 ///   complete edges among those members — and its top-k decision is a
 ///   prefix of the complete one's (mask-true members nearest first).
-pub struct PrunedVsFull;
+pub struct CappedVsComplete;
 
-impl DiffSubject for PrunedVsFull {
+impl DiffSubject for CappedVsComplete {
     type Case = PrunedSceneCase;
 
     fn pair(&self) -> String {

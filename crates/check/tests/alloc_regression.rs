@@ -214,7 +214,7 @@ fn f64_serving_step_allocates_less_than_one_dense_matrix_at_n200() {
 /// shift moves every user on every tick, so each push rebuilds every
 /// viewer's state. Frames are built up front so only the engine's own work
 /// is counted.
-fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
+fn warm_complete_shortlist_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
     const N: usize = 200;
     const VIEWERS: usize = 8;
     const WARM: usize = 4;
@@ -243,13 +243,13 @@ fn warm_dense_engine(ticks: usize) -> (SceneEngine, Vec<usize>, Vec<Frame>) {
 }
 
 #[test]
-fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
+fn complete_shortlist_tick_allocates_at_most_32_times_per_viewer() {
     // each push rebuilds all 8 complete shortlists from their sweeps
     const N: usize = 200;
     const MEASURED: usize = 16;
     const BUDGET_PER_VIEWER: u64 = 32;
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut engine, viewers, measured) = warm_dense_engine(MEASURED);
+    let (mut engine, viewers, measured) = warm_complete_shortlist_engine(MEASURED);
     let n_viewers = viewers.len();
     let allocations = allocations_during(|| {
         for frame in measured {
@@ -260,20 +260,20 @@ fn dense_scene_tick_allocates_at_most_32_times_per_viewer() {
     let edges: usize =
         viewers.iter().map(|&v| engine.view(v, engine.ticks() - 1).candidates().unwrap().edges().len()).sum();
     eprintln!(
-        "dense push at N={N}: {allocations} allocations over {MEASURED} ticks × {n_viewers} viewers \
+        "complete-shortlist push at N={N}: {allocations} allocations over {MEASURED} ticks × {n_viewers} viewers \
          = {per_viewer} per viewer per tick (mean m={})",
         edges / n_viewers
     );
     assert!(edges / n_viewers > N, "the scene must be occlusion-dense enough to mean something");
     assert!(
         per_viewer <= BUDGET_PER_VIEWER,
-        "a steady-state dense push makes {per_viewer} allocations per viewer per tick (budget \
+        "a steady-state complete-shortlist push makes {per_viewer} allocations per viewer per tick (budget \
          {BUDGET_PER_VIEWER}) — the shortlist build went back to per-member or per-edge allocation"
     );
 }
 
 #[test]
-fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
+fn complete_shortlist_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
     // the budget is a densified viewer's size: a distance row (8n B), a
     // candidate mask (n B) and a 32-bit CSR graph (4(n+1) B of row offsets,
     // 8m B of neighbour ids). A complete shortlist hands out less: n−1 member ids (4 B each), distances (8 B)
@@ -285,7 +285,7 @@ fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
     const N: usize = 200;
     const PER_VIEWER_SLACK: u64 = 128;
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut engine, viewers, measured) = warm_dense_engine(16);
+    let (mut engine, viewers, measured) = warm_complete_shortlist_engine(16);
     for frame in measured.clone() {
         engine.push(frame);
     }
@@ -305,7 +305,7 @@ fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
     }
     let budget = exact + PER_VIEWER_SLACK * views;
     eprintln!(
-        "dense push at N={N}: {} B per viewer per tick, {} B over the graph, row and mask (mean m={})",
+        "complete-shortlist push at N={N}: {} B per viewer per tick, {} B over the graph, row and mask (mean m={})",
         bytes / views,
         bytes.saturating_sub(exact) / views,
         edges / views
@@ -313,7 +313,7 @@ fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
     assert!(edges / views > n, "the scene must be occlusion-dense enough to mean something");
     assert!(
         bytes <= budget,
-        "a steady-state dense push allocates {} B per viewer per tick, over the {} B of a 32-bit CSR \
+        "a steady-state complete-shortlist push allocates {} B per viewer per tick, over the {} B of a 32-bit CSR \
          graph, a distance row, a mask and {PER_VIEWER_SLACK} B — the graph widened or the sweep stopped \
          reusing its scratch",
         bytes / views,
@@ -322,10 +322,10 @@ fn dense_scene_tick_allocates_only_the_32_bit_graph_row_and_mask_per_viewer() {
 }
 
 #[test]
-fn pruned_scene_tick_allocates_at_most_32_times_per_viewer() {
+fn capped_shortlist_tick_allocates_at_most_32_times_per_viewer() {
     // a stadium crowd served at K = 64 with bounded retention: each push
     // rebuilds the spatial index into the engine's buffers and builds a
-    // fresh shortlist per viewer; measured 7 per viewer, so the dense
+    // fresh shortlist per viewer; measured 7 per viewer, so the complete
     // tick's budget leaves the same headroom
     const N: usize = 2000;
     const K: usize = 64;
@@ -359,36 +359,38 @@ fn pruned_scene_tick_allocates_at_most_32_times_per_viewer() {
     let members: usize =
         viewers.iter().map(|&v| engine.view(v, engine.ticks() - 1).candidates().unwrap().len()).sum();
     eprintln!(
-        "pruned push at N={N}, K={K}: {allocations} allocations over {MEASURED} ticks × {VIEWERS} viewers \
+        "capped push at N={N}, K={K}: {allocations} allocations over {MEASURED} ticks × {VIEWERS} viewers \
          = {per_viewer} per viewer per tick"
     );
     assert_eq!(members, K * VIEWERS, "every viewer's shortlist must be full");
     assert!(
         per_viewer <= BUDGET_PER_VIEWER,
-        "a steady-state pruned push makes {per_viewer} allocations per viewer per tick (budget \
+        "a steady-state capped push makes {per_viewer} allocations per viewer per tick (budget \
          {BUDGET_PER_VIEWER}) — the shortlist build went back to per-member allocation"
     );
 }
 
 #[test]
-fn dense_scene_tick_never_allocates_an_n_by_n_block() {
+fn complete_shortlist_tick_never_allocates_an_n_by_n_block() {
     // an uncapped tick stores only per-viewer arrays (a complete
     // shortlist's members, distances, mask bits and edges), each far below
     // one N×N f64 matrix
     const N: usize = 200;
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut engine, _viewers, measured) = warm_dense_engine(4);
+    let (mut engine, _viewers, measured) = warm_complete_shortlist_engine(4);
     let largest = largest_allocation_during(|| {
         for frame in measured {
             engine.push(frame);
         }
     });
     let dense = (N * N * std::mem::size_of::<f64>()) as u64;
-    eprintln!("dense push at N={N}: largest single allocation {largest} B, dense N×N = {dense} B");
+    eprintln!(
+        "complete-shortlist push at N={N}: largest single allocation {largest} B, dense N×N = {dense} B"
+    );
     assert!(largest > 0, "the pushes made no allocation — instrumentation broken?");
     assert!(
         largest < dense,
-        "a steady-state dense push allocated a {largest} B block at N={N}, at least one dense N×N f64 \
+        "a steady-state complete-shortlist push allocated a {largest} B block at N={N}, at least one dense N×N f64 \
          matrix ({dense} B) — the tick went back to storing the whole distance matrix"
     );
 }

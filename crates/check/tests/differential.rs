@@ -2,8 +2,8 @@
 //! 256 proptest-generated scenarios per pair.
 
 use xr_check::diff::{
-    assert_no_divergence, CachedVsFreshMia, EngineVsBruteForce, FusedVsTapeStep, MatmulNaiveVsBlocked,
-    MultiRoomVsSequential, OrcaGridVsBrute, PooledVsFreshTape, PrunedVsFull, SerialVsParallelRunner,
+    assert_no_divergence, CachedVsFreshMia, CappedVsComplete, EngineVsBruteForce, FusedVsTapeStep,
+    MatmulNaiveVsBlocked, MultiRoomVsSequential, OrcaGridVsBrute, PooledVsFreshTape, SerialVsParallelRunner,
     SpmmVsDense,
 };
 
@@ -61,9 +61,9 @@ fn multi_room_scheduler_matches_sequential_engines_bitwise() {
 }
 
 #[test]
-fn pruned_scene_matches_full_n_bitwise_at_sufficient_k() {
+fn capped_shortlists_match_the_complete_shortlist_bitwise() {
     // the complete shortlist is the brute-force precompute bit for bit
     // (membership, distances, masks, edges, decisions), and every drawn K
     // is that shortlist restricted to its K nearest members
-    assert_no_divergence(&PrunedVsFull, KERNEL_CASES);
+    assert_no_divergence(&CappedVsComplete, KERNEL_CASES);
 }

@@ -38,11 +38,13 @@
 //!   [`SceneState::distance`] for any pair.
 //! * Occlusion: member arcs come from the same
 //!   [`OcclusionConverter::arc`] call as the brute-force build; the angular
-//!   sweep only *prunes pairs that cannot intersect* (forward gap beyond
-//!   `half_width + max_half_width` plus a safety margin) and every surviving
-//!   pair is decided by the exact [`ViewArc::intersects`] predicate. A
-//!   complete shortlist's edges are therefore the brute-force edge set, and
-//!   a short one's are that set restricted to `members × members`.
+//!   sweep orders the arcs by start (`center − half_width`) and only *prunes
+//!   pairs that cannot intersect*: each arc tests the arcs whose start lies
+//!   within its own span (plus a safety margin), and two overlapping arcs
+//!   always hold one another's start. Every tested pair is decided by the
+//!   exact [`ViewArc::intersects`] predicate. A complete shortlist's edges
+//!   are therefore the brute-force edge set, and a short one's are that set
+//!   restricted to `members × members`.
 //! * Candidate masks re-derive the brute-force `physical_candidate_mask`
 //!   semantics from the shortlist: a member `w` of an MR viewer is pruned
 //!   iff it has no arc (coincident, `d < 1e-9`) or some MR member's arc
@@ -59,7 +61,7 @@
 //! `O_t^v` and `m_t` from step `t`'s positions. Nothing is carried from the
 //! previous tick. The paper's rooms and venues are crowds in which nearly
 //! every user moves at every step, so a tick-to-tick carry would have
-//! little to skip. The sweep's working buffers (sorted arc keys, edge list,
+//! little to skip. The sweep's working buffers (start-sorted arcs, edge list,
 //! counting-sort scratch), the spatial index and the member scratch belong
 //! to the engine and are reused across viewers and ticks, so a push
 //! allocates only the structures it hands out.
@@ -74,11 +76,11 @@ use xr_datasets::Scenario;
 use xr_graph::geom::Point2;
 use xr_graph::{OcclusionConverter, PairSort, UGraph, ViewArc};
 
-/// Safety margin on the sweep's pruning bound: the forward gap and
-/// `angle_diff` compute the same circular distance with different rounding,
-/// so pairs within a few ULPs of the bound must still reach the exact
-/// predicate. 1e-9 rad is ~10⁶ ULPs at this scale — vastly conservative and
-/// still pruning everything that matters.
+/// Safety margin on the sweep's pruning bound: the start-to-start forward
+/// gap and `angle_diff` round differently (each start is `center −
+/// half_width`, maybe `+ τ`), so pairs within a few ULPs of the bound must
+/// still reach the exact predicate. 1e-9 rad is ~10⁶ ULPs at this scale —
+/// vastly conservative and still pruning everything that matters.
 const SWEEP_MARGIN: f64 = 1e-9;
 
 /// All participant positions at one tick — the unit of ingestion for
@@ -233,9 +235,9 @@ impl<'a> TargetView<'a> {
 /// caller copies out only what it keeps (a shortlist's edges).
 #[derive(Debug, Clone, Default)]
 struct SweepBuffers {
-    /// `(center key, id, arc)` of every user that has an arc, sorted by the
-    /// sweep key `(center, id)`.
-    sorted: Vec<(u64, u32, ViewArc)>,
+    /// `(start, id, arc)` of every user that has an arc, sorted by the
+    /// sweep key `(start, id)`.
+    sorted: Vec<(f64, u32, ViewArc)>,
     /// The last sweep's sorted unique `(min, max)` edges.
     edges: Vec<(u32, u32)>,
     /// Counting-sort scratch for `edges`.
@@ -573,17 +575,22 @@ fn distance_row(positions: &[Point2], v: usize) -> Vec<f64> {
     (0..positions.len()).map(|w| pair_distance(positions, v, w)).collect()
 }
 
-/// Fills `sorted` with the `(center key, id, arc)` of every id that has an
-/// arc, sorted by the sweep key `(center, id)` — one compact array whose
-/// comparisons are two integer compares, so neither the sort nor the hot
-/// loop touches an Option-boxed arc. The keys are unique, so an unstable
-/// sort yields the one sorted order.
-fn sort_arcs(arcs: impl Iterator<Item = Option<ViewArc>>, sorted: &mut Vec<(u64, u32, ViewArc)>) {
+/// Fills `sorted` with the `(start, id, arc)` of every id that has an arc,
+/// where `start = center − half_width` wrapped by one `+τ` into `[0, τ]`
+/// (rounding can land a start just below 0 on τ itself, which is the same
+/// point on the circle), sorted by the sweep key `(start, id)` through
+/// [`total_order_key`] — two integer compares, so neither the sort nor the
+/// hot loop touches an Option-boxed arc. The keys are unique, so an
+/// unstable sort yields the one sorted order.
+fn sort_arcs(arcs: impl Iterator<Item = Option<ViewArc>>, sorted: &mut Vec<(f64, u32, ViewArc)>) {
     sorted.clear();
-    sorted.extend(
-        arcs.enumerate().filter_map(|(w, arc)| arc.map(|arc| (total_order_key(arc.center), w as u32, arc))),
-    );
-    sorted.sort_unstable_by_key(|&(key, id, _)| (key, id));
+    sorted.extend(arcs.enumerate().filter_map(|(w, arc)| {
+        arc.map(|arc| {
+            let start = arc.center - arc.half_width;
+            (if start < 0.0 { start + std::f64::consts::TAU } else { start }, w as u32, arc)
+        })
+    }));
+    sorted.sort_unstable_by_key(|&(start, id, _)| (total_order_key(start), id));
 }
 
 /// An integer whose order is [`f64::total_cmp`]'s: negatives have every
@@ -594,30 +601,26 @@ fn total_order_key(x: f64) -> u64 {
 }
 
 /// The angular sweep's edge enumeration over one shortlist's local member
-/// indices: arcs sorted by center, each compared only against arcs within
-/// `half_width + max_half_width` forward gap, and every candidate pair
-/// decided by the exact [`ViewArc::intersects`] predicate. Leaves the
-/// `(min, max)` pairs — the brute-force edge set, unsorted and possibly
-/// listed twice — in `edges`.
-fn sweep_edge_list(sorted: &[(u64, u32, ViewArc)], edges: &mut Vec<(u32, u32)>, pair_tests: &mut u64) {
+/// indices: arcs sorted by start, each compared only against the arcs whose
+/// start lies within its own span (forward gap at most `2·half_width`, plus
+/// [`SWEEP_MARGIN`]), and every candidate pair decided by the exact
+/// [`ViewArc::intersects`] predicate. Two overlapping arcs always hold one
+/// another's start, so every intersecting pair is reached from at least one
+/// endpoint, and nearly every test is a hit; a π-wide arc scans the lap
+/// only for itself. Leaves the `(min, max)` pairs — the brute-force edge
+/// set, unsorted and possibly listed twice (when each arc holds the other's
+/// start) — in `edges`.
+fn sweep_edge_list(sorted: &[(f64, u32, ViewArc)], edges: &mut Vec<(u32, u32)>, pair_tests: &mut u64) {
     edges.clear();
-    let m = sorted.len();
-    if m < 2 {
-        return;
-    }
-    let max_half_width = sorted.iter().map(|(_, _, a)| a.half_width).fold(f64::NEG_INFINITY, f64::max);
-
-    for s in 0..m {
-        let (_, i, ai) = sorted[s];
-        // beyond this forward gap no arc can reach back to `ai`; forward
-        // gaps are nondecreasing along the sorted lap, so the first
-        // out-of-reach arc ends the scan — pairs whose shorter gap runs the
-        // other way are found from the partner's own forward scan
-        let reach = ai.half_width + max_half_width + SWEEP_MARGIN;
+    for (s, &(start, i, ai)) in sorted.iter().enumerate() {
+        // forward gaps are nondecreasing along the sorted lap, so the first
+        // start beyond the arc's end ends the scan — a later arc that still
+        // overlaps this one holds its start, and lists the pair from its own
+        // scan
+        let reach = 2.0 * ai.half_width + SWEEP_MARGIN;
         let mut wrap = true;
-        for &(_, j, aj) in &sorted[s + 1..] {
-            let gap = aj.center - ai.center; // ≥ 0: sorted
-            if gap > reach {
+        for &(start_j, j, aj) in &sorted[s + 1..] {
+            if start_j - start > reach {
                 wrap = false;
                 break;
             }
@@ -628,9 +631,8 @@ fn sweep_edge_list(sorted: &[(u64, u32, ViewArc)], edges: &mut Vec<(u32, u32)>, 
         }
         if wrap {
             // wrapped portion of the lap; gaps stay nondecreasing across it
-            for &(_, j, aj) in &sorted[..s] {
-                let gap = aj.center - ai.center + std::f64::consts::TAU;
-                if gap > reach {
+            for &(start_j, j, aj) in &sorted[..s] {
+                if start_j - start + std::f64::consts::TAU > reach {
                     break;
                 }
                 *pair_tests += 1;
@@ -665,8 +667,8 @@ fn build_candidate_set(
 
     // sweep over local member indices: the edge set it yields is the full
     // edge set ∩ members×members, because each surviving pair is decided by
-    // the exact predicate and the pruning bound stays conservative on any
-    // subset (a subset's max_half_width only shrinks)
+    // the exact predicate and the pruning bound is per pair (one arc's start
+    // within the other's span), so it stays conservative on any subset
     let arcs = ids.iter().map(|&w| converter.arc(positions[viewer], positions[w as usize]));
     let local_edges = sweep.edges(arcs, pair_tests);
 
@@ -682,12 +684,10 @@ fn build_candidate_set(
         }
         for &(a, b) in local_edges {
             let (a, b) = (a as usize, b as usize);
-            if mr_mask[ids[a] as usize] && dists[a] < dists[b] {
-                mask[b] = false;
-            }
-            if mr_mask[ids[b] as usize] && dists[b] < dists[a] {
-                mask[a] = false;
-            }
+            // branch-free: which side prunes is data-dependent and
+            // mispredicts as a branch
+            mask[b] &= !(mr_mask[ids[a] as usize] & (dists[a] < dists[b]));
+            mask[a] &= !(mr_mask[ids[b] as usize] & (dists[b] < dists[a]));
         }
     }
 
@@ -745,20 +745,66 @@ mod tests {
         engine_for(4, 2, 0.25).set_slo(Some(slo));
     }
 
+    /// Asserts that the sweep over `viewer`'s arcs builds the brute-force
+    /// graph.
+    fn assert_sweep_is_brute_force(
+        conv: &OcclusionConverter,
+        viewer: usize,
+        positions: &[Point2],
+        ctx: &str,
+    ) {
+        let swept = swept_graph(&conv.arcs(viewer, positions));
+        assert_eq!(swept, conv.static_graph(viewer, positions), "{ctx}");
+    }
+
+    /// Users around a viewer at the origin whose arcs straddle angle 0:
+    /// centres on 0 and just above it (their starts wrap below 0), just
+    /// under τ down to a few ULPs, and on τ itself (`Point2::angle` rounds
+    /// `−1e-16 / d + τ` up to τ).
+    fn users_around_angle_zero() -> Vec<Point2> {
+        let mut positions = vec![Point2::new(0.0, 0.0)];
+        for k in 1..=10 {
+            let (d, k) = (0.2 + 0.35 * k as f64, k as f64);
+            positions.push(Point2::new(d, 1e-3 * k));
+            positions.push(Point2::new(d, -1e-3 * k));
+            positions.push(Point2::new(d, -1e-15 * k));
+            positions.push(Point2::new(d, -1e-16));
+            positions.push(Point2::new(d * 0.99, 0.0));
+        }
+        positions
+    }
+
     #[test]
     fn sweep_graph_equals_brute_force_including_adjacency_order() {
         // structural equality (UGraph derives PartialEq over the adjacency
         // Vec) is stronger than edge-set equality: downstream CSR builds and
-        // degree iterations must see the identical object
-        let conv = OcclusionConverter::new(0.3);
-        for seed in 0..30u64 {
-            let n = 3 + (seed as usize % 22);
-            let positions = random_positions(n, 4.0, seed);
-            for viewer in [0, n / 2, n - 1] {
-                let swept = swept_graph(&conv.arcs(viewer, &positions));
-                let brute = conv.static_graph(viewer, &positions);
-                assert_eq!(swept, brute, "seed {seed}, viewer {viewer}");
+        // degree iterations must see the identical object. Body radius 3.5
+        // is near the 4 m room's scale: most arcs are wide, many π-wide.
+        for radius in [0.3, 3.5] {
+            let conv = OcclusionConverter::new(radius);
+            for seed in 0..30u64 {
+                let n = 3 + (seed as usize % 22);
+                let positions = random_positions(n, 4.0, seed);
+                for viewer in [0, n / 2, n - 1] {
+                    assert_sweep_is_brute_force(
+                        &conv,
+                        viewer,
+                        &positions,
+                        &format!("r {radius}, seed {seed}"),
+                    );
+                }
             }
+        }
+        // starts that wrap below 0 and centres just under τ
+        let positions = users_around_angle_zero();
+        let tau = std::f64::consts::TAU;
+        for radius in [0.05, 0.3, 1.0, 3.0] {
+            let conv = OcclusionConverter::new(radius);
+            let arcs: Vec<ViewArc> = conv.arcs(0, &positions).into_iter().flatten().collect();
+            assert!(arcs.iter().any(|a| a.center < 0.01 && a.center - a.half_width < 0.0));
+            assert!(arcs.iter().any(|a| a.center > tau - 1e-13 && a.center < tau));
+            assert!(arcs.iter().any(|a| a.center == tau));
+            assert_sweep_is_brute_force(&conv, 0, &positions, &format!("around 0, r {radius}"));
         }
     }
 
@@ -787,6 +833,37 @@ mod tests {
         }
     }
 
+    /// Pairs of distinct users around a viewer at the origin whose arc
+    /// starts `center − half_width` tie bit for bit: each partner is aimed
+    /// at the first user's start and nudged until the rounded starts agree.
+    fn users_with_equal_starts(conv: &OcclusionConverter) -> Vec<Point2> {
+        let start = |p: Point2| {
+            let a = conv.arc(Point2::new(0.0, 0.0), p).unwrap();
+            a.center - a.half_width
+        };
+        let mut positions = vec![Point2::new(0.0, 0.0)];
+        for k in 0..12 {
+            let theta = 0.4 + 0.5 * k as f64;
+            let first = Point2::new(theta.cos(), theta.sin()) * 1.5;
+            let target = start(first);
+            let d = 2.5 + 0.1 * k as f64;
+            let half_width = (conv.body_radius / d).asin();
+            let aim = target + half_width;
+            // tangential nudges of about an ULP of the position each
+            let step = f64::EPSILON * d;
+            let partner = (-64..=64)
+                .map(|nudge| {
+                    let t = nudge as f64 * step;
+                    Point2::new(aim.cos() * d - t * aim.sin(), aim.sin() * d + t * aim.cos())
+                })
+                .find(|&p| start(p) == target);
+            if let Some(partner) = partner {
+                positions.extend([first, partner]);
+            }
+        }
+        positions
+    }
+
     #[test]
     fn sweep_handles_coincident_and_engulfing_arcs() {
         // coincident users (no arc) and d <= r (half_width = π) are the
@@ -799,7 +876,73 @@ mod tests {
             Point2::new(-2.0, 0.1), // regular
             Point2::new(1.5, -1.5), // regular
         ];
-        assert_eq!(swept_graph(&conv.arcs(0, &positions)), conv.static_graph(0, &positions));
+        assert_sweep_is_brute_force(&conv, 0, &positions, "one π-wide arc");
+
+        // several π-wide arcs, two of them twins (equal starts), one centred
+        // just under τ, among regular arcs that straddle angle 0
+        let mut positions = users_around_angle_zero();
+        positions.extend([
+            Point2::new(0.1, 0.2),
+            Point2::new(0.1, 0.2),
+            Point2::new(-0.3, -0.1),
+            Point2::new(0.4, -1e-12),
+            Point2::new(2.0, 2.0),
+            Point2::new(2.0, 2.0),
+        ]);
+        assert_sweep_is_brute_force(&conv, 0, &positions, "several π-wide arcs");
+
+        // distinct users whose starts tie bit for bit
+        for radius in [0.3, 0.8] {
+            let conv = OcclusionConverter::new(radius);
+            let positions = users_with_equal_starts(&conv);
+            assert!(positions.len() >= 9, "r {radius}: only {} tied pairs", positions.len() / 2);
+            assert_sweep_is_brute_force(&conv, 0, &positions, &format!("equal starts, r {radius}"));
+        }
+
+        // a body radius near the room's scale: nearly every arc is π-wide
+        let conv = OcclusionConverter::new(3.0);
+        let positions = random_positions(40, 4.0, 9);
+        for viewer in [0, 17, 39] {
+            assert_sweep_is_brute_force(&conv, viewer, &positions, &format!("room-scale r, viewer {viewer}"));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn sweep_graph_equals_brute_force_on_random_scenes(
+            raw in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..48),
+            radius in 0.02f64..3.0,
+            viewer in 0usize..48,
+            layout in 0u32..4,
+        ) {
+            // layout 0: uniform in a 4 m room; 1, 2: snapped to a 0.5 m or
+            // 0.25 m grid (twins, collinear users, centres exactly on axes);
+            // 3: a fan around the viewer within ±0.1 rad of angle 0
+            let viewer = viewer % raw.len();
+            let positions: Vec<Point2> = raw
+                .iter()
+                .enumerate()
+                .map(|(w, &(u, v))| match layout {
+                    _ if layout == 3 && w == viewer => Point2::new(2.0, 2.0),
+                    0 => Point2::new(4.0 * u, 4.0 * v),
+                    1 | 2 => {
+                        let step = 0.5 / layout as f64;
+                        Point2::new((4.0 * u / step).round() * step, (4.0 * v / step).round() * step)
+                    }
+                    _ => {
+                        let (angle, d) = ((u - 0.5) * 0.2, 0.01 + 3.0 * v);
+                        Point2::new(2.0 + d * angle.cos(), 2.0 + d * angle.sin())
+                    }
+                })
+                .collect();
+            let conv = OcclusionConverter::new(radius);
+            proptest::prop_assert_eq!(
+                swept_graph(&conv.arcs(viewer, &positions)),
+                conv.static_graph(viewer, &positions)
+            );
+        }
     }
 
     #[test]
@@ -1174,6 +1317,46 @@ mod tests {
         let cs = engine.view(stack / 2, 0).candidates().unwrap();
         assert_eq!(cs.ids(), &(0..k as u32).collect::<Vec<_>>()[..], "the K lowest ids of the stack");
         assert!(cs.distances().iter().all(|&d| d == 0.0) && cs.mask().iter().all(|&m| !m));
+    }
+
+    /// Pushes one uncapped frame through an engine for `viewers` with an
+    /// installed [`xr_obs::ObsCtx`]; returns the sweep's pair tests and the
+    /// engine.
+    fn sweep_pair_tests(positions: Vec<Point2>, viewers: &[usize]) -> (u64, SceneEngine) {
+        let n = positions.len();
+        let mr_mask = (0..n).map(|i| i % 2 == 0).collect();
+        let config = SceneConfig { body_radius: 0.25, mr_mask, room_diagonal: 15.0 };
+        let mut engine = SceneEngine::new(n, config, viewers);
+        let ctx = xr_obs::ObsCtx::new(true, false);
+        let _g = ctx.install();
+        engine.push(Frame::new(positions));
+        (ctx.registry.snapshot().counter("session.sweep.pair_tests").unwrap(), engine)
+    }
+
+    #[test]
+    fn a_user_inside_the_body_radius_costs_one_lap_not_all_pairs() {
+        // a π-wide arc holds every other arc's start: it scans the lap for
+        // itself (m − 1 tests, all hits) and leaves every other arc's scan
+        // bounded by that arc's own span. A scan bounded by the widest arc
+        // in the scene would test all m(m − 1)/2 pairs.
+        let mut positions = random_positions(200, 10.0, 31);
+        positions[1] = positions[0] + Point2::new(0.1, 0.15);
+        let (pair_tests, engine) = sweep_pair_tests(positions, &[0]);
+        let cs = engine.view(0, 0).candidates().unwrap();
+        let (m, edges) = (cs.ids().len() as u64, cs.edges().len() as u64);
+        assert_eq!(m, 199);
+        assert!(pair_tests <= edges + (m - 1), "{pair_tests} pair tests for {edges} edges");
+    }
+
+    #[test]
+    fn a_conference_frame_sweeps_a_pinned_number_of_pairs() {
+        // the sweep's work is deterministic: a seeded 200-user, 8-viewer
+        // frame (the conference room's shape) tests exactly this many pairs
+        let viewers: Vec<usize> = (0..8).map(|v| 25 * v).collect();
+        let (pair_tests, engine) = sweep_pair_tests(random_positions(200, 10.0, 17), &viewers);
+        let edges: usize =
+            viewers.iter().map(|&v| engine.view(v, 0).candidates().unwrap().edges().len()).sum();
+        assert_eq!((pair_tests, edges), (12_623, 12_619));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!
 //! Consequently every shortlist is the complete (`K = N − 1`) one
 //! restricted to its K nearest members, bit for bit, which is what the
-//! `xr_check` `PrunedVsFull` K-sweep pins; the complete shortlist itself is
+//! `xr_check` `CappedVsComplete` K-sweep pins; the complete shortlist itself is
 //! pinned against the brute-force per-target precompute.
 //!
 //! ## The index
