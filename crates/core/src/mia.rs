@@ -13,14 +13,12 @@
 //! * the aggregation operator `D⁻¹A_t` over the static occlusion graph.
 //!
 //! Every per-step output is O(N + m) for m occlusion edges: the adjacency
-//! operators are CSR, and no N×N matrix is formed. The training slab
-//! ([`Mia::compute_episode`]) runs the step from `t−1` to `t` as a
-//! recurrence (`MiaCarry` carries `A_{t−1}`'s degrees and propagation
-//! terms); [`Mia::compute`] is the from-scratch reference it is pinned
-//! against. The model's inference step (`Mia::serve_into`) computes each
-//! step from scratch, like [`Mia::compute`], but writes its rows into the
-//! model's buffers and builds none of the operators only the loss reads.
-//! All three run one feature body.
+//! operators are CSR, and no N×N matrix is formed. Each step is computed
+//! from `(ctx, t)` alone, reading `A_{t−1}` and `A_t` from the context.
+//! The training slab ([`Mia::compute_episode`]) is [`Mia::compute`] at
+//! every step; the model's inference step (`Mia::serve_into`) writes the
+//! same rows into the model's buffers and builds none of the operators only
+//! the loss reads. Both run one feature body.
 //!
 //! Under a crowd-scale engine with capped shortlists (`K < N − 1`), the
 //! contexts MIA consumes carry occlusion graphs restricted to each viewer's
@@ -108,31 +106,23 @@ impl MiaOutput {
     }
 }
 
-/// The state MIA carries from step `t` to step `t + 1`: `A_t`'s degrees
-/// `A_t·1` and two-hop propagation `A_t·(A_t·1)` — exactly the predecessor
-/// terms of step `t + 1`'s `Δ`. Everything here is a function of `A_t`
-/// alone. Refilling a carry reuses its buffers, so the serving step keeps
-/// two (for `A_{t−1}` and `A_t`) and refills both at every step.
+/// One occlusion graph's terms in `Δ`: its degrees `A·1` and two-hop
+/// propagation `A·(A·1)`. A step reads two, for `A_{t−1}` and `A_t`;
+/// refilling one reuses its buffers, so the serving step keeps a pair and
+/// refills both at every step.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MiaCarry {
-    t: usize,
     deg: Vec<f64>,
     a2_1: Vec<f64>,
 }
 
 impl MiaCarry {
-    /// The step whose occlusion graph the carry describes.
-    pub(crate) fn t(&self) -> usize {
-        self.t
-    }
-
     /// Refills with `g`'s terms, read from the graph's own rows: the degree
     /// is the row length, and `A·(A·1)` sums the neighbours' degrees in
     /// ascending order from `0.0` — bit for bit the CSR mat-vec, whose
     /// stored values are all `1.0`.
-    fn set_graph(&mut self, t: usize, g: &UGraph) {
+    fn set_graph(&mut self, g: &UGraph) {
         let n = g.node_count();
-        self.t = t;
         self.deg.clear();
         self.deg.extend((0..n).map(|v| g.degree(v) as f64));
         let deg = &self.deg;
@@ -150,13 +140,12 @@ impl MiaCarry {
     /// empty graph's zeros at `t = 0` (the conference has not started).
     fn set_predecessor(&mut self, ctx: &TargetContext, t: usize) {
         if t == 0 {
-            self.t = 0;
             self.deg.clear();
             self.deg.resize(ctx.n, 0.0);
             self.a2_1.clear();
             self.a2_1.resize(ctx.n, 0.0);
         } else {
-            self.set_graph(t - 1, &ctx.occlusion[t - 1]);
+            self.set_graph(&ctx.occlusion[t - 1]);
         }
     }
 }
@@ -182,39 +171,15 @@ pub(crate) const DELTA_DIM: usize = 3;
 pub struct Mia;
 
 impl Mia {
-    /// Runs MIA for time step `t` from scratch.
+    /// Runs MIA for time step `t`.
     ///
     /// `A_{t-1}` is taken from `ctx.occlusion[t-1]`; at `t = 0` the previous
     /// adjacency is the empty graph (the conference has not started).
     pub fn compute(&self, ctx: &TargetContext, t: usize) -> MiaOutput {
-        self.start(ctx, t).0
-    }
-
-    /// [`Mia::compute`], also returning the carry that lets
-    /// [`Mia::advance`] produce step `t + 1`.
-    pub(crate) fn start(&self, ctx: &TargetContext, t: usize) -> (MiaOutput, MiaCarry) {
         let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
         let mut prev = MiaCarry::default();
         prev.set_predecessor(ctx, t);
-        let mut next = MiaCarry::default();
-        let out = self.output(ctx, t, &prev, &mut next);
-        (out, next)
-    }
-
-    /// Steps `carry` from `t − 1` to `t = carry.t() + 1` and returns MIA at
-    /// `t`. `Δ_t`'s predecessor terms — `A_{t−1}`'s degrees and
-    /// `A_{t−1}·(A_{t−1}·1)` — come from the carry instead of a re-read of
-    /// `A_{t−1}`, so the step is O(N + m).
-    ///
-    /// The caller must pass the context whose step `carry.t()` produced the
-    /// carry; the output is then bit-identical to [`Mia::compute`] at `t`.
-    pub(crate) fn advance(&self, ctx: &TargetContext, carry: &mut MiaCarry) -> MiaOutput {
-        let t = carry.t + 1;
-        let _span = xr_obs::span!("poshgnn.mia.compute", t = t);
-        let mut next = MiaCarry::default();
-        let out = self.output(ctx, t, carry, &mut next);
-        *carry = next;
-        out
+        self.output(ctx, t, &prev, &mut MiaCarry::default())
     }
 
     /// The serving form of one MIA step: writes `x̂_t` into columns `0..4`
@@ -257,7 +222,7 @@ impl Mia {
         mut emit: impl FnMut(usize, MiaRow),
     ) {
         let n = ctx.n;
-        next.set_graph(t, &ctx.occlusion[t]);
+        next.set_graph(&ctx.occlusion[t]);
         // Δ_t = [e⁰ ‖ e¹ ‖ e²]; the propagation differences are scaled by
         // 1/N so Δ stays O(1) regardless of crowd size (training stability;
         // the paper leaves the scale unspecified). All structural terms are
@@ -292,7 +257,7 @@ impl Mia {
 
     /// The whole [`MiaOutput`] at `t` from the predecessor's terms in
     /// `prev`: the shared feature body plus the operators the loss reads.
-    /// Fills `next` with step `t`'s terms for the carry.
+    /// `next` is scratch for step `t`'s terms.
     fn output(&self, ctx: &TargetContext, t: usize, prev: &MiaCarry, next: &mut MiaCarry) -> MiaOutput {
         let n = ctx.n;
         let mut features = Matrix::zeros(n, FEATURE_DIM);
@@ -354,24 +319,11 @@ impl Mia {
     /// [`xr_tensor::Tape::constant_rc`] without cloning, and each slab entry
     /// keeps the CSR transposes its first backward pass builds.
     ///
-    /// The slab is the `Mia::start` / `Mia::advance` recurrence run over
-    /// the episode, and is bit-identical to
-    /// [`Mia::compute_episode_fresh`], pinned by a unit test here and by the
-    /// `CachedVsFreshMia` differential subject.
+    /// The slab is [`Mia::compute`] at every step; the `CachedVsFreshMia`
+    /// differential subject pins training from it against per-epoch
+    /// recomputation.
     pub fn compute_episode(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
         let _span = xr_obs::span!("poshgnn.mia.compute_episode", steps = ctx.t_max() + 1);
-        let (first, mut carry) = self.start(ctx, 0);
-        let mut outs = Vec::with_capacity(ctx.t_max() + 1);
-        outs.push(Rc::new(first));
-        while carry.t() < ctx.t_max() {
-            outs.push(Rc::new(self.advance(ctx, &mut carry)));
-        }
-        outs
-    }
-
-    /// The per-step-rebuild episode path: MIA recomputed independently at
-    /// every step. The reference [`Mia::compute_episode`] is pinned against.
-    pub fn compute_episode_fresh(&self, ctx: &TargetContext) -> Vec<Rc<MiaOutput>> {
         (0..=ctx.t_max()).map(|t| Rc::new(self.compute(ctx, t))).collect()
     }
 
@@ -607,27 +559,6 @@ mod tests {
                 assert!((out.delta[(r, 1)] - e1[(r, 0)]).abs() < 1e-12);
                 assert!((out.delta[(r, 2)] - e2[(r, 0)]).abs() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn delta_episode_path_is_bitwise_identical_to_fresh() {
-        // both episode paths must produce the same slabs bit for bit — the
-        // delta path is an optimization layer, not an approximation
-        let c = ctx();
-        let fresh = Mia.compute_episode_fresh(&c);
-        let delta = Mia.compute_episode(&c);
-        assert_eq!(fresh.len(), delta.len());
-        for (t, (f, d)) in fresh.iter().zip(delta.iter()).enumerate() {
-            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&f.features), bits(&d.features), "t={t}: features");
-            assert_eq!(bits(&f.delta), bits(&d.delta), "t={t}: delta embedding");
-            assert_eq!(bits(&f.mask), bits(&d.mask), "t={t}: mask");
-            assert_eq!(bits(&f.p_hat), bits(&d.p_hat), "t={t}: p_hat");
-            assert_eq!(bits(&f.s_hat), bits(&d.s_hat), "t={t}: s_hat");
-            assert_eq!(f.adjacency_csr, d.adjacency_csr, "t={t}: csr");
-            assert_eq!(f.adjacency_norm_csr, d.adjacency_norm_csr, "t={t}: norm csr");
-            assert_eq!(f.blocking_csr, d.blocking_csr, "t={t}: blocking csr");
         }
     }
 

@@ -480,7 +480,7 @@ fn bench_multi_room(workers: usize) -> Json {
         .set("degrade_transitions", stats.transitions)
 }
 
-/// Crowd-scale serving: capped K-candidate shortlists (hierarchical
+/// Crowd-scale serving: capped K-candidate shortlists (uniform-grid
 /// spatial index + K-nearest queries, `set_prune_k(K)`) vs. the uncapped
 /// engine's complete shortlists (`K = N − 1`, every other user), on
 /// stadium frames from the venue generator. The "full" arm is skipped at

@@ -190,10 +190,10 @@ impl GcnLayer {
     ///
     /// Reads the first `in_dim` columns of each row of `h`; wider rows are
     /// allowed, so a layer can read a prefix of a wider input buffer. `out`
-    /// is reshaped to `N × out_dim` if it has another shape. Input widths 4,
-    /// 8 and 16 with output widths 1 and 8 (the model's layers at the
-    /// paper's hidden width) keep their row accumulators in fixed-size stack
-    /// arrays; other widths use `scratch`. A caller that keeps `out` and
+    /// is reshaped to `N × out_dim` if it has another shape. The model's layer
+    /// shapes at the paper's hidden width 8 — `(4, 8)`, `(8, 1)`, `(8, 8)`
+    /// and `(16, 8)` — keep their row accumulators in fixed-size stack
+    /// arrays; other shapes use `scratch`. A caller that keeps `out` and
     /// `scratch` allocates nothing after the first call.
     ///
     /// Row by row, every entry follows the tape's per-element operation
@@ -226,11 +226,9 @@ impl GcnLayer {
             act: self.activation.nonlinearity(),
         };
         match (din, dout) {
-            (4, 1) => rows.run(out, &mut [0.0; 4], &mut [0.0; 1], &mut [0.0; 1]),
             (4, 8) => rows.run(out, &mut [0.0; 4], &mut [0.0; 8], &mut [0.0; 8]),
             (8, 1) => rows.run(out, &mut [0.0; 8], &mut [0.0; 1], &mut [0.0; 1]),
             (8, 8) => rows.run(out, &mut [0.0; 8], &mut [0.0; 8], &mut [0.0; 8]),
-            (16, 1) => rows.run(out, &mut [0.0; 16], &mut [0.0; 1], &mut [0.0; 1]),
             (16, 8) => rows.run(out, &mut [0.0; 16], &mut [0.0; 8], &mut [0.0; 8]),
             _ => {
                 scratch.clear();

@@ -68,7 +68,13 @@ impl Point2 {
     pub fn angle(self) -> f64 {
         let a = self.y.atan2(self.x);
         if a < 0.0 {
-            a + std::f64::consts::TAU
+            // a tiny negative angle rounds up onto τ, which is 0 again
+            let wrapped = a + std::f64::consts::TAU;
+            if wrapped < std::f64::consts::TAU {
+                wrapped
+            } else {
+                0.0
+            }
         } else {
             a
         }
@@ -170,6 +176,14 @@ mod tests {
         assert!((Point2::new(0.0, 1.0).angle() - FRAC_PI_2).abs() < 1e-12);
         assert!((Point2::new(-1.0, 0.0).angle() - PI).abs() < 1e-12);
         assert!((Point2::new(0.0, -1.0).angle() - 3.0 * FRAC_PI_2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn angle_stays_below_tau_when_the_wrap_rounds_up() {
+        // atan2 gives -1e-16 here, and -1e-16 + τ rounds to τ
+        assert_eq!(Point2::new(1.0, -1e-16).angle(), 0.0);
+        let just_below = Point2::new(1.0, -1e-15).angle();
+        assert!(just_below > 0.0 && just_below < TAU);
     }
 
     #[test]

@@ -52,7 +52,10 @@ impl OcclusionConverter {
 
     /// The view arc of user `w` as seen by the target at `target_pos`, or
     /// `None` when the two coincide (an arbitrarily wide arc would be
-    /// meaningless; callers treat coincident users as occluding everything).
+    /// meaningless). A user without an arc gets no edges in
+    /// [`OcclusionConverter::static_graph`] or the scene engine's sweep,
+    /// [`OcclusionConverter::visibility`] never shows it, and an MR
+    /// viewer's candidate mask prunes it while a VR viewer's keeps it.
     pub fn arc(&self, target_pos: Point2, w_pos: Point2) -> Option<ViewArc> {
         let rel = w_pos - target_pos;
         let d = rel.norm();

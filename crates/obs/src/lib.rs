@@ -228,11 +228,6 @@ pub fn metrics_snapshot() -> Option<MetricsSnapshot> {
     current_ctx().map(|ctx| ctx.registry.snapshot())
 }
 
-/// A deterministic snapshot of the installed context's windowed series.
-pub fn series_snapshot() -> Option<TimeSeriesSnapshot> {
-    current_ctx().map(|ctx| ctx.series.snapshot())
-}
-
 /// Event severity for [`emit_event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventLevel {

@@ -19,7 +19,7 @@
 //!   every other id in ascending order: no spatial index, no K-nearest
 //!   query, no sort.
 //! * A *short* one (`K < N − 1`, crowd scale) holds the K nearest other
-//!   users by `(distance, id)`, read out of a per-tick two-level
+//!   users by `(distance, id)`, read out of a per-tick uniform-grid
 //!   [`PruneIndex`]. Per-viewer work drops from O(N log N + pairs) to
 //!   O(K log K + restricted pairs), which is what admits venue-scale scenes
 //!   (N = 10k–100k).
@@ -466,7 +466,7 @@ impl SceneEngine {
 
     /// One tick's shortlists, from scratch. A complete shortlist
     /// (`K = N − 1`) lists every other id in ascending order; a short one
-    /// queries the K nearest out of one two-level spatial index over the
+    /// queries the K nearest out of one uniform-grid spatial index over the
     /// frame — O(N) scene maintenance plus O(K log K + restricted pairs)
     /// per viewer. Emits the distances the K-nearest queries evaluated as
     /// `session.prune.knn_distances` (0 on a complete tick).
@@ -803,7 +803,10 @@ mod tests {
             let arcs: Vec<ViewArc> = conv.arcs(0, &positions).into_iter().flatten().collect();
             assert!(arcs.iter().any(|a| a.center < 0.01 && a.center - a.half_width < 0.0));
             assert!(arcs.iter().any(|a| a.center > tau - 1e-13 && a.center < tau));
-            assert!(arcs.iter().any(|a| a.center == tau));
+            assert!(arcs.iter().all(|a| a.center < tau));
+            // (d, −1e-16) sits at atan2 ≈ −2e-16, whose wrap rounds onto τ
+            let rounds_onto_tau = conv.arc(positions[0], positions[4]).unwrap();
+            assert_eq!(rounds_onto_tau.center, 0.0);
             assert_sweep_is_brute_force(&conv, 0, &positions, &format!("around 0, r {radius}"));
         }
     }
@@ -1317,6 +1320,30 @@ mod tests {
         let cs = engine.view(stack / 2, 0).candidates().unwrap();
         assert_eq!(cs.ids(), &(0..k as u32).collect::<Vec<_>>()[..], "the K lowest ids of the stack");
         assert!(cs.distances().iter().all(|&d| d == 0.0) && cs.mask().iter().all(|&m| !m));
+    }
+
+    #[test]
+    fn a_stadium_tick_evaluates_a_pinned_number_of_distances() {
+        // one venue frame at the benchmark's stadium shape: N = 10 000,
+        // 32 viewers spread evenly over ids, K = 64. The count is a
+        // function of the frame and the index's ring order alone, so any
+        // change to how the index is scanned that offers other candidates
+        // moves it.
+        let (n, viewers, k) = (10_000, 32, 64);
+        let mut sim = xr_datasets::VenueSim::new(xr_datasets::VenueConfig::stadium(n, 1));
+        let venue = *sim.config();
+        let config = SceneConfig {
+            body_radius: venue.body_radius,
+            mr_mask: venue.mr_mask(),
+            room_diagonal: venue.room_diagonal(),
+        };
+        let ids: Vec<usize> = (0..n).step_by(n / viewers).take(viewers).collect();
+        let mut engine = SceneEngine::new(n, config, &ids);
+        engine.set_prune_k(k);
+        let ctx = xr_obs::ObsCtx::new(true, false);
+        let _g = ctx.install();
+        engine.push(Frame::new(sim.next_frame()));
+        assert_eq!(ctx.registry.snapshot().counter("session.prune.knn_distances"), Some(6358));
     }
 
     /// Pushes one uncapped frame through an engine for `viewers` with an

@@ -1,4 +1,4 @@
-//! Hierarchical K-candidate pruning: a two-level spatial index and the
+//! K-candidate pruning: a uniform-grid spatial index and the
 //! per-viewer [`CandidateSet`] shortlist every crowd-scale stage operates on.
 //!
 //! ## Why
@@ -40,16 +40,13 @@
 //!
 //! ## The index
 //!
-//! [`PruneIndex`] is a two-level uniform grid (the ORCA `NeighborGrid` idiom
-//! from `xr_crowd`, lifted here so the session layer owns it): a fine
-//! CSR-bucketed cell grid sized for a constant expected occupancy, plus a
-//! coarse level of 4×4-cell super-cell occupancy counts. K-nearest queries
-//! expand Chebyshev rings of fine cells outward from the viewer's cell;
-//! the coarse counts let the scan skip empty super-cell blocks without
-//! touching the fine CSR at all — at venue densities most of a large ring
-//! is empty stands or out-of-bounds lobby space. A ring `ρ` cell's nearest
-//! point lies at Euclidean distance ≥ `(ρ−1)·cell` from the viewer, so the
-//! expansion stops as soon as `K` candidates are held and the next ring
+//! [`PruneIndex`] is a uniform grid (the ORCA `NeighborGrid` idiom from
+//! `xr_crowd`, lifted here so the session layer owns it): a CSR-bucketed
+//! cell grid sized for a constant expected occupancy. K-nearest queries
+//! expand Chebyshev rings of cells outward from the viewer's cell; an empty
+//! cell costs one bucket-bounds read. A ring `ρ` cell's nearest point lies
+//! at Euclidean distance ≥ `(ρ−1)·cell` from the viewer, so the expansion
+//! stops as soon as `K` candidates are held and the next ring
 //! cannot beat the current `K`-th best — an *exact* K-nearest result, not a
 //! heuristic one.
 //!
@@ -85,11 +82,9 @@ use std::cmp::Ordering;
 
 use xr_graph::geom::Point2;
 
-/// Fine cells per coarse super-cell, per axis.
-const SUPER: usize = 4;
-/// Target average occupancy of a fine cell (users per cell).
+/// Target average occupancy of a cell (users per cell).
 const TARGET_OCCUPANCY: f64 = 4.0;
-/// Hard cap on fine-grid resolution per axis.
+/// Hard cap on grid resolution per axis.
 const MAX_DIM: usize = 1024;
 
 /// One viewer's pruned candidate shortlist at one tick: the `K` nearest
@@ -229,10 +224,9 @@ fn bounding_box(positions: &[Point2]) -> [f64; 4] {
     [min(lo[0]), min(lo[1]), max(hi[0]), max(hi[1])]
 }
 
-/// Two-level uniform spatial grid over one tick's positions: fine
-/// CSR-bucketed cells sized for constant occupancy plus coarse super-cell
-/// occupancy counts for empty-block skipping. Rebuilt in O(N) per tick into
-/// the same buffers; see the module docs for the query algorithm.
+/// Uniform spatial grid over one tick's positions: CSR-bucketed cells sized
+/// for constant occupancy. Rebuilt in O(N) per tick into the same buffers;
+/// see the module docs for the query algorithm.
 #[derive(Debug, Clone)]
 pub struct PruneIndex {
     min_x: f64,
@@ -245,10 +239,7 @@ pub struct PruneIndex {
     starts: Vec<u32>,
     /// User ids bucketed by cell, ascending within each cell.
     items: Vec<u32>,
-    snx: usize,
-    /// Occupancy per coarse super-cell (`SUPER × SUPER` fine cells).
-    super_counts: Vec<u32>,
-    /// Each user's fine cell at the last build (build scratch).
+    /// Each user's cell at the last build (build scratch).
     cells: Vec<u32>,
 }
 
@@ -301,8 +292,6 @@ impl PruneIndex {
             ny: 1,
             starts: Vec::new(),
             items: Vec::new(),
-            snx: 1,
-            super_counts: Vec::new(),
             cells: Vec::new(),
         };
         index.rebuild(positions);
@@ -323,7 +312,7 @@ impl PruneIndex {
             (min_x, min_y, max_x, max_y) = (0.0, 0.0, 0.0, 0.0);
         }
         let extent = (max_x - min_x).max(max_y - min_y).max(1e-9);
-        // resolution for ~TARGET_OCCUPANCY users per fine cell on average
+        // resolution for ~TARGET_OCCUPANCY users per cell on average
         let dim = ((n as f64 / TARGET_OCCUPANCY).sqrt().ceil() as usize).clamp(1, MAX_DIM);
         self.min_x = min_x;
         self.min_y = min_y;
@@ -361,21 +350,9 @@ impl PruneIndex {
             self.items[*slot as usize] = i as u32;
         }
         self.cells = cell_of;
-
-        self.snx = self.nx.div_ceil(SUPER);
-        let sny = self.ny.div_ceil(SUPER);
-        self.super_counts.clear();
-        self.super_counts.resize(self.snx * sny, 0);
-        for cy in 0..self.ny {
-            for cx in 0..self.nx {
-                let c = cy * self.nx + cx;
-                self.super_counts[(cy / SUPER) * self.snx + cx / SUPER] +=
-                    self.starts[c + 1] - self.starts[c];
-            }
-        }
     }
 
-    /// Fine-grid cell coordinates of a point. The float → `u32` cast
+    /// Grid cell coordinates of a point. The float → `u32` cast
     /// saturates like a cast to `usize` (NaN and negatives to 0, overflow to
     /// the maximum, which the clamp then cuts), and every cell index fits,
     /// but it converts in fewer instructions on x86-64: a build computes it
@@ -386,8 +363,7 @@ impl PruneIndex {
         (cx, cy)
     }
 
-    /// Scans one row segment `y, x0..=x1` of fine cells into `sel`,
-    /// skipping empty coarse super-cell blocks wholesale.
+    /// Scans one row segment `y, x0..=x1` of cells into `sel`.
     fn scan_row(
         &self,
         positions: &[Point2],
@@ -398,16 +374,7 @@ impl PruneIndex {
         sel: &mut Selection,
     ) {
         let origin = positions[viewer];
-        let sy = (y / SUPER) * self.snx;
-        let mut x = x0;
-        while x <= x1 {
-            // coarse level: an empty super-cell block clears SUPER cells at
-            // once without touching the fine CSR
-            if self.super_counts[sy + x / SUPER] == 0 {
-                x = (x / SUPER + 1) * SUPER;
-                continue;
-            }
-            let c = y * self.nx + x;
+        for c in y * self.nx + x0..=y * self.nx + x1 {
             for &id in &self.items[self.starts[c] as usize..self.starts[c + 1] as usize] {
                 // co-located exit: no distance is below +0.0, so with the
                 // K-th best at distance 0 a larger id cannot beat it, and
@@ -419,7 +386,6 @@ impl PruneIndex {
                     sel.offer(origin.distance(positions[id as usize]), id);
                 }
             }
-            x += 1;
         }
     }
 
@@ -577,7 +543,6 @@ mod tests {
                     (&reference.starts, &reference.items),
                     "n={n}: buckets"
                 );
-                assert_eq!(index.super_counts, reference.super_counts, "n={n}");
                 for viewer in 0..n {
                     for k in [1, 3, n] {
                         assert_eq!(
@@ -606,7 +571,6 @@ mod tests {
             );
             assert_eq!(reused.starts, fresh.starts, "n={n}");
             assert_eq!(reused.items, fresh.items, "n={n}");
-            assert_eq!(reused.super_counts, fresh.super_counts, "n={n}");
             for c in 0..fresh.nx * fresh.ny {
                 let bucket = &fresh.items[fresh.starts[c] as usize..fresh.starts[c + 1] as usize];
                 assert!(bucket.windows(2).all(|w| w[0] < w[1]), "bucket {c} must be ascending");
@@ -637,7 +601,7 @@ mod tests {
 
     #[test]
     fn nearer_lower_ids_before_coincident_ids_in_one_cell() {
-        // one fine cell holds ids 0..4 at small positive distances from a
+        // one cell holds ids 0..4 at small positive distances from a
         // stack and ids 4..12 on the stack: once K are held with a positive
         // K-th distance, farther ones among ids 0..4 are rejected, yet the
         // stack's higher ids still beat the bound. An exit that ends the
@@ -739,7 +703,7 @@ mod tests {
     #[test]
     fn zoned_density_queries_stay_exact() {
         // a dense cluster far from a sparse halo, with a parked lobby blob —
-        // the venue shape the coarse skip level exists for
+        // a venue's zoned density, where most of a large ring is empty cells
         let mut rng = StdRng::seed_from_u64(5);
         let mut positions = Vec::new();
         for _ in 0..400 {
